@@ -24,15 +24,16 @@ from .experiments import (first_crossing, heat_comparison, limit1_reference,
 from .modal import (CharacteristicRoots, CompatibilityReport, ComplexPair,
                     DoubleRoot, FirstOrder, ModalInitialData, ModeValue,
                     ParameterSet, RealDistinct, characteristic_roots,
-                    compatibility_report, eval_mode, solve_mode,
-                    solve_mode_reference, solve_second_order)
+                    compatibility_report, eval_mode, evolve_modes, propagator,
+                    second_order_roots, solve_mode, solve_mode_reference,
+                    solve_second_order)
 from .oracle import (GridSolution, ModeTrajectory, OdeProblem, fd_solve,
                      integrate_mode, integrate_mode_batch, quad_integrate)
 from .solver import (Field, WellPosednessReport, basis_field, check_wellposed,
                      evolve_homogeneous, field_norm, project_samples,
                      reconstruct, zero_field)
-from .spectrum import (BasisDescriptor, EigenMode, ExceptionalSet, box_modes,
-                       distance_to_exceptional, exceptional_for_c,
+from .spectrum import (BasisDescriptor, EigenMode, ExceptionalSet, Spectrum,
+                       box_modes, distance_to_exceptional, exceptional_for_c,
                        exceptional_for_sigma, interval_modes, modes_for,
                        weyl_exponent_fit)
 
@@ -45,17 +46,18 @@ __all__ = [
     "ExceptionalParameterError", "ExceptionalSet", "Field", "FirstOrder",
     "GridSolution", "MildSolutionReport", "ModalInitialData",
     "ModeTrajectory", "ModeValue", "OdeProblem", "ParameterSet",
-    "RealDistinct", "SemigroupBlock", "SingularParameterError",
+    "RealDistinct", "SemigroupBlock", "SingularParameterError", "Spectrum",
     "StiffnessError", "UnsolvableModeError", "WellPosednessReport",
     "basis_field", "box_modes", "build_blocks", "characteristic_roots",
     "check_wellposed", "compatibility_report", "dirichlet_map_interval",
-    "distance_to_exceptional", "eval_mode", "evolve_homogeneous",
+    "distance_to_exceptional", "eval_mode", "evolve_homogeneous", "evolve_modes",
     "evolve_with_boundary", "exceptional_for_c", "exceptional_for_sigma",
     "fd_solve", "field_norm", "first_crossing", "heat_comparison",
     "integrate_mode", "integrate_mode_batch", "interval_modes",
     "limit1_reference", "limit1_scan", "limit2_scan", "limit3_scan",
     "mild_solution_check", "modes_for", "project_samples",
-    "propagation_burst", "quad_integrate", "reconstruct", "singularity_scan",
+    "propagation_burst", "propagator", "quad_integrate", "reconstruct",
+    "second_order_roots", "singularity_scan",
     "solve_mode", "solve_mode_reference", "solve_second_order",
     "weyl_exponent_fit", "whole_line_mode", "zero_field",
 ]

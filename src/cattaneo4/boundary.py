@@ -18,8 +18,9 @@ derivatives of f from under the integral:
     W(t) = E(t)[W(0) - D_n f'(0) - A D_n f(0)] + D_n f'(t) + A D_n f(t)
            + int_0^t E(t-s) (-beta I + A^2) D_n f(s) ds,
 
-with E(t) = exp(A t) in the closed 2x2 form E = phi0 I + phi1 A.  Only f
-itself appears under the integral, so rough signals are handled stably.
+with E(t) = exp(A t) in the closed 2x2 form E = phi0 I + phi1 A of
+``modal.propagator``.  Only f itself appears under the integral, so rough
+signals are handled stably.
 
 A weaker solution notion that decouples the lift parameter from c exists in
 principle but has no clear physical reading; it is intentionally not
@@ -34,10 +35,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExceptionalParameterError
-from .modal import ParameterSet
+from .modal import ParameterSet, propagator
 from .solver import Field
-from .spectrum import BasisDescriptor, interval_modes
-from .util import thread_count
+from .spectrum import BasisDescriptor, spectrum
+from .util import scaled_exp, simpson_weights, thread_count
+
+# Modes per propagator call in evolve_with_boundary: bounds the (modes, nodes)
+# temporaries; every mode's result is the same for any block size.
+MODE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -228,65 +233,14 @@ def build_blocks(p: ParameterSet, basis: BasisDescriptor, g) -> list[SemigroupBl
         g0, g1 = float(g[0]), float(g[1])
     L = basis.lengths[0]
     _lift_gate(p.c, L)
-    modes = interval_modes(L, basis.truncation)
+    lam = spectrum(basis).lambda_sq
     ds = _lift_coefficients(p.c, L, g0, g1, basis.truncation)
+    eps = 1.0 - p.c * lam
     beta = p.b / p.c
-    out = []
-    for m, d in zip(modes, ds):
-        eps = 1.0 - p.c * m.lambda_sq
-        out.append(SemigroupBlock(m.index, m.lambda_sq, h=p.a / eps,
-                                  k=-p.b * m.lambda_sq / eps, d=float(d),
-                                  beta=beta))
-    return out
-
-
-def _phi01(h: np.ndarray, k: np.ndarray, tau: np.ndarray):
-    """Closed 2x2 matrix exponential factors: exp(A tau) = phi0 I + phi1 A.
-
-    Eigenvalues solve mu^2 + h mu - k = 0.  Shapes: h, k are (N,), tau is
-    (M,); returns (N, M) arrays.  Near-double pairs switch to the defective
-    limit formulas.
-    """
-    h = h[:, None]
-    k = k[:, None]
-    disc = h * h + 4.0 * k
-    tau = tau[None, :]
-    phi0 = np.empty(np.broadcast_shapes(h.shape, tau.shape))
-    phi1 = np.empty_like(phi0)
-
-    cplx = disc < 0.0
-    near_double = ~cplx & (np.sqrt(np.maximum(disc, 0.0))
-                           <= 1e-9 * np.maximum(1.0, np.abs(h)))
-    real = ~cplx & ~near_double
-
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if np.any(real):
-            root = np.sqrt(np.where(real, disc, 1.0))
-            q = -0.5 * (h + np.where(h >= 0.0, root, -root))
-            mu1 = q
-            mu2 = np.where(q != 0.0, -k / q, 0.0)
-            e1 = np.exp(mu1 * tau)
-            e2 = np.exp(mu2 * tau)
-            gap = mu1 - mu2
-            p1 = (e1 - e2) / gap
-            p0 = (mu1 * e2 - mu2 * e1) / gap
-            phi0 = np.where(real, p0, phi0)
-            phi1 = np.where(real, p1, phi1)
-        if np.any(near_double):
-            mu = -0.5 * h
-            emu = np.exp(mu * tau)
-            phi0 = np.where(near_double, emu * (1.0 - mu * tau), phi0)
-            phi1 = np.where(near_double, tau * emu, phi1)
-        if np.any(cplx):
-            pr = -0.5 * h
-            om = 0.5 * np.sqrt(np.where(cplx, -disc, 1.0))
-            env = np.exp(pr * tau)
-            sin_ = np.sin(om * tau)
-            cos_ = np.cos(om * tau)
-            s_over = np.where(om != 0.0, sin_ / np.where(om == 0.0, 1.0, om), tau)
-            phi0 = np.where(cplx, env * (cos_ - pr * s_over), phi0)
-            phi1 = np.where(cplx, env * s_over, phi1)
-    return phi0, phi1
+    return [SemigroupBlock(n, lam_n, h=h, k=k, d=d, beta=beta)
+            for n, (lam_n, h, k, d) in enumerate(
+                zip(lam.tolist(), (p.a / eps).tolist(),
+                    (-p.b * lam / eps).tolist(), ds.tolist()), start=1)]
 
 
 def _even_intervals(t: float, quad_step: float | None) -> int:
@@ -304,9 +258,10 @@ def evolve_with_boundary(blocks, theta0: Field, theta1: Field, signal: BoundaryS
 
     The convolution integral contains only f itself and is computed by
     composite Simpson with the caller's step (default t/1000, rounded to an
-    even interval count).  Modes are independent; with several threads they
-    are processed in fixed contiguous chunks whose per-mode results are
-    identical to the sequential ones.
+    even interval count).  Modes go through ``propagator`` in blocks of
+    ``MODE_BLOCK``.  Each mode's dominant exponent is kept out of the sums
+    and applied last, so values beyond the e^700 range saturate to +/-inf
+    with the flag set.  ``threads`` is validated and has no effect.
     """
     if theta0.basis != theta1.basis:
         raise ValueError("theta0 and theta1 must share one basis")
@@ -318,6 +273,7 @@ def evolve_with_boundary(blocks, theta0: Field, theta1: Field, signal: BoundaryS
     if t == 0.0:
         return (Field(basis, theta0.coefficients.copy()),
                 Field(basis, theta1.coefficients.copy()))
+    thread_count(threads)
 
     h = np.array([b.h for b in blocks])
     k = np.array([b.k for b in blocks])
@@ -337,42 +293,31 @@ def evolve_with_boundary(blocks, theta0: Field, theta1: Field, signal: BoundaryS
     adj2 = theta1.coefficients - d * df0 + h * d * f0
     w1 = -h * d
     w2 = (k + h * h - beta) * d
+    fw = simpson_weights(m_int + 1) * f_nodes * ((t / m_int) / 3.0)
 
-    simpson = np.ones(m_int + 1)
-    simpson[1:-1:2] = 4.0
-    simpson[2:-1:2] = 2.0
-    fw = simpson * f_nodes * ((t / m_int) / 3.0)
-
-    def run_chunk(idx):
-        sl = slice(idx[0], idx[1])
-        phi0, phi1 = _phi01(h[sl], k[sl], tau)
-        with np.errstate(over="ignore", invalid="ignore"):
-            e11 = phi0[:, 0] * adj1[sl] + phi1[:, 0] * adj2[sl]
-            e21 = phi0[:, 0] * adj2[sl] + phi1[:, 0] * (k[sl] * adj1[sl] - h[sl] * adj2[sl])
-            g1 = phi0 * w1[sl, None] + phi1 * w2[sl, None]
-            g2 = phi0 * w2[sl, None] + phi1 * (k[sl] * w1[sl] - h[sl] * w2[sl])[:, None]
-            int1 = np.sum(g1 * fw[None, :], axis=1)
-            int2 = np.sum(g2 * fw[None, :], axis=1)
-            v1 = e11 + d[sl] * ft + int1
-            v2 = e21 + d[sl] * dft - h[sl] * d[sl] * ft + int2
-        return v1, v2
-
+    # per mode: E(t) = e^shift (e0 I + e1 A) and the quadrature sums
+    # int_0^t E(tau) f = e^shift (p0 I + p1 A), shift = max log-scale >= 0
     n_modes = basis.truncation
-    n_workers = thread_count(threads)
-    if n_workers == 1 or n_modes < 8:
-        chunks = [(0, n_modes)]
-    else:
-        size = math.ceil(n_modes / n_workers)
-        chunks = [(i, min(i + size, n_modes)) for i in range(0, n_modes, size)]
-    if len(chunks) == 1:
-        parts = [run_chunk(chunks[0])]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(run_chunk, chunks))
-    vals = np.concatenate([p[0] for p in parts])
-    derivs = np.concatenate([p[1] for p in parts])
-    sat = ~np.isfinite(vals) | ~np.isfinite(derivs)
+    shift, e0, e1, p0, p1 = (np.empty(n_modes) for _ in range(5))
+    for lo in range(0, n_modes, MODE_BLOCK):
+        sl = slice(lo, lo + MODE_BLOCK)
+        phi0, phi1, log_scale, _ = propagator(h[sl, None], k[sl, None], tau)
+        top = np.max(log_scale, axis=1, keepdims=True)   # tau = 0 gives 0
+        weight = np.exp(log_scale - top)
+        shift[sl] = top[:, 0]
+        e0[sl] = phi0[:, 0] * weight[:, 0]                # tau[0] = t
+        e1[sl] = phi1[:, 0] * weight[:, 0]
+        weight *= fw
+        p0[sl] = np.sum(phi0 * weight, axis=1)
+        p1[sl] = np.sum(phi1 * weight, axis=1)
+
+    lift = np.exp(-shift)
+    v1 = e0 * adj1 + e1 * adj2 + p0 * w1 + p1 * w2 + d * ft * lift
+    v2 = (e0 * adj2 + e1 * (k * adj1 - h * adj2) + p0 * w2 + p1 * (k * w1 - h * w2)
+          + (d * dft - h * d * ft) * lift)
+    vals, s1 = scaled_exp(v1, shift)
+    derivs, s2 = scaled_exp(v2, shift)
+    sat = s1 | s2
     return Field(basis, vals, sat.copy()), Field(basis, derivs, sat.copy())
 
 

@@ -15,8 +15,8 @@
     cattaneo4 verify --seed 7
 
 Floats are printed with 17 significant digits, so equal runs are
-byte-identical; worker threads (--threads or CATTANEO4_THREADS) never change
-output bytes.  Exit codes: 0 success, 1 usage or invalid argument,
+byte-identical.  --threads and CATTANEO4_THREADS are accepted and validated
+but have no effect: the per-mode work runs as numpy array operations.  Exit codes: 0 success, 1 usage or invalid argument,
 2 exceptional/singular parameter rejected, 3 unsolvable degenerate mode.
 The length option accepts the literal token 'pi'.
 """
@@ -394,7 +394,8 @@ def _add_common(sp, *names):
         sp.add_argument("--N", type=int, required=True, help="truncation")
     if "threads" in names:
         sp.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: CATTANEO4_THREADS or 1)")
+                        help="accepted and validated, no effect "
+                             "(default: CATTANEO4_THREADS or 1)")
 
 
 def build_parser() -> _Parser:

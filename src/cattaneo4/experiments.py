@@ -41,7 +41,7 @@ import numpy as np
 
 from .boundary import BoundarySignal, build_blocks, dirichlet_map_interval, evolve_with_boundary
 from .errors import ExceptionalParameterError, SingularParameterError
-from .modal import ModalInitialData, ParameterSet, eval_mode, solve_mode
+from .modal import ParameterSet, eval_mode, second_order_roots, solve_mode
 from .oracle import quad_integrate
 from .solver import Field, reconstruct, zero_field
 from .spectrum import (BasisDescriptor, distance_to_exceptional, exceptional_for_c,
@@ -169,7 +169,8 @@ def limit1_scan(a: float, b: float, lambda_sq: float, t: float,
                                      _log_abs_term(alpha, rate, t),
                                      abs(v), "exceptional"))
             continue
-        delta_sq = a * a - 4.0 * b * lambda_sq * eps
+        delta_sq, delta, r_plus, r_minus = (
+            float(v) for v in second_order_roots(eps, a, b * lambda_sq))
         if delta_sq <= 0.0:
             # far from the limit the mode may turn oscillatory; record via eval
             sol = solve_mode(ParameterSet(a, b, c), lambda_sq, (alpha, 1.0))
@@ -179,9 +180,6 @@ def limit1_scan(a: float, b: float, lambda_sq: float, t: float,
                                      math.log(abs(mv.value)) if mv.value else -math.inf,
                                      abs(mv.value), "ok"))
             continue
-        delta = math.sqrt(delta_sq)
-        r_plus = -2.0 * b * lambda_sq / (a + delta)
-        r_minus = -(a + delta) / (2.0 * eps)
         B = 4.0 * b * lambda_sq * eps * eps / (delta * (a + delta) ** 2)
         A = alpha - B
         rows.append(_split_row(k, c, A, r_plus, B, r_minus, t))
@@ -231,9 +229,8 @@ def limit2_scan(a: float, b: float, gamma: float, k_range, t: float,
                 f"c_{k} = {c_k!r} collides with exceptional member {nearest!r}; "
                 "adjust gamma or the mode range", value=c_k, nearest=nearest)
         eps = 1.0 - c_k * lam_sq
-        delta = math.sqrt(a * a - 4.0 * b * lam_sq * eps)
-        r_plus = -2.0 * b * lam_sq / (a + delta)
-        r_minus = -(a + delta) / (2.0 * eps)
+        _, delta, r_plus, r_minus = (
+            float(v) for v in second_order_roots(eps, a, b * lam_sq))
         amp = (1.0 / k) * eps / delta
         rows.append(_split_row(k, c_k, amp, r_plus, -amp, r_minus, t))
     growth = fit_slope([math.log(r.k) for r in rows],
@@ -350,11 +347,13 @@ def whole_line_mode(a: float, b: float, c: float, lam: float, w1_hat: float,
     if abs(eps) <= 1e-14 * max(1.0, c * lam_sq):
         raise SingularParameterError(
             f"lam={lam!r} sits at the singular frequency 1/sqrt(c)")
-    delta_sq = a * a - 4.0 * b * lam_sq * eps
+    delta_sq, delta, r_plus, r_minus = (
+        float(v) for v in second_order_roots(eps, a, b * lam_sq))
     if delta_sq <= 0.0:
-        # conjugate pair: oscillatory, bounded by the envelope
-        root = complex(delta_sq) ** 0.5
-        r_p = (-a + root) / (2.0 * eps)
+        # conjugate pair r_plus +/- i delta/(2 eps): oscillatory, bounded by
+        # the envelope (eps > 0 here)
+        root = complex(0.0, delta)
+        r_p = complex(r_plus, delta / (2.0 * eps))
         coeff_c = eps * w1_hat / root
         val = 2.0 * (coeff_c * np.exp(r_p * t)).real
         logmag = (math.log(2.0 * abs(coeff_c)) + r_p.real * t
@@ -362,9 +361,6 @@ def whole_line_mode(a: float, b: float, c: float, lam: float, w1_hat: float,
         return WholeLineMode(lam, eps, delta_sq, abs(coeff_c), r_p.real,
                              r_p.real, val, logmag, logmag, True,
                              "saturated" if logmag > LOG_SATURATION else "ok")
-    delta = math.sqrt(delta_sq)
-    r_plus = -2.0 * b * lam_sq / (a + delta) if lam_sq > 0.0 else 0.0
-    r_minus = -(a + delta) / (2.0 * eps)
     coeff = eps * w1_hat / delta
     l1 = _log_abs_term(coeff, r_plus, t)
     l2 = _log_abs_term(-coeff, r_minus, t)

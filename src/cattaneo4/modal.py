@@ -26,8 +26,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateModeError, UnsolvableModeError
-from .util import LOG_SATURATION, exp_term, log_abs_exp_sum
+from .util import LOG_SATURATION, exp_term, scaled_exp
 
 
 @dataclass(frozen=True)
@@ -201,8 +203,16 @@ def mode_ode_coefficients(p: ParameterSet, lambda_sq: float) -> tuple[float, flo
     return 1.0 - p.c * lambda_sq, p.a, p.b * lambda_sq
 
 
-def default_degenerate_tol(p: ParameterSet, lambda_sq: float) -> float:
-    return 1e-12 * max(1.0, p.c * lambda_sq)
+def is_degenerate(c: float, lambda_sq, tol_degenerate: float | None = None):
+    """Whether |1 - c lam2| falls inside the degeneracy gate, elementwise.
+
+    The gate is ``tol_degenerate``, by default 1e-12 max(1, c lam2); a mode
+    inside it is first order.  ``solve_mode``, ``evolve_modes`` and
+    ``solver.check_wellposed`` all decide with this one test.
+    """
+    c_lam = c * np.asarray(lambda_sq, dtype=float)
+    tol = 1e-12 * np.maximum(1.0, c_lam) if tol_degenerate is None else tol_degenerate
+    return np.abs(1.0 - c_lam) <= tol
 
 
 def discriminant_delta(p: ParameterSet, lambda_sq: float) -> float:
@@ -215,23 +225,122 @@ def discriminant_delta(p: ParameterSet, lambda_sq: float) -> float:
     return a * a - 4.0 * stiff * leading
 
 
-def _roots_second_order(leading: float, damping: float, stiffness: float) -> CharacteristicRoots:
-    """Roots of leading r^2 + damping r + stiffness = 0, damping > 0."""
+def second_order_roots(leading, damping, stiffness):
+    """Roots of leading r^2 + damping r + stiffness = 0, elementwise.
+
+    Returns ``(delta_sq, delta, r_plus, r_minus)`` with the discriminant
+    delta_sq = damping^2 - 4 stiffness leading and delta = sqrt(|delta_sq|).
+    Real distinct roots (delta_sq > 0) use the cancellation-free forms
+
+        r_plus = -2 stiffness / (damping + delta),
+        r_minus = -(damping + delta) / (2 leading);
+
+    (-damping + delta) would lose every digit when stiffness * leading is
+    tiny.  For a double root or a complex pair both entries hold the real
+    part -damping / (2 leading); the imaginary parts are +/-delta / (2|leading|).
+    Rows with damping < 0 are negated first, which keeps the roots and keeps
+    damping + delta free of cancellation.
+    """
+    leading, damping, stiffness = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (leading, damping, stiffness)))
+    flip = np.where(damping < 0.0, -1.0, 1.0)
+    leading, damping, stiffness = leading * flip, damping * flip, stiffness * flip
     delta_sq = damping * damping - 4.0 * stiffness * leading
+    delta = np.sqrt(np.abs(delta_sq))
+    real = delta_sq > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r_plus = np.where(real, -2.0 * stiffness / (damping + delta),
+                          -damping / (2.0 * leading))
+        r_minus = -(damping + np.where(real, delta, 0.0)) / (2.0 * leading)
+    return delta_sq, delta, r_plus, r_minus
+
+
+def _pair(leading, damping, stiffness):
+    """(r_plus, r_minus, freq): real roots with freq = 0, or the complex pair
+    r_plus +/- i freq with r_plus == r_minus and freq > 0."""
+    delta_sq, delta, r_plus, r_minus = second_order_roots(leading, damping, stiffness)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        freq = np.where(delta_sq < 0.0, delta / np.abs(2.0 * leading), 0.0)
+    return r_plus, r_minus, freq
+
+
+def _roots_second_order(leading: float, damping: float, stiffness: float) -> CharacteristicRoots:
+    """Typed roots of leading r^2 + damping r + stiffness = 0, damping > 0."""
+    delta_sq, delta, r_plus, r_minus = (
+        float(v) for v in second_order_roots(leading, damping, stiffness))
     if delta_sq > 0.0:
-        delta = math.sqrt(delta_sq)
-        # exact cancellation-free forms; (-a+delta) loses digits when
-        # stiffness*leading is tiny
-        r_plus = -2.0 * stiffness / (damping + delta)
-        r_minus = -(damping + delta) / (2.0 * leading)
         return CharacteristicRoots("real_distinct", complex(r_plus), complex(r_minus))
     if delta_sq == 0.0:
-        r = -damping / (2.0 * leading)
-        return CharacteristicRoots("double", complex(r), complex(r))
-    decay = -damping / (2.0 * leading)
-    freq = math.sqrt(-delta_sq) / (2.0 * leading)  # leading > 0 here
-    return CharacteristicRoots("complex_pair",
-                               complex(decay, freq), complex(decay, -freq))
+        return CharacteristicRoots("double", complex(r_plus), complex(r_plus))
+    freq = delta / abs(2.0 * leading)  # as in _pair
+    return CharacteristicRoots("complex_pair", complex(r_plus, freq),
+                               complex(r_plus, -freq))
+
+
+def _factors(r_plus, r_minus, freq, tau):
+    """Scaled 2x2 exponential from the eigenvalues of A (see ``propagator``).
+
+    The root whose exponent mu tau is larger is factored out as log_scale;
+    the other one, oth, sits gap = oth - dom away, so g = gap tau <= 0 and
+
+        phi1 = expm1(g) / gap,   phi0 = e^g - oth phi1,
+
+    the first divided difference of exp and the identity e^{oth tau} =
+    phi0 + oth phi1 (equal to 1 - dom phi1, but a sum of two terms of one
+    sign whenever oth < 0).  A double root (g = 0) gives phi1 = tau; a
+    complex pair dom +/- i freq gives phi1 = sin(freq tau)/freq.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        first = r_plus * tau >= r_minus * tau
+        dom = np.where(first, r_plus, r_minus)
+        oth = np.where(first, r_minus, r_plus)
+        log_scale = dom * tau
+        gap = oth - dom
+        g = gap * tau
+        phi1 = np.where(g == 0.0, tau, np.expm1(g) / gap)
+        phi0 = np.exp(g) - oth * phi1
+        cplx = freq > 0.0
+        if np.any(cplx):
+            w = freq * tau
+            s = np.sin(w) / np.where(cplx, freq, 1.0)
+            phi1 = np.where(cplx, s, phi1)
+            phi0 = np.where(cplx, np.cos(w) - dom * s, phi0)
+    return phi0, phi1, log_scale
+
+
+def propagator(h, k, tau):
+    """Closed 2x2 matrix exponential for A = [[0, 1], [k, -h]], elementwise.
+
+    Returns ``(phi0, phi1, log_scale, saturated)`` with
+
+        exp(A tau) = e^{log_scale} (phi0 I + phi1 A),
+
+    log_scale = Re(mu) tau for the eigenvalue mu (root of mu^2 + h mu - k)
+    that dominates at tau.  phi0 and phi1 are the scaled factors, of the size
+    of 1 and tau, so they stay finite however large log_scale is;
+    ``saturated`` marks e^{log_scale} past e^LOG_SATURATION.  Real, double,
+    near-double and complex eigenvalues share one formula (``_factors``).
+    Arguments broadcast; after Moler & Van Loan, SIAM Rev. 45 (2003).
+    """
+    h = np.asarray(h, dtype=float)
+    phi0, phi1, log_scale = _factors(*_pair(1.0, h, -np.asarray(k, dtype=float)),
+                                     np.asarray(tau, dtype=float))
+    return phi0, phi1, log_scale, log_scale > LOG_SATURATION
+
+
+def _state(r_plus, r_minus, freq, alpha, beta, t):
+    """(theta, theta', saturated) at t from (alpha, beta) for roots from ``_pair``.
+
+    W(t) = exp(A t) W(0) with A = [[0, 1], [-r_plus r_minus, r_plus + r_minus]]
+    (for a complex pair r_plus r_minus = decay^2 + freq^2); values beyond the
+    e^700 range saturate to +/-inf with the flag set.
+    """
+    phi0, phi1, log_scale = _factors(r_plus, r_minus, freq, t)
+    k = -(r_plus * r_minus + freq * freq)
+    minus_h = r_plus + r_minus
+    value, s1 = scaled_exp(phi0 * alpha + phi1 * beta, log_scale)
+    deriv, s2 = scaled_exp(phi0 * beta + phi1 * (k * alpha + minus_h * beta), log_scale)
+    return value, deriv, s1 | s2
 
 
 def characteristic_roots(p: ParameterSet, lambda_sq: float,
@@ -242,8 +351,7 @@ def characteristic_roots(p: ParameterSet, lambda_sq: float,
     gate; that mode is first order and belongs to ``solve_mode``.
     """
     leading, damping, stiffness = mode_ode_coefficients(p, lambda_sq)
-    tol = default_degenerate_tol(p, lambda_sq) if tol_degenerate is None else tol_degenerate
-    if abs(leading) <= tol:
+    if is_degenerate(p.c, lambda_sq, tol_degenerate):
         raise DegenerateModeError(
             f"mode with lambda_sq={lambda_sq} is degenerate (1 - c lam2 = {leading:.3e}); "
             "use solve_mode for the first-order branch")
@@ -285,8 +393,7 @@ def solve_mode(p: ParameterSet, lambda_sq: float,
     if not isinstance(data, ModalInitialData):
         data = ModalInitialData(*data)
     leading, damping, stiffness = mode_ode_coefficients(p, lambda_sq)
-    tol = default_degenerate_tol(p, lambda_sq) if tol_degenerate is None else tol_degenerate
-    if abs(leading) <= tol:
+    if is_degenerate(p.c, lambda_sq, tol_degenerate):
         report = compatibility_report(p, lambda_sq, data, mode_index, compat_tol)
         if not report.satisfied:
             actual = (None if report.actual_ratio is None
@@ -335,29 +442,21 @@ def _solve_from_roots(roots: CharacteristicRoots, data: ModalInitialData) -> Mod
     return ComplexPair(amplitude, p_, q, phase, alpha, beta)
 
 
-def _sum_two_exp(c1: float, r1: float, c2: float, r2: float, t: float) -> tuple[float, bool]:
-    v1, s1 = exp_term(c1, r1, t)
-    v2, s2 = exp_term(c2, r2, t)
-    if not (s1 or s2):
-        return v1 + v2, False
-    terms = []
-    for c, r in ((c1, r1), (c2, r2)):
-        if c != 0.0:
-            terms.append((c, math.log(abs(c)) + r * t))
-    sign, logmag = log_abs_exp_sum(terms)
-    if sign == 0.0:
-        return 0.0, True
-    if logmag > LOG_SATURATION:
-        return math.copysign(math.inf, sign), True
-    return sign * math.exp(logmag), True
+def _solution_roots(sol: ModalSolution) -> tuple[float, float, float]:
+    if isinstance(sol, RealDistinct):
+        return sol.r_plus, sol.r_minus, 0.0
+    if isinstance(sol, DoubleRoot):
+        return sol.r, sol.r, 0.0
+    return sol.decay, sol.decay, sol.frequency
 
 
 def eval_mode(sol: ModalSolution, t: float) -> ModeValue:
     """Evaluate a modal solution and its derivative at time t.
 
     t = 0.0 short-circuits to the stored initial data, so round-tripping the
-    data through solve_mode is exact.  Values beyond the e^700 range saturate
-    to +/-inf with the flag set.
+    data through solve_mode is exact.  Second-order modes go through the
+    propagator kernel from (alpha, beta); values beyond the e^700 range
+    saturate to +/-inf with the flag set.
     """
     if not math.isfinite(t):
         raise ValueError("t must be finite")
@@ -369,30 +468,48 @@ def eval_mode(sol: ModalSolution, t: float) -> ModeValue:
         return ModeValue(v, d, s1 or s2)
     if t == 0.0:
         return ModeValue(sol.alpha, sol.beta)
-    if isinstance(sol, RealDistinct):
-        v, sv = _sum_two_exp(sol.A, sol.r_plus, sol.B, sol.r_minus, t)
-        d, sd = _sum_two_exp(sol.A * sol.r_plus, sol.r_plus,
-                             sol.B * sol.r_minus, sol.r_minus, t)
-        return ModeValue(v, d, sv or sd)
-    if isinstance(sol, DoubleRoot):
-        v, sv = exp_term(sol.A + sol.B * t, sol.r, t)
-        d, sd = exp_term(sol.B + sol.r * (sol.A + sol.B * t), sol.r, t)
-        return ModeValue(v, d, sv or sd)
-    # complex pair
-    ph = sol.frequency * t + sol.phase
-    cos_, sin_ = math.cos(ph), math.sin(ph)
-    if sol.amplitude == 0.0:
-        return ModeValue(0.0, 0.0)
-    logmag = math.log(sol.amplitude) + sol.decay * t
-    if logmag > LOG_SATURATION:
-        v = math.copysign(math.inf, cos_) if cos_ != 0.0 else 0.0
-        dmix = sol.decay * cos_ - sol.frequency * sin_
-        d = math.copysign(math.inf, dmix) if dmix != 0.0 else 0.0
-        return ModeValue(v, d, True)
-    env, _ = exp_term(sol.amplitude, sol.decay, t)
-    v = env * cos_
-    d = env * (sol.decay * cos_ - sol.frequency * sin_)
-    return ModeValue(v, d, False)
+    v, d, sat = _state(*_solution_roots(sol), sol.alpha, sol.beta, t)
+    return ModeValue(float(v), float(d), bool(sat))
+
+
+def evolve_modes(p: ParameterSet, lambda_sq, alpha, beta, t: float,
+                 tol_degenerate: float | None = None,
+                 compat_tol: float = 1e-9):
+    """``solve_mode`` + ``eval_mode`` over arrays of modes in one pass.
+
+    Returns ``(theta, theta', saturated)`` arrays at time t, equal mode by
+    mode to the scalar path.  Degenerate modes evolve first order; the
+    lowest-index one whose data fail the compatibility check raises
+    UnsolvableModeError with its 1-based index.
+    """
+    lam = np.asarray(lambda_sq, dtype=float)
+    alpha = np.asarray(alpha, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    leading = 1.0 - p.c * lam
+    stiffness = p.b * lam
+    degenerate = is_degenerate(p.c, lam, tol_degenerate)
+    rate = -stiffness / p.a
+    if np.any(degenerate):
+        # the product form of compatibility_report; alpha = 0 needs beta = 0
+        bad = degenerate & ~(np.abs(beta - rate * alpha)
+                             <= compat_tol * np.maximum(1.0, np.abs(rate)) * np.abs(alpha))
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            solve_mode(p, float(lam[i]), (float(alpha[i]), float(beta[i])),
+                       mode_index=i + 1, tol_degenerate=tol_degenerate,
+                       compat_tol=compat_tol)
+    if t == 0.0:
+        return (alpha.copy(), np.where(degenerate, rate * alpha, beta),
+                np.zeros(lam.shape, dtype=bool))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        value, deriv, sat = _state(*_pair(leading, p.a, stiffness), alpha, beta, t)
+    if np.any(degenerate):
+        v1, s1 = scaled_exp(alpha, rate * t)
+        d1, s2 = scaled_exp(alpha * rate, rate * t)
+        value = np.where(degenerate, v1, value)
+        deriv = np.where(degenerate, d1, deriv)
+        sat = np.where(degenerate, s1 | s2, sat)
+    return value, deriv, sat
 
 
 def reference_heat_mode(a: float, b: float, lambda_sq: float,

@@ -9,6 +9,9 @@ Three oracles, deliberately disjoint from the spectral machinery:
   uniform grid, boundary signal included,
 * ``quad_integrate``: composite Simpson with compensated accumulation.
 
+scipy is imported inside the functions that use it, so importing the package
+does not load it.
+
 The integrator runs at a tenth of the requested tolerances, so the sampled
 trajectory, not only the step-wise local error, meets what the caller asked
 for.  No step cap is imposed: the continuous extension is as accurate as the
@@ -21,11 +24,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.sparse import csr_matrix, diags, identity
-from scipy.sparse.linalg import splu
 
 from .errors import DiscreteExceptionalError, StiffnessError
+from .util import simpson_weights
 
 # Internal tolerances are the requested ones divided by this factor; rtol is
 # kept above the 100 eps floor below which scipy overrides it with a warning.
@@ -102,6 +103,8 @@ def _check_tols(rel_tol: float, abs_tol: float):
 
 
 def _dense_solve(rhs, t_end: float, y0, rel_tol: float, abs_tol: float):
+    from scipy.integrate import solve_ivp
+
     sol = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853", dense_output=True,
                     rtol=max(rel_tol / _TOL_MARGIN, _RTOL_FLOOR),
                     atol=abs_tol / _TOL_MARGIN)
@@ -181,13 +184,7 @@ def quad_integrate(values, h: float, rule: str = "simpson") -> float:
     if not h > 0.0:
         raise ValueError("h must be positive")
     values = np.asarray(values, dtype=float)
-    n = values.size
-    if n < 3 or n % 2 == 0:
-        raise ValueError("composite Simpson needs an odd sample count >= 3")
-    w = np.ones(n)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    total = math.fsum(w[i] * values[i] for i in range(n))
+    total = math.fsum((simpson_weights(values.size) * values).tolist())
     return total * h / 3.0
 
 
@@ -229,6 +226,9 @@ def fd_solve(p, L: float, nx: int, dt: float, T: float,
     Raises DiscreteExceptionalError when c collides with an eigenvalue
     1/mu_k of the discrete Laplacian, mirroring the continuous gate.
     """
+    from scipy.sparse import csr_matrix, diags, identity
+    from scipy.sparse.linalg import splu
+
     if nx < 64:
         raise ValueError("nx must be >= 64 for a meaningful comparison grid")
     if not (dt > 0.0 and T > 0.0):

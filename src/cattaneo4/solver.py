@@ -6,7 +6,7 @@ closed-form modal solution; well-posedness of the whole problem is the
 statement that c avoids the exceptional set E = {1/lambda_n^2}.
 
 Reductions over modes (norms, reconstruction) accumulate in ascending mode
-order with compensated summation so results do not depend on thread count.
+order with compensated summation, so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ExceptionalParameterError
-from .modal import ParameterSet, eval_mode, solve_mode
-from .spectrum import (BasisDescriptor, distance_to_exceptional,
-                       exceptional_for_c, modes_for)
-from .util import parallel_map
+from .modal import ParameterSet, evolve_modes, is_degenerate
+from .spectrum import BasisDescriptor, nearest_member, spectrum
+from .util import simpson_weights, thread_count
 
 
 @dataclass(eq=False)
@@ -70,13 +69,6 @@ def basis_field(basis: BasisDescriptor, n: int, amplitude: float = 1.0) -> Field
     return Field(basis, coeff)
 
 
-def _simpson_weights(n: int) -> np.ndarray:
-    w = np.ones(n)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w
-
-
 def _check_axis(x: np.ndarray, L: float, min_pts: int):
     n = x.size
     if n < min_pts:
@@ -104,9 +96,8 @@ def project_samples(samples, basis: BasisDescriptor) -> Field:
     4x the per-axis mode index range (coarser grids are rejected rather than
     silently aliased).
     """
-    modes = modes_for(basis)
-    axes_needed = [4 * max(m.multi_index[ax] for m in modes) + 1
-                   for ax in range(basis.dimension)]
+    idx = spectrum(basis).multi_index
+    axes_needed = [4 * int(idx[:, ax].max()) + 1 for ax in range(basis.dimension)]
     if basis.dimension == 1:
         x, vals = samples
         x = np.asarray(x, dtype=float)
@@ -115,12 +106,12 @@ def project_samples(samples, basis: BasisDescriptor) -> Field:
             raise ValueError("values must match the sample grid")
         L = basis.lengths[0]
         h = _check_axis(x, L, axes_needed[0])
-        w = _simpson_weights(x.size) * (h / 3.0)
+        w = simpson_weights(x.size) * (h / 3.0)
         ratio = math.pi / L
         scale = math.sqrt(2.0 / L)
         coeffs = np.empty(basis.truncation)
-        for i, m in enumerate(modes):
-            phi = scale * np.sin(m.multi_index[0] * ratio * x)
+        for i, n in enumerate(idx[:, 0].tolist()):
+            phi = scale * np.sin(n * ratio * x)
             coeffs[i] = math.fsum(w * vals * phi)
         return Field(basis, coeffs)
 
@@ -134,16 +125,16 @@ def project_samples(samples, basis: BasisDescriptor) -> Field:
     weights = []
     for ax, L, need in zip(axes, basis.lengths, axes_needed):
         h = _check_axis(ax, L, need)
-        weights.append(_simpson_weights(ax.size) * (h / 3.0))
+        weights.append(simpson_weights(ax.size) * (h / 3.0))
     wv = vals.copy()
     for axis, w in enumerate(weights):
         shape = [1] * basis.dimension
         shape[axis] = w.size
         wv = wv * w.reshape(shape)
     coeffs = np.empty(basis.truncation)
-    for i, m in enumerate(modes):
+    for i, multi_index in enumerate(idx.tolist()):
         phi = np.ones((1,) * basis.dimension)
-        for axis, (n_ax, L) in enumerate(zip(m.multi_index, basis.lengths)):
+        for axis, (n_ax, L) in enumerate(zip(multi_index, basis.lengths)):
             s = math.sqrt(2.0 / L) * np.sin(n_ax * (math.pi / L) * axes[axis])
             shape = [1] * basis.dimension
             shape[axis] = s.size
@@ -156,19 +147,23 @@ def check_wellposed(c_value: float, basis: BasisDescriptor,
                     threshold: float = 1e-9) -> WellPosednessReport:
     """Locate c relative to the truncated exceptional set.
 
-    Verdicts: 'exceptional' inside the exact-match gate, 'near_exceptional'
+    Verdicts: 'exceptional' when some mode is first order by the test
+    ``solve_mode`` applies (``modal.is_degenerate``), 'near_exceptional'
     within ``threshold`` of a member, or for c below the smallest enumerated
     member, where collisions with the un-enumerated tail cannot be excluded
     at this truncation.  Otherwise 'well_posed'.
     """
     if threshold < 0.0:
         raise ValueError("threshold must be nonnegative")
-    exc = exceptional_for_c(modes_for(basis))
-    dist, nearest = distance_to_exceptional(c_value, exc)
-    gate = 1e-14 * max(1.0, abs(c_value))
-    if dist <= gate:
+    if not c_value > 0.0:
+        raise ValueError("parameter value must be positive")
+    spec = spectrum(basis)
+    dist, nearest = nearest_member(spec.inverse, c_value)
+    # |1 - c lam2| = lam2 |1/lam2 - c| is least at a neighbour of c
+    i = int(np.searchsorted(spec.inverse, c_value))
+    if np.any(is_degenerate(c_value, spec.lambda_sq[::-1][max(i - 1, 0):i + 1])):
         verdict = "exceptional"
-    elif dist <= threshold or c_value < exc.values[0]:
+    elif dist <= threshold or c_value < spec.inverse[0]:
         verdict = "near_exceptional"
     else:
         verdict = "well_posed"
@@ -187,11 +182,14 @@ def evolve_homogeneous(p: ParameterSet, theta0: Field, theta1: Field, t: float,
     satisfy the per-mode compatibility condition pass
     ``override_exceptional=True`` and the degenerate modes evolve first order
     (incompatible data surface as UnsolvableModeError with the mode index).
+    Every mode goes through one vectorized ``evolve_modes`` call; ``threads``
+    is validated and has no effect.
     """
     if theta0.basis != theta1.basis:
         raise ValueError("theta0 and theta1 must share one basis")
     if not math.isfinite(t):
         raise ValueError("t must be finite")
+    thread_count(threads)
     basis = theta0.basis
     report = check_wellposed(p.c, basis, threshold=0.0)
     if report.verdict == "exceptional" and not override_exceptional:
@@ -199,28 +197,31 @@ def evolve_homogeneous(p: ParameterSet, theta0: Field, theta1: Field, t: float,
             f"c={p.c} lies in the exceptional set (nearest member {report.nearest}); "
             "pass override_exceptional=True only with compatible data",
             value=p.c, nearest=report.nearest)
-    modes = modes_for(basis)
-    a0, b0 = theta0.coefficients, theta1.coefficients
-
-    def one(i):
-        m = modes[i]
-        sol = solve_mode(p, m.lambda_sq, (a0[i], b0[i]), mode_index=m.index,
-                         tol_degenerate=tol_degenerate, compat_tol=compat_tol)
-        mv = eval_mode(sol, t)
-        return mv.value, mv.derivative, mv.saturated
-
-    rows = parallel_map(one, range(len(modes)), threads)
-    vals = np.array([r[0] for r in rows])
-    derivs = np.array([r[1] for r in rows])
-    sat = np.array([r[2] for r in rows], dtype=bool)
-    return (Field(basis, vals, sat.copy()), Field(basis, derivs, sat.copy()))
+    vals, derivs, sat = evolve_modes(p, spectrum(basis).lambda_sq,
+                                     theta0.coefficients, theta1.coefficients, t,
+                                     tol_degenerate=tol_degenerate,
+                                     compat_tol=compat_tol)
+    return Field(basis, vals, sat.copy()), Field(basis, derivs, sat.copy())
 
 
 def field_norm(f: Field) -> float:
-    """L^2(Omega) norm via Parseval; +inf if any coefficient saturated."""
-    if np.any(~np.isfinite(f.coefficients)):
+    """L^2(Omega) norm via Parseval; +inf if any coefficient saturated.
+
+    The coefficients are scaled by the power of two at their largest
+    magnitude before the compensated sum of squares, so no square overflows
+    or all underflow; the result is +inf only when the norm itself exceeds
+    the float range.
+    """
+    c = f.coefficients
+    if np.any(~np.isfinite(c)):
         return math.inf
-    return math.sqrt(math.fsum(float(ci) * float(ci) for ci in f.coefficients))
+    top = float(np.max(np.abs(c), initial=0.0))
+    if top == 0.0:
+        return 0.0
+    exponent = math.frexp(top)[1]
+    x = np.ldexp(c, -exponent)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(math.sqrt(math.fsum((x * x).tolist())), exponent))
 
 
 def reconstruct(f: Field, points) -> np.ndarray:
@@ -228,9 +229,9 @@ def reconstruct(f: Field, points) -> np.ndarray:
 
     Points are an array of abscissae on an interval, or an (npts, d) array
     on a box; all must lie inside the closed domain.  Accumulation over modes
-    is ascending-index compensated summation, independent of threading.
+    is ascending-index compensated summation.
     """
-    modes = modes_for(f.basis)
+    idx = spectrum(f.basis).multi_index.astype(float)
     if f.basis.dimension == 1:
         x = np.atleast_1d(np.asarray(points, dtype=float))
         L = f.basis.lengths[0]
@@ -238,8 +239,7 @@ def reconstruct(f: Field, points) -> np.ndarray:
             raise ValueError("evaluation points outside [0, L]")
         ratio = math.pi / L
         scale = math.sqrt(2.0 / L)
-        ns = np.array([m.multi_index[0] for m in modes], dtype=float)
-        phi = scale * np.sin(np.outer(x, ns * ratio))        # (npts, N)
+        phi = scale * np.sin(np.outer(x, idx[:, 0] * ratio))  # (npts, N)
         contrib = phi * f.coefficients
         return _fsum_rows(contrib)
 
@@ -249,9 +249,8 @@ def reconstruct(f: Field, points) -> np.ndarray:
     for ax, L in enumerate(f.basis.lengths):
         if np.any(pts[:, ax] < -1e-12) or np.any(pts[:, ax] > L * (1 + 1e-12)):
             raise ValueError("evaluation points outside the box")
-    phi = np.ones((pts.shape[0], len(modes)))
+    phi = np.ones((pts.shape[0], idx.shape[0]))
     for ax, L in enumerate(f.basis.lengths):
-        ns = np.array([m.multi_index[ax] for m in modes], dtype=float)
-        phi *= math.sqrt(2.0 / L) * np.sin(np.outer(pts[:, ax], ns * (math.pi / L)))
+        phi *= math.sqrt(2.0 / L) * np.sin(np.outer(pts[:, ax], idx[:, ax] * (math.pi / L)))
     contrib = phi * f.coefficients
     return _fsum_rows(contrib)

@@ -9,9 +9,13 @@ sigma-form; parameters inside them break well-posedness for generic data.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .util import fit_slope
 
@@ -42,6 +46,7 @@ class BasisDescriptor:
     truncation: int
 
     def __post_init__(self):
+        object.__setattr__(self, "lengths", tuple(self.lengths))  # hashable key
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
         if len(self.lengths) != self.dimension:
@@ -69,8 +74,20 @@ class ExceptionalSet:
             raise ValueError("values must be nondecreasing")
 
 
-def interval_modes(L: float, N: int) -> list[EigenMode]:
-    """First N Dirichlet modes on (0, L): lambda_n^2 = (n pi / L)^2.
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """Read-only arrays of a basis: eigenvalues ``lambda_sq`` (N,) in mode
+    order (ascending), per-axis indices ``multi_index`` (N, d), and the
+    exceptional values 1/lambda_sq sorted ascending, ``inverse`` (N,);
+    ``inverse[i]`` belongs to mode N - i."""
+
+    lambda_sq: np.ndarray
+    multi_index: np.ndarray
+    inverse: np.ndarray
+
+
+def _interval_lambda_sq(L: float, N: int) -> np.ndarray:
+    """(n pi / L)^2 for n = 1..N.
 
     The ratio pi/L is formed once so that the common cases L = pi and
     L = pi/2 yield exact integer eigenvalues.
@@ -79,8 +96,13 @@ def interval_modes(L: float, N: int) -> list[EigenMode]:
         raise ValueError("L must be positive and finite")
     if N < 1:
         raise ValueError("N must be >= 1")
-    ratio = math.pi / L
-    return [EigenMode(n, (n * ratio) ** 2, (n,)) for n in range(1, N + 1)]
+    return (np.arange(1, N + 1) * (math.pi / L)) ** 2
+
+
+def interval_modes(L: float, N: int) -> list[EigenMode]:
+    """First N Dirichlet modes on (0, L): lambda_n^2 = (n pi / L)^2."""
+    return [EigenMode(n, lam, (n,))
+            for n, lam in enumerate(_interval_lambda_sq(L, N).tolist(), start=1)]
 
 
 def box_modes(desc: BasisDescriptor) -> list[EigenMode]:
@@ -106,11 +128,27 @@ def box_modes(desc: BasisDescriptor) -> list[EigenMode]:
     return [EigenMode(i + 1, lam, idx) for i, (lam, idx) in enumerate(cand[:N])]
 
 
-def modes_for(desc: BasisDescriptor) -> list[EigenMode]:
-    """Modes for a descriptor: interval enumeration in 1-d, box otherwise."""
+@functools.lru_cache(maxsize=16)
+def spectrum(desc: BasisDescriptor) -> Spectrum:
+    """Cached arrays of a descriptor: interval enumeration in 1-d, box otherwise."""
     if desc.dimension == 1:
-        return interval_modes(desc.lengths[0], desc.truncation)
-    return box_modes(desc)
+        lam = _interval_lambda_sq(desc.lengths[0], desc.truncation)
+        idx = np.arange(1, desc.truncation + 1).reshape(-1, 1)
+    else:
+        modes = box_modes(desc)
+        lam = np.array([m.lambda_sq for m in modes])
+        idx = np.array([m.multi_index for m in modes])
+    inverse = 1.0 / lam[::-1]
+    for arr in (lam, idx, inverse):
+        arr.flags.writeable = False
+    return Spectrum(lam, idx, inverse)
+
+
+def modes_for(desc: BasisDescriptor) -> list[EigenMode]:
+    """The modes of ``spectrum(desc)`` as a list of EigenMode."""
+    spec = spectrum(desc)
+    return [EigenMode(i, lam, tuple(idx)) for i, (lam, idx) in enumerate(
+        zip(spec.lambda_sq.tolist(), spec.multi_index.tolist()), start=1)]
 
 
 def exceptional_for_c(modes) -> ExceptionalSet:
@@ -142,13 +180,20 @@ def distance_to_exceptional(value: float, exc: ExceptionalSet) -> tuple[float, f
     """
     if not value > 0.0:
         raise ValueError("parameter value must be positive")
-    best_d = math.inf
-    best_v = exc.values[0]
-    for v in exc.values:
-        d = abs(value - v)
-        if d < best_d:
-            best_d, best_v = d, v
-    return best_d, best_v
+    return nearest_member(exc.values, value)
+
+
+def nearest_member(values, value: float) -> tuple[float, float]:
+    """(|value - v|, v) for the member v of the ascending ``values`` nearest
+    to ``value``, ties toward the smaller member.
+
+    Rounded distances are monotone on each side of ``value``, so only its
+    two neighbours need comparing.
+    """
+    i = bisect.bisect_left(values, value)
+    best = min((float(v) for v in values[max(i - 1, 0):i + 1]),
+               key=lambda v: abs(value - v))
+    return abs(value - best), best
 
 
 def weyl_exponent_fit(modes, d: int) -> float:

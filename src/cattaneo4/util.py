@@ -9,30 +9,36 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
 
 LOG_SATURATION = 700.0
 THREADS_ENV = "CATTANEO4_THREADS"
 
 
-def exp_term(coeff: float, rate: float, t: float) -> tuple[float, bool]:
-    """Evaluate coeff * exp(rate * t) with overflow saturation.
+def scaled_exp(x, log_scale):
+    """Elementwise x * exp(log_scale) with overflow saturation.
 
-    Returns ``(value, saturated)``.  When the log-magnitude exceeds
-    ``LOG_SATURATION`` the value is +/-inf (sign of ``coeff``) and the flag is
-    set; otherwise the product is exact to rounding.  Underflow quietly gives
-    0.0, which is the honest limit.
+    Returns ``(value, saturated)`` arrays.  Where log|x| + log_scale exceeds
+    ``LOG_SATURATION`` the value is +/-inf (sign of ``x``) and the flag is
+    set; otherwise the product is exact to rounding, also when exp(log_scale)
+    alone would overflow.  Underflow quietly gives 0.0, which is the honest
+    limit.  Never returns nan for finite input.
     """
-    if coeff == 0.0:
-        return 0.0, False
-    x = rate * t
-    logmag = math.log(abs(coeff)) + x
-    if logmag > LOG_SATURATION:
-        return math.copysign(math.inf, coeff), True
-    if x > 709.0:
-        # exp(x) alone would overflow but the product is representable
-        return math.copysign(math.exp(logmag), coeff), False
-    return coeff * math.exp(x), False
+    x = np.asarray(x, dtype=float)
+    log_scale = np.asarray(log_scale, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        logmag = np.log(np.abs(x)) + log_scale
+        saturated = logmag > LOG_SATURATION
+        value = np.where(log_scale > 709.0, np.copysign(np.exp(logmag), x),
+                         x * np.exp(log_scale))
+    return np.where(saturated, np.copysign(np.inf, x), value), saturated
+
+
+def exp_term(coeff: float, rate: float, t: float) -> tuple[float, bool]:
+    """Scalar coeff * exp(rate * t) with the saturation of ``scaled_exp``."""
+    value, saturated = scaled_exp(coeff, rate * t)
+    return float(value), bool(saturated)
 
 
 def log_abs_exp_sum(terms) -> tuple[float, float]:
@@ -67,8 +73,22 @@ def fit_slope(xs, ys) -> float:
     return sxy / sxx
 
 
+def simpson_weights(n: int) -> np.ndarray:
+    """Composite Simpson weights 1, 4, 2, ..., 2, 4, 1 for n samples (times h/3)."""
+    if n < 3 or n % 2 == 0:
+        raise ValueError("composite Simpson needs an odd sample count >= 3")
+    w = np.ones(n)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w
+
+
 def thread_count(explicit: int | None = None) -> int:
-    """Worker count: explicit argument, else CATTANEO4_THREADS, else 1."""
+    """Validated thread setting: explicit argument, else CATTANEO4_THREADS, else 1.
+
+    The setting is accepted for compatibility and has no effect: every
+    computation runs as numpy array operations in the calling thread.
+    """
     if explicit is not None:
         if explicit < 1:
             raise ValueError("thread count must be >= 1")
@@ -81,20 +101,6 @@ def thread_count(explicit: int | None = None) -> int:
     if n < 1:
         raise ValueError(f"{THREADS_ENV} must be >= 1, got {n}")
     return n
-
-
-def parallel_map(fn, items, threads: int | None = None) -> list:
-    """Map ``fn`` over ``items`` preserving order.
-
-    Results are identical to the sequential map regardless of worker count:
-    each item is independent and the output list is assembled by index.
-    """
-    items = list(items)
-    n = thread_count(threads)
-    if n == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def fmt_float(x: float) -> str:

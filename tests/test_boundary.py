@@ -290,6 +290,34 @@ def test_thread_count_does_not_change_results():
         assert np.array_equal(dth.coefficients, runs[0][1].coefficients)
 
 
+def test_modes_do_not_depend_on_the_truncation_split():
+    # modes go through the propagator in fixed blocks; each mode's result
+    # is the same whether it shares a block with 9 or 99 others
+    p = ParameterSet(2.0, 1.0, 0.003)
+    sig = BoundarySignal.sinusoid(1.0, omega=3.0)
+    small, large = interval_basis(10), interval_basis(100)
+    th_s, dth_s = evolve_with_boundary(build_blocks(p, small, (1.0, 0.3)), zero_field(small),
+                                       zero_field(small), sig, 0.8)
+    th_l, dth_l = evolve_with_boundary(build_blocks(p, large, (1.0, 0.3)), zero_field(large),
+                                       zero_field(large), sig, 0.8)
+    assert np.array_equal(th_s.coefficients, th_l.coefficients[:10])
+    assert np.array_equal(dth_s.coefficients, dth_l.coefficients[:10])
+
+
+def test_growth_past_e700_saturates_without_nan():
+    # c just above 1/lam_19^2: mode 19 grows at about a/|1 - c lam2| = 2e4
+    p = ParameterSet(2.0, 1.0, (1.0 + 1e-4) / 19.0**2)
+    basis = interval_basis(32)
+    blocks = build_blocks(p, basis, (1.0, 0.0))
+    sig = BoundarySignal.sinusoid(1.0, omega=3.0)
+    th, dth = evolve_with_boundary(blocks, zero_field(basis), zero_field(basis), sig, 0.5)
+    for f in (th, dth):
+        assert not np.isnan(f.coefficients).any()
+        assert f.saturated[18] and np.isinf(f.coefficients[18])
+        assert not f.saturated[:18].any()
+        assert np.isfinite(f.coefficients[:18]).all()
+
+
 # ------------------------------------------------------------- mild check
 
 

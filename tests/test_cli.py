@@ -24,6 +24,15 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def test_import_does_not_load_scipy():
+    # scipy is imported inside the oracle functions that use it
+    code = ("import sys, cattaneo4; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_spectrum_roundtrip(tmp_path):
     out = tmp_path / "spec.csv"
     rc = main(["spectrum", "--L", "pi", "--N", "4", "--out", str(out)])

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 from cattaneo4 import (CompatibilityReport, DegenerateModeError,
                        ModalInitialData, OdeProblem, ParameterSet,
                        UnsolvableModeError, characteristic_roots,
-                       compatibility_report, eval_mode, integrate_mode,
-                       solve_mode, solve_mode_reference, solve_second_order)
+                       compatibility_report, eval_mode, evolve_modes,
+                       integrate_mode, propagator, solve_mode,
+                       solve_mode_reference, solve_second_order)
 from cattaneo4.modal import (ComplexPair, DoubleRoot, FirstOrder, RealDistinct,
                              discriminant_delta, mode_ode_coefficients)
 
@@ -293,3 +295,169 @@ def test_compatibility_dichotomy(lam2, alpha, compat):
     else:
         with pytest.raises(UnsolvableModeError):
             solve_mode(p, lam2, (alpha, beta))
+
+
+# ------------------------------------------- extended-precision kernel checks
+#
+# The closed forms against mpmath's 2x2 matrix exponential (50 digits) where
+# they cancel.  lam2 is a power of four and c = (1 - eps)/lam2, so the
+# program's 1 - c lam2 is exactly the eps of the reference.  Gate: normwise
+# error <= 64 u (1 + |mu| t), with the error of (theta, theta') relative to
+# max|E_ij| (|alpha| + |beta|), or to FLOOR when that is smaller.
+
+U = 2.0 ** -53
+LOG_SAT = 700.0
+FLOOR = 1e-280  # states below this are compared absolutely (underflow)
+
+
+def mp_mode_state(a, b, c, lam2, alpha, beta, t):
+    """(theta, theta', max|E_ij| (|alpha| + |beta|), |mu| t) in mpmath."""
+    with mp.workdps(50):
+        a, b, c, lam2, alpha, beta, t = (mp.mpf(float(v))
+                                         for v in (a, b, c, lam2, alpha, beta, t))
+        eps = 1 - c * lam2
+        m = mp.matrix([[0, 1], [-b * lam2 / eps, -a / eps]])
+        e = mp.expm(m * t)
+        theta = e[0, 0] * alpha + e[0, 1] * beta
+        dtheta = e[1, 0] * alpha + e[1, 1] * beta
+        size = max(abs(e[i, j]) for i in range(2) for j in range(2)) * (abs(alpha) + abs(beta))
+        tr, det = m[1, 1], -m[1, 0]
+        disc = mp.sqrt(mp.mpc(tr * tr - 4 * det))
+        radius = max(abs((tr + disc) / 2), abs((tr - disc) / 2))
+        return theta, dtheta, size, float(radius * t)
+
+
+def normwise_error(got, ref):
+    theta, dtheta, size, _ = ref
+    err = max(abs(mp.mpf(float(got[0])) - theta), abs(mp.mpf(float(got[1])) - dtheta))
+    return float(err / max(size, FLOOR))
+
+
+def check_against_reference(a, b, c, lam2, alpha, beta, t):
+    """Scalar and vectorized paths against the reference, saturation included."""
+    p = ParameterSet(a, b, c)
+    ref = mp_mode_state(a, b, c, lam2, alpha, beta, t)
+    mv = eval_mode(solve_mode(p, lam2, (alpha, beta)), t)
+    v, d, s = evolve_modes(p, [lam2], [alpha], [beta], t)
+    assert (v[0], d[0], bool(s[0])) == (mv.value, mv.derivative, mv.saturated)
+    logs = [float(mp.log(abs(x))) if x != 0 else -math.inf for x in ref[:2]]
+    if max(logs) > LOG_SAT + 1e-6:
+        assert mv.saturated
+        for got, want, lg in zip((mv.value, mv.derivative), ref[:2], logs):
+            if lg > LOG_SAT + 1e-6:
+                assert math.isinf(got) and (got > 0) == (want > 0)
+        return
+    if max(logs) > LOG_SAT - 1e-6:
+        return  # at the saturation edge either answer is right
+    assert not mv.saturated
+    assert normwise_error((mv.value, mv.derivative), ref) <= 64 * U * (1.0 + ref[3])
+
+
+data = st.floats(min_value=-2.0, max_value=2.0)
+lam2s = st.sampled_from([1.0, 4.0, 16.0, 64.0])
+
+
+@given(st.floats(min_value=0.5, max_value=3.0), st.floats(min_value=0.05, max_value=0.9),
+       lam2s, st.sampled_from([1e-3, 1e-8]), st.floats(min_value=0.5, max_value=2.0),
+       st.sampled_from([-1.0, 1.0]), data, data, st.floats(min_value=0.05, max_value=3.0))
+@settings(max_examples=60, deadline=None)
+def test_kernel_near_double_roots(a, eps, lam2, sep, stretch, side, alpha, beta, t):
+    # roots sep * stretch apart: delta = that times eps, on the real or the
+    # complex side; b rounds, so the smallest gaps land on either side
+    delta_sq = side * (sep * stretch * eps) ** 2
+    b = (a * a - delta_sq) / (4.0 * eps * lam2)
+    check_against_reference(a, b, (1.0 - eps) / lam2, lam2, alpha, beta, t)
+
+
+@given(st.floats(min_value=0.5, max_value=3.0), st.floats(min_value=0.1, max_value=0.9),
+       lam2s, st.floats(min_value=-12.0, max_value=-3.0), data, data,
+       st.floats(min_value=0.05, max_value=3.0))
+@settings(max_examples=40, deadline=None)
+def test_kernel_delta_to_a(a, eps, lam2, log_ratio, alpha, beta, t):
+    # 4 b lam2 eps / a^2 = 10^log_ratio, so delta = a (1 - tiny) and the slow
+    # root -2 b lam2 / (a + delta) must keep its digits
+    b = a * a * 10.0 ** log_ratio / (4.0 * eps * lam2)
+    check_against_reference(a, b, (1.0 - eps) / lam2, lam2, alpha, beta, t)
+
+
+@given(st.floats(min_value=0.5, max_value=3.0), st.floats(min_value=0.2, max_value=2.0),
+       lam2s, st.floats(min_value=-12.0, max_value=-6.0), st.sampled_from([-1.0, 1.0]),
+       data, data, st.floats(min_value=0.05, max_value=3.0))
+@settings(max_examples=40, deadline=None)
+def test_kernel_near_exceptional(a, b, lam2, log_eps, side, alpha, beta, t):
+    # |1 - c lam2| in [1e-12, 1e-6] on both sides, outside the 1e-12 gate
+    eps = side * max(10.0 ** log_eps, 2e-12)
+    check_against_reference(a, b, (1.0 - eps) / lam2, lam2, alpha, beta, t)
+
+
+@given(st.floats(min_value=0.5, max_value=3.0), st.floats(min_value=0.2, max_value=2.0),
+       lam2s, st.floats(min_value=0.05, max_value=1.0), st.floats(min_value=690.0, max_value=712.0),
+       data, data)
+@settings(max_examples=40, deadline=None)
+def test_kernel_saturation_edge(a, b, lam2, neg_eps, target, alpha, beta):
+    # a growing mode (eps < 0) timed so that its exponent crosses 700
+    eps = -neg_eps
+    c = (1.0 - eps) / lam2
+    grow = float(characteristic_roots(ParameterSet(a, b, c), lam2).r_minus)
+    check_against_reference(a, b, c, lam2, alpha, beta, target / grow)
+
+
+@given(st.floats(min_value=-50.0, max_value=50.0), st.floats(min_value=-400.0, max_value=400.0),
+       st.floats(min_value=0.0, max_value=3.0))
+@settings(max_examples=60, deadline=None)
+@example(1e-3, 0.0, 1.0)        # zero eigenvalue next to a small one
+@example(-2.0, -1.0, 1.5)       # exact double root with negative h
+@example(-600.0, 100.0, 2.0)    # e^{600 t}: scaled factors stay finite
+def test_propagator_matches_matrix_exponential(h, k, tau):
+    phi0, phi1, log_scale, saturated = propagator(h, k, tau)
+    assert np.isfinite([phi0, phi1, log_scale]).all()
+    assert bool(saturated) == (log_scale > LOG_SAT)
+    with mp.workdps(50):
+        a = mp.matrix([[0, 1], [mp.mpf(k), -mp.mpf(h)]])
+        e = mp.expm(a * mp.mpf(tau))
+        got = mp.exp(mp.mpf(float(log_scale))) * (
+            mp.mpf(float(phi0)) * mp.eye(2) + mp.mpf(float(phi1)) * a)
+        err = max(abs(got[i, j] - e[i, j]) for i in range(2) for j in range(2))
+        size = max(abs(e[i, j]) for i in range(2) for j in range(2))
+        disc = mp.sqrt(mp.mpc(h * h + 4 * k))
+        radius = max(abs((-h + disc) / 2), abs((-h - disc) / 2)) * tau
+    assert float(err / size) <= 64 * U * (1.0 + float(radius))
+
+
+def test_propagator_broadcasts_and_starts_at_identity():
+    h = np.array([[3.0], [-0.5], [0.2]])
+    k = np.array([[-2.0], [4.0], [-9.0]])
+    tau = np.linspace(0.0, 1.0, 5)
+    phi0, phi1, log_scale, saturated = propagator(h, k, tau)
+    assert phi0.shape == phi1.shape == log_scale.shape == saturated.shape == (3, 5)
+    assert (phi0[:, 0] == 1.0).all() and (phi1[:, 0] == 0.0).all()
+    assert (log_scale[:, 0] == 0.0).all() and not saturated.any()
+
+
+def test_vectorized_modes_match_scalar_path():
+    # one array call against solve_mode + eval_mode per mode, across the
+    # complex, real-decaying, growing and saturated regimes of c next to
+    # the exceptional member 1/lam_200^2, plus one degenerate mode
+    n = np.arange(1, 401, dtype=float)
+    lam2 = (n / 16.0) ** 2
+    rng = np.random.default_rng(5)
+    alpha, beta = rng.normal(size=400), rng.normal(size=400)
+    for c, t in (((1 + 1e-7) / lam2[199], 1.7), ((1 - 1e-5) / lam2[199], 4.0)):
+        p = ParameterSet(2.0, 1.0, c)
+        v, d, s = evolve_modes(p, lam2, alpha, beta, t)
+        assert s.any() and not s.all()
+        for i in range(400):
+            mv = eval_mode(solve_mode(p, lam2[i], (alpha[i], beta[i])), t)
+            assert (v[i], d[i], bool(s[i])) == (mv.value, mv.derivative, mv.saturated)
+    # c = 1/lam_4^2 exactly: mode 4 is first order; compatible data there
+    p = ParameterSet(2.0, 1.0, 1.0 / lam2[3])
+    beta_c = beta.copy()
+    beta_c[3] = -(p.b * lam2[3]) / p.a * alpha[3]
+    v, d, s = evolve_modes(p, lam2[:8], alpha[:8], beta_c[:8], 0.9)
+    for i in range(8):
+        mv = eval_mode(solve_mode(p, lam2[i], (alpha[i], beta_c[i])), 0.9)
+        assert (v[i], d[i], bool(s[i])) == (mv.value, mv.derivative, mv.saturated)
+    assert isinstance(solve_mode(p, lam2[3], (alpha[3], beta_c[3])), FirstOrder)
+    with pytest.raises(UnsolvableModeError) as err:
+        evolve_modes(p, lam2[:8], alpha[:8], beta[:8], 0.9)
+    assert err.value.mode_index == 4

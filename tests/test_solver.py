@@ -119,6 +119,21 @@ def test_parseval():
     assert l2 == pytest.approx(field_norm(f), rel=1e-10)
 
 
+def test_field_norm_scales_before_summing():
+    basis = interval_basis(3)
+    # squares are finite, their sum is not: the norm itself is representable
+    f = Field(basis, np.array([1e154, 1e154, 1.0]))
+    assert field_norm(f) == pytest.approx(math.sqrt(2.0) * 1e154, rel=1e-15)
+    big = np.finfo(float).max
+    assert field_norm(Field(basis, np.array([big, 0.0, 0.0]))) == big
+    # the true norm exceeds the float range
+    assert field_norm(Field(basis, np.array([big, big, 0.0]))) == math.inf
+    # every square underflows, the norm does not
+    tiny = Field(basis, np.array([3e-170, 4e-170, 0.0]))
+    assert field_norm(tiny) == pytest.approx(5e-170, rel=1e-15)
+    assert field_norm(zero_field(basis)) == 0.0
+
+
 def test_check_wellposed_verdicts():
     basis = interval_basis(10)
     rep = check_wellposed(0.26, basis, threshold=1e-3)
@@ -137,6 +152,38 @@ def test_check_wellposed_verdicts():
     assert rep.verdict == "near_exceptional"
     with pytest.raises(ValueError):
         check_wellposed(0.3, basis, threshold=-1.0)
+
+
+def test_exceptional_gate_agrees_with_solve_mode():
+    # |1 - c lam2| = 1e-8 at mode 5000: second order for solve_mode, so
+    # neither 'exceptional' nor refused by evolve_homogeneous
+    basis = interval_basis(6000)
+    c = (1.0 + 1e-8) / 5000.0**2
+    rep = check_wellposed(c, basis)
+    assert rep.verdict == "near_exceptional"
+    assert rep.nearest == 1.0 / 5000.0**2
+    p = ParameterSet(2.0, 1.0, c)
+    th, _ = evolve_homogeneous(p, basis_field(basis, 1), basis_field(basis, 5000), 0.1)
+    assert th.saturated[4999] and not th.saturated[0]
+    # inside the degeneracy gate of solve_mode the verdict is 'exceptional'
+    for rel in (4e-13, -4e-13):
+        c = (1.0 + rel) / 5000.0**2
+        assert abs(1.0 - c * 5000.0**2) <= 1e-12
+        assert check_wellposed(c, basis).verdict == "exceptional"
+        with pytest.raises(ExceptionalParameterError):
+            evolve_homogeneous(ParameterSet(2.0, 1.0, c), zero_field(basis),
+                               zero_field(basis), 0.1)
+
+
+def test_evolve_at_zero_time_returns_the_data():
+    basis = interval_basis(64)
+    rng = np.random.default_rng(2)
+    theta0 = Field(basis, rng.normal(size=64) * 1e300)
+    theta1 = Field(basis, rng.normal(size=64))
+    th, dth = evolve_homogeneous(ParameterSet(2.0, 1.0, 1e-3), theta0, theta1, 0.0)
+    assert np.array_equal(th.coefficients, theta0.coefficients)
+    assert np.array_equal(dth.coefficients, theta1.coefficients)
+    assert not th.saturated.any()
 
 
 def test_evolve_rejects_exceptional_c():

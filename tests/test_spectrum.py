@@ -9,6 +9,7 @@ from scipy.linalg import eigh_tridiagonal
 from cattaneo4 import (BasisDescriptor, box_modes, distance_to_exceptional,
                        exceptional_for_c, exceptional_for_sigma,
                        interval_modes, modes_for, weyl_exponent_fit)
+from cattaneo4.spectrum import nearest_member, spectrum
 
 
 def fd_interval_eigenvalues(L: float, count: int, grid: int):
@@ -86,6 +87,31 @@ def test_modes_for_dispatch():
     assert [m.lambda_sq for m in modes_for(d1)] == [1.0, 4.0, 9.0, 16.0, 25.0]
     d2 = BasisDescriptor(2, (math.pi, math.pi), 3)
     assert [m.lambda_sq for m in modes_for(d2)] == [2.0, 5.0, 5.0]
+
+
+def test_cached_spectrum_arrays():
+    for desc in (BasisDescriptor(1, (math.pi / 3,), 50),
+                 BasisDescriptor(2, (math.pi, 1.5), 40),
+                 BasisDescriptor(3, [math.pi, 1.0, 2.0], 30)):
+        spec = spectrum(desc)
+        assert spectrum(desc) is spec
+        modes = modes_for(desc)
+        assert spec.lambda_sq.tolist() == [m.lambda_sq for m in modes]
+        assert [tuple(i) for i in spec.multi_index.tolist()] == [m.multi_index for m in modes]
+        assert spec.multi_index.shape == (desc.truncation, desc.dimension)
+        assert spec.inverse.tolist() == sorted(1.0 / m.lambda_sq for m in modes)
+        for arr in (spec.lambda_sq, spec.multi_index, spec.inverse):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+    assert modes_for(BasisDescriptor(1, (math.pi,), 9)) == interval_modes(math.pi, 9)
+
+
+def test_nearest_member_ties_go_to_the_smaller():
+    values = (0.25, 0.5, 0.75)
+    assert nearest_member(values, 0.625) == (0.125, 0.5)
+    assert nearest_member(np.array(values), 0.375) == (0.125, 0.25)
+    assert nearest_member(values, 0.1) == (0.15, 0.25)
+    assert nearest_member(values, 2.0) == (1.25, 0.75)
 
 
 def test_exceptional_for_c_sorted_dedup():
