@@ -12,8 +12,8 @@ degenerates; those values form the exceptional set that most of this
 package is built around detecting, avoiding, or deliberately approaching.
 """
 
-from .boundary import (BoundarySignal, DirichletDatum, MildSolutionReport,
-                       SemigroupBlock, build_blocks, dirichlet_map_interval,
+from .boundary import (BoundaryOperator, BoundarySignal, DirichletDatum,
+                       MildSolutionReport, build_blocks, dirichlet_map_interval,
                        evolve_with_boundary, mild_solution_check)
 from .errors import (DegenerateModeError, DiscreteExceptionalError,
                      ExceptionalParameterError, SingularParameterError,
@@ -40,13 +40,13 @@ from .spectrum import (BasisDescriptor, EigenMode, ExceptionalSet, Spectrum,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisDescriptor", "BoundarySignal", "CharacteristicRoots",
+    "BasisDescriptor", "BoundaryOperator", "BoundarySignal", "CharacteristicRoots",
     "CompatibilityReport", "ComplexPair", "DegenerateModeError",
     "DirichletDatum", "DiscreteExceptionalError", "DoubleRoot", "EigenMode",
     "ExceptionalParameterError", "ExceptionalSet", "Field", "FirstOrder",
     "GridSolution", "MildSolutionReport", "ModalInitialData",
     "ModeTrajectory", "ModeValue", "OdeProblem", "ParameterSet",
-    "RealDistinct", "SemigroupBlock", "SingularParameterError", "Spectrum",
+    "RealDistinct", "SingularParameterError", "Spectrum",
     "StiffnessError", "UnsolvableModeError", "WellPosednessReport",
     "basis_field", "box_modes", "build_blocks", "characteristic_roots",
     "check_wellposed", "compatibility_report", "dirichlet_map_interval",

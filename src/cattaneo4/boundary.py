@@ -1,4 +1,4 @@
-"""Dirichlet boundary control: lift map, semigroup blocks, mild evolution.
+"""Dirichlet boundary control: lift map, boundary operator, mild evolution.
 
 The inhomogeneous problem theta(0,t) = g0 f(t), theta(L,t) = g1 f(t) is
 lifted with the map D solving (1 + c d_xx)(Dg) = 0 with traces g; on (0, L)
@@ -38,7 +38,7 @@ from .errors import ExceptionalParameterError
 from .modal import ParameterSet, propagator
 from .solver import Field
 from .spectrum import BasisDescriptor, spectrum
-from .util import scaled_exp, simpson_weights, thread_count
+from .util import scaled_exp, simpson_weights
 
 # Modes per propagator call in evolve_with_boundary: bounds the (modes, nodes)
 # temporaries; every mode's result is the same for any block size.
@@ -156,16 +156,29 @@ class BoundarySignal:
         return cls(f, df, d2f, T, "smoothed_step")
 
 
-@dataclass(frozen=True)
-class SemigroupBlock:
-    """Per-mode 2x2 generator data: A = [[0, 1], [k, -h]], lift d, beta = b/c."""
+@dataclass(frozen=True, eq=False)
+class BoundaryOperator:
+    """Per-mode 2x2 generators A = [[0, 1], [k, -h]] and lift coefficients d as
+    arrays over the modes (``lambda_sq``, ``h``, ``k``, ``d``), with the scalar
+    beta = b/c they share.
 
-    mode_index: int
-    lambda_sq: float
-    h: float
-    k: float
-    d: float
+    ``len(op)`` is the mode count; ``op[i]`` and ``op[a:b]`` return the
+    operator of the selected entries (scalar fields for an integer index), so
+    iterating visits one mode at a time.
+    """
+
+    lambda_sq: np.ndarray
+    h: np.ndarray
+    k: np.ndarray
+    d: np.ndarray
     beta: float
+
+    def __len__(self) -> int:
+        return len(self.lambda_sq)
+
+    def __getitem__(self, i) -> "BoundaryOperator":
+        return BoundaryOperator(self.lambda_sq[i], self.h[i], self.k[i], self.d[i],
+                                self.beta)
 
 
 def _lift_gate(c: float, L: float) -> float:
@@ -219,8 +232,8 @@ def dirichlet_map_interval(c: float, L: float, g, truncation: int = 64):
     return u, field
 
 
-def build_blocks(p: ParameterSet, basis: BasisDescriptor, g) -> list[SemigroupBlock]:
-    """Semigroup blocks for every basis mode with the lift of boundary datum g.
+def build_blocks(p: ParameterSet, basis: BasisDescriptor, g) -> BoundaryOperator:
+    """The boundary operator of every basis mode with the lift of boundary datum g.
 
     Interval bases only; the exceptional gate is the Dirichlet-map condition
     sin(L/sqrt(c)) != 0.  Degenerate blocks cannot arise past the gate.
@@ -234,13 +247,10 @@ def build_blocks(p: ParameterSet, basis: BasisDescriptor, g) -> list[SemigroupBl
     L = basis.lengths[0]
     _lift_gate(p.c, L)
     lam = spectrum(basis).lambda_sq
-    ds = _lift_coefficients(p.c, L, g0, g1, basis.truncation)
     eps = 1.0 - p.c * lam
-    beta = p.b / p.c
-    return [SemigroupBlock(n, lam_n, h=h, k=k, d=d, beta=beta)
-            for n, (lam_n, h, k, d) in enumerate(
-                zip(lam.tolist(), (p.a / eps).tolist(),
-                    (-p.b * lam / eps).tolist(), ds.tolist()), start=1)]
+    return BoundaryOperator(lam, p.a / eps, -p.b * lam / eps,
+                            _lift_coefficients(p.c, L, g0, g1, basis.truncation),
+                            p.b / p.c)
 
 
 def _even_intervals(t: float, quad_step: float | None) -> int:
@@ -251,9 +261,9 @@ def _even_intervals(t: float, quad_step: float | None) -> int:
     return m + (m % 2)
 
 
-def evolve_with_boundary(blocks, theta0: Field, theta1: Field, signal: BoundarySignal,
-                         t: float, quad_step: float | None = None,
-                         threads: int | None = None) -> tuple[Field, Field]:
+def evolve_with_boundary(blocks: BoundaryOperator, theta0: Field, theta1: Field,
+                         signal: BoundarySignal, t: float,
+                         quad_step: float | None = None) -> tuple[Field, Field]:
     """Evaluate the twice-integrated-by-parts mild formula at time t.
 
     The convolution integral contains only f itself and is computed by
@@ -261,7 +271,7 @@ def evolve_with_boundary(blocks, theta0: Field, theta1: Field, signal: BoundaryS
     even interval count).  Modes go through ``propagator`` in blocks of
     ``MODE_BLOCK``.  Each mode's dominant exponent is kept out of the sums
     and applied last, so values beyond the e^700 range saturate to +/-inf
-    with the flag set.  ``threads`` is validated and has no effect.
+    with the flag set.
     """
     if theta0.basis != theta1.basis:
         raise ValueError("theta0 and theta1 must share one basis")
@@ -273,14 +283,7 @@ def evolve_with_boundary(blocks, theta0: Field, theta1: Field, signal: BoundaryS
     if t == 0.0:
         return (Field(basis, theta0.coefficients.copy()),
                 Field(basis, theta1.coefficients.copy()))
-    thread_count(threads)
-
-    h = np.array([b.h for b in blocks])
-    k = np.array([b.k for b in blocks])
-    d = np.array([b.d for b in blocks])
-    beta = blocks[0].beta
-    if any(abs(b.beta - beta) > 1e-12 * max(1.0, abs(beta)) for b in blocks):
-        raise ValueError("blocks disagree on beta = b/c")
+    h, k, d, beta = blocks.h, blocks.k, blocks.d, blocks.beta
 
     m_int = _even_intervals(t, quad_step)
     s_nodes = np.linspace(0.0, t, m_int + 1)
@@ -336,7 +339,7 @@ class MildSolutionReport:
                 and self.max_relation_residual <= self.relation_tol)
 
 
-def mild_solution_check(blocks, theta0: Field, theta1: Field,
+def mild_solution_check(blocks: BoundaryOperator, theta0: Field, theta1: Field,
                         signal: BoundarySignal, t_grid,
                         quad_step: float | None = None,
                         fd_step: float = 1e-3,
@@ -360,10 +363,7 @@ def mild_solution_check(blocks, theta0: Field, theta1: Field,
     if fd_step <= 0.0 or t_grid[0] < 2.0 * fd_step:
         raise ValueError("need t_grid[0] >= 2*fd_step > 0")
 
-    h = np.array([b.h for b in blocks])
-    k = np.array([b.k for b in blocks])
-    d = np.array([b.d for b in blocks])
-    beta = blocks[0].beta
+    h, k, d, beta = blocks.h, blocks.k, blocks.d, blocks.beta
 
     def lifted_at(t: float):
         f_t, f_dt = evolve_with_boundary(blocks, theta0, theta1, signal, t,

@@ -15,8 +15,7 @@
     cattaneo4 verify --seed 7
 
 Floats are printed with 17 significant digits, so equal runs are
-byte-identical.  --threads and CATTANEO4_THREADS are accepted and validated
-but have no effect: the per-mode work runs as numpy array operations.  Exit codes: 0 success, 1 usage or invalid argument,
+byte-identical.  Exit codes: 0 success, 1 usage or invalid argument,
 2 exceptional/singular parameter rejected, 3 unsolvable degenerate mode.
 The length option accepts the literal token 'pi'.
 """
@@ -74,11 +73,10 @@ def _write_csv(path: str, header, rows):
 
 
 def _field_rows(basis, th, dth):
-    modes = spectrum.modes_for(basis)
-    for m, v, dv, s in zip(modes, th.coefficients, dth.coefficients,
-                           th.saturated | dth.saturated):
-        flag = "saturated" if s else "ok"
-        yield (m.index, m.lambda_sq, v, dv, flag)
+    for n, (lam, v, dv, s) in enumerate(zip(spectrum.spectrum(basis).lambda_sq,
+                                            th.coefficients, dth.coefficients,
+                                            th.saturated | dth.saturated), start=1):
+        yield (n, lam, v, dv, "saturated" if s else "ok")
 
 
 def _split_rows(rows, param_name):
@@ -89,29 +87,26 @@ def _split_rows(rows, param_name):
 
 
 def _cmd_spectrum(args) -> str:
-    if args.lengths:
-        lengths = tuple(_length(tok) for tok in args.lengths.split(","))
-        basis = spectrum.BasisDescriptor(len(lengths), lengths, args.N)
-        modes = spectrum.box_modes(basis)
-    else:
-        modes = spectrum.interval_modes(args.L, args.N)
+    lengths = (tuple(_length(tok) for tok in args.lengths.split(","))
+               if args.lengths else (args.L,))
+    spec = spectrum.spectrum(spectrum.BasisDescriptor(len(lengths), lengths, args.N))
     _write_csv(args.out, ["index", "multi_index", "lambda_sq"],
-               [(m.index, "x".join(str(i) for i in m.multi_index), m.lambda_sq)
-                for m in modes])
-    return f"spectrum: {len(modes)} modes -> {args.out}"
+               [(n, "x".join(str(i) for i in idx), lam) for n, (idx, lam) in enumerate(
+                   zip(spec.multi_index.tolist(), spec.lambda_sq.tolist()), start=1)])
+    return f"spectrum: {len(spec.lambda_sq)} modes -> {args.out}"
 
 
 def _cmd_exceptional(args) -> str:
-    modes = spectrum.interval_modes(args.L, args.N)
-    if args.kind == "c":
-        exc = spectrum.exceptional_for_c(modes)
-    else:
+    values = spectrum.spectrum(spectrum.BasisDescriptor(1, (args.L,), args.N)).inverse
+    if args.kind == "sigma":
         if args.gamma_rho is None:
             raise ValueError("--gamma-rho is required for --kind sigma")
-        exc = spectrum.exceptional_for_sigma(modes, args.gamma_rho)
+        if not args.gamma_rho > 0.0:
+            raise ValueError("gamma_rho must be positive")
+        values = args.gamma_rho * values
     _write_csv(args.out, ["index", "value"],
-               [(i + 1, v) for i, v in enumerate(exc.values)])
-    return f"exceptional[{args.kind}]: {len(exc.values)} values -> {args.out}"
+               [(i + 1, v) for i, v in enumerate(values.tolist())])
+    return f"exceptional[{args.kind}]: {len(values)} values -> {args.out}"
 
 
 def _cmd_solve(args) -> str:
@@ -120,8 +115,7 @@ def _cmd_solve(args) -> str:
     theta0 = solver.basis_field(basis, args.mode, args.alpha)
     theta1 = solver.basis_field(basis, args.mode, args.beta)
     th, dth = solver.evolve_homogeneous(p, theta0, theta1, args.t,
-                                        override_exceptional=args.override,
-                                        threads=args.threads)
+                                        override_exceptional=args.override)
     _write_csv(args.out, ["n", "lambda_sq", "theta", "theta_prime", "flag"],
                _field_rows(basis, th, dth))
     return (f"solve: t={fmt_float(args.t)} norm={fmt_float(solver.field_norm(th))} "
@@ -148,8 +142,7 @@ def _cmd_boundary(args) -> str:
     signal = _make_signal(args)
     th, dth = bnd.evolve_with_boundary(blocks, solver.zero_field(basis),
                                        solver.zero_field(basis), signal,
-                                       args.t, quad_step=args.quad_step,
-                                       threads=args.threads)
+                                       args.t, quad_step=args.quad_step)
     _write_csv(args.out, ["n", "lambda_sq", "theta", "theta_prime", "flag"],
                _field_rows(basis, th, dth))
     return (f"boundary[{signal.label}]: t={fmt_float(args.t)} "
@@ -193,7 +186,7 @@ def _cmd_heatcmp(args) -> str:
     basis = spectrum.BasisDescriptor(1, (math.pi,), args.N)
     theta0 = solver.basis_field(basis, args.mode, 1.0)
     heat_rate = args.chi / args.gamma_rho
-    lam_sq = spectrum.interval_modes(math.pi, args.N)[args.mode - 1].lambda_sq
+    lam_sq = spectrum.spectrum(basis).lambda_sq[args.mode - 1]
     theta1 = solver.basis_field(basis, args.mode, -heat_rate * lam_sq)
     # 4/n^2 is exceptional for gamma_rho=4, so plain powers of two collide at
     # every even j; the factor 3 keeps the whole ladder clear of 4/n^2.
@@ -211,7 +204,7 @@ def _cmd_propagation(args) -> str:
     ns = [2.0 ** j for j in range(0, args.n_max_exp + 1)]
     rows = exp.propagation_burst(p, basis, (args.g0, args.g1), args.T, ns,
                                  (args.sub_lo, args.sub_hi),
-                                 quad_step=args.quad_step, threads=args.threads)
+                                 quad_step=args.quad_step)
     _write_csv(args.out, ["n", "mass", "target", "ratio"],
                [(r.n, r.mass_in_subregion, r.target_mass, r.ratio) for r in rows])
     cross = exp.first_crossing(rows)
@@ -392,10 +385,6 @@ def _add_common(sp, *names):
         sp.add_argument("--L", type=_length, default=math.pi,
                         help="interval length; accepts the token 'pi'")
         sp.add_argument("--N", type=int, required=True, help="truncation")
-    if "threads" in names:
-        sp.add_argument("--threads", type=int, default=None,
-                        help="accepted and validated, no effect "
-                             "(default: CATTANEO4_THREADS or 1)")
 
 
 def build_parser() -> _Parser:
@@ -416,7 +405,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_exceptional, out_default="exceptional.csv")
 
     sp = sub.add_parser("solve", help="evolve single-mode data, zero boundary")
-    _add_common(sp, "abc", "basis", "threads")
+    _add_common(sp, "abc", "basis")
     sp.add_argument("--mode", type=int, required=True)
     sp.add_argument("--alpha", type=float, default=1.0)
     sp.add_argument("--beta", type=float, default=0.0)
@@ -426,7 +415,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_solve, out_default="solve.csv")
 
     sp = sub.add_parser("boundary", help="evolve zero data under a boundary signal")
-    _add_common(sp, "abc", "basis", "threads")
+    _add_common(sp, "abc", "basis")
     sp.add_argument("--g0", type=float, required=True)
     sp.add_argument("--g1", type=float, required=True)
     sp.add_argument("--signal", choices=("constant", "sin", "poly", "burst"),
@@ -475,7 +464,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_heatcmp, out_default="heatcmp.csv")
 
     sp = sub.add_parser("propagation", help="boundary burst mass arrival")
-    _add_common(sp, "abc", "basis", "threads")
+    _add_common(sp, "abc", "basis")
     sp.add_argument("--g0", type=float, required=True)
     sp.add_argument("--g1", type=float, required=True)
     sp.add_argument("--T", type=float, required=True)

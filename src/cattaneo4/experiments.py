@@ -41,12 +41,11 @@ import numpy as np
 
 from .boundary import BoundarySignal, build_blocks, dirichlet_map_interval, evolve_with_boundary
 from .errors import ExceptionalParameterError, SingularParameterError
-from .modal import ParameterSet, eval_mode, second_order_roots, solve_mode
-from .oracle import quad_integrate
+from .modal import (ParameterSet, characteristic_roots, eval_mode, evolve_modes,
+                    propagator, second_order_roots, solve_mode)
 from .solver import Field, reconstruct, zero_field
-from .spectrum import (BasisDescriptor, distance_to_exceptional, exceptional_for_c,
-                       exceptional_for_sigma, modes_for)
-from .util import LOG_SATURATION, exp_term, fit_slope, log_abs_exp_sum
+from .spectrum import BasisDescriptor, nearest_member, spectrum
+from .util import LOG_SATURATION, exp_term, fit_slope, log_abs_exp_sum, scaled_exp, simpson
 
 
 @dataclass(frozen=True)
@@ -215,15 +214,13 @@ def limit2_scan(a: float, b: float, gamma: float, k_range, t: float,
     if not ks or ks[0] < 1:
         raise ValueError("k_range must hold positive integers")
     kmax = ks[-1]
-    basis = BasisDescriptor(d, (math.pi,) * d, 2 * kmax + 8)
-    modes = modes_for(basis)
-    exc = exceptional_for_c(modes)
+    spec = spectrum(BasisDescriptor(d, (math.pi,) * d, 2 * kmax + 8))
     rows = []
     for k in ks:
-        lam_sq = modes[k - 1].lambda_sq
+        lam_sq = float(spec.lambda_sq[k - 1])
         lam = math.sqrt(lam_sq)
         c_k = 1.0 / lam_sq + gamma / lam ** 3
-        dist, nearest = distance_to_exceptional(c_k, exc)
+        dist, nearest = nearest_member(spec.inverse, c_k)
         if dist <= 1e-12 * c_k:
             raise ExceptionalParameterError(
                 f"c_{k} = {c_k!r} collides with exceptional member {nearest!r}; "
@@ -264,16 +261,15 @@ def limit3_scan(k_range, t: float) -> Limit3Result:
         lam_sq = float(k * k)
         alpha = 1.0 / k ** 4
         beta = -1.0 / (2 * k * k)
-        sol = solve_mode(p, lam_sq, (alpha, beta), mode_index=k)
+        roots = characteristic_roots(p, lam_sq)
+        rp, rm = roots.r_plus, roots.r_minus
+        A = (beta - alpha * rm) / (rp - rm)   # theta = A e^{rp t} + B e^{rm t}
+        B = (alpha * rp - beta) / (rp - rm)
         # paper order: growing addendum first; identify by root value
-        if sol.r_minus > sol.r_plus:
-            c_first, x_first = sol.B, sol.r_minus
-            c_second, x_second = sol.A, sol.r_plus
+        if rm > rp:
+            rows.append(_split_row(k, sigma_k, B, rm, A, rp, t))
         else:
-            c_first, x_first = sol.A, sol.r_plus
-            c_second, x_second = sol.B, sol.r_minus
-        row = _split_row(k, sigma_k, c_first, x_first, c_second, x_second, t)
-        rows.append(row)
+            rows.append(_split_row(k, sigma_k, A, rp, B, rm, t))
     smallest = None
     for row in rows:
         exceeds = (row.log_abs_value > math.log(row.k)
@@ -298,32 +294,25 @@ def heat_comparison(family: ParameterSet, sigmas, theta0: Field, theta1: Field,
         raise ValueError("heat_comparison needs a sigma-form parameter family")
     if theta0.basis != theta1.basis:
         raise ValueError("fields must share one basis")
-    modes = modes_for(theta0.basis)
-    zset = exceptional_for_sigma(modes, family.gamma_rho)
-    heat_rate = family.chi / family.gamma_rho
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
+    spec = spectrum(theta0.basis)
+    zset = family.gamma_rho * spec.inverse
+    heat = theta0.coefficients * np.exp(-(family.chi / family.gamma_rho) * spec.lambda_sq * t)
     rows = []
     for sigma in sigmas:
-        dist, nearest = distance_to_exceptional(sigma, zset)
+        dist, nearest = nearest_member(zset, sigma)
         if dist <= 1e-12 * max(1.0, sigma):
             raise ExceptionalParameterError(
                 f"sigma={sigma!r} collides with exceptional member {nearest!r}",
                 value=sigma, nearest=nearest)
-        p = family.at_sigma(sigma)
-        sq_terms = []
-        saturated = False
-        for m, a0, b0 in zip(modes, theta0.coefficients, theta1.coefficients):
-            sol = solve_mode(p, m.lambda_sq, (float(a0), float(b0)),
-                             mode_index=m.index)
-            mv = eval_mode(sol, t)
-            heat = float(a0) * math.exp(-heat_rate * m.lambda_sq * t)
-            if mv.saturated or not math.isfinite(mv.value):
-                saturated = True
-                break
-            sq_terms.append((mv.value - heat) ** 2)
-        if saturated:
+        value, _, sat = evolve_modes(family.at_sigma(sigma), spec.lambda_sq,
+                                     theta0.coefficients, theta1.coefficients, t)
+        if np.any(sat) or not np.all(np.isfinite(value)):
             rows.append(HeatComparisonRow(sigma, math.inf, "saturated"))
         else:
-            rows.append(HeatComparisonRow(sigma, math.sqrt(math.fsum(sq_terms)), "ok"))
+            rows.append(HeatComparisonRow(
+                sigma, math.sqrt(math.fsum(((value - heat) ** 2).tolist())), "ok"))
     return rows
 
 
@@ -350,16 +339,18 @@ def whole_line_mode(a: float, b: float, c: float, lam: float, w1_hat: float,
     delta_sq, delta, r_plus, r_minus = (
         float(v) for v in second_order_roots(eps, a, b * lam_sq))
     if delta_sq <= 0.0:
-        # conjugate pair r_plus +/- i delta/(2 eps): oscillatory, bounded by
-        # the envelope (eps > 0 here)
-        root = complex(0.0, delta)
-        r_p = complex(r_plus, delta / (2.0 * eps))
-        coeff_c = eps * w1_hat / root
-        val = 2.0 * (coeff_c * np.exp(r_p * t)).real
-        logmag = (math.log(2.0 * abs(coeff_c)) + r_p.real * t
-                  if coeff_c != 0 else -math.inf)
-        return WholeLineMode(lam, eps, delta_sq, abs(coeff_c), r_p.real,
-                             r_p.real, val, logmag, logmag, True,
+        # conjugate pair r_plus +/- i delta/(2 eps) or a double root (eps > 0
+        # here): theta_hat = w1 phi1 e^log_scale from the data (0, w1)
+        _, phi1, log_scale, _ = propagator(a / eps, -b * lam_sq / eps, t)
+        value = float(scaled_exp(w1_hat * phi1, log_scale)[0])
+        if delta_sq < 0.0:  # bounded by the envelope 2 |coeff| e^{r_plus t}
+            coeff = abs(eps * w1_hat / delta)
+            logmag = math.log(2.0 * coeff) + r_plus * t if coeff else -math.inf
+        else:  # w1 t e^{r_plus t}
+            coeff = abs(w1_hat)
+            logmag = _log_abs_term(w1_hat * t, r_plus, t)
+        return WholeLineMode(lam, eps, delta_sq, coeff, r_plus, r_plus, value,
+                             logmag, logmag, True,
                              "saturated" if logmag > LOG_SATURATION else "ok")
     coeff = eps * w1_hat / delta
     l1 = _log_abs_term(coeff, r_plus, t)
@@ -403,8 +394,8 @@ def singularity_scan(a: float, b: float, c: float, t: float, j_values,
 
 def propagation_burst(p: ParameterSet, basis: BasisDescriptor, g, T: float,
                       n_values, subregion: tuple[float, float],
-                      quad_step: float | None = None, mass_grid: int = 2049,
-                      threads: int | None = None) -> list[PropagationRow]:
+                      quad_step: float | None = None,
+                      mass_grid: int = 2049) -> list[PropagationRow]:
     """Drive zero data with sharpening bursts and measure interior arrival.
 
     For each n the boundary signal is f_n(t) = (1/n) e^{-n (T-t)} (so
@@ -421,12 +412,12 @@ def propagation_burst(p: ParameterSet, basis: BasisDescriptor, g, T: float,
     if mass_grid < 3 or mass_grid % 2 == 0:
         raise ValueError("mass_grid must be an odd count >= 3")
     blocks = build_blocks(p, basis, g)
-    if all(b.d == 0.0 for b in blocks):
+    if not np.any(blocks.d):
         raise ValueError("boundary datum lifts to zero; nothing propagates")
     u, _ = dirichlet_map_interval(p.c, L, g, truncation=basis.truncation)
     grid = np.linspace(lo, hi, mass_grid)
     h = (hi - lo) / (mass_grid - 1)
-    target = quad_integrate(np.asarray(u(grid)) ** 2, h)
+    target = simpson(np.asarray(u(grid)) ** 2, h)
     step = (T / 4096.0) if quad_step is None else quad_step
     theta0 = zero_field(basis)
     theta1 = zero_field(basis)
@@ -436,9 +427,9 @@ def propagation_burst(p: ParameterSet, basis: BasisDescriptor, g, T: float,
             raise ValueError("burst rates must be positive")
         signal = BoundarySignal.burst(T, float(n))
         _, rate_field = evolve_with_boundary(blocks, theta0, theta1, signal, T,
-                                             quad_step=step, threads=threads)
+                                             quad_step=step)
         w = reconstruct(rate_field, grid)
-        mass = quad_integrate(w * w, h)
+        mass = simpson(w * w, h)
         rows.append(PropagationRow(float(n), mass, target, mass / target))
     return rows
 

@@ -143,10 +143,8 @@ class CharacteristicRoots:
 
 @dataclass(frozen=True)
 class RealDistinct:
-    """theta(t) = A exp(r_plus t) + B exp(r_minus t)."""
+    """Real distinct roots r_plus, r_minus with the data theta(0), theta'(0)."""
 
-    A: float
-    B: float
     r_plus: float
     r_minus: float
     alpha: float
@@ -155,22 +153,18 @@ class RealDistinct:
 
 @dataclass(frozen=True)
 class ComplexPair:
-    """theta(t) = amplitude exp(decay t) cos(frequency t + phase)."""
+    """Complex roots decay +/- i frequency with the data theta(0), theta'(0)."""
 
-    amplitude: float
     decay: float
     frequency: float
-    phase: float
     alpha: float
     beta: float
 
 
 @dataclass(frozen=True)
 class DoubleRoot:
-    """theta(t) = (A + B t) exp(r t)."""
+    """Double root r with the data theta(0), theta'(0)."""
 
-    A: float
-    B: float
     r: float
     alpha: float
     beta: float
@@ -424,22 +418,11 @@ def solve_second_order(leading: float, damping: float, stiffness: float,
 
 
 def _solve_from_roots(roots: CharacteristicRoots, data: ModalInitialData) -> ModalSolution:
-    alpha, beta = data.alpha, data.beta
     if roots.kind == "real_distinct":
-        rp, rm = roots.r_plus, roots.r_minus
-        gap = rp - rm
-        A = (beta - alpha * rm) / gap
-        B = (alpha * rp - beta) / gap
-        return RealDistinct(A, B, rp, rm, alpha, beta)
+        return RealDistinct(roots.r_plus, roots.r_minus, data.alpha, data.beta)
     if roots.kind == "double":
-        r = roots.mu_plus.real
-        return DoubleRoot(alpha, beta - r * alpha, r, alpha, beta)
-    p_, q = roots.decay, roots.frequency
-    C = alpha
-    D = (beta - p_ * alpha) / q
-    amplitude = math.hypot(C, D)
-    phase = math.atan2(-D, C)
-    return ComplexPair(amplitude, p_, q, phase, alpha, beta)
+        return DoubleRoot(roots.r_plus, data.alpha, data.beta)
+    return ComplexPair(roots.decay, roots.frequency, data.alpha, data.beta)
 
 
 def _solution_roots(sol: ModalSolution) -> tuple[float, float, float]:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DiscreteExceptionalError, StiffnessError
-from .util import simpson_weights
+from .util import simpson
 
 # Internal tolerances are the requested ones divided by this factor; rtol is
 # kept above the 100 eps floor below which scipy overrides it with a warning.
@@ -181,11 +181,7 @@ def quad_integrate(values, h: float, rule: str = "simpson") -> float:
     """Composite quadrature of uniformly spaced samples with spacing h."""
     if rule != "simpson":
         raise ValueError(f"unknown quadrature rule {rule!r}")
-    if not h > 0.0:
-        raise ValueError("h must be positive")
-    values = np.asarray(values, dtype=float)
-    total = math.fsum((simpson_weights(values.size) * values).tolist())
-    return total * h / 3.0
+    return simpson(values, h)
 
 
 def discrete_laplacian_eigenvalues(L: float, nx: int) -> np.ndarray:

@@ -11,6 +11,7 @@ order with compensated summation, so results are reproducible bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import ExceptionalParameterError
 from .modal import ParameterSet, evolve_modes, is_degenerate
 from .spectrum import BasisDescriptor, nearest_member, spectrum
-from .util import simpson_weights, thread_count
+from .util import simpson_weights
 
 
 @dataclass(eq=False)
@@ -88,57 +89,43 @@ def _fsum_rows(mat: np.ndarray) -> np.ndarray:
     return np.array([math.fsum(row) for row in mat])
 
 
+def _sines(n, L: float, x):
+    """Normalized Dirichlet eigenfunctions sqrt(2/L) sin(n pi x / L) of one axis."""
+    return math.sqrt(2.0 / L) * np.sin(x * (n * (math.pi / L)))
+
+
+def _axis_shape(axis: int, d: int) -> list[int]:
+    return [-1 if a == axis else 1 for a in range(d)]
+
+
 def project_samples(samples, basis: BasisDescriptor) -> Field:
     """L^2 projection of gridded samples onto the first N modes.
 
     ``samples`` is ``(x, values)`` on an interval or ``(axes, values)`` on a
     box, with each axis a uniform odd-count grid spanning [0, L] and at least
     4x the per-axis mode index range (coarser grids are rejected rather than
-    silently aliased).
+    silently aliased).  An interval is the one-axis box.
     """
+    d = basis.dimension
     idx = spectrum(basis).multi_index
-    axes_needed = [4 * int(idx[:, ax].max()) + 1 for ax in range(basis.dimension)]
-    if basis.dimension == 1:
-        x, vals = samples
-        x = np.asarray(x, dtype=float)
-        vals = np.asarray(vals, dtype=float)
-        if vals.shape != x.shape:
-            raise ValueError("values must match the sample grid")
-        L = basis.lengths[0]
-        h = _check_axis(x, L, axes_needed[0])
-        w = simpson_weights(x.size) * (h / 3.0)
-        ratio = math.pi / L
-        scale = math.sqrt(2.0 / L)
-        coeffs = np.empty(basis.truncation)
-        for i, n in enumerate(idx[:, 0].tolist()):
-            phi = scale * np.sin(n * ratio * x)
-            coeffs[i] = math.fsum(w * vals * phi)
-        return Field(basis, coeffs)
-
     axes, vals = samples
-    if len(axes) != basis.dimension:
+    if d == 1:
+        axes = (axes,)
+    if len(axes) != d:
         raise ValueError("need one sample axis per dimension")
     axes = [np.asarray(ax, dtype=float) for ax in axes]
     vals = np.asarray(vals, dtype=float)
     if vals.shape != tuple(ax.size for ax in axes):
-        raise ValueError("values must match the tensor sample grid")
-    weights = []
-    for ax, L, need in zip(axes, basis.lengths, axes_needed):
-        h = _check_axis(ax, L, need)
-        weights.append(simpson_weights(ax.size) * (h / 3.0))
-    wv = vals.copy()
-    for axis, w in enumerate(weights):
-        shape = [1] * basis.dimension
-        shape[axis] = w.size
-        wv = wv * w.reshape(shape)
+        raise ValueError("values must match the sample grid")
+    wv = vals
+    for axis, (ax, L) in enumerate(zip(axes, basis.lengths)):
+        h = _check_axis(ax, L, 4 * int(idx[:, axis].max()) + 1)
+        wv = wv * (simpson_weights(ax.size) * (h / 3.0)).reshape(_axis_shape(axis, d))
     coeffs = np.empty(basis.truncation)
     for i, multi_index in enumerate(idx.tolist()):
-        phi = np.ones((1,) * basis.dimension)
-        for axis, (n_ax, L) in enumerate(zip(multi_index, basis.lengths)):
-            s = math.sqrt(2.0 / L) * np.sin(n_ax * (math.pi / L) * axes[axis])
-            shape = [1] * basis.dimension
-            shape[axis] = s.size
-            phi = phi * s.reshape(shape)
+        phi = functools.reduce(np.multiply, (
+            _sines(n, L, ax).reshape(_axis_shape(axis, d))
+            for axis, (n, L, ax) in enumerate(zip(multi_index, basis.lengths, axes))))
         coeffs[i] = math.fsum((wv * phi).ravel())
     return Field(basis, coeffs)
 
@@ -173,8 +160,7 @@ def check_wellposed(c_value: float, basis: BasisDescriptor,
 def evolve_homogeneous(p: ParameterSet, theta0: Field, theta1: Field, t: float,
                        override_exceptional: bool = False,
                        tol_degenerate: float | None = None,
-                       compat_tol: float = 1e-9,
-                       threads: int | None = None) -> tuple[Field, Field]:
+                       compat_tol: float = 1e-9) -> tuple[Field, Field]:
     """Evolve initial data (theta0, theta1) by time t with zero boundary values.
 
     With c in the exceptional set the problem is ill posed for generic data
@@ -182,14 +168,12 @@ def evolve_homogeneous(p: ParameterSet, theta0: Field, theta1: Field, t: float,
     satisfy the per-mode compatibility condition pass
     ``override_exceptional=True`` and the degenerate modes evolve first order
     (incompatible data surface as UnsolvableModeError with the mode index).
-    Every mode goes through one vectorized ``evolve_modes`` call; ``threads``
-    is validated and has no effect.
+    Every mode goes through one vectorized ``evolve_modes`` call.
     """
     if theta0.basis != theta1.basis:
         raise ValueError("theta0 and theta1 must share one basis")
     if not math.isfinite(t):
         raise ValueError("t must be finite")
-    thread_count(threads)
     basis = theta0.basis
     report = check_wellposed(p.c, basis, threshold=0.0)
     if report.verdict == "exceptional" and not override_exceptional:
@@ -232,25 +216,14 @@ def reconstruct(f: Field, points) -> np.ndarray:
     is ascending-index compensated summation.
     """
     idx = spectrum(f.basis).multi_index.astype(float)
-    if f.basis.dimension == 1:
-        x = np.atleast_1d(np.asarray(points, dtype=float))
-        L = f.basis.lengths[0]
-        if np.any(x < -1e-12) or np.any(x > L * (1 + 1e-12)):
-            raise ValueError("evaluation points outside [0, L]")
-        ratio = math.pi / L
-        scale = math.sqrt(2.0 / L)
-        phi = scale * np.sin(np.outer(x, idx[:, 0] * ratio))  # (npts, N)
-        contrib = phi * f.coefficients
-        return _fsum_rows(contrib)
-
     pts = np.asarray(points, dtype=float)
+    if f.basis.dimension == 1:
+        pts = pts.reshape(-1, 1)
     if pts.ndim != 2 or pts.shape[1] != f.basis.dimension:
         raise ValueError("box evaluation points must have shape (npts, d)")
     for ax, L in enumerate(f.basis.lengths):
         if np.any(pts[:, ax] < -1e-12) or np.any(pts[:, ax] > L * (1 + 1e-12)):
-            raise ValueError("evaluation points outside the box")
-    phi = np.ones((pts.shape[0], idx.shape[0]))
-    for ax, L in enumerate(f.basis.lengths):
-        phi *= math.sqrt(2.0 / L) * np.sin(np.outer(pts[:, ax], idx[:, ax] * (math.pi / L)))
-    contrib = phi * f.coefficients
-    return _fsum_rows(contrib)
+            raise ValueError("evaluation points outside the domain")
+    phi = functools.reduce(np.multiply, (  # (npts, N)
+        _sines(idx[:, ax], L, pts[:, ax, None]) for ax, L in enumerate(f.basis.lengths)))
+    return _fsum_rows(phi * f.coefficients)

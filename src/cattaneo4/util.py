@@ -8,12 +8,10 @@ finite and comparable far beyond the float range.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 LOG_SATURATION = 700.0
-THREADS_ENV = "CATTANEO4_THREADS"
 
 
 def scaled_exp(x, log_scale):
@@ -83,24 +81,13 @@ def simpson_weights(n: int) -> np.ndarray:
     return w
 
 
-def thread_count(explicit: int | None = None) -> int:
-    """Validated thread setting: explicit argument, else CATTANEO4_THREADS, else 1.
-
-    The setting is accepted for compatibility and has no effect: every
-    computation runs as numpy array operations in the calling thread.
-    """
-    if explicit is not None:
-        if explicit < 1:
-            raise ValueError("thread count must be >= 1")
-        return explicit
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise ValueError(f"{THREADS_ENV} must be >= 1, got {n}")
-    return n
+def simpson(values, h: float) -> float:
+    """Composite Simpson rule over uniformly spaced samples with spacing h,
+    accumulated with compensated (fsum) summation."""
+    if not h > 0.0:
+        raise ValueError("h must be positive")
+    values = np.asarray(values, dtype=float)
+    return math.fsum((simpson_weights(values.size) * values).tolist()) * h / 3.0
 
 
 def fmt_float(x: float) -> str:

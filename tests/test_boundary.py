@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from cattaneo4 import (BasisDescriptor, BoundarySignal, DirichletDatum,
+from cattaneo4 import (BasisDescriptor, BoundaryOperator, BoundarySignal, DirichletDatum,
                        ExceptionalParameterError, Field, ParameterSet,
                        basis_field, build_blocks, characteristic_roots,
                        dirichlet_map_interval, evolve_homogeneous,
@@ -143,6 +143,12 @@ def test_block_fields_and_lift_consistency():
         assert blk.k == pytest.approx(-p.b * blk.lambda_sq / eps, rel=1e-15)
         assert blk.beta == p.b / p.c
         assert blk.d == pytest.approx(lift.coefficients[i], rel=1e-15)
+    # one operator of arrays; indexing (numpy integers too) and slicing select modes
+    assert isinstance(blocks, BoundaryOperator) and len(blocks) == 8
+    assert blocks[np.int64(2)].d == blocks.d[2]
+    head = blocks[:-1]
+    assert isinstance(head, BoundaryOperator) and len(head) == 7
+    assert np.array_equal(head.h, blocks.h[:7]) and head.beta == blocks.beta
     with pytest.raises(ValueError):
         build_blocks(p, BasisDescriptor(2, (PI, PI), 3), g)
     with pytest.raises(ExceptionalParameterError):
@@ -273,21 +279,6 @@ def test_evolve_with_boundary_validation():
         evolve_with_boundary(blocks, z, zero_field(interval_basis(5)), sig, 0.5)
     with pytest.raises(ValueError):
         evolve_with_boundary(blocks, z, z, sig, 0.5, quad_step=0.0)
-
-
-def test_thread_count_does_not_change_results():
-    p = ParameterSet(2.0, 1.0, 0.003)
-    basis = interval_basis(16)
-    blocks = build_blocks(p, basis, (1.0, -0.5))
-    sig = BoundarySignal.sinusoid(2.0, omega=2.0)
-    rng = np.random.default_rng(13)
-    theta0 = Field(basis, rng.normal(size=16))
-    theta1 = Field(basis, rng.normal(size=16))
-    runs = [evolve_with_boundary(blocks, theta0, theta1, sig, 1.2, threads=k)
-            for k in (1, 3, 8)]
-    for th, dth in runs[1:]:
-        assert np.array_equal(th.coefficients, runs[0][0].coefficients)
-        assert np.array_equal(dth.coefficients, runs[0][1].coefficients)
 
 
 def test_modes_do_not_depend_on_the_truncation_split():

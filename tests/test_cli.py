@@ -1,11 +1,14 @@
+import ast
 import csv
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import cattaneo4
 from cattaneo4.cli import main
 
 RUN = [sys.executable, "-m", "cattaneo4"]
@@ -22,6 +25,19 @@ def run_cli(args, cwd, env_extra=None):
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
+
+
+def test_production_modules_do_not_import_the_oracle():
+    src = Path(cattaneo4.__file__).parent
+    for name in ("experiments", "solver", "boundary", "modal", "spectrum", "util"):
+        for node in ast.walk(ast.parse((src / f"{name}.py").read_text())):
+            if isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            else:
+                continue
+            assert not any(m.split(".")[-1] == "oracle" for m in mods), (name, mods)
 
 
 def test_import_does_not_load_scipy():

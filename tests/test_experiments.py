@@ -4,11 +4,12 @@ import time
 import numpy as np
 import pytest
 
-from cattaneo4 import (BasisDescriptor, ExceptionalParameterError, OdeProblem,
+from cattaneo4 import (BasisDescriptor, ExceptionalParameterError, Field, OdeProblem,
                        ParameterSet, SingularParameterError, basis_field,
-                       first_crossing, heat_comparison, integrate_mode,
+                       eval_mode, first_crossing, heat_comparison, integrate_mode,
                        limit1_reference, limit1_scan, limit2_scan, limit3_scan,
-                       propagation_burst, singularity_scan, whole_line_mode)
+                       propagation_burst, singularity_scan, solve_mode,
+                       whole_line_mode)
 
 PI = math.pi
 
@@ -165,6 +166,33 @@ def test_heat_comparison_first_order_in_sigma():
         assert x / y == pytest.approx(2.0, rel=0.15)
 
 
+def test_heat_comparison_matches_per_mode_reference():
+    family = ParameterSet.sigma_form(2.0, 4.0)
+    basis = BasisDescriptor(1, (PI,), 8)
+    rng = np.random.default_rng(17)
+    theta0 = Field(basis, rng.normal(size=8))
+    theta1 = Field(basis, rng.normal(size=8))
+    heat_rate = family.chi / family.gamma_rho
+    # sigma = 1.001 sits just above the member 4/2^2, so mode 2 grows like
+    # e^{2000 t} and passes e^700 by t = 0.5
+    sigmas, t = [0.3, 0.05, 1.001, 0.01], 0.5
+    rows = heat_comparison(family, sigmas, theta0, theta1, t)
+    assert [r.sigma for r in rows] == sigmas
+    for row, sigma in zip(rows, sigmas):
+        p = family.at_sigma(sigma)
+        terms, saturated = [], False
+        for n, (a0, b0) in enumerate(zip(theta0.coefficients, theta1.coefficients), 1):
+            mv = eval_mode(solve_mode(p, float(n * n), (a0, b0)), t)
+            saturated |= mv.saturated
+            terms.append((mv.value - a0 * math.exp(-heat_rate * n * n * t)) ** 2)
+        if saturated:
+            assert row.flag == "saturated" and row.distance == math.inf
+        else:
+            assert row.flag == "ok"
+            assert row.distance == pytest.approx(math.sqrt(math.fsum(terms)), rel=1e-12)
+    assert [r.flag for r in rows] == ["ok", "ok", "saturated", "ok"]
+
+
 def test_heat_comparison_rejects_exceptional_sigma():
     family = ParameterSet.sigma_form(2.0, 4.0)
     basis = BasisDescriptor(1, (PI,), 8)
@@ -199,6 +227,18 @@ def test_whole_line_matches_mode_oracle():
     # oscillatory regime flags itself
     m = whole_line_mode(0.1, 1.0, 0.01, 1.0, 1.0, 0.4)
     assert m.oscillatory
+
+
+def test_whole_line_exact_double_root():
+    # a^2 = 4 b lam^2 (1 - c lam^2) at a = b = lam = 1, c = 0.75: the roots
+    # meet at -2 and theta_hat = w1 t e^{-2 t}
+    m = whole_line_mode(1.0, 1.0, 0.75, 1.0, 1.0, 0.5)
+    assert m.delta_sq == 0.0 and m.r_plus == m.r_minus == -2.0
+    assert m.value == pytest.approx(0.5 * math.exp(-1.0), rel=1e-15)
+    assert m.log_abs_first == m.log_abs_second == pytest.approx(math.log(m.value), rel=1e-15)
+    for lam in (1.0 - 1e-6, 1.0 + 1e-6):  # complex pair below, real roots above
+        near = whole_line_mode(1.0, 1.0, 0.75, lam, 1.0, 0.5)
+        assert near.value == pytest.approx(m.value, rel=1e-5)
 
 
 def test_whole_line_singular_frequency_gate():

@@ -244,21 +244,6 @@ def test_evolve_linearity():
                        rtol=1e-12, atol=1e-14)
 
 
-def test_evolve_thread_count_invariance():
-    basis = interval_basis(32)
-    p = ParameterSet(3.0, 1.0, 0.003)
-    rng = np.random.default_rng(7)
-    theta0 = Field(basis, rng.normal(size=32))
-    theta1 = Field(basis, rng.normal(size=32))
-    outs = [evolve_homogeneous(p, theta0, theta1, 1.3, threads=k)
-            for k in (1, 2, 5)]
-    base_v = outs[0][0].coefficients
-    base_d = outs[0][1].coefficients
-    for th, dth in outs[1:]:
-        assert np.array_equal(th.coefficients, base_v)
-        assert np.array_equal(dth.coefficients, base_d)
-
-
 def test_evolve_basis_mismatch():
     p = ParameterSet(3.0, 1.0, 0.01)
     with pytest.raises(ValueError):
