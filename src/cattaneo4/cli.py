@@ -101,8 +101,8 @@ def _cmd_exceptional(args) -> str:
     if args.kind == "sigma":
         if args.gamma_rho is None:
             raise ValueError("--gamma-rho is required for --kind sigma")
-        if not args.gamma_rho > 0.0:
-            raise ValueError("gamma_rho must be positive")
+        if not (math.isfinite(args.gamma_rho) and args.gamma_rho > 0.0):
+            raise ValueError("gamma_rho must be positive and finite")
         values = args.gamma_rho * values
     _write_csv(args.out, ["index", "value"],
                [(i + 1, v) for i, v in enumerate(values.tolist())])

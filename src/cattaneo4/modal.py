@@ -327,14 +327,34 @@ def _state(r_plus, r_minus, freq, alpha, beta, t):
 
     W(t) = exp(A t) W(0) with A = [[0, 1], [-r_plus r_minus, r_plus + r_minus]]
     (for a complex pair r_plus r_minus = decay^2 + freq^2); values beyond the
-    e^700 range saturate to +/-inf with the flag set.
+    e^700 range saturate to +/-inf with the flag set.  Subnormal data keep
+    their digits (Higham, Accuracy and Stability, 2nd ed., section 2.1).
     """
     phi0, phi1, log_scale = _factors(r_plus, r_minus, freq, t)
     k = -(r_plus * r_minus + freq * freq)
     minus_h = r_plus + r_minus
-    value, s1 = scaled_exp(phi0 * alpha + phi1 * beta, log_scale)
-    deriv, s2 = scaled_exp(phi0 * beta + phi1 * (k * alpha + minus_h * beta), log_scale)
+
+    def combine(alpha, beta):
+        return phi0 * alpha + phi1 * beta, phi0 * beta + phi1 * (k * alpha + minus_h * beta)
+
+    value, deriv = combine(alpha, beta)
+    exponent = None
+    if not (_digits_kept(value) and _digits_kept(deriv)):
+        # factor the power of two at max(|alpha|, |beta|) out of the data, as
+        # solver.field_norm does; scaled_exp puts it back
+        exponent = np.frexp(np.maximum(np.abs(alpha), np.abs(beta)))[1]
+        value, deriv = combine(np.ldexp(alpha, -exponent), np.ldexp(beta, -exponent))
+    value, s1 = scaled_exp(value, log_scale, exponent)
+    deriv, s2 = scaled_exp(deriv, log_scale, exponent)
     return value, deriv, s1 | s2
+
+
+def _digits_kept(v) -> bool:
+    """True when every entry of v is finite and at least 2^-960 in magnitude:
+    a subnormal term then shifts it by under 2^-115 of itself."""
+    mag = np.abs(v)
+    return bool(np.min(mag, initial=np.inf) >= 2.0 ** -960
+                and np.max(mag, initial=0.0) < np.inf)
 
 
 def characteristic_roots(p: ParameterSet, lambda_sq: float,

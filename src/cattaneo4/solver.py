@@ -5,8 +5,12 @@ interval.  Evolution is mode-diagonal: each coefficient follows its own
 closed-form modal solution; well-posedness of the whole problem is the
 statement that c avoids the exceptional set E = {1/lambda_n^2}.
 
-Reductions over modes (norms, reconstruction) accumulate in ascending mode
-order with compensated summation, so results are reproducible bit for bit.
+Projection of gridded samples and reconstruction on the grids x_j = j L/M
+go through a type-I discrete sine transform per axis (``util.dst1``), in
+O(npts log npts).  The other reductions over modes (the norm, and
+reconstruction at any other point set) accumulate in ascending mode order
+with compensated summation.  Either way results are reproducible bit for
+bit.
 """
 
 from __future__ import annotations
@@ -20,7 +24,9 @@ import numpy as np
 from .errors import ExceptionalParameterError
 from .modal import ParameterSet, evolve_modes, is_degenerate
 from .spectrum import BasisDescriptor, nearest_member, spectrum
-from .util import simpson_weights
+from .util import dst1, simpson_weights
+
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(eq=False)
@@ -72,6 +78,8 @@ def basis_field(basis: BasisDescriptor, n: int, amplitude: float = 1.0) -> Field
 
 def _check_axis(x: np.ndarray, L: float, min_pts: int):
     n = x.size
+    if not np.all(np.isfinite(x)):
+        raise ValueError("sample abscissae must be finite")
     if n < min_pts:
         raise ValueError(f"grid too coarse: need at least {min_pts} points per axis, got {n}")
     if n % 2 == 0:
@@ -94,6 +102,11 @@ def _sines(n, L: float, x):
     return math.sqrt(2.0 / L) * np.sin(x * (n * (math.pi / L)))
 
 
+def _norm(lengths) -> float:
+    """Product of the per-axis normalizations sqrt(2/L) of the eigenfunctions."""
+    return math.prod(math.sqrt(2.0 / L) for L in lengths)
+
+
 def _axis_shape(axis: int, d: int) -> list[int]:
     return [-1 if a == axis else 1 for a in range(d)]
 
@@ -104,7 +117,10 @@ def project_samples(samples, basis: BasisDescriptor) -> Field:
     ``samples`` is ``(x, values)`` on an interval or ``(axes, values)`` on a
     box, with each axis a uniform odd-count grid spanning [0, L] and at least
     4x the per-axis mode index range (coarser grids are rejected rather than
-    silently aliased).  An interval is the one-axis box.
+    silently aliased).  An interval is the one-axis box.  The samples are
+    taken to sit at x_j = j L/M (the uniformity check accepts deviations up
+    to 1e-9 h): the Simpson-weighted values go through one DST-I per axis,
+    O(npts log npts), and the coefficients are read at the mode indices.
     """
     d = basis.dimension
     idx = spectrum(basis).multi_index
@@ -120,14 +136,9 @@ def project_samples(samples, basis: BasisDescriptor) -> Field:
     wv = vals
     for axis, (ax, L) in enumerate(zip(axes, basis.lengths)):
         h = _check_axis(ax, L, 4 * int(idx[:, axis].max()) + 1)
-        wv = wv * (simpson_weights(ax.size) * (h / 3.0)).reshape(_axis_shape(axis, d))
-    coeffs = np.empty(basis.truncation)
-    for i, multi_index in enumerate(idx.tolist()):
-        phi = functools.reduce(np.multiply, (
-            _sines(n, L, ax).reshape(_axis_shape(axis, d))
-            for axis, (n, L, ax) in enumerate(zip(multi_index, basis.lengths, axes))))
-        coeffs[i] = math.fsum((wv * phi).ravel())
-    return Field(basis, coeffs)
+        wv = dst1(wv * (simpson_weights(ax.size) * (h / 3.0)).reshape(_axis_shape(axis, d)),
+                  axis)
+    return Field(basis, wv[tuple(idx.T)] * _norm(basis.lengths))
 
 
 def check_wellposed(c_value: float, basis: BasisDescriptor,
@@ -208,14 +219,43 @@ def field_norm(f: Field) -> float:
         return float(np.ldexp(math.sqrt(math.fsum((x * x).tolist())), exponent))
 
 
+def _grid_counts(pts: np.ndarray, lengths) -> tuple[int, ...] | None:
+    """Per-axis interval counts (M_1, .., M_d) when ``pts`` is the C-order
+    ('ij' meshgrid, raveled) tensor grid of x_j = j L/M, j = 0..M, on every
+    axis, each abscissa within 4 eps L of its node; None otherwise."""
+    npts, d = pts.shape
+    counts, stride = [], 1
+    for ax in reversed(range(d)):
+        L = lengths[ax]
+        run = pts[::stride, ax]
+        n = int(np.argmax(run >= L - 4.0 * EPS * L)) + 1
+        if n < 2 or npts % (stride * n):
+            return None
+        counts.append(n - 1)
+        stride *= n
+    if stride != npts:
+        return None
+    counts = tuple(reversed(counts))
+    nodes = np.meshgrid(*(np.arange(m + 1) * (L / m) for m, L in zip(counts, lengths)),
+                        indexing="ij")
+    for ax, (node, L) in enumerate(zip(nodes, lengths)):
+        if not np.max(np.abs(pts[:, ax] - node.ravel())) <= 4.0 * EPS * L:
+            return None  # `not <=`, so that a nan abscissa fails too
+    return counts
+
+
 def reconstruct(f: Field, points) -> np.ndarray:
     """Evaluate the field at physical points.
 
     Points are an array of abscissae on an interval, or an (npts, d) array
-    on a box; all must lie inside the closed domain.  Accumulation over modes
-    is ascending-index compensated summation.
+    on a box; all must lie inside the closed domain.  When the points are
+    the C-order tensor grid of x_j = j L/M per axis (see ``_grid_counts``),
+    every mode index is below M on its axis and the coefficients are finite,
+    the values come from one DST-I per axis, O(npts log npts), and are
+    exactly 0 on the boundary.  Any other point set accumulates over modes
+    in ascending index order with compensated summation, O(N npts).
     """
-    idx = spectrum(f.basis).multi_index.astype(float)
+    idx = spectrum(f.basis).multi_index
     pts = np.asarray(points, dtype=float)
     if f.basis.dimension == 1:
         pts = pts.reshape(-1, 1)
@@ -224,6 +264,15 @@ def reconstruct(f: Field, points) -> np.ndarray:
     for ax, L in enumerate(f.basis.lengths):
         if np.any(pts[:, ax] < -1e-12) or np.any(pts[:, ax] > L * (1 + 1e-12)):
             raise ValueError("evaluation points outside the domain")
+    counts = _grid_counts(pts, f.basis.lengths) if pts.size else None
+    if (counts is not None and np.all(idx < np.array(counts))
+            and np.all(np.isfinite(f.coefficients))):
+        grid = np.zeros(tuple(m + 1 for m in counts))
+        grid[tuple(idx.T)] = f.coefficients * _norm(f.basis.lengths)
+        for axis in range(f.basis.dimension):
+            grid = dst1(grid, axis)
+        return grid.ravel()
     phi = functools.reduce(np.multiply, (  # (npts, N)
-        _sines(idx[:, ax], L, pts[:, ax, None]) for ax, L in enumerate(f.basis.lengths)))
+        _sines(idx[:, ax].astype(float), L, pts[:, ax, None])
+        for ax, L in enumerate(f.basis.lengths)))
     return _fsum_rows(phi * f.coefficients)

@@ -165,8 +165,8 @@ def exceptional_for_sigma(modes, gamma_rho: float) -> ExceptionalSet:
     Computed as gamma_rho * (1/lambda_n^2) elementwise so the identity
     Z = gamma_rho * E holds exactly in floating point.
     """
-    if not gamma_rho > 0.0:
-        raise ValueError("gamma_rho must be positive")
+    if not (math.isfinite(gamma_rho) and gamma_rho > 0.0):
+        raise ValueError("gamma_rho must be positive and finite")
     base = exceptional_for_c(modes)
     values = tuple(gamma_rho * v for v in base.values)
     return ExceptionalSet("for_sigma", values, gamma_rho=gamma_rho)

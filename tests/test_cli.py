@@ -70,6 +70,16 @@ def test_exceptional_subcommand(tmp_path):
     assert vals == [0.25, 4.0 / 9.0, 1.0, 4.0]
 
 
+@pytest.mark.parametrize("gamma_rho", ["inf", "nan", "0"])
+def test_exceptional_rejects_bad_gamma_rho(tmp_path, capsys, gamma_rho):
+    out = tmp_path / "exc.csv"
+    rc = main(["exceptional", "--N", "3", "--kind", "sigma",
+               "--gamma-rho", gamma_rho, "--out", str(out)])
+    assert rc == 1
+    assert "gamma_rho must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_limit3_schema(tmp_path):
     out = tmp_path / "l3.csv"
     rc = main(["limit3", "--t", "0.1", "--out", str(out)])

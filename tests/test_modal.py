@@ -394,6 +394,7 @@ def test_kernel_near_exceptional(a, b, lam2, log_eps, side, alpha, beta, t):
        lam2s, st.floats(min_value=0.05, max_value=1.0), st.floats(min_value=690.0, max_value=712.0),
        data, data)
 @settings(max_examples=40, deadline=None)
+@example(1.0, 1.0, 1.0, 1.0, 690.0, 0.0, 5e-324)  # subnormal beta: 1.0e-24, not 0.0
 def test_kernel_saturation_edge(a, b, lam2, neg_eps, target, alpha, beta):
     # a growing mode (eps < 0) timed so that its exponent crosses 700
     eps = -neg_eps

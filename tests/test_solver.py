@@ -10,6 +10,9 @@ from cattaneo4 import (BasisDescriptor, ExceptionalParameterError, Field,
                        check_wellposed, evolve_homogeneous, field_norm,
                        project_samples, quad_integrate, reconstruct,
                        zero_field)
+from cattaneo4 import solver
+from cattaneo4.spectrum import spectrum
+from cattaneo4.util import dst1, simpson_weights
 
 PI = math.pi
 
@@ -265,3 +268,168 @@ def test_energy_decays_for_stable_parameters(t, n):
     theta0 = basis_field(basis, n, 1.0)
     th, _ = evolve_homogeneous(p, theta0, zero_field(basis), t)
     assert field_norm(th) <= 1.5 * field_norm(theta0) + 1e-12
+
+
+# --- sine transforms on uniform grids -------------------------------------
+
+U = 2.0 ** -53
+
+# (dimension, lengths, truncation, per-axis interval counts M)
+TRANSFORM_CASES = [
+    (1, (PI,), 15, (64,)),
+    (2, (1.0, 2.5), 40, (20, 50)),
+    (3, (PI, 1.5, 2.0), 30, (24, 14, 16)),
+]
+
+
+def grid_axes(lengths, counts):
+    return [np.arange(m + 1) * (L / m) for m, L in zip(counts, lengths)]
+
+
+def grid_points(lengths, counts, indexing="ij"):
+    mesh = np.meshgrid(*grid_axes(lengths, counts), indexing=indexing)
+    return np.column_stack([g.ravel() for g in mesh])
+
+
+def exact_sines(basis, counts):
+    """(npts, N) table of the normalized eigenfunctions at the 'ij' grid
+    nodes j L/M, each argument reduced exactly: sin(pi ((n j) mod 2M) / M)."""
+    idx = spectrum(basis).multi_index
+    phi = np.ones((1, basis.truncation))
+    for ax, (m, L) in enumerate(zip(counts, basis.lengths)):
+        j = np.arange(m + 1)[:, None]
+        s = math.sqrt(2.0 / L) * np.sin(PI * ((idx[:, ax] * j) % (2 * m)) / m)
+        phi = (phi[:, None, :] * s[None, :, :]).reshape(-1, basis.truncation)
+    return phi
+
+
+def spy_on_transform(monkeypatch):
+    """Record the axis of every DST-I that solver runs."""
+    calls = []
+    monkeypatch.setattr(solver, "dst1",
+                        lambda x, axis: calls.append(axis) or dst1(x, axis))
+    return calls
+
+
+def fft_bound(counts, lengths, norm_in):
+    """Higham (2002) section 24.1: the 2-norm of the FFT error is of order
+    u log2(2M) per axis times the 2-norm of the transformed vector, which
+    Parseval puts at prod sqrt(M/L) times the 2-norm of the input."""
+    log_term = sum(math.log2(2 * m) for m in counts)
+    scale = math.prod(math.sqrt(m / L) for m, L in zip(counts, lengths))
+    return 4.0 * U * log_term * scale * norm_in
+
+
+@pytest.mark.parametrize("d, lengths, n, counts", TRANSFORM_CASES)
+def test_transforms_match_fsum_reference(d, lengths, n, counts, monkeypatch):
+    basis = BasisDescriptor(d, lengths, n)
+    calls = spy_on_transform(monkeypatch)
+    phi = exact_sines(basis, counts)
+    rng = np.random.default_rng(d)
+    coeffs = rng.normal(size=n)
+    pts = grid_points(lengths, counts)
+    points = pts[:, 0] if d == 1 else pts
+    vals = reconstruct(Field(basis, coeffs), points)
+    want = np.array([math.fsum(row) for row in (phi * coeffs).tolist()])
+    assert np.linalg.norm(vals - want) <= fft_bound(counts, lengths,
+                                                   np.linalg.norm(coeffs))
+    # the boundary nodes are exactly zero
+    on_boundary = np.zeros(len(pts), dtype=bool)
+    for ax, L in enumerate(lengths):
+        on_boundary |= (pts[:, ax] == 0.0) | (pts[:, ax] == L)
+    assert (vals[on_boundary] == 0.0).all() and on_boundary.any()
+    # projection: Simpson-weighted samples against the same exact sines
+    samples = rng.normal(size=[m + 1 for m in counts])
+    wv = samples
+    for ax, (m, L) in enumerate(zip(counts, lengths)):
+        w = simpson_weights(m + 1) * (L / m / 3.0)
+        wv = wv * w.reshape([-1 if a == ax else 1 for a in range(d)])
+    axes = grid_axes(lengths, counts)
+    axes = axes[0] if d == 1 else axes
+    got = project_samples((axes, samples), basis).coefficients
+    want = np.array([math.fsum(col) for col in (phi * wv.reshape(-1, 1)).T.tolist()])
+    interior = wv[tuple(slice(1, -1) for _ in range(d))]
+    assert np.linalg.norm(got - want) <= fft_bound(counts, lengths,
+                                                  np.linalg.norm(interior))
+    assert len(calls) == 2 * d
+    # repeated calls are bit-identical
+    assert np.array_equal(vals, reconstruct(Field(basis, coeffs), points))
+    assert np.array_equal(got, project_samples((axes, samples), basis).coefficients)
+
+
+def fallback_cases():
+    box = BasisDescriptor(2, (1.0, 2.5), 40)
+    counts = (20, 50)
+    rng = np.random.default_rng(9)
+    off = grid_points(box.lengths, counts)
+    off[17, 1] += 1e-12
+    line = interval_basis(10)
+    return [
+        ("xy order", box, grid_points(box.lengths, counts, indexing="xy")),
+        ("shuffled", box, rng.permutation(grid_points(box.lengths, counts))),
+        ("off the nodes", box, off),
+        ("subinterval", line, np.linspace(1.0, 2.0, 33)),
+        ("mode index >= M", line, np.linspace(0.0, PI, 11)),  # index 10 = M
+    ]
+
+
+@pytest.mark.parametrize("label, basis, pts", fallback_cases(),
+                         ids=[c[0] for c in fallback_cases()])
+def test_reconstruct_falls_back_to_fsum(label, basis, pts, monkeypatch):
+    calls = spy_on_transform(monkeypatch)
+    rng = np.random.default_rng(4)
+    coeffs = rng.normal(size=basis.truncation)
+    got = reconstruct(Field(basis, coeffs), pts)
+    pts2 = np.asarray(pts, dtype=float).reshape(len(pts), -1)
+    idx = spectrum(basis).multi_index
+    want = []
+    for q in pts2.tolist():
+        terms = []
+        for c, mi in zip(coeffs.tolist(), idx.tolist()):
+            for x, n, L in zip(q, mi, basis.lengths):
+                c *= math.sqrt(2.0 / L) * math.sin(n * PI * x / L)
+            terms.append(c)
+        want.append(math.fsum(terms))
+    # both sides round the phase n pi x / L, by up to u n pi per factor
+    n_max = int(idx.max())
+    tol = (8 * U * (1 + n_max * PI) * np.sum(np.abs(coeffs))
+           * math.prod(math.sqrt(2.0 / L) for L in basis.lengths))
+    assert np.max(np.abs(got - np.array(want))) <= tol
+    assert np.array_equal(got, reconstruct(Field(basis, coeffs), pts))
+    assert calls == []
+
+
+def test_reconstruct_grid_within_tolerance_takes_transform(monkeypatch):
+    # a node one ulp off j L/M is still on the grid
+    basis = interval_basis(10)
+    xs = np.linspace(0.0, PI, 41)
+    xs[7] = np.nextafter(xs[7], 4.0)
+    calls = spy_on_transform(monkeypatch)
+    reconstruct(basis_field(basis, 3), xs)
+    assert calls == [0]
+
+
+def test_nan_abscissa_is_not_a_grid_node(monkeypatch):
+    # every comparison with nan is False; the grid test must still fail it
+    calls = spy_on_transform(monkeypatch)
+    basis = interval_basis(10)
+    xs = np.linspace(0.0, PI, 41)
+    xs[5] = math.nan
+    vals = reconstruct(basis_field(basis, 3), xs)
+    assert math.isnan(vals[5]) and np.isfinite(np.delete(vals, 5)).all()
+    assert calls == []
+    with pytest.raises(ValueError, match="finite"):
+        project_samples((xs, np.sin(3 * np.linspace(0.0, PI, 41))), basis)
+
+
+def test_reconstruct_saturated_field_takes_fsum(monkeypatch):
+    # a saturated (infinite) coefficient would spread nan through the
+    # transform; the compensated sums keep +inf wherever its sine is positive
+    calls = spy_on_transform(monkeypatch)
+    basis = interval_basis(4)
+    f = Field(basis, np.array([math.inf, 1.0, 0.0, 0.0]),
+              np.array([True, False, False, False]))
+    with np.errstate(invalid="ignore"):  # 0 * inf at x = 0
+        vals = reconstruct(f, np.linspace(0.0, PI, 17))
+    assert math.isnan(vals[0]) and (vals[1:-1] == math.inf).all()
+    assert calls == []

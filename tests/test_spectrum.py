@@ -134,6 +134,12 @@ def test_exceptional_for_sigma_scales_elementwise():
     assert 4.0 / 16.0 in exc_s.values
 
 
+@pytest.mark.parametrize("gamma_rho", [math.inf, math.nan, 0.0, -4.0])
+def test_exceptional_for_sigma_needs_finite_positive_gamma_rho(gamma_rho):
+    with pytest.raises(ValueError, match="positive and finite"):
+        exceptional_for_sigma(interval_modes(math.pi, 3), gamma_rho)
+
+
 def test_distance_to_exceptional_values():
     exc = exceptional_for_c(interval_modes(math.pi, 10))
     dist, nearest = distance_to_exceptional(5.0 / 4.0, exc)

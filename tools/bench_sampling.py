@@ -1,0 +1,94 @@
+"""Time ``project_samples`` and ``reconstruct`` on the 4N + 1 interval grid.
+
+For each package source given with ``--src LABEL=PATH`` and N = 1e3, 1e4,
+1e5, one fresh interpreter per function imports ``cattaneo4`` from PATH,
+makes seeded data on (0, pi) with N modes (a full random series to
+reconstruct, a 12-mode sine series sampled on the grid to project), and
+reports the median wall time of 5 calls and its own peak RSS.  The time of
+the next size is predicted from the last one at quadratic growth (the order
+of the compensated-sum path): past 60 s the size is recorded as
+``"skipped: > 60 s"`` and not run, and past 1 s it is timed by one call.
+Mind the memory: the compensated-sum ``reconstruct`` holds (npts, N)
+tables, about 6 GB at N = 1e4.
+
+    python3 tools/bench_sampling.py --src parent=../parent/src --src change=src
+
+prints the ``layers`` object of ``BENCH_7.json``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+
+SIZES = (1000, 10000, 100000)
+REPEATS = 5
+LIMIT_S = 60.0
+LAYERS = ("project_samples", "reconstruct")
+
+CHILD = r"""
+import json, math, resource, statistics, sys, time
+import numpy as np
+import cattaneo4 as c4
+
+n, repeats, layer = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
+basis = c4.BasisDescriptor(1, (math.pi,), n)
+x = np.linspace(0.0, math.pi, 4 * n + 1)
+rng = np.random.default_rng(n)
+field = c4.Field(basis, rng.normal(size=n) / np.arange(1, n + 1))
+values = sum(a * math.sqrt(2.0 / math.pi) * np.sin(k * x)
+             for k, a in zip(rng.choice(np.arange(1, n + 1), 12), rng.normal(size=12)))
+times = []
+for _ in range(repeats):
+    t0 = time.perf_counter()
+    if layer == "reconstruct":
+        c4.reconstruct(field, x)
+    else:
+        c4.project_samples((x, values), basis)
+    times.append(time.perf_counter() - t0)
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+print(json.dumps({"median_ms": statistics.median(times) * 1e3,
+                  "peak_rss_mb": round(rss, 1), "repeats": repeats}))
+"""
+
+
+def measure(src: str, n: int, repeats: int, layer: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", CHILD, str(n), str(repeats), layer],
+                         env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--src", action="append", required=True,
+                    help="LABEL=PATH of a directory holding the cattaneo4 package")
+    args = ap.parse_args(argv)
+    report = {"grid": "4N + 1 points on (0, pi)",
+              "note": ("median wall time of one call in ms and the peak RSS in MB of a "
+                       f"fresh process running that call; a size predicted to pass "
+                       f"{LIMIT_S:g} s is skipped, and one predicted to pass 1 s is "
+                       "timed once")}
+    for spec in args.src:
+        label, _, src = spec.partition("=")
+        side = report[label] = {}
+        for layer in LAYERS:
+            rows, last = side.setdefault(layer, {}), None
+            for n in SIZES:
+                predicted_ms = 0.0 if last is None else last[1] * (n / last[0]) ** 2
+                if predicted_ms > LIMIT_S * 1e3:
+                    rows[str(n)] = f"skipped: > {LIMIT_S:g} s"
+                    continue
+                rows[str(n)] = measure(src, n, REPEATS if predicted_ms < 1e3 else 1, layer)
+                last = (n, rows[str(n)]["median_ms"])
+                print(f"{label} {layer} N={n}: {rows[str(n)]}", file=sys.stderr)
+    print(json.dumps(report, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
