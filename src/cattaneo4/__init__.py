@@ -21,9 +21,8 @@ from .errors import (DegenerateModeError, DiscreteExceptionalError,
 from .experiments import (first_crossing, heat_comparison, limit1_reference,
                           limit1_scan, limit2_scan, limit3_scan,
                           propagation_burst, singularity_scan, whole_line_mode)
-from .modal import (CharacteristicRoots, CompatibilityReport, ComplexPair,
-                    DoubleRoot, FirstOrder, ModalInitialData, ModeValue,
-                    ParameterSet, RealDistinct, characteristic_roots,
+from .modal import (CharacteristicRoots, CompatibilityReport, ModalInitialData,
+                    ModalSolution, ModeValue, ParameterSet, characteristic_roots,
                     compatibility_report, eval_mode, evolve_modes, propagator,
                     second_order_roots, solve_mode, solve_mode_reference,
                     solve_second_order)
@@ -41,12 +40,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisDescriptor", "BoundaryOperator", "BoundarySignal", "CharacteristicRoots",
-    "CompatibilityReport", "ComplexPair", "DegenerateModeError",
-    "DirichletDatum", "DiscreteExceptionalError", "DoubleRoot", "EigenMode",
-    "ExceptionalParameterError", "ExceptionalSet", "Field", "FirstOrder",
-    "GridSolution", "MildSolutionReport", "ModalInitialData",
+    "CompatibilityReport", "DegenerateModeError",
+    "DirichletDatum", "DiscreteExceptionalError", "EigenMode",
+    "ExceptionalParameterError", "ExceptionalSet", "Field",
+    "GridSolution", "MildSolutionReport", "ModalInitialData", "ModalSolution",
     "ModeTrajectory", "ModeValue", "OdeProblem", "ParameterSet",
-    "RealDistinct", "SingularParameterError", "Spectrum",
+    "SingularParameterError", "Spectrum",
     "StiffnessError", "UnsolvableModeError", "WellPosednessReport",
     "basis_field", "box_modes", "build_blocks", "characteristic_roots",
     "check_wellposed", "compatibility_report", "dirichlet_map_interval",

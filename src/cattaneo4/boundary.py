@@ -43,6 +43,11 @@ from .util import scaled_exp, simpson_weights
 # Modes per propagator call in evolve_with_boundary: bounds the (modes, nodes)
 # temporaries; every mode's result is the same for any block size.
 MODE_BLOCK = 32
+# mild_solution_check: internal step of the five-point second difference,
+# and the residual bounds of its two clauses.
+FD_STEP = 1e-3
+C2_TOL = 1e-5
+RELATION_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -181,6 +186,13 @@ class BoundaryOperator:
                                 self.beta)
 
 
+def _interval_pair(g) -> tuple[float, float]:
+    """Finite boundary values (g0, g1) from a DirichletDatum or a pair."""
+    if not isinstance(g, DirichletDatum):
+        g = DirichletDatum.interval(g[0], g[1])
+    return g.interval_pair()
+
+
 def _lift_gate(c: float, L: float) -> float:
     if not (c > 0.0 and math.isfinite(c)):
         raise ValueError("c must be positive and finite")
@@ -214,10 +226,7 @@ def dirichlet_map_interval(c: float, L: float, g, truncation: int = 64):
     ExceptionalParameterError when sin(L/sqrt(c)) vanishes to gate precision
     (c in the exceptional set, truncation-independent).
     """
-    if isinstance(g, DirichletDatum):
-        g0, g1 = g.interval_pair()
-    else:
-        g0, g1 = float(g[0]), float(g[1])
+    g0, g1 = _interval_pair(g)
     s = _lift_gate(c, L)
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
@@ -240,10 +249,7 @@ def build_blocks(p: ParameterSet, basis: BasisDescriptor, g) -> BoundaryOperator
     """
     if basis.dimension != 1:
         raise ValueError("semigroup blocks are implemented on intervals")
-    if isinstance(g, DirichletDatum):
-        g0, g1 = g.interval_pair()
-    else:
-        g0, g1 = float(g[0]), float(g[1])
+    g0, g1 = _interval_pair(g)
     L = basis.lengths[0]
     _lift_gate(p.c, L)
     lam = spectrum(basis).lambda_sq
@@ -330,29 +336,25 @@ class MildSolutionReport:
 
     max_c2_residual: float
     max_relation_residual: float
-    c2_tol: float
-    relation_tol: float
 
     @property
     def ok(self) -> bool:
-        return (self.max_c2_residual <= self.c2_tol
-                and self.max_relation_residual <= self.relation_tol)
+        return (self.max_c2_residual <= C2_TOL
+                and self.max_relation_residual <= RELATION_TOL)
 
 
 def mild_solution_check(blocks: BoundaryOperator, theta0: Field, theta1: Field,
                         signal: BoundarySignal, t_grid,
-                        quad_step: float | None = None,
-                        fd_step: float = 1e-3,
-                        c2_tol: float = 1e-5,
-                        relation_tol: float = 1e-7) -> MildSolutionReport:
+                        quad_step: float | None = None) -> MildSolutionReport:
     """Check the computed trajectory against the lifted formulation.
 
     Two clauses: (1) the lifted variable y = theta - d f(t) is C^2-consistent:
-    a fourth-order five-point second difference with internal step fd_step
-    matches the governing y'' = k theta - h theta' - beta d f(t); (2) the
-    lifted relation (y'' - beta y) = (k - beta) theta - h theta' holds along
-    the trajectory, testing the mutual wiring of (h, k, beta).  Residuals are
-    relative to the larger of 1 and the local scale.
+    a fourth-order five-point second difference with internal step FD_STEP
+    matches the governing y'' = k theta - h theta' - beta d f(t) to C2_TOL;
+    (2) the lifted relation (y'' - beta y) = (k - beta) theta - h theta'
+    holds along the trajectory to RELATION_TOL, testing the mutual wiring of
+    (h, k, beta).  Residuals are relative to the larger of 1 and the local
+    scale.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 5:
@@ -360,8 +362,8 @@ def mild_solution_check(blocks: BoundaryOperator, theta0: Field, theta1: Field,
     dt = t_grid[1] - t_grid[0]
     if dt <= 0.0 or np.max(np.abs(np.diff(t_grid) - dt)) > 1e-9 * dt:
         raise ValueError("t_grid must be uniform and increasing")
-    if fd_step <= 0.0 or t_grid[0] < 2.0 * fd_step:
-        raise ValueError("need t_grid[0] >= 2*fd_step > 0")
+    if t_grid[0] < 2.0 * FD_STEP:
+        raise ValueError(f"need t_grid[0] >= {2.0 * FD_STEP:g}, room for the stencil")
 
     h, k, d, beta = blocks.h, blocks.k, blocks.d, blocks.beta
 
@@ -376,11 +378,11 @@ def mild_solution_check(blocks: BoundaryOperator, theta0: Field, theta1: Field,
     rel_res = 0.0
     for tj in t_grid:
         tj = float(tj)
-        ys = [lifted_at(tj + m * fd_step)[0] for m in (-2, -1, 1, 2)]
+        ys = [lifted_at(tj + m * FD_STEP)[0] for m in (-2, -1, 1, 2)]
         y0, th, dth, fval = lifted_at(tj)
         ypp = k * th - h * dth - beta * d * fval
         fd2 = (-ys[0] + 16.0 * ys[1] - 30.0 * y0 + 16.0 * ys[2] - ys[3]) / (
-            12.0 * fd_step * fd_step)
+            12.0 * FD_STEP * FD_STEP)
         scale2 = np.maximum(1.0, np.abs(ypp))
         c2_res = max(c2_res, float(np.max(np.abs(fd2 - ypp) / scale2)))
 
@@ -389,4 +391,4 @@ def mild_solution_check(blocks: BoundaryOperator, theta0: Field, theta1: Field,
         scale_r = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
         rel_res = max(rel_res, float(np.max(np.abs(lhs - rhs) / scale_r)))
 
-    return MildSolutionReport(c2_res, rel_res, c2_tol, relation_tol)
+    return MildSolutionReport(c2_res, rel_res)

@@ -42,10 +42,13 @@ import numpy as np
 from .boundary import BoundarySignal, build_blocks, dirichlet_map_interval, evolve_with_boundary
 from .errors import ExceptionalParameterError, SingularParameterError
 from .modal import (ParameterSet, characteristic_roots, eval_mode, evolve_modes,
-                    propagator, second_order_roots, solve_mode)
+                    is_degenerate, propagator, second_order_roots, solve_mode)
 from .solver import Field, reconstruct, zero_field
 from .spectrum import BasisDescriptor, nearest_member, spectrum
 from .util import LOG_SATURATION, exp_term, fit_slope, log_abs_exp_sum, scaled_exp, simpson
+
+# Simpson points on the subregion of propagation_burst (odd).
+MASS_GRID = 2049
 
 
 @dataclass(frozen=True)
@@ -127,17 +130,25 @@ def _log_abs_term(coeff: float, rate: float, t: float) -> float:
     return math.log(abs(coeff)) + rate * t
 
 
-def _split_row(k: int, parameter: float, c1: float, x1: float, c2: float,
-               x2: float, t: float) -> LimitScanRow:
+def _two_exp(c1: float, x1: float, c2: float, x2: float,
+             t: float) -> tuple[float, float, str]:
+    """(value, log|value|, flag) of c1 e^{x1 t} + c2 e^{x2 t}.  When a term
+    saturates the value comes from the log-magnitude and the flag is
+    'saturated'."""
     v1, s1 = exp_term(c1, x1, t)
     v2, s2 = exp_term(c2, x2, t)
-    saturated = s1 or s2
     sign, logv = log_abs_exp_sum([(c1, _log_abs_term(c1, x1, t)),
                                   (c2, _log_abs_term(c2, x2, t))])
-    value = v1 + v2 if not saturated else (
-        math.copysign(math.inf, sign) if logv > LOG_SATURATION
-        else sign * math.exp(logv))
-    flag = "saturated" if saturated else "ok"
+    if not (s1 or s2):
+        return v1 + v2, logv, "ok"
+    value = (math.copysign(math.inf, sign) if logv > LOG_SATURATION
+             else sign * math.exp(logv))
+    return value, logv, "saturated"
+
+
+def _split_row(k: int, parameter: float, c1: float, x1: float, c2: float,
+               x2: float, t: float) -> LimitScanRow:
+    value, logv, flag = _two_exp(c1, x1, c2, x2, t)
     bound = abs(value) if math.isfinite(value) else math.inf
     return LimitScanRow(k, parameter, c1, c2, x1, x2, value, logv, bound, flag)
 
@@ -161,7 +172,7 @@ def limit1_scan(a: float, b: float, lambda_sq: float, t: float,
         if not c > 0.0:
             raise ValueError("c values must be positive")
         eps = 1.0 - c * lambda_sq
-        if abs(eps) <= 1e-12 * max(1.0, c * lambda_sq):
+        if is_degenerate(c, lambda_sq):
             rate = -(b * lambda_sq) / a
             v, _ = exp_term(alpha, rate, t)
             rows.append(LimitScanRow(k, c, alpha, 0.0, rate, 0.0, v,
@@ -353,23 +364,15 @@ def whole_line_mode(a: float, b: float, c: float, lam: float, w1_hat: float,
                              logmag, logmag, True,
                              "saturated" if logmag > LOG_SATURATION else "ok")
     coeff = eps * w1_hat / delta
-    l1 = _log_abs_term(coeff, r_plus, t)
-    l2 = _log_abs_term(-coeff, r_minus, t)
-    v1, s1 = exp_term(coeff, r_plus, t)
-    v2, s2 = exp_term(-coeff, r_minus, t)
-    if s1 or s2:
-        sign, logv = log_abs_exp_sum([(coeff, l1), (-coeff, l2)])
-        value = math.copysign(math.inf, sign) if logv > LOG_SATURATION else sign * math.exp(logv)
-        flag = "saturated"
-    else:
-        value, flag = v1 + v2, "ok"
+    value, _, flag = _two_exp(coeff, r_plus, -coeff, r_minus, t)
     return WholeLineMode(lam, eps, delta_sq, coeff, r_plus, r_minus, value,
-                         l1, l2, False, flag)
+                         _log_abs_term(coeff, r_plus, t),
+                         _log_abs_term(-coeff, r_minus, t), False, flag)
 
 
 def singularity_scan(a: float, b: float, c: float, t: float, j_values,
-                     side: str = "above", w1_hat: float = 1.0) -> list[SingularityRow]:
-    """Approach the singular frequency: lam_j = 1/sqrt(c) +/- 2^-j.
+                     side: str = "above") -> list[SingularityRow]:
+    """Approach the singular frequency: lam_j = 1/sqrt(c) +/- 2^-j, velocity data 1.
 
     From above (lam > 1/sqrt(c), eps < 0) the fast exponential grows without
     bound as j increases; from below it collapses to zero while its exponent
@@ -386,7 +389,7 @@ def singularity_scan(a: float, b: float, c: float, t: float, j_values,
         lam = lam_star + offset if side == "above" else lam_star - offset
         if lam <= 0.0:
             raise ValueError(f"offset 2^-{j} pushes lam below zero")
-        m = whole_line_mode(a, b, c, lam, w1_hat, t)
+        m = whole_line_mode(a, b, c, lam, 1.0, t)
         rows.append(SingularityRow(j, lam, m.r_plus, m.r_minus,
                                    m.log_abs_first, m.log_abs_second, m.flag))
     return rows
@@ -394,14 +397,14 @@ def singularity_scan(a: float, b: float, c: float, t: float, j_values,
 
 def propagation_burst(p: ParameterSet, basis: BasisDescriptor, g, T: float,
                       n_values, subregion: tuple[float, float],
-                      quad_step: float | None = None,
-                      mass_grid: int = 2049) -> list[PropagationRow]:
+                      quad_step: float | None = None) -> list[PropagationRow]:
     """Drive zero data with sharpening bursts and measure interior arrival.
 
     For each n the boundary signal is f_n(t) = (1/n) e^{-n (T-t)} (so
     f_n'(T) = 1 exactly); the rate field theta'(T) is reconstructed on the
     subregion and its squared mass compared with that of the lift D g, the
-    n -> infinity limit.  The subregion must be strictly interior.
+    n -> infinity limit, both by Simpson's rule on MASS_GRID points.  The
+    subregion must be strictly interior.
     """
     if basis.dimension != 1:
         raise ValueError("propagation experiment runs on an interval")
@@ -409,14 +412,12 @@ def propagation_burst(p: ParameterSet, basis: BasisDescriptor, g, T: float,
     lo, hi = subregion
     if not (0.0 < lo < hi < L):
         raise ValueError("subregion must be strictly interior to (0, L)")
-    if mass_grid < 3 or mass_grid % 2 == 0:
-        raise ValueError("mass_grid must be an odd count >= 3")
     blocks = build_blocks(p, basis, g)
     if not np.any(blocks.d):
         raise ValueError("boundary datum lifts to zero; nothing propagates")
     u, _ = dirichlet_map_interval(p.c, L, g, truncation=basis.truncation)
-    grid = np.linspace(lo, hi, mass_grid)
-    h = (hi - lo) / (mass_grid - 1)
+    grid = np.linspace(lo, hi, MASS_GRID)
+    h = (hi - lo) / (MASS_GRID - 1)
     target = simpson(np.asarray(u(grid)) ** 2, h)
     step = (T / 4096.0) if quad_step is None else quad_step
     theta0 = zero_field(basis)

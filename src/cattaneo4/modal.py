@@ -19,6 +19,12 @@ theta_n(t) = alpha exp(-(b lam2 / a) t).
 Root formulas are arranged to avoid cancellation: r_plus is computed as
 -2 b lam2 / (a + delta), which is exact in the limit delta -> a where the
 naive (-a + delta) form loses all digits.
+
+A solved mode is one ``ModalSolution(roots, alpha, beta)``; ``roots.kind``
+names the regime ('real_distinct', 'double', 'complex_pair' or
+'first_order').  The two gates are constants: a mode is first order when
+|1 - c lam2| <= DEGENERATE_TOL max(1, c lam2), and its data are compatible
+when |beta - rate alpha| <= COMPAT_TOL max(1, |rate|) |alpha|.
 """
 
 from __future__ import annotations
@@ -30,6 +36,11 @@ import numpy as np
 
 from .errors import DegenerateModeError, UnsolvableModeError
 from .util import LOG_SATURATION, exp_term, scaled_exp
+
+# Relative width of the degeneracy gate on |1 - c lam2| (see is_degenerate).
+DEGENERATE_TOL = 1e-12
+# Relative tolerance of the product-form compatibility test (see _compatible).
+COMPAT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -118,9 +129,12 @@ class CompatibilityReport:
 
 @dataclass(frozen=True)
 class CharacteristicRoots:
-    """Roots of the per-mode characteristic polynomial, tagged by regime."""
+    """Roots of the per-mode characteristic polynomial, tagged by regime.
 
-    kind: str  # 'real_distinct' | 'double' | 'complex_pair'
+    A first-order mode has the one root mu_plus = mu_minus = rate.
+    """
+
+    kind: str  # 'real_distinct' | 'double' | 'complex_pair' | 'first_order'
     mu_plus: complex
     mu_minus: complex
 
@@ -142,43 +156,15 @@ class CharacteristicRoots:
 
 
 @dataclass(frozen=True)
-class RealDistinct:
-    """Real distinct roots r_plus, r_minus with the data theta(0), theta'(0)."""
+class ModalSolution:
+    """One mode: its roots and the data theta(0) = alpha, theta'(0) = beta.
 
-    r_plus: float
-    r_minus: float
+    A first-order mode follows alpha exp(rate t), so its beta is rate alpha.
+    """
+
+    roots: CharacteristicRoots
     alpha: float
     beta: float
-
-
-@dataclass(frozen=True)
-class ComplexPair:
-    """Complex roots decay +/- i frequency with the data theta(0), theta'(0)."""
-
-    decay: float
-    frequency: float
-    alpha: float
-    beta: float
-
-
-@dataclass(frozen=True)
-class DoubleRoot:
-    """Double root r with the data theta(0), theta'(0)."""
-
-    r: float
-    alpha: float
-    beta: float
-
-
-@dataclass(frozen=True)
-class FirstOrder:
-    """Degenerate mode: theta(t) = alpha exp(rate t), rate = -(b/a) lam2."""
-
-    alpha: float
-    rate: float
-
-
-ModalSolution = RealDistinct | ComplexPair | DoubleRoot | FirstOrder
 
 
 @dataclass(frozen=True)
@@ -197,16 +183,26 @@ def mode_ode_coefficients(p: ParameterSet, lambda_sq: float) -> tuple[float, flo
     return 1.0 - p.c * lambda_sq, p.a, p.b * lambda_sq
 
 
-def is_degenerate(c: float, lambda_sq, tol_degenerate: float | None = None):
-    """Whether |1 - c lam2| falls inside the degeneracy gate, elementwise.
+def is_degenerate(c: float, lambda_sq):
+    """Whether |1 - c lam2| <= DEGENERATE_TOL max(1, c lam2), elementwise.
 
-    The gate is ``tol_degenerate``, by default 1e-12 max(1, c lam2); a mode
-    inside it is first order.  ``solve_mode``, ``evolve_modes`` and
-    ``solver.check_wellposed`` all decide with this one test.
+    A mode inside the gate is first order.  ``solve_mode``, ``evolve_modes``,
+    ``solver.check_wellposed`` and ``experiments.limit1_scan`` all decide
+    with this one test.
     """
     c_lam = c * np.asarray(lambda_sq, dtype=float)
-    tol = 1e-12 * np.maximum(1.0, c_lam) if tol_degenerate is None else tol_degenerate
-    return np.abs(1.0 - c_lam) <= tol
+    return np.abs(1.0 - c_lam) <= DEGENERATE_TOL * np.maximum(1.0, c_lam)
+
+
+def _compatible(rate, alpha, beta):
+    """The compatibility condition beta = rate alpha in product form,
+    |beta - rate alpha| <= COMPAT_TOL max(1, |rate|) |alpha|, elementwise.
+
+    A subnormal alpha, whose quotient beta/alpha loses its digits, is judged
+    as accurately as the product allows; alpha = 0 needs beta = 0 exactly.
+    """
+    return (np.abs(beta - rate * alpha)
+            <= COMPAT_TOL * np.maximum(1.0, np.abs(rate)) * np.abs(alpha))
 
 
 def discriminant_delta(p: ParameterSet, lambda_sq: float) -> float:
@@ -249,26 +245,24 @@ def second_order_roots(leading, damping, stiffness):
     return delta_sq, delta, r_plus, r_minus
 
 
-def _pair(leading, damping, stiffness):
-    """(r_plus, r_minus, freq): real roots with freq = 0, or the complex pair
+def _roots(leading, damping, stiffness):
+    """``(delta_sq, r_plus, r_minus, freq)`` of leading r^2 + damping r +
+    stiffness = 0, elementwise: real roots with freq = 0, or the complex pair
     r_plus +/- i freq with r_plus == r_minus and freq > 0."""
     delta_sq, delta, r_plus, r_minus = second_order_roots(leading, damping, stiffness)
     with np.errstate(divide="ignore", invalid="ignore"):
         freq = np.where(delta_sq < 0.0, delta / np.abs(2.0 * leading), 0.0)
-    return r_plus, r_minus, freq
+    return delta_sq, r_plus, r_minus, freq
 
 
-def _roots_second_order(leading: float, damping: float, stiffness: float) -> CharacteristicRoots:
-    """Typed roots of leading r^2 + damping r + stiffness = 0, damping > 0."""
-    delta_sq, delta, r_plus, r_minus = (
-        float(v) for v in second_order_roots(leading, damping, stiffness))
-    if delta_sq > 0.0:
-        return CharacteristicRoots("real_distinct", complex(r_plus), complex(r_minus))
-    if delta_sq == 0.0:
-        return CharacteristicRoots("double", complex(r_plus), complex(r_plus))
-    freq = delta / abs(2.0 * leading)  # as in _pair
-    return CharacteristicRoots("complex_pair", complex(r_plus, freq),
-                               complex(r_plus, -freq))
+def _typed_roots(leading: float, damping: float, stiffness: float) -> CharacteristicRoots:
+    """``_roots`` of one second-order mode, tagged by the sign of delta_sq."""
+    delta_sq, r_plus, r_minus, freq = (float(v) for v in _roots(leading, damping, stiffness))
+    if delta_sq < 0.0:
+        return CharacteristicRoots("complex_pair", complex(r_plus, freq),
+                                   complex(r_minus, -freq))
+    kind = "real_distinct" if delta_sq > 0.0 else "double"
+    return CharacteristicRoots(kind, complex(r_plus), complex(r_minus))
 
 
 def _factors(r_plus, r_minus, freq, tau):
@@ -317,13 +311,13 @@ def propagator(h, k, tau):
     Arguments broadcast; after Moler & Van Loan, SIAM Rev. 45 (2003).
     """
     h = np.asarray(h, dtype=float)
-    phi0, phi1, log_scale = _factors(*_pair(1.0, h, -np.asarray(k, dtype=float)),
+    phi0, phi1, log_scale = _factors(*_roots(1.0, h, -np.asarray(k, dtype=float))[1:],
                                      np.asarray(tau, dtype=float))
     return phi0, phi1, log_scale, log_scale > LOG_SATURATION
 
 
 def _state(r_plus, r_minus, freq, alpha, beta, t):
-    """(theta, theta', saturated) at t from (alpha, beta) for roots from ``_pair``.
+    """(theta, theta', saturated) at t from (alpha, beta) for roots from ``_roots``.
 
     W(t) = exp(A t) W(0) with A = [[0, 1], [-r_plus r_minus, r_plus + r_minus]]
     (for a complex pair r_plus r_minus = decay^2 + freq^2); values beyond the
@@ -357,68 +351,56 @@ def _digits_kept(v) -> bool:
                 and np.max(mag, initial=0.0) < np.inf)
 
 
-def characteristic_roots(p: ParameterSet, lambda_sq: float,
-                         tol_degenerate: float | None = None) -> CharacteristicRoots:
+def characteristic_roots(p: ParameterSet, lambda_sq: float) -> CharacteristicRoots:
     """Characteristic roots of the per-mode ODE at lambda_sq.
 
     Raises DegenerateModeError when |1 - c lam2| falls inside the degeneracy
     gate; that mode is first order and belongs to ``solve_mode``.
     """
     leading, damping, stiffness = mode_ode_coefficients(p, lambda_sq)
-    if is_degenerate(p.c, lambda_sq, tol_degenerate):
+    if is_degenerate(p.c, lambda_sq):
         raise DegenerateModeError(
             f"mode with lambda_sq={lambda_sq} is degenerate (1 - c lam2 = {leading:.3e}); "
             "use solve_mode for the first-order branch")
-    return _roots_second_order(leading, damping, stiffness)
+    return _typed_roots(leading, damping, stiffness)
 
 
 def compatibility_report(p: ParameterSet, lambda_sq: float,
-                         data: ModalInitialData, mode_index: int | None = None,
-                         tolerance: float = 1e-9) -> CompatibilityReport:
-    """Check beta/alpha = -(b/a) lam2 for a degenerate mode.
+                         data: ModalInitialData,
+                         mode_index: int | None = None) -> CompatibilityReport:
+    """Check beta/alpha = -(b/a) lam2 for a degenerate mode (``_compatible``).
 
-    The comparison is made in product form,
-    |beta - required alpha| <= tolerance max(1, |required|) |alpha|, so a
-    subnormal alpha, whose quotient beta/alpha loses its digits, is judged
-    as accurately as the product allows.  With alpha = 0 the condition
-    collapses to beta = 0 (only the zero solution survives), checked exactly.
+    ``actual_ratio`` is None for alpha = 0, where only beta = 0 passes.
     """
     required = -(p.b * lambda_sq) / p.a
-    if data.alpha == 0.0:
-        return CompatibilityReport(required, None, data.beta == 0.0,
-                                   tolerance, mode_index)
-    actual = data.beta / data.alpha
-    ok = (abs(data.beta - required * data.alpha)
-          <= tolerance * max(1.0, abs(required)) * abs(data.alpha))
-    return CompatibilityReport(required, actual, ok, tolerance, mode_index)
+    actual = None if data.alpha == 0.0 else data.beta / data.alpha
+    ok = bool(_compatible(required, data.alpha, data.beta))
+    return CompatibilityReport(required, actual, ok, COMPAT_TOL, mode_index)
 
 
 def solve_mode(p: ParameterSet, lambda_sq: float,
                data: ModalInitialData | tuple[float, float],
-               mode_index: int | None = None,
-               tol_degenerate: float | None = None,
-               compat_tol: float = 1e-9) -> ModalSolution:
+               mode_index: int | None = None) -> ModalSolution:
     """Closed-form solution of one mode from its initial data.
 
-    Dispatches on the discriminant sign; degenerate modes go through the
-    compatibility check and either return the first-order decay or raise
-    UnsolvableModeError carrying the report.
+    Degenerate modes go through the compatibility check and either return
+    the first-order decay or raise UnsolvableModeError carrying the report.
     """
     if not isinstance(data, ModalInitialData):
         data = ModalInitialData(*data)
     leading, damping, stiffness = mode_ode_coefficients(p, lambda_sq)
-    if is_degenerate(p.c, lambda_sq, tol_degenerate):
-        report = compatibility_report(p, lambda_sq, data, mode_index, compat_tol)
+    if is_degenerate(p.c, lambda_sq):
+        report = compatibility_report(p, lambda_sq, data, mode_index)
         if not report.satisfied:
-            actual = (None if report.actual_ratio is None
-                      else float(report.actual_ratio))
             raise UnsolvableModeError(
                 f"degenerate mode {mode_index if mode_index is not None else '?'} "
-                f"violates compatibility: beta/alpha = {actual}, "
-                f"required {float(report.required_ratio)}",
+                f"violates compatibility: beta/alpha = {report.actual_ratio}, "
+                f"required {report.required_ratio}",
                 mode_index=mode_index, report=report)
-        return FirstOrder(alpha=data.alpha, rate=report.required_ratio)
-    return _solve_from_roots(_roots_second_order(leading, damping, stiffness), data)
+        rate = report.required_ratio
+        return ModalSolution(CharacteristicRoots("first_order", complex(rate), complex(rate)),
+                             data.alpha, rate * data.alpha)
+    return ModalSolution(_typed_roots(leading, damping, stiffness), data.alpha, data.beta)
 
 
 def solve_second_order(leading: float, damping: float, stiffness: float,
@@ -434,23 +416,7 @@ def solve_second_order(leading: float, damping: float, stiffness: float,
         raise DegenerateModeError("leading coefficient is zero; first-order problem")
     if not damping > 0.0 or not stiffness > 0.0:
         raise ValueError("damping and stiffness must be positive")
-    return _solve_from_roots(_roots_second_order(leading, damping, stiffness), data)
-
-
-def _solve_from_roots(roots: CharacteristicRoots, data: ModalInitialData) -> ModalSolution:
-    if roots.kind == "real_distinct":
-        return RealDistinct(roots.r_plus, roots.r_minus, data.alpha, data.beta)
-    if roots.kind == "double":
-        return DoubleRoot(roots.r_plus, data.alpha, data.beta)
-    return ComplexPair(roots.decay, roots.frequency, data.alpha, data.beta)
-
-
-def _solution_roots(sol: ModalSolution) -> tuple[float, float, float]:
-    if isinstance(sol, RealDistinct):
-        return sol.r_plus, sol.r_minus, 0.0
-    if isinstance(sol, DoubleRoot):
-        return sol.r, sol.r, 0.0
-    return sol.decay, sol.decay, sol.frequency
+    return ModalSolution(_typed_roots(leading, damping, stiffness), data.alpha, data.beta)
 
 
 def eval_mode(sol: ModalSolution, t: float) -> ModeValue:
@@ -463,21 +429,18 @@ def eval_mode(sol: ModalSolution, t: float) -> ModeValue:
     """
     if not math.isfinite(t):
         raise ValueError("t must be finite")
-    if isinstance(sol, FirstOrder):
-        if t == 0.0:
-            return ModeValue(sol.alpha, sol.rate * sol.alpha)
-        v, s1 = exp_term(sol.alpha, sol.rate, t)
-        d, s2 = exp_term(sol.alpha * sol.rate, sol.rate, t)
-        return ModeValue(v, d, s1 or s2)
     if t == 0.0:
         return ModeValue(sol.alpha, sol.beta)
-    v, d, sat = _state(*_solution_roots(sol), sol.alpha, sol.beta, t)
+    roots = sol.roots
+    if roots.kind == "first_order":
+        v, s1 = exp_term(sol.alpha, roots.r_plus, t)
+        d, s2 = exp_term(sol.beta, roots.r_plus, t)
+        return ModeValue(v, d, s1 or s2)
+    v, d, sat = _state(roots.r_plus, roots.r_minus, roots.frequency, sol.alpha, sol.beta, t)
     return ModeValue(float(v), float(d), bool(sat))
 
 
-def evolve_modes(p: ParameterSet, lambda_sq, alpha, beta, t: float,
-                 tol_degenerate: float | None = None,
-                 compat_tol: float = 1e-9):
+def evolve_modes(p: ParameterSet, lambda_sq, alpha, beta, t: float):
     """``solve_mode`` + ``eval_mode`` over arrays of modes in one pass.
 
     Returns ``(theta, theta', saturated)`` arrays at time t, equal mode by
@@ -490,22 +453,18 @@ def evolve_modes(p: ParameterSet, lambda_sq, alpha, beta, t: float,
     beta = np.asarray(beta, dtype=float)
     leading = 1.0 - p.c * lam
     stiffness = p.b * lam
-    degenerate = is_degenerate(p.c, lam, tol_degenerate)
+    degenerate = is_degenerate(p.c, lam)
     rate = -stiffness / p.a
     if np.any(degenerate):
-        # the product form of compatibility_report; alpha = 0 needs beta = 0
-        bad = degenerate & ~(np.abs(beta - rate * alpha)
-                             <= compat_tol * np.maximum(1.0, np.abs(rate)) * np.abs(alpha))
+        bad = degenerate & ~_compatible(rate, alpha, beta)
         if np.any(bad):
             i = int(np.argmax(bad))
-            solve_mode(p, float(lam[i]), (float(alpha[i]), float(beta[i])),
-                       mode_index=i + 1, tol_degenerate=tol_degenerate,
-                       compat_tol=compat_tol)
+            solve_mode(p, float(lam[i]), (float(alpha[i]), float(beta[i])), mode_index=i + 1)
     if t == 0.0:
         return (alpha.copy(), np.where(degenerate, rate * alpha, beta),
                 np.zeros(lam.shape, dtype=bool))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        value, deriv, sat = _state(*_pair(leading, p.a, stiffness), alpha, beta, t)
+        value, deriv, sat = _state(*_roots(leading, p.a, stiffness)[1:], alpha, beta, t)
     if np.any(degenerate):
         v1, s1 = scaled_exp(alpha, rate * t)
         d1, s2 = scaled_exp(alpha * rate, rate * t)

@@ -93,8 +93,16 @@ def _check_axis(x: np.ndarray, L: float, min_pts: int):
     return h
 
 
+def _fsum(row) -> float:
+    """math.fsum, with nan where infinities of both signs meet (fsum raises)."""
+    try:
+        return math.fsum(row)
+    except ValueError:  # -inf + inf
+        return math.nan
+
+
 def _fsum_rows(mat: np.ndarray) -> np.ndarray:
-    return np.array([math.fsum(row) for row in mat])
+    return np.array([_fsum(row) for row in mat])
 
 
 def _sines(n, L: float, x):
@@ -169,9 +177,7 @@ def check_wellposed(c_value: float, basis: BasisDescriptor,
 
 
 def evolve_homogeneous(p: ParameterSet, theta0: Field, theta1: Field, t: float,
-                       override_exceptional: bool = False,
-                       tol_degenerate: float | None = None,
-                       compat_tol: float = 1e-9) -> tuple[Field, Field]:
+                       override_exceptional: bool = False) -> tuple[Field, Field]:
     """Evolve initial data (theta0, theta1) by time t with zero boundary values.
 
     With c in the exceptional set the problem is ill posed for generic data
@@ -193,9 +199,7 @@ def evolve_homogeneous(p: ParameterSet, theta0: Field, theta1: Field, t: float,
             "pass override_exceptional=True only with compatible data",
             value=p.c, nearest=report.nearest)
     vals, derivs, sat = evolve_modes(p, spectrum(basis).lambda_sq,
-                                     theta0.coefficients, theta1.coefficients, t,
-                                     tol_degenerate=tol_degenerate,
-                                     compat_tol=compat_tol)
+                                     theta0.coefficients, theta1.coefficients, t)
     return Field(basis, vals, sat.copy()), Field(basis, derivs, sat.copy())
 
 
@@ -248,12 +252,14 @@ def reconstruct(f: Field, points) -> np.ndarray:
     """Evaluate the field at physical points.
 
     Points are an array of abscissae on an interval, or an (npts, d) array
-    on a box; all must lie inside the closed domain.  When the points are
-    the C-order tensor grid of x_j = j L/M per axis (see ``_grid_counts``),
-    every mode index is below M on its axis and the coefficients are finite,
-    the values come from one DST-I per axis, O(npts log npts), and are
-    exactly 0 on the boundary.  Any other point set accumulates over modes
-    in ascending index order with compensated summation, O(N npts).
+    on a box; all must be finite and lie inside the closed domain.  When the
+    points are the C-order tensor grid of x_j = j L/M per axis (see
+    ``_grid_counts``), every mode index is below M on its axis and the
+    coefficients are finite, the values come from one DST-I per axis,
+    O(npts log npts), and are exactly 0 on the boundary.  Any other point set
+    accumulates over modes in ascending index order with compensated
+    summation, O(N npts); a point where saturated coefficients of both signs
+    meet gets nan.
     """
     idx = spectrum(f.basis).multi_index
     pts = np.asarray(points, dtype=float)
@@ -261,6 +267,8 @@ def reconstruct(f: Field, points) -> np.ndarray:
         pts = pts.reshape(-1, 1)
     if pts.ndim != 2 or pts.shape[1] != f.basis.dimension:
         raise ValueError("box evaluation points must have shape (npts, d)")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("evaluation points must be finite")
     for ax, L in enumerate(f.basis.lengths):
         if np.any(pts[:, ax] < -1e-12) or np.any(pts[:, ax] > L * (1 + 1e-12)):
             raise ValueError("evaluation points outside the domain")

@@ -13,9 +13,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from cattaneo4 import (BasisDescriptor, BoundarySignal, ComplexPair,
-                       DoubleRoot, ExceptionalParameterError, Field,
-                       FirstOrder, OdeProblem, ParameterSet, RealDistinct,
+from cattaneo4 import (BasisDescriptor, BoundarySignal, ExceptionalParameterError,
+                       Field, OdeProblem, ParameterSet,
                        UnsolvableModeError, basis_field, build_blocks,
                        characteristic_roots, dirichlet_map_interval,
                        eval_mode, evolve_homogeneous, evolve_with_boundary,
@@ -49,7 +48,7 @@ def test_criterion_01_compatibility_dichotomy():
     worst = 0.0
     for alpha in (1.0, -0.7, 0.05):
         sol = solve_mode(p, lam_sq, (alpha, required * alpha), mode_index=2)
-        assert isinstance(sol, FirstOrder)
+        assert sol.roots.kind == "first_order"
         for t in np.linspace(0.0, 2.0, 10):
             want = alpha * math.exp(-(b * lam_sq / a) * t)
             got = eval_mode(sol, float(t)).value
@@ -85,16 +84,16 @@ def test_criterion_02_closed_form_vs_ode_oracle():
         p = ParameterSet(a_v, b_v, c_v)
         alpha, beta = rng.normal(size=2)
         sol = solve_mode(p, lam_sq, (alpha, beta))
-        if isinstance(sol, DoubleRoot):
+        if sol.roots.kind == "double":
             counts["double"] += 1
-            rate = abs(sol.r)
-        elif isinstance(sol, ComplexPair):
+            rate = abs(sol.roots.r_plus)
+        elif sol.roots.kind == "complex_pair":
             counts["complex"] += 1
-            rate = abs(sol.decay)
+            rate = abs(sol.roots.decay)
         else:
-            assert isinstance(sol, RealDistinct)
+            assert sol.roots.kind == "real_distinct"
             counts["real"] += 1
-            rate = max(abs(sol.r_plus), abs(sol.r_minus))
+            rate = max(abs(sol.roots.r_plus), abs(sol.roots.r_minus))
         t = rng.uniform(0.0, min(1.0, 20.0 / max(rate, 1.0)))
         mv = eval_mode(sol, t)
         amp = abs(alpha) + abs(beta)

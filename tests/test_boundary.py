@@ -61,6 +61,15 @@ def test_datum_validation():
         DirichletDatum((1.0,)).interval_pair()
     with pytest.raises(ValueError):
         DirichletDatum((1.0, math.nan)).interval_pair()
+    # a plain pair is read as DirichletDatum.interval, non-finite values too
+    p, basis = ParameterSet(3.0, 1.0, 0.5), interval_basis(8)
+    assert np.array_equal(build_blocks(p, basis, (1.0, -2)).d,
+                          build_blocks(p, basis, g).d)
+    for bad in ((math.inf, 0.0), (math.nan, 0.0), (0.0, -math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            build_blocks(p, basis, bad)
+        with pytest.raises(ValueError, match="finite"):
+            dirichlet_map_interval(0.5, PI, bad)
 
 
 # ----------------------------------------------------------- Dirichlet map

@@ -113,6 +113,11 @@ def test_exit_codes(tmp_path):
                "--out", str(tmp_path / "z.csv")])
     assert rc == 0  # offset 1 clears the singular frequency
     assert main(["nosuchcommand"]) == 1
+    # non-finite boundary value
+    rc = main(["boundary", "--a", "3", "--b", "1", "--c", "0.5", "--N", "8",
+               "--g0", "inf", "--g1", "0", "--T", "1", "--t", "1",
+               "--out", str(tmp_path / "w.csv")])
+    assert rc == 1
 
 
 def test_solve_writes_values(tmp_path):

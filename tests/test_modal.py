@@ -13,8 +13,7 @@ from cattaneo4 import (CompatibilityReport, DegenerateModeError,
                        compatibility_report, eval_mode, evolve_modes,
                        integrate_mode, propagator, solve_mode,
                        solve_mode_reference, solve_second_order)
-from cattaneo4.modal import (ComplexPair, DoubleRoot, FirstOrder, RealDistinct,
-                             discriminant_delta, mode_ode_coefficients)
+from cattaneo4.modal import discriminant_delta, mode_ode_coefficients
 
 
 def complex_two_exp(leading, damping, stiffness, alpha, beta, t):
@@ -104,8 +103,8 @@ def test_sigma_form_and_normalized_form_agree():
     sol_raw = solve_second_order(-1.25, 2.0, 1.0, (1.0, -0.5))
     p = ParameterSet.from_physical(chi=2.0, sigma=5.0, gamma_rho=4.0)
     sol_map = solve_mode(p, 1.0, (1.0, -0.5))
-    assert isinstance(sol_raw, RealDistinct) and isinstance(sol_map, RealDistinct)
-    assert sol_raw.r_minus == sol_map.r_minus == 2.0
+    assert sol_raw.roots.kind == sol_map.roots.kind == "real_distinct"
+    assert sol_raw.roots.r_minus == sol_map.roots.r_minus == 2.0
     for t in (0.0, 0.3, 1.1):
         assert eval_mode(sol_raw, t).value == \
             pytest.approx(eval_mode(sol_map, t).value, rel=1e-14)
@@ -124,7 +123,7 @@ def test_real_distinct_against_linear_solve():
 def test_complex_pair_against_linear_solve():
     p = ParameterSet(1.0, 1.0, 0.05)
     sol = solve_mode(p, 4.0, (0.7, -0.3))
-    assert isinstance(sol, ComplexPair)
+    assert sol.roots.kind == "complex_pair"
     for t in (0.2, 1.0, 3.0):
         want_v, want_d = complex_two_exp(0.8, 1.0, 4.0, 0.7, -0.3, t)
         got = eval_mode(sol, t)
@@ -135,7 +134,7 @@ def test_complex_pair_against_linear_solve():
 def test_double_root_closed_form():
     # (A + B t) e^{-2t} with A = alpha, B = beta + 2 alpha
     sol = solve_mode(ParameterSet(1.0, 1.0, 0.75), 1.0, (1.0, 0.5))
-    assert isinstance(sol, DoubleRoot)
+    assert sol.roots.kind == "double"
     for t in (0.0, 0.4, 2.5):
         want = (1.0 + (0.5 + 2.0) * t) * math.exp(-2.0 * t)
         assert eval_mode(sol, t).value == pytest.approx(want, rel=1e-14)
@@ -158,8 +157,8 @@ def test_degenerate_dispatch_and_compatibility():
     assert rep.satisfied and rep.actual_ratio == required
 
     sol = solve_mode(p, 4.0, (1.0, required))
-    assert isinstance(sol, FirstOrder)
-    assert sol.rate == required
+    assert sol.roots.kind == "first_order"
+    assert sol.roots.r_plus == required
     mv = eval_mode(sol, 0.5)
     assert mv.value == pytest.approx(math.exp(required * 0.5), rel=1e-15)
 
@@ -180,9 +179,9 @@ def test_near_degenerate_stays_second_order():
     eps = 1e-9
     p = ParameterSet(1.0, 1.0, (1.0 - eps) / 4.0)
     sol = solve_mode(p, 4.0, (1.0, 0.0))
-    assert isinstance(sol, RealDistinct)
+    assert sol.roots.kind == "real_distinct"
     # slow root approaches the first-order rate -b lam2 / a
-    assert sol.r_plus == pytest.approx(-4.0, rel=1e-6)
+    assert sol.roots.r_plus == pytest.approx(-4.0, rel=1e-6)
 
 
 def test_eval_saturation_flags():
@@ -190,7 +189,7 @@ def test_eval_saturation_flags():
     eps = -1e-6
     p = ParameterSet(1.0, 1.0, (1.0 - eps) / 4.0)
     sol = solve_mode(p, 4.0, (1.0, 0.0))
-    assert isinstance(sol, RealDistinct) and sol.r_minus > 1e5
+    assert sol.roots.kind == "real_distinct" and sol.roots.r_minus > 1e5
     mv = eval_mode(sol, 1.0)
     assert mv.saturated
     assert math.isinf(mv.value) and math.isinf(mv.derivative)
@@ -213,9 +212,9 @@ def test_heat_reference_value():
 def test_telegraph_reference_roots_and_limit():
     # tau=1, kappa lam2=1: mu^2 + mu + 1 = 0 -> (-1 +- i sqrt3)/2
     sol = solve_second_order(1.0, 1.0, 1.0, (1.0, 0.0))
-    assert isinstance(sol, ComplexPair)
-    assert sol.decay == pytest.approx(-0.5, rel=1e-15)
-    assert sol.frequency == pytest.approx(math.sqrt(3.0) / 2.0, rel=1e-14)
+    assert sol.roots.kind == "complex_pair"
+    assert sol.roots.decay == pytest.approx(-0.5, rel=1e-15)
+    assert sol.roots.frequency == pytest.approx(math.sqrt(3.0) / 2.0, rel=1e-14)
     got = solve_mode_reference("telegraph", lambda_sq=1.0, t=0.7, tau=1.0,
                                kappa=1.0, alpha=1.0, beta=0.0)
     assert got == pytest.approx(eval_mode(sol, 0.7).value, rel=1e-14)
@@ -291,7 +290,7 @@ def test_compatibility_dichotomy(lam2, alpha, compat):
     beta = required * alpha if compat else required * alpha + 0.5
     if compat:
         sol = solve_mode(p, lam2, (alpha, beta))
-        assert isinstance(sol, FirstOrder)
+        assert sol.roots.kind == "first_order"
     else:
         with pytest.raises(UnsolvableModeError):
             solve_mode(p, lam2, (alpha, beta))
@@ -458,7 +457,7 @@ def test_vectorized_modes_match_scalar_path():
     for i in range(8):
         mv = eval_mode(solve_mode(p, lam2[i], (alpha[i], beta_c[i])), 0.9)
         assert (v[i], d[i], bool(s[i])) == (mv.value, mv.derivative, mv.saturated)
-    assert isinstance(solve_mode(p, lam2[3], (alpha[3], beta_c[3])), FirstOrder)
+    assert solve_mode(p, lam2[3], (alpha[3], beta_c[3])).roots.kind == "first_order"
     with pytest.raises(UnsolvableModeError) as err:
         evolve_modes(p, lam2[:8], alpha[:8], beta[:8], 0.9)
     assert err.value.mode_index == 4

@@ -410,13 +410,14 @@ def test_reconstruct_grid_within_tolerance_takes_transform(monkeypatch):
 
 
 def test_nan_abscissa_is_not_a_grid_node(monkeypatch):
-    # every comparison with nan is False; the grid test must still fail it
+    # every comparison with nan is False, so the domain check alone would let
+    # it through; both directions reject it
     calls = spy_on_transform(monkeypatch)
     basis = interval_basis(10)
     xs = np.linspace(0.0, PI, 41)
     xs[5] = math.nan
-    vals = reconstruct(basis_field(basis, 3), xs)
-    assert math.isnan(vals[5]) and np.isfinite(np.delete(vals, 5)).all()
+    with pytest.raises(ValueError, match="finite"):
+        reconstruct(basis_field(basis, 3), xs)
     assert calls == []
     with pytest.raises(ValueError, match="finite"):
         project_samples((xs, np.sin(3 * np.linspace(0.0, PI, 41))), basis)
@@ -432,4 +433,8 @@ def test_reconstruct_saturated_field_takes_fsum(monkeypatch):
     with np.errstate(invalid="ignore"):  # 0 * inf at x = 0
         vals = reconstruct(f, np.linspace(0.0, PI, 17))
     assert math.isnan(vals[0]) and (vals[1:-1] == math.inf).all()
+    # infinities of both signs meet at x = 0.5: nan, as 0 * inf gives at x = 0
+    g = Field(basis, np.array([math.inf, -math.inf, 0.0, 0.0]),
+              np.array([True, True, False, False]))
+    assert math.isnan(reconstruct(g, [0.5])[0])
     assert calls == []
