@@ -12,9 +12,9 @@ degenerates; those values form the exceptional set that most of this
 package is built around detecting, avoiding, or deliberately approaching.
 """
 
-from .boundary import (BoundaryOperator, BoundarySignal, DirichletDatum,
-                       MildSolutionReport, build_blocks, dirichlet_map_interval,
-                       evolve_with_boundary, mild_solution_check)
+from .boundary import (BoundaryOperator, BoundarySignal, MildSolutionReport,
+                       build_blocks, dirichlet_map_interval, evolve_with_boundary,
+                       mild_solution_check)
 from .errors import (DegenerateModeError, DiscreteExceptionalError,
                      ExceptionalParameterError, SingularParameterError,
                      StiffnessError, UnsolvableModeError)
@@ -24,39 +24,34 @@ from .experiments import (first_crossing, heat_comparison, limit1_reference,
 from .modal import (CharacteristicRoots, CompatibilityReport, ModalInitialData,
                     ModalSolution, ModeValue, ParameterSet, characteristic_roots,
                     compatibility_report, eval_mode, evolve_modes, propagator,
-                    second_order_roots, solve_mode, solve_mode_reference,
-                    solve_second_order)
+                    reference_heat_mode, reference_telegraph_mode,
+                    second_order_roots, solve_mode, solve_second_order)
 from .oracle import (GridSolution, ModeTrajectory, OdeProblem, fd_solve,
-                     integrate_mode, integrate_mode_batch, quad_integrate)
+                     integrate_mode, integrate_mode_batch)
 from .solver import (Field, WellPosednessReport, basis_field, check_wellposed,
                      evolve_homogeneous, field_norm, project_samples,
                      reconstruct, zero_field)
-from .spectrum import (BasisDescriptor, EigenMode, ExceptionalSet, Spectrum,
-                       box_modes, distance_to_exceptional, exceptional_for_c,
-                       exceptional_for_sigma, interval_modes, modes_for,
-                       weyl_exponent_fit)
+from .spectrum import BasisDescriptor, Spectrum, weyl_exponent_fit
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BasisDescriptor", "BoundaryOperator", "BoundarySignal", "CharacteristicRoots",
-    "CompatibilityReport", "DegenerateModeError",
-    "DirichletDatum", "DiscreteExceptionalError", "EigenMode",
-    "ExceptionalParameterError", "ExceptionalSet", "Field",
+    "CompatibilityReport", "DegenerateModeError", "DiscreteExceptionalError",
+    "ExceptionalParameterError", "Field",
     "GridSolution", "MildSolutionReport", "ModalInitialData", "ModalSolution",
     "ModeTrajectory", "ModeValue", "OdeProblem", "ParameterSet",
     "SingularParameterError", "Spectrum",
     "StiffnessError", "UnsolvableModeError", "WellPosednessReport",
-    "basis_field", "box_modes", "build_blocks", "characteristic_roots",
+    "basis_field", "build_blocks", "characteristic_roots",
     "check_wellposed", "compatibility_report", "dirichlet_map_interval",
-    "distance_to_exceptional", "eval_mode", "evolve_homogeneous", "evolve_modes",
-    "evolve_with_boundary", "exceptional_for_c", "exceptional_for_sigma",
+    "eval_mode", "evolve_homogeneous", "evolve_modes", "evolve_with_boundary",
     "fd_solve", "field_norm", "first_crossing", "heat_comparison",
-    "integrate_mode", "integrate_mode_batch", "interval_modes",
+    "integrate_mode", "integrate_mode_batch",
     "limit1_reference", "limit1_scan", "limit2_scan", "limit3_scan",
-    "mild_solution_check", "modes_for", "project_samples",
-    "propagation_burst", "propagator", "quad_integrate", "reconstruct",
-    "second_order_roots", "singularity_scan",
-    "solve_mode", "solve_mode_reference", "solve_second_order",
+    "mild_solution_check", "project_samples",
+    "propagation_burst", "propagator", "reconstruct",
+    "reference_heat_mode", "reference_telegraph_mode",
+    "second_order_roots", "singularity_scan", "solve_mode", "solve_second_order",
     "weyl_exponent_fit", "whole_line_mode", "zero_field",
 ]

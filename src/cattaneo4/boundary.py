@@ -30,6 +30,7 @@ implemented.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,26 +49,6 @@ MODE_BLOCK = 32
 FD_STEP = 1e-3
 C2_TOL = 1e-5
 RELATION_TOL = 1e-7
-
-
-@dataclass(frozen=True)
-class DirichletDatum:
-    """Boundary values: an interval pair (g0, g1), or per-face sequences on a box."""
-
-    values: tuple
-
-    @classmethod
-    def interval(cls, g0: float, g1: float) -> "DirichletDatum":
-        return cls((float(g0), float(g1)))
-
-    def interval_pair(self) -> tuple[float, float]:
-        if (len(self.values) != 2
-                or not all(isinstance(v, float) for v in self.values)):
-            raise ValueError("datum does not describe an interval boundary")
-        g0, g1 = self.values
-        if not (math.isfinite(g0) and math.isfinite(g1)):
-            raise ValueError("boundary values must be finite")
-        return g0, g1
 
 
 @dataclass
@@ -187,10 +168,17 @@ class BoundaryOperator:
 
 
 def _interval_pair(g) -> tuple[float, float]:
-    """Finite boundary values (g0, g1) from a DirichletDatum or a pair."""
-    if not isinstance(g, DirichletDatum):
-        g = DirichletDatum.interval(g[0], g[1])
-    return g.interval_pair()
+    """The interval boundary values (g0, g1): exactly two finite real numbers."""
+    try:
+        pair = tuple(g)
+    except TypeError:
+        pair = ()
+    if len(pair) != 2 or not all(isinstance(v, numbers.Real) for v in pair):
+        raise ValueError("boundary data must be a pair (g0, g1) of finite numbers")
+    g0, g1 = float(pair[0]), float(pair[1])
+    if not (math.isfinite(g0) and math.isfinite(g1)):
+        raise ValueError("boundary values must be finite")
+    return g0, g1
 
 
 def _lift_gate(c: float, L: float) -> float:

@@ -43,8 +43,8 @@ from .boundary import BoundarySignal, build_blocks, dirichlet_map_interval, evol
 from .errors import ExceptionalParameterError, SingularParameterError
 from .modal import (ParameterSet, characteristic_roots, eval_mode, evolve_modes,
                     is_degenerate, propagator, second_order_roots, solve_mode)
-from .solver import Field, reconstruct, zero_field
-from .spectrum import BasisDescriptor, nearest_member, spectrum
+from .solver import Field, check_wellposed, reconstruct, zero_field
+from .spectrum import BasisDescriptor, spectrum
 from .util import LOG_SATURATION, exp_term, fit_slope, log_abs_exp_sum, scaled_exp, simpson
 
 # Simpson points on the subregion of propagation_burst (odd).
@@ -209,15 +209,15 @@ def limit1_reference(a: float, b: float, lambda_sq: float, t: float) -> dict:
     }
 
 
-def limit2_scan(a: float, b: float, gamma: float, k_range, t: float,
-                d: int = 1) -> Limit2Result:
+def limit2_scan(a: float, b: float, gamma: float, k_range, t: float) -> Limit2Result:
     """Walk modes with c_k = 1/lam_k^2 + gamma/lam_k^3 and data theta'(0) = 1/k.
 
     Then 1 - c_k lam_k^2 = -gamma/lam_k, both addenda share the coefficient
     magnitude (1/k) (gamma/lam_k)/delta_k -> 0, and the second exponent
     lam_k (a+delta_k)/(2 gamma) diverges polynomially.  Fits are least-squares
     slopes in log-log: growth of the divergent exponent and decay of the
-    coefficient, over the scanned k.
+    coefficient, over the scanned k.  The modes are those of (0, pi); a c_k
+    at which some mode is first order (``check_wellposed``) is rejected.
     """
     if not (a > 0.0 and b > 0.0 and gamma > 0.0):
         raise ValueError("a, b, gamma must be positive")
@@ -225,17 +225,18 @@ def limit2_scan(a: float, b: float, gamma: float, k_range, t: float,
     if not ks or ks[0] < 1:
         raise ValueError("k_range must hold positive integers")
     kmax = ks[-1]
-    spec = spectrum(BasisDescriptor(d, (math.pi,) * d, 2 * kmax + 8))
+    basis = BasisDescriptor(1, (math.pi,), 2 * kmax + 8)
+    spec = spectrum(basis)
     rows = []
     for k in ks:
         lam_sq = float(spec.lambda_sq[k - 1])
         lam = math.sqrt(lam_sq)
         c_k = 1.0 / lam_sq + gamma / lam ** 3
-        dist, nearest = nearest_member(spec.inverse, c_k)
-        if dist <= 1e-12 * c_k:
+        report = check_wellposed(c_k, basis)
+        if report.verdict == "exceptional":
             raise ExceptionalParameterError(
-                f"c_{k} = {c_k!r} collides with exceptional member {nearest!r}; "
-                "adjust gamma or the mode range", value=c_k, nearest=nearest)
+                f"c_{k} = {c_k!r} collides with exceptional member {report.nearest!r}; "
+                "adjust gamma or the mode range", value=c_k, nearest=report.nearest)
         eps = 1.0 - c_k * lam_sq
         _, delta, r_plus, r_minus = (
             float(v) for v in second_order_roots(eps, a, b * lam_sq))
@@ -297,9 +298,10 @@ def heat_comparison(family: ParameterSet, sigmas, theta0: Field, theta1: Field,
     """Distance of the sigma-form solution to the heat solution as sigma varies.
 
     The heat reference evolves theta0 under a theta' = b d_xx theta, whose
-    rate b/a = chi/gamma_rho is sigma-independent.  Sigma values colliding
-    with the truncated exceptional set Z are rejected; values below its
-    smallest member only constrain un-enumerated modes and are evolved as-is.
+    rate b/a = chi/gamma_rho is sigma-independent.  A sigma at which some
+    mode is first order (``check_wellposed``'s 'exceptional' verdict on
+    c = sigma/gamma_rho) is rejected; values below the smallest member of
+    Z = gamma_rho E only constrain un-enumerated modes and are evolved as-is.
     """
     if family.map_tag != "m2":
         raise ValueError("heat_comparison needs a sigma-form parameter family")
@@ -308,12 +310,12 @@ def heat_comparison(family: ParameterSet, sigmas, theta0: Field, theta1: Field,
     if not math.isfinite(t):
         raise ValueError("t must be finite")
     spec = spectrum(theta0.basis)
-    zset = family.gamma_rho * spec.inverse
     heat = theta0.coefficients * np.exp(-(family.chi / family.gamma_rho) * spec.lambda_sq * t)
     rows = []
     for sigma in sigmas:
-        dist, nearest = nearest_member(zset, sigma)
-        if dist <= 1e-12 * max(1.0, sigma):
+        report = check_wellposed(sigma / family.gamma_rho, theta0.basis)
+        if report.verdict == "exceptional":
+            nearest = family.gamma_rho * report.nearest
             raise ExceptionalParameterError(
                 f"sigma={sigma!r} collides with exceptional member {nearest!r}",
                 value=sigma, nearest=nearest)

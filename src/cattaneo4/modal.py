@@ -490,23 +490,3 @@ def reference_telegraph_mode(tau: float, kappa: float, lambda_sq: float,
         raise ValueError("tau, kappa, lambda_sq must be positive")
     sol = solve_second_order(tau, 1.0, kappa * lambda_sq, data)
     return eval_mode(sol, t).value
-
-
-def solve_mode_reference(kind: str, *, lambda_sq: float, t: float,
-                         a: float | None = None, b: float | None = None,
-                         tau: float | None = None, kappa: float | None = None,
-                         alpha: float = 0.0, beta: float = 0.0) -> float:
-    """Classical single-mode references for cross-checks.
-
-    kind 'heat': a theta' = b d_xx theta from alpha.
-    kind 'telegraph': tau theta'' + theta' = kappa d_xx theta from (alpha, beta).
-    """
-    if kind == "heat":
-        if a is None or b is None:
-            raise ValueError("heat reference needs a and b")
-        return reference_heat_mode(a, b, lambda_sq, alpha, t)
-    if kind == "telegraph":
-        if tau is None or kappa is None:
-            raise ValueError("telegraph reference needs tau and kappa")
-        return reference_telegraph_mode(tau, kappa, lambda_sq, (alpha, beta), t)
-    raise ValueError(f"unknown reference kind {kind!r}")

@@ -1,13 +1,12 @@
 """Independent numerical routes used to validate the closed forms.
 
-Three oracles, deliberately disjoint from the spectral machinery:
+Two oracles, deliberately disjoint from the spectral machinery:
 
 * ``integrate_mode`` / ``integrate_mode_batch``: the explicit Runge-Kutta
   method DOP853 on the per-mode ODE, sampled through its own seventh-order
   continuous extension (Hairer, Norsett & Wanner, *Solving ODEs I*, II.10),
 * ``fd_solve``: Crank-Nicolson finite differences for the full PDE on a
-  uniform grid, boundary signal included,
-* ``quad_integrate``: composite Simpson with compensated accumulation.
+  uniform grid, boundary signal included.
 
 scipy is imported inside the functions that use it, so importing the package
 does not load it.
@@ -26,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DiscreteExceptionalError, StiffnessError
-from .util import simpson
 
 # Internal tolerances are the requested ones divided by this factor; rtol is
 # kept above the 100 eps floor below which scipy overrides it with a warning.
@@ -175,13 +173,6 @@ def integrate_mode(prob: OdeProblem, t_end: float, rel_tol: float = 1e-10,
         return ModeTrajectory(_dense_solve(rhs1, t_end, y0, rel_tol, abs_tol), t_end)
     batch = integrate_mode_batch([prob], t_end, rel_tol, abs_tol)
     return ModeTrajectory(batch._sol, t_end)
-
-
-def quad_integrate(values, h: float, rule: str = "simpson") -> float:
-    """Composite quadrature of uniformly spaced samples with spacing h."""
-    if rule != "simpson":
-        raise ValueError(f"unknown quadrature rule {rule!r}")
-    return simpson(values, h)
 
 
 def discrete_laplacian_eigenvalues(L: float, nx: int) -> np.ndarray:

@@ -27,6 +27,9 @@ from .spectrum import BasisDescriptor, nearest_member, spectrum
 from .util import dst1, simpson_weights
 
 EPS = float(np.finfo(float).eps)
+# Points per block of the compensated-sum path of reconstruct: bounds its
+# (points, modes) temporaries; every point's sum is the same for any block size.
+POINT_BLOCK = 128
 
 
 @dataclass(eq=False)
@@ -93,16 +96,34 @@ def _check_axis(x: np.ndarray, L: float, min_pts: int):
     return h
 
 
-def _fsum(row) -> float:
-    """math.fsum, with nan where infinities of both signs meet (fsum raises)."""
+def _fsum(row: np.ndarray) -> float:
+    """math.fsum of one row, with nan where infinities of both signs meet.
+
+    Where partial sums of finite terms leave the float range, the row is
+    summed again with the power of two at its largest magnitude factored
+    out, as in ``field_norm``: the result is finite whenever the sum is a
+    float, and +/-inf only when the sum itself is out of range.
+    """
     try:
-        return math.fsum(row)
+        return math.fsum(row.tolist())
     except ValueError:  # -inf + inf
         return math.nan
+    except OverflowError:
+        pass
+    inf = row[np.isinf(row)]
+    if inf.size:  # finite terms do not move a sum of infinities
+        return _fsum(inf)
+    exponent = _top_exponent(row)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(math.fsum(np.ldexp(row, -exponent).tolist()), exponent))
 
 
-def _fsum_rows(mat: np.ndarray) -> np.ndarray:
-    return np.array([_fsum(row) for row in mat])
+def _top_exponent(x: np.ndarray) -> int:
+    """The power of two of the largest finite |x| (frexp), 0 if there is none."""
+    top = float(max(x.max(initial=0.0), -x.min(initial=0.0)))
+    if not math.isfinite(top):
+        top = float(np.max(np.abs(x), initial=0.0, where=np.isfinite(x)))
+    return math.frexp(top)[1]
 
 
 def _sines(n, L: float, x):
@@ -129,6 +150,9 @@ def project_samples(samples, basis: BasisDescriptor) -> Field:
     taken to sit at x_j = j L/M (the uniformity check accepts deviations up
     to 1e-9 h): the Simpson-weighted values go through one DST-I per axis,
     O(npts log npts), and the coefficients are read at the mode indices.
+    The power of two at the largest |sample| is factored out for the
+    transforms, which is exact; coefficients beyond the float range raise
+    ValueError.
     """
     d = basis.dimension
     idx = spectrum(basis).multi_index
@@ -141,12 +165,17 @@ def project_samples(samples, basis: BasisDescriptor) -> Field:
     vals = np.asarray(vals, dtype=float)
     if vals.shape != tuple(ax.size for ax in axes):
         raise ValueError("values must match the sample grid")
-    wv = vals
+    exponent = _top_exponent(vals)  # factored out, so no FFT sum overflows
+    wv = np.ldexp(vals, -exponent)
     for axis, (ax, L) in enumerate(zip(axes, basis.lengths)):
         h = _check_axis(ax, L, 4 * int(idx[:, axis].max()) + 1)
         wv = dst1(wv * (simpson_weights(ax.size) * (h / 3.0)).reshape(_axis_shape(axis, d)),
                   axis)
-    return Field(basis, wv[tuple(idx.T)] * _norm(basis.lengths))
+    with np.errstate(over="ignore"):
+        coefficients = np.ldexp(wv[tuple(idx.T)] * _norm(basis.lengths), exponent)
+    if not np.all(np.isfinite(coefficients)) and np.all(np.isfinite(vals)):
+        raise ValueError("projected coefficients exceed the float range")
+    return Field(basis, coefficients)
 
 
 def check_wellposed(c_value: float, basis: BasisDescriptor,
@@ -214,10 +243,9 @@ def field_norm(f: Field) -> float:
     c = f.coefficients
     if np.any(~np.isfinite(c)):
         return math.inf
-    top = float(np.max(np.abs(c), initial=0.0))
-    if top == 0.0:
+    if not np.any(c):
         return 0.0
-    exponent = math.frexp(top)[1]
+    exponent = _top_exponent(c)
     x = np.ldexp(c, -exponent)
     with np.errstate(over="ignore"):
         return float(np.ldexp(math.sqrt(math.fsum((x * x).tolist())), exponent))
@@ -256,10 +284,12 @@ def reconstruct(f: Field, points) -> np.ndarray:
     points are the C-order tensor grid of x_j = j L/M per axis (see
     ``_grid_counts``), every mode index is below M on its axis and the
     coefficients are finite, the values come from one DST-I per axis,
-    O(npts log npts), and are exactly 0 on the boundary.  Any other point set
-    accumulates over modes in ascending index order with compensated
-    summation, O(N npts); a point where saturated coefficients of both signs
-    meet gets nan.
+    O(npts log npts), and are exactly 0 on the boundary; the power of two at
+    the largest |coefficient| is factored out for the transforms.  Any other
+    point set is summed over modes with compensated summation, O(N npts), in
+    blocks of POINT_BLOCK points; a point where saturated coefficients of both
+    signs meet gets nan.  Either way a value is +/-inf only where it exceeds
+    the float range.
     """
     idx = spectrum(f.basis).multi_index
     pts = np.asarray(points, dtype=float)
@@ -275,12 +305,17 @@ def reconstruct(f: Field, points) -> np.ndarray:
     counts = _grid_counts(pts, f.basis.lengths) if pts.size else None
     if (counts is not None and np.all(idx < np.array(counts))
             and np.all(np.isfinite(f.coefficients))):
+        exponent = _top_exponent(f.coefficients)
         grid = np.zeros(tuple(m + 1 for m in counts))
-        grid[tuple(idx.T)] = f.coefficients * _norm(f.basis.lengths)
+        grid[tuple(idx.T)] = np.ldexp(f.coefficients, -exponent) * _norm(f.basis.lengths)
         for axis in range(f.basis.dimension):
             grid = dst1(grid, axis)
-        return grid.ravel()
-    phi = functools.reduce(np.multiply, (  # (npts, N)
-        _sines(idx[:, ax].astype(float), L, pts[:, ax, None])
-        for ax, L in enumerate(f.basis.lengths)))
-    return _fsum_rows(phi * f.coefficients)
+        with np.errstate(over="ignore"):
+            return np.ldexp(grid, exponent).ravel()
+    values = np.empty(len(pts))
+    for lo in range(0, len(pts), POINT_BLOCK):
+        phi = functools.reduce(np.multiply, (  # (points, N)
+            _sines(idx[:, ax].astype(float), L, pts[lo:lo + POINT_BLOCK, ax, None])
+            for ax, L in enumerate(f.basis.lengths)))
+        values[lo:lo + POINT_BLOCK] = [_fsum(row) for row in phi * f.coefficients]
+    return values

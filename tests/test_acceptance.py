@@ -261,7 +261,7 @@ def test_criterion_07_limit1():
 
 def test_criterion_08_limit2():
     t0 = time.perf_counter()
-    res = limit2_scan(1.0, 1.0, 1.0, range(4, 41), 1.0, d=1)
+    res = limit2_scan(1.0, 1.0, 1.0, range(4, 41), 1.0)
     elapsed = time.perf_counter() - t0
     stamp(8, "limit 2 fitted exponents",
           1.40 <= res.growth_exponent_fit <= 1.60

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from cattaneo4 import (BasisDescriptor, BoundaryOperator, BoundarySignal, DirichletDatum,
+from cattaneo4 import (BasisDescriptor, BoundaryOperator, BoundarySignal,
                        ExceptionalParameterError, Field, ParameterSet,
                        basis_field, build_blocks, characteristic_roots,
                        dirichlet_map_interval, evolve_homogeneous,
@@ -55,17 +55,16 @@ def test_signal_constructors():
 
 
 def test_datum_validation():
-    g = DirichletDatum.interval(1.0, -2.0)
-    assert g.interval_pair() == (1.0, -2.0)
-    with pytest.raises(ValueError):
-        DirichletDatum((1.0,)).interval_pair()
-    with pytest.raises(ValueError):
-        DirichletDatum((1.0, math.nan)).interval_pair()
-    # a plain pair is read as DirichletDatum.interval, non-finite values too
+    # boundary data are exactly two finite numbers (g0, g1)
     p, basis = ParameterSet(3.0, 1.0, 0.5), interval_basis(8)
     assert np.array_equal(build_blocks(p, basis, (1.0, -2)).d,
-                          build_blocks(p, basis, g).d)
-    for bad in ((math.inf, 0.0), (math.nan, 0.0), (0.0, -math.inf)):
+                          build_blocks(p, basis, [1.0, -2.0]).d)
+    for bad in ((1.0,), (1.0, 2.0, 3.0)):
+        with pytest.raises(ValueError, match="pair"):
+            build_blocks(p, basis, bad)
+        with pytest.raises(ValueError, match="pair"):
+            dirichlet_map_interval(0.5, PI, bad)
+    for bad in ((math.inf, 0.0), (math.nan, 0.0), (0.0, -math.inf), (1.0, math.nan)):
         with pytest.raises(ValueError, match="finite"):
             build_blocks(p, basis, bad)
         with pytest.raises(ValueError, match="finite"):

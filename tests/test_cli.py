@@ -1,7 +1,9 @@
 import ast
 import csv
+import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -184,3 +186,60 @@ def test_csv_is_utf8_lf(tmp_path):
 def test_help_exits_zero():
     assert main(["--help"]) == 0
     assert main(["solve", "--help"]) == 0
+
+
+# The eleven README commands, then a box spectrum and the other side of the
+# whole-line scan.  Each digest is the sha256 of the summary line and the CSV
+# bytes, recorded with the numpy and scipy versions that CI pins; a change
+# that moves any README table must update its digest and say why.
+README_COMMANDS = [
+    ("spectrum --L pi --N 16",
+     "c1324d160b2be2a379566c8f61e47ef35231cf8ce9890ecccff66e388ece39f1"),
+    ("exceptional --L pi --N 32 --kind sigma --gamma-rho 4",
+     "e628aa64bd75718ae8e264d7efc07c8ff86e3c1a8d32b8040236515745b3d489"),
+    ("solve --a 3 --b 1 --c 0.5 --L pi --N 8 --mode 1 --alpha 1 --t 0.7",
+     "52f0f37af12290ee5f386e750a5f23721d13ea4c8979c6ced383fa45d679f5a0"),
+    ("boundary --a 3 --b 1 --c 0.5 --L pi --N 32 --g0 1 --g1 0 "
+     "--signal sin --omega 2 --T 1 --t 1",
+     "430e30e87b989fcf759f88b67d5786ce9d9ecb07e150a630140ced4ad39f8dc6"),
+    ("limit1 --a 1 --b 1 --lambda-sq 1 --t 0.3 --j-min 1 --j-max 8",
+     "7293ea0fd7c1b74e79b1bdc841b922f498db6871eb8ed29b74ca6a85193e7db8"),
+    ("limit2 --a 1 --b 1 --gamma 1 --k-min 4 --k-max 40 --t 0.5",
+     "92e0fb9b9854aeee54d4d307116d8237578061640bcf54c11f6ae3d749b42388"),
+    ("limit3 --k-min 1 --k-max 12 --t 0.1",
+     "bab2d1b7ac4d99cb69cfbc426e7fc53cbb93a214e86bc6f2397836eef7e0203c"),
+    ("heatcmp --chi 2 --gamma-rho 4 --j-max 10 --t 0.5 --N 32",
+     "363130498745016b0a883a998535e0ec72199b1cff63d71666c2e3ed66da050b"),
+    ("propagation --a 3 --b 1 --c 0.5 --L pi --N 256 --g0 1 --g1 0 "
+     "--T 0.05 --n-max-exp 12 --sub-lo 1 --sub-hi 2",
+     "edf381b7566d86b6a939547408fe3236eec57b5a39c740ad2d75ccb6819621bd"),
+    ("wholeline --a 1 --b 1 --c 0.25 --t 1 --j-min 1 --j-max 20",
+     "7f55deb98a572c97195a9d1041ffa4d8cde32ff6243614b6e384d495a24b1a06"),
+    ("verify --seed 7",
+     "edc79201f809c71f4997abf3ea4aff558003905256ebb2697fea7efb3b1444f2"),
+    ("spectrum --lengths pi,pi --N 20",
+     "f713ab8042258b41f88b0e111e971548c0e5ce1949415e3d000544761d43a9b0"),
+    ("wholeline --a 1 --b 1 --c 0.25 --t 1 --j-min 1 --j-max 20 --side below",
+     "5743e6da069b2499ee06387cfc8d9df44ccc8a9401010bc0d89da4250e112ec7"),
+]
+
+
+def readme_cli_commands():
+    """The arguments of each `cattaneo4 ...` line of the README's Command line
+    block, continuation lines joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", text, re.S).group(1)
+    return [" ".join(line.split()[1:]) for line in block.replace("\\\n", " ").splitlines()]
+
+
+def test_readme_commands_are_frozen(tmp_path, monkeypatch, capsys):
+    readme = readme_cli_commands()
+    assert len(readme) == 11
+    assert readme == [cmd for cmd, _ in README_COMMANDS[:11]]
+    monkeypatch.chdir(tmp_path)
+    for cmd, digest in README_COMMANDS:
+        assert main(cmd.split()) == 0, cmd
+        summary = capsys.readouterr().out
+        out = summary.rsplit("-> ", 1)[1].strip()
+        blob = summary.encode("utf-8") + (tmp_path / out).read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == digest, cmd

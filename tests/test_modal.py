@@ -11,8 +11,8 @@ from cattaneo4 import (CompatibilityReport, DegenerateModeError,
                        ModalInitialData, OdeProblem, ParameterSet,
                        UnsolvableModeError, characteristic_roots,
                        compatibility_report, eval_mode, evolve_modes,
-                       integrate_mode, propagator, solve_mode,
-                       solve_mode_reference, solve_second_order)
+                       integrate_mode, propagator, reference_heat_mode,
+                       reference_telegraph_mode, solve_mode, solve_second_order)
 from cattaneo4.modal import discriminant_delta, mode_ode_coefficients
 
 
@@ -204,8 +204,7 @@ def test_eval_time_validation():
 
 
 def test_heat_reference_value():
-    got = solve_mode_reference("heat", lambda_sq=1.0, t=1.0, a=1.0, b=1.0,
-                               alpha=1.0)
+    got = reference_heat_mode(a=1.0, b=1.0, lambda_sq=1.0, alpha=1.0, t=1.0)
     assert got == pytest.approx(math.exp(-1.0), rel=1e-15)
 
 
@@ -215,18 +214,15 @@ def test_telegraph_reference_roots_and_limit():
     assert sol.roots.kind == "complex_pair"
     assert sol.roots.decay == pytest.approx(-0.5, rel=1e-15)
     assert sol.roots.frequency == pytest.approx(math.sqrt(3.0) / 2.0, rel=1e-14)
-    got = solve_mode_reference("telegraph", lambda_sq=1.0, t=0.7, tau=1.0,
-                               kappa=1.0, alpha=1.0, beta=0.0)
+    got = reference_telegraph_mode(tau=1.0, kappa=1.0, lambda_sq=1.0,
+                                   data=(1.0, 0.0), t=0.7)
     assert got == pytest.approx(eval_mode(sol, 0.7).value, rel=1e-14)
     # tau -> 0 recovers the heat decay on compatible data
     for t in (0.2, 1.0):
-        heat = solve_mode_reference("heat", lambda_sq=1.0, t=t, a=1.0, b=1.0,
-                                    alpha=1.0)
-        tele = solve_mode_reference("telegraph", lambda_sq=1.0, t=t, tau=1e-8,
-                                    kappa=1.0, alpha=1.0, beta=-1.0)
+        heat = reference_heat_mode(a=1.0, b=1.0, lambda_sq=1.0, alpha=1.0, t=t)
+        tele = reference_telegraph_mode(tau=1e-8, kappa=1.0, lambda_sq=1.0,
+                                        data=(1.0, -1.0), t=t)
         assert tele == pytest.approx(heat, rel=1e-6)
-    with pytest.raises(ValueError):
-        solve_mode_reference("wave", lambda_sq=1.0, t=0.0, a=1.0)
 
 
 def test_solve_second_order_validation():

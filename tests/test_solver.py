@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,11 +10,10 @@ from hypothesis import strategies as st
 from cattaneo4 import (BasisDescriptor, ExceptionalParameterError, Field,
                        ParameterSet, UnsolvableModeError, basis_field,
                        check_wellposed, evolve_homogeneous, field_norm,
-                       project_samples, quad_integrate, reconstruct,
-                       zero_field)
+                       project_samples, reconstruct, zero_field)
 from cattaneo4 import solver
 from cattaneo4.spectrum import spectrum
-from cattaneo4.util import dst1, simpson_weights
+from cattaneo4.util import dst1, simpson, simpson_weights
 
 PI = math.pi
 
@@ -118,7 +119,7 @@ def test_parseval():
     assert field_norm(f) == pytest.approx(float(np.linalg.norm(coeffs)), rel=1e-15)
     xs = np.linspace(0.0, PI, 2049)
     vals = reconstruct(f, xs)
-    l2 = math.sqrt(quad_integrate(vals * vals, PI / 2048))
+    l2 = math.sqrt(simpson(vals * vals, PI / 2048))
     assert l2 == pytest.approx(field_norm(f), rel=1e-10)
 
 
@@ -438,3 +439,53 @@ def test_reconstruct_saturated_field_takes_fsum(monkeypatch):
               np.array([True, True, False, False]))
     assert math.isnan(reconstruct(g, [0.5])[0])
     assert calls == []
+
+
+def test_reconstruct_fsum_survives_intermediate_overflow():
+    # partial sums of finite terms overflow; the value itself is a float
+    basis = interval_basis(4)
+    big = 1.7e308
+    got = reconstruct(Field(basis, [big, big, -big, -big]), [0.7])[0]
+    sines = [math.sin(n * 0.7) for n in (1, 2, 3, 4)]
+    want = big * math.sqrt(2.0 / PI) * math.fsum([s * c for s, c in zip(sines, (1, 1, -1, -1))])
+    assert want == pytest.approx(5.85e307, rel=1e-3)
+    assert got == pytest.approx(want, rel=1e-14)
+    # here the value itself, 1.95e308, is beyond the float range
+    assert reconstruct(Field(basis, [1.5e308, 1.5e308, 0.0, 0.0]), [0.7])[0] == math.inf
+    assert reconstruct(Field(basis, [-1.5e308, -1.5e308, 0.0, 0.0]), [0.7])[0] == -math.inf
+
+
+def test_reconstruct_fsum_blocks_bound_memory(monkeypatch):
+    basis = interval_basis(2000)
+    coeffs = np.random.default_rng(9).normal(size=2000)
+    xs = np.linspace(0.1, 3.0, 5001)  # not a grid: the compensated-sum path
+    tracemalloc.start()
+    try:
+        got = reconstruct(Field(basis, coeffs), xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+    monkeypatch.setattr(solver, "POINT_BLOCK", xs.size)
+    assert np.array_equal(got, reconstruct(Field(basis, coeffs), xs))
+
+
+def test_transforms_survive_intermediate_overflow(monkeypatch):
+    calls = spy_on_transform(monkeypatch)
+    basis = interval_basis(4)
+    xs = np.linspace(0.0, PI, 17)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = project_samples((xs, np.full(17, 1e308)), basis)
+        want = 1e308 * project_samples((xs, np.ones(17)), basis).coefficients
+        assert f.coefficients[0] == pytest.approx(1.6e308, rel=1e-2)
+        np.testing.assert_allclose(f.coefficients, want, rtol=1e-14, atol=0.0)
+        vals = reconstruct(Field(basis, [1e308, 1e308, 0.0, 0.0]), xs)
+        want = 1e308 * math.sqrt(2.0 / PI) * (np.sin(xs) + np.sin(2.0 * xs))
+        assert np.all(np.isfinite(vals))
+        assert vals[3:6] == pytest.approx(want[3:6], rel=1e-14)
+        np.testing.assert_allclose(vals, want, rtol=1e-14, atol=1e-14 * np.max(np.abs(want)))
+    assert len(calls) == 3
+    # coefficients that exceed the float range are refused
+    with pytest.raises(ValueError, match="float range"):
+        project_samples((xs, np.full(17, 1.7e308)), basis)

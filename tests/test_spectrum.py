@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
-from cattaneo4 import (BasisDescriptor, box_modes, distance_to_exceptional,
-                       exceptional_for_c, exceptional_for_sigma,
-                       interval_modes, modes_for, weyl_exponent_fit)
+from cattaneo4 import BasisDescriptor, weyl_exponent_fit
+from cattaneo4.cli import main
 from cattaneo4.spectrum import nearest_member, spectrum
+
+
+def interval_lambda_sq(L, N):
+    return spectrum(BasisDescriptor(1, (L,), N)).lambda_sq.tolist()
 
 
 def fd_interval_eigenvalues(L: float, count: int, grid: int):
@@ -27,7 +30,7 @@ def test_interval_eigenvalues_match_fd_oracle():
     # Richardson-extrapolate the O(h^2) grids 5k and 10k to kill the leading
     # error term
     for L in (math.pi, 1.0, 2.5):
-        lam = [m.lambda_sq for m in interval_modes(L, 12)]
+        lam = interval_lambda_sq(L, 12)
         coarse = fd_interval_eigenvalues(L, 12, 5_000)
         fine = fd_interval_eigenvalues(L, 12, 10_000)
         ref = fine + (fine - coarse) / 3.0
@@ -35,17 +38,16 @@ def test_interval_eigenvalues_match_fd_oracle():
 
 
 def test_interval_eigenvalues_exact_for_pi():
-    lam = [m.lambda_sq for m in interval_modes(math.pi, 20)]
+    lam = interval_lambda_sq(math.pi, 20)
     assert lam == [float(n * n) for n in range(1, 21)]
-    lam_half = [m.lambda_sq for m in interval_modes(math.pi / 2, 5)]
+    lam_half = interval_lambda_sq(math.pi / 2, 5)
     assert lam_half == [4.0, 16.0, 36.0, 64.0, 100.0]
 
 
 def test_interval_modes_metadata():
-    ms = interval_modes(2.0, 4)
-    assert [m.index for m in ms] == [1, 2, 3, 4]
-    assert [m.multi_index for m in ms] == [(1,), (2,), (3,), (4,)]
-    assert ms[1].lambda_sq == pytest.approx((2 * math.pi / 2.0) ** 2, rel=1e-15)
+    spec = spectrum(BasisDescriptor(1, (2.0,), 4))
+    assert spec.multi_index.tolist() == [[1], [2], [3], [4]]
+    assert spec.lambda_sq[1] == pytest.approx((2 * math.pi / 2.0) ** 2, rel=1e-15)
 
 
 def brute_force_box(lengths, N):
@@ -66,27 +68,27 @@ def brute_force_box(lengths, N):
                                      (math.pi, 1.5, 2.0)])
 def test_box_modes_match_brute_force(lengths):
     N = 25
-    got = box_modes(BasisDescriptor(len(lengths), lengths, N))
+    got = spectrum(BasisDescriptor(len(lengths), lengths, N))
     want = brute_force_box(lengths, N)
-    for m, (lam, idx) in zip(got, want):
-        assert m.lambda_sq == pytest.approx(lam, rel=1e-13)
-        assert m.multi_index == idx
+    for got_lam, got_idx, (lam, idx) in zip(got.lambda_sq, got.multi_index.tolist(), want):
+        assert got_lam == pytest.approx(lam, rel=1e-13)
+        assert tuple(got_idx) == idx
 
 
 def test_box_square_degeneracies_tie_break():
-    ms = box_modes(BasisDescriptor(2, (math.pi, math.pi), 6))
-    assert [m.lambda_sq for m in ms] == [2.0, 5.0, 5.0, 8.0, 10.0, 10.0]
+    spec = spectrum(BasisDescriptor(2, (math.pi, math.pi), 6))
+    assert spec.lambda_sq.tolist() == [2.0, 5.0, 5.0, 8.0, 10.0, 10.0]
     # equal eigenvalues ordered by index tuple
-    assert ms[1].multi_index == (1, 2)
-    assert ms[2].multi_index == (2, 1)
-    assert ms[4].multi_index == (1, 3)
+    assert spec.multi_index[1].tolist() == [1, 2]
+    assert spec.multi_index[2].tolist() == [2, 1]
+    assert spec.multi_index[4].tolist() == [1, 3]
 
 
-def test_modes_for_dispatch():
+def test_spectrum_dispatch():
     d1 = BasisDescriptor(1, (math.pi,), 5)
-    assert [m.lambda_sq for m in modes_for(d1)] == [1.0, 4.0, 9.0, 16.0, 25.0]
+    assert spectrum(d1).lambda_sq.tolist() == [1.0, 4.0, 9.0, 16.0, 25.0]
     d2 = BasisDescriptor(2, (math.pi, math.pi), 3)
-    assert [m.lambda_sq for m in modes_for(d2)] == [2.0, 5.0, 5.0]
+    assert spectrum(d2).lambda_sq.tolist() == [2.0, 5.0, 5.0]
 
 
 def test_cached_spectrum_arrays():
@@ -95,15 +97,16 @@ def test_cached_spectrum_arrays():
                  BasisDescriptor(3, [math.pi, 1.0, 2.0], 30)):
         spec = spectrum(desc)
         assert spectrum(desc) is spec
-        modes = modes_for(desc)
-        assert spec.lambda_sq.tolist() == [m.lambda_sq for m in modes]
-        assert [tuple(i) for i in spec.multi_index.tolist()] == [m.multi_index for m in modes]
+        lam = spec.lambda_sq.tolist()
+        assert lam == sorted(lam)
+        # each eigenvalue is the fsum of its per-axis squares (n pi / L)^2
+        assert lam == [math.fsum((n * (math.pi / L)) ** 2 for n, L in zip(idx, desc.lengths))
+                       for idx in spec.multi_index.tolist()]
         assert spec.multi_index.shape == (desc.truncation, desc.dimension)
-        assert spec.inverse.tolist() == sorted(1.0 / m.lambda_sq for m in modes)
+        assert spec.inverse.tolist() == sorted(1.0 / v for v in lam)
         for arr in (spec.lambda_sq, spec.multi_index, spec.inverse):
             with pytest.raises(ValueError):
                 arr[0] = 1
-    assert modes_for(BasisDescriptor(1, (math.pi,), 9)) == interval_modes(math.pi, 9)
 
 
 def test_nearest_member_ties_go_to_the_smaller():
@@ -114,65 +117,57 @@ def test_nearest_member_ties_go_to_the_smaller():
     assert nearest_member(values, 2.0) == (1.25, 0.75)
 
 
-def test_exceptional_for_c_sorted_dedup():
-    ms = box_modes(BasisDescriptor(2, (math.pi, math.pi), 6))
-    exc = exceptional_for_c(ms)
-    # lambda^2 = 2, 5, 5, 8, 10, 10 -> four distinct reciprocals, ascending
-    assert exc.values == (0.1, 0.125, 0.2, 0.5)
-    assert exc.kind == "for_c"
-
-
 def test_exceptional_for_sigma_scales_elementwise():
-    ms = interval_modes(math.pi, 6)
-    exc_c = exceptional_for_c(ms)
-    exc_s = exceptional_for_sigma(ms, 4.0)
-    assert exc_s.kind == "for_sigma"
-    assert exc_s.gamma_rho == 4.0
-    assert exc_s.values == tuple(4.0 * v for v in exc_c.values)
+    # the sigma-form set is Z = gamma_rho * E, elementwise
+    exc_c = spectrum(BasisDescriptor(1, (math.pi,), 6)).inverse
+    exc_s = 4.0 * exc_c
+    assert exc_s.tolist() == [4.0 * v for v in exc_c.tolist()]
     # gamma_rho/lambda^2 must be float-exact so collisions can be detected
-    assert 4.0 / 4.0 in exc_s.values
-    assert 4.0 / 16.0 in exc_s.values
+    assert 4.0 / 4.0 in exc_s.tolist()
+    assert 4.0 / 16.0 in exc_s.tolist()
 
 
 @pytest.mark.parametrize("gamma_rho", [math.inf, math.nan, 0.0, -4.0])
-def test_exceptional_for_sigma_needs_finite_positive_gamma_rho(gamma_rho):
-    with pytest.raises(ValueError, match="positive and finite"):
-        exceptional_for_sigma(interval_modes(math.pi, 3), gamma_rho)
+def test_exceptional_for_sigma_needs_finite_positive_gamma_rho(gamma_rho, tmp_path, capsys):
+    # the sigma-form set is formed by the `exceptional --kind sigma` command
+    out = tmp_path / "exc.csv"
+    assert main(["exceptional", "--N", "3", "--kind", "sigma",
+                 "--gamma-rho", repr(gamma_rho), "--out", str(out)]) == 1
+    assert "positive and finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_distance_to_exceptional_values():
-    exc = exceptional_for_c(interval_modes(math.pi, 10))
-    dist, nearest = distance_to_exceptional(5.0 / 4.0, exc)
+    exc = spectrum(BasisDescriptor(1, (math.pi,), 10)).inverse
+    dist, nearest = nearest_member(exc, 5.0 / 4.0)
     assert nearest == 1.0
     assert dist == pytest.approx(0.25, abs=0.0)
-    dist, nearest = distance_to_exceptional(0.26, exc)
+    dist, nearest = nearest_member(exc, 0.26)
     assert nearest == 0.25
     assert dist == pytest.approx(0.01, rel=1e-12)
-    dist, nearest = distance_to_exceptional(1.0, exc)
+    dist, nearest = nearest_member(exc, 1.0)
     assert dist == 0.0
 
 
 def test_weyl_exponent_fits():
     # lambda_n^2 ~ n^{2/d}: fitted exponent of lambda_n vs n is about 1/d
-    m1 = interval_modes(math.pi, 400)
-    assert weyl_exponent_fit(m1, 1) == pytest.approx(1.0, abs=0.02)
-    m2 = box_modes(BasisDescriptor(2, (math.pi, math.pi), 400))
-    assert weyl_exponent_fit(m2, 2) == pytest.approx(0.5, abs=0.05)
-    m3 = box_modes(BasisDescriptor(3, (math.pi, math.pi, math.pi), 400))
-    assert weyl_exponent_fit(m3, 3) == pytest.approx(1.0 / 3.0, abs=0.05)
+    m1 = spectrum(BasisDescriptor(1, (math.pi,), 400)).lambda_sq
+    assert weyl_exponent_fit(m1) == pytest.approx(1.0, abs=0.02)
+    m2 = spectrum(BasisDescriptor(2, (math.pi, math.pi), 400)).lambda_sq
+    assert weyl_exponent_fit(m2) == pytest.approx(0.5, abs=0.05)
+    m3 = spectrum(BasisDescriptor(3, (math.pi, math.pi, math.pi), 400)).lambda_sq
+    assert weyl_exponent_fit(m3) == pytest.approx(1.0 / 3.0, abs=0.05)
 
 
 def test_validation_errors():
     with pytest.raises(ValueError):
-        interval_modes(0.0, 4)
+        BasisDescriptor(1, (0.0,), 4)
     with pytest.raises(ValueError):
-        interval_modes(math.pi, 0)
+        BasisDescriptor(1, (math.pi,), 0)
     with pytest.raises(ValueError):
         BasisDescriptor(2, (math.pi,), 4)
     with pytest.raises(ValueError):
-        weyl_exponent_fit(interval_modes(math.pi, 8), 1)
-    with pytest.raises(ValueError):
-        weyl_exponent_fit(interval_modes(math.pi, 20), 2)
+        weyl_exponent_fit(interval_lambda_sq(math.pi, 15))
 
 
 @given(st.integers(min_value=1, max_value=200),
@@ -180,8 +175,7 @@ def test_validation_errors():
                  allow_nan=False, allow_infinity=False))
 @settings(max_examples=60, deadline=None)
 def test_interval_spectrum_monotone_and_scaling(n, L):
-    ms = interval_modes(L, n)
-    lam = [m.lambda_sq for m in ms]
+    lam = interval_lambda_sq(L, n)
     assert all(x < y for x, y in zip(lam, lam[1:]))
     assert lam[0] == pytest.approx((math.pi / L) ** 2, rel=1e-12)
 
@@ -190,7 +184,7 @@ def test_interval_spectrum_monotone_and_scaling(n, L):
                  allow_nan=False, allow_infinity=False))
 @settings(max_examples=60, deadline=None)
 def test_distance_is_a_distance(c):
-    exc = exceptional_for_c(interval_modes(math.pi, 30))
-    dist, nearest = distance_to_exceptional(c, exc)
+    exc = spectrum(BasisDescriptor(1, (math.pi,), 30)).inverse
+    dist, nearest = nearest_member(exc, c)
     assert dist == abs(c - nearest)
-    assert all(abs(c - v) >= dist for v in exc.values)
+    assert all(abs(c - v) >= dist for v in exc.tolist())
