@@ -21,11 +21,9 @@ from .errors import (DegenerateModeError, DiscreteExceptionalError,
 from .experiments import (first_crossing, heat_comparison, limit1_reference,
                           limit1_scan, limit2_scan, limit3_scan,
                           propagation_burst, singularity_scan, whole_line_mode)
-from .modal import (CharacteristicRoots, CompatibilityReport, ModalInitialData,
-                    ModalSolution, ModeValue, ParameterSet, characteristic_roots,
-                    compatibility_report, eval_mode, evolve_modes, propagator,
-                    reference_heat_mode, reference_telegraph_mode,
-                    second_order_roots, solve_mode, solve_second_order)
+from .modal import (CharacteristicRoots, ParameterSet, characteristic_roots,
+                    evolve_modes, propagator, reference_heat_mode,
+                    reference_telegraph_mode, second_order_roots)
 from .oracle import (GridSolution, ModeTrajectory, OdeProblem, fd_solve,
                      integrate_mode, integrate_mode_batch)
 from .solver import (Field, WellPosednessReport, basis_field, check_wellposed,
@@ -37,21 +35,21 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisDescriptor", "BoundaryOperator", "BoundarySignal", "CharacteristicRoots",
-    "CompatibilityReport", "DegenerateModeError", "DiscreteExceptionalError",
+    "DegenerateModeError", "DiscreteExceptionalError",
     "ExceptionalParameterError", "Field",
-    "GridSolution", "MildSolutionReport", "ModalInitialData", "ModalSolution",
-    "ModeTrajectory", "ModeValue", "OdeProblem", "ParameterSet",
+    "GridSolution", "MildSolutionReport",
+    "ModeTrajectory", "OdeProblem", "ParameterSet",
     "SingularParameterError", "Spectrum",
     "StiffnessError", "UnsolvableModeError", "WellPosednessReport",
     "basis_field", "build_blocks", "characteristic_roots",
-    "check_wellposed", "compatibility_report", "dirichlet_map_interval",
-    "eval_mode", "evolve_homogeneous", "evolve_modes", "evolve_with_boundary",
+    "check_wellposed", "dirichlet_map_interval",
+    "evolve_homogeneous", "evolve_modes", "evolve_with_boundary",
     "fd_solve", "field_norm", "first_crossing", "heat_comparison",
     "integrate_mode", "integrate_mode_batch",
     "limit1_reference", "limit1_scan", "limit2_scan", "limit3_scan",
     "mild_solution_check", "project_samples",
     "propagation_burst", "propagator", "reconstruct",
     "reference_heat_mode", "reference_telegraph_mode",
-    "second_order_roots", "singularity_scan", "solve_mode", "solve_second_order",
+    "second_order_roots", "singularity_scan",
     "weyl_exponent_fit", "whole_line_mode", "zero_field",
 ]

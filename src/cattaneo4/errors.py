@@ -26,8 +26,8 @@ class DegenerateModeError(ValueError):
     """Raised when a second-order-only code path meets a first-order mode.
 
     The mode with 1 - c*lambda^2 = 0 drops to first order; callers that can
-    handle it should go through ``solve_mode``, which dispatches to the
-    degenerate branch instead of raising.
+    handle it should go through ``modal.evolve_modes``, which evolves it first
+    order instead of raising.
     """
 
     def __init__(self, message: str, mode_index: int | None = None):
@@ -38,14 +38,13 @@ class DegenerateModeError(ValueError):
 class UnsolvableModeError(ValueError):
     """Degenerate mode whose initial data violate the compatibility condition.
 
-    No solution exists for that mode; ``report`` holds the compatibility
-    diagnosis and ``mode_index`` the offending mode.
+    No solution exists for that mode; ``mode_index`` is the offending mode and
+    the message gives the required and the actual ratio beta/alpha.
     """
 
-    def __init__(self, message: str, mode_index: int | None = None, report=None):
+    def __init__(self, message: str, mode_index: int | None = None):
         super().__init__(message)
         self.mode_index = mode_index
-        self.report = report
 
 
 class SingularParameterError(ValueError):

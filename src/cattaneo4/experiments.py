@@ -41,8 +41,8 @@ import numpy as np
 
 from .boundary import BoundarySignal, build_blocks, dirichlet_map_interval, evolve_with_boundary
 from .errors import ExceptionalParameterError, SingularParameterError
-from .modal import (ParameterSet, characteristic_roots, eval_mode, evolve_modes,
-                    is_degenerate, propagator, second_order_roots, solve_mode)
+from .modal import (ParameterSet, characteristic_roots, evolve_modes, is_degenerate,
+                    propagator, second_order_roots)
 from .solver import Field, check_wellposed, reconstruct, zero_field
 from .spectrum import BasisDescriptor, spectrum
 from .util import LOG_SATURATION, exp_term, fit_slope, log_abs_exp_sum, scaled_exp, simpson
@@ -169,8 +169,8 @@ def limit1_scan(a: float, b: float, lambda_sq: float, t: float,
     alpha = -a / (b * lambda_sq)
     rows = []
     for k, c in enumerate(c_values, start=1):
-        if not c > 0.0:
-            raise ValueError("c values must be positive")
+        if not (c > 0.0 and math.isfinite(c)):
+            raise ValueError("c values must be positive and finite")
         eps = 1.0 - c * lambda_sq
         if is_degenerate(c, lambda_sq):
             rate = -(b * lambda_sq) / a
@@ -182,13 +182,10 @@ def limit1_scan(a: float, b: float, lambda_sq: float, t: float,
         delta_sq, delta, r_plus, r_minus = (
             float(v) for v in second_order_roots(eps, a, b * lambda_sq))
         if delta_sq <= 0.0:
-            # far from the limit the mode may turn oscillatory; record via eval
-            sol = solve_mode(ParameterSet(a, b, c), lambda_sq, (alpha, 1.0))
-            mv = eval_mode(sol, t)
-            rows.append(LimitScanRow(k, c, math.nan, math.nan, math.nan,
-                                     math.nan, mv.value,
-                                     math.log(abs(mv.value)) if mv.value else -math.inf,
-                                     abs(mv.value), "ok"))
+            # far from the limit the mode may turn oscillatory; record its value
+            v = float(evolve_modes(ParameterSet(a, b, c), lambda_sq, alpha, 1.0, t)[0])
+            rows.append(LimitScanRow(k, c, math.nan, math.nan, math.nan, math.nan, v,
+                                     math.log(abs(v)) if v else -math.inf, abs(v), "ok"))
             continue
         B = 4.0 * b * lambda_sq * eps * eps / (delta * (a + delta) ** 2)
         A = alpha - B
@@ -300,8 +297,9 @@ def heat_comparison(family: ParameterSet, sigmas, theta0: Field, theta1: Field,
     The heat reference evolves theta0 under a theta' = b d_xx theta, whose
     rate b/a = chi/gamma_rho is sigma-independent.  A sigma at which some
     mode is first order (``check_wellposed``'s 'exceptional' verdict on
-    c = sigma/gamma_rho) is rejected; values below the smallest member of
-    Z = gamma_rho E only constrain un-enumerated modes and are evolved as-is.
+    c = sigma/gamma_rho) is rejected, and a non-finite sigma is a ValueError;
+    values below the smallest member of Z = gamma_rho E only constrain
+    un-enumerated modes and are evolved as-is.
     """
     if family.map_tag != "m2":
         raise ValueError("heat_comparison needs a sigma-form parameter family")

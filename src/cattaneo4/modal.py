@@ -20,11 +20,13 @@ Root formulas are arranged to avoid cancellation: r_plus is computed as
 -2 b lam2 / (a + delta), which is exact in the limit delta -> a where the
 naive (-a + delta) form loses all digits.
 
-A solved mode is one ``ModalSolution(roots, alpha, beta)``; ``roots.kind``
-names the regime ('real_distinct', 'double', 'complex_pair' or
-'first_order').  The two gates are constants: a mode is first order when
-|1 - c lam2| <= DEGENERATE_TOL max(1, c lam2), and its data are compatible
-when |beta - rate alpha| <= COMPAT_TOL max(1, |rate|) |alpha|.
+``evolve_modes`` evaluates one mode or an array of them, first-order modes
+included; ``characteristic_roots`` reports the regime of one second-order
+mode ('real_distinct', 'double' or 'complex_pair').  The gates are
+constants: a mode is first order when |1 - c lam2| <= DEGENERATE_TOL
+max(1, c lam2), its data are compatible when |beta - rate alpha| <=
+COMPAT_TOL max(1, |rate|) |alpha|, and ``solver.check_wellposed`` calls c
+near-exceptional within NEAR_TOL of a member.
 """
 
 from __future__ import annotations
@@ -35,12 +37,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateModeError, UnsolvableModeError
-from .util import LOG_SATURATION, exp_term, scaled_exp
+from .util import LOG_SATURATION, scaled_exp
 
 # Relative width of the degeneracy gate on |1 - c lam2| (see is_degenerate).
 DEGENERATE_TOL = 1e-12
 # Relative tolerance of the product-form compatibility test (see _compatible).
 COMPAT_TOL = 1e-9
+# Absolute distance to an exceptional member that check_wellposed calls near.
+NEAR_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -105,36 +109,10 @@ class ParameterSet:
 
 
 @dataclass(frozen=True)
-class ModalInitialData:
-    """Initial value and rate of one mode: theta_n(0), theta_n'(0)."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise ValueError("modal data must be finite")
-
-
-@dataclass(frozen=True)
-class CompatibilityReport:
-    """Outcome of the degenerate-mode compatibility check beta/alpha = -(b/a) lam2."""
-
-    required_ratio: float
-    actual_ratio: float | None
-    satisfied: bool
-    tolerance: float
-    mode_index: int | None = None
-
-
-@dataclass(frozen=True)
 class CharacteristicRoots:
-    """Roots of the per-mode characteristic polynomial, tagged by regime.
+    """Roots of one second-order mode's characteristic polynomial, tagged by regime."""
 
-    A first-order mode has the one root mu_plus = mu_minus = rate.
-    """
-
-    kind: str  # 'real_distinct' | 'double' | 'complex_pair' | 'first_order'
+    kind: str  # 'real_distinct' | 'double' | 'complex_pair'
     mu_plus: complex
     mu_minus: complex
 
@@ -155,40 +133,12 @@ class CharacteristicRoots:
         return abs(self.mu_plus.imag)
 
 
-@dataclass(frozen=True)
-class ModalSolution:
-    """One mode: its roots and the data theta(0) = alpha, theta'(0) = beta.
-
-    A first-order mode follows alpha exp(rate t), so its beta is rate alpha.
-    """
-
-    roots: CharacteristicRoots
-    alpha: float
-    beta: float
-
-
-@dataclass(frozen=True)
-class ModeValue:
-    """Value and time derivative of one mode, with a saturation flag."""
-
-    value: float
-    derivative: float
-    saturated: bool = False
-
-
-def mode_ode_coefficients(p: ParameterSet, lambda_sq: float) -> tuple[float, float, float]:
-    """(leading, damping, stiffness) of the per-mode ODE."""
-    if not lambda_sq > 0.0:
-        raise ValueError("lambda_sq must be positive")
-    return 1.0 - p.c * lambda_sq, p.a, p.b * lambda_sq
-
-
 def is_degenerate(c: float, lambda_sq):
     """Whether |1 - c lam2| <= DEGENERATE_TOL max(1, c lam2), elementwise.
 
-    A mode inside the gate is first order.  ``solve_mode``, ``evolve_modes``,
-    ``solver.check_wellposed`` and ``experiments.limit1_scan`` all decide
-    with this one test.
+    A mode inside the gate is first order.  ``evolve_modes``,
+    ``characteristic_roots``, ``solver.check_wellposed`` and
+    ``experiments.limit1_scan`` all decide with this one test.
     """
     c_lam = c * np.asarray(lambda_sq, dtype=float)
     return np.abs(1.0 - c_lam) <= DEGENERATE_TOL * np.maximum(1.0, c_lam)
@@ -203,16 +153,6 @@ def _compatible(rate, alpha, beta):
     """
     return (np.abs(beta - rate * alpha)
             <= COMPAT_TOL * np.maximum(1.0, np.abs(rate)) * np.abs(alpha))
-
-
-def discriminant_delta(p: ParameterSet, lambda_sq: float) -> float:
-    """Discriminant delta^2 = a^2 - 4 b lam2 (1 - c lam2).
-
-    Exactly a^2 at a representable degenerate point, since the last factor
-    is then exactly zero.
-    """
-    leading, a, stiff = mode_ode_coefficients(p, lambda_sq)
-    return a * a - 4.0 * stiff * leading
 
 
 def second_order_roots(leading, damping, stiffness):
@@ -253,16 +193,6 @@ def _roots(leading, damping, stiffness):
     with np.errstate(divide="ignore", invalid="ignore"):
         freq = np.where(delta_sq < 0.0, delta / np.abs(2.0 * leading), 0.0)
     return delta_sq, r_plus, r_minus, freq
-
-
-def _typed_roots(leading: float, damping: float, stiffness: float) -> CharacteristicRoots:
-    """``_roots`` of one second-order mode, tagged by the sign of delta_sq."""
-    delta_sq, r_plus, r_minus, freq = (float(v) for v in _roots(leading, damping, stiffness))
-    if delta_sq < 0.0:
-        return CharacteristicRoots("complex_pair", complex(r_plus, freq),
-                                   complex(r_minus, -freq))
-    kind = "real_distinct" if delta_sq > 0.0 else "double"
-    return CharacteristicRoots(kind, complex(r_plus), complex(r_minus))
 
 
 def _factors(r_plus, r_minus, freq, tau):
@@ -355,102 +285,43 @@ def characteristic_roots(p: ParameterSet, lambda_sq: float) -> CharacteristicRoo
     """Characteristic roots of the per-mode ODE at lambda_sq.
 
     Raises DegenerateModeError when |1 - c lam2| falls inside the degeneracy
-    gate; that mode is first order and belongs to ``solve_mode``.
+    gate; that mode is first order and ``evolve_modes`` evaluates it.
     """
-    leading, damping, stiffness = mode_ode_coefficients(p, lambda_sq)
+    if not lambda_sq > 0.0:
+        raise ValueError("lambda_sq must be positive")
+    leading = 1.0 - p.c * lambda_sq
     if is_degenerate(p.c, lambda_sq):
         raise DegenerateModeError(
             f"mode with lambda_sq={lambda_sq} is degenerate (1 - c lam2 = {leading:.3e}); "
-            "use solve_mode for the first-order branch")
-    return _typed_roots(leading, damping, stiffness)
-
-
-def compatibility_report(p: ParameterSet, lambda_sq: float,
-                         data: ModalInitialData,
-                         mode_index: int | None = None) -> CompatibilityReport:
-    """Check beta/alpha = -(b/a) lam2 for a degenerate mode (``_compatible``).
-
-    ``actual_ratio`` is None for alpha = 0, where only beta = 0 passes.
-    """
-    required = -(p.b * lambda_sq) / p.a
-    actual = None if data.alpha == 0.0 else data.beta / data.alpha
-    ok = bool(_compatible(required, data.alpha, data.beta))
-    return CompatibilityReport(required, actual, ok, COMPAT_TOL, mode_index)
-
-
-def solve_mode(p: ParameterSet, lambda_sq: float,
-               data: ModalInitialData | tuple[float, float],
-               mode_index: int | None = None) -> ModalSolution:
-    """Closed-form solution of one mode from its initial data.
-
-    Degenerate modes go through the compatibility check and either return
-    the first-order decay or raise UnsolvableModeError carrying the report.
-    """
-    if not isinstance(data, ModalInitialData):
-        data = ModalInitialData(*data)
-    leading, damping, stiffness = mode_ode_coefficients(p, lambda_sq)
-    if is_degenerate(p.c, lambda_sq):
-        report = compatibility_report(p, lambda_sq, data, mode_index)
-        if not report.satisfied:
-            raise UnsolvableModeError(
-                f"degenerate mode {mode_index if mode_index is not None else '?'} "
-                f"violates compatibility: beta/alpha = {report.actual_ratio}, "
-                f"required {report.required_ratio}",
-                mode_index=mode_index, report=report)
-        rate = report.required_ratio
-        return ModalSolution(CharacteristicRoots("first_order", complex(rate), complex(rate)),
-                             data.alpha, rate * data.alpha)
-    return ModalSolution(_typed_roots(leading, damping, stiffness), data.alpha, data.beta)
-
-
-def solve_second_order(leading: float, damping: float, stiffness: float,
-                       data: ModalInitialData | tuple[float, float]) -> ModalSolution:
-    """Solve leading y'' + damping y' + stiffness y = 0 from (y(0), y'(0)).
-
-    Shared closed-form core; ``leading`` must be bounded away from zero here
-    (degeneracy handling lives in ``solve_mode``).
-    """
-    if not isinstance(data, ModalInitialData):
-        data = ModalInitialData(*data)
-    if leading == 0.0:
-        raise DegenerateModeError("leading coefficient is zero; first-order problem")
-    if not damping > 0.0 or not stiffness > 0.0:
-        raise ValueError("damping and stiffness must be positive")
-    return ModalSolution(_typed_roots(leading, damping, stiffness), data.alpha, data.beta)
-
-
-def eval_mode(sol: ModalSolution, t: float) -> ModeValue:
-    """Evaluate a modal solution and its derivative at time t.
-
-    t = 0.0 short-circuits to the stored initial data, so round-tripping the
-    data through solve_mode is exact.  Second-order modes go through the
-    propagator kernel from (alpha, beta); values beyond the e^700 range
-    saturate to +/-inf with the flag set.
-    """
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
-    if t == 0.0:
-        return ModeValue(sol.alpha, sol.beta)
-    roots = sol.roots
-    if roots.kind == "first_order":
-        v, s1 = exp_term(sol.alpha, roots.r_plus, t)
-        d, s2 = exp_term(sol.beta, roots.r_plus, t)
-        return ModeValue(v, d, s1 or s2)
-    v, d, sat = _state(roots.r_plus, roots.r_minus, roots.frequency, sol.alpha, sol.beta, t)
-    return ModeValue(float(v), float(d), bool(sat))
+            "use evolve_modes for the first-order branch")
+    delta_sq, r_plus, r_minus, freq = (float(v) for v in _roots(leading, p.a, p.b * lambda_sq))
+    if delta_sq < 0.0:
+        return CharacteristicRoots("complex_pair", complex(r_plus, freq), complex(r_minus, -freq))
+    kind = "real_distinct" if delta_sq > 0.0 else "double"
+    return CharacteristicRoots(kind, complex(r_plus), complex(r_minus))
 
 
 def evolve_modes(p: ParameterSet, lambda_sq, alpha, beta, t: float):
-    """``solve_mode`` + ``eval_mode`` over arrays of modes in one pass.
+    """Modes lambda_sq from theta(0) = alpha, theta'(0) = beta, at time t.
 
-    Returns ``(theta, theta', saturated)`` arrays at time t, equal mode by
-    mode to the scalar path.  Degenerate modes evolve first order; the
-    lowest-index one whose data fail the compatibility check raises
-    UnsolvableModeError with its 1-based index.
+    Returns ``(theta, theta', saturated)`` arrays; arguments broadcast, and
+    scalars give 0-d arrays.  Second-order modes go through the 2x2
+    exponential; values beyond the e^700 range, and saturated +/-inf data,
+    give +/-inf with the flag set.  Degenerate modes (``is_degenerate``)
+    evolve first order, alpha e^{rate t} with rate = -b lam2 / a; the
+    lowest-index one whose data fail the compatibility test raises
+    UnsolvableModeError with its 1-based index.  t = 0 returns the data
+    exactly.  A non-finite t, lambda_sq <= 0 or nan data raise ValueError.
     """
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
     lam = np.asarray(lambda_sq, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
+    if not np.all(lam > 0.0):
+        raise ValueError("lambda_sq must be positive")
+    if np.isnan(alpha).any() or np.isnan(beta).any():
+        raise ValueError("modal data must not be nan")
     leading = 1.0 - p.c * lam
     stiffness = p.b * lam
     degenerate = is_degenerate(p.c, lam)
@@ -459,7 +330,12 @@ def evolve_modes(p: ParameterSet, lambda_sq, alpha, beta, t: float):
         bad = degenerate & ~_compatible(rate, alpha, beta)
         if np.any(bad):
             i = int(np.argmax(bad))
-            solve_mode(p, float(lam[i]), (float(alpha[i]), float(beta[i])), mode_index=i + 1)
+            required, al, be = (np.broadcast_to(v, bad.shape).flat[i] for v in (rate, alpha, beta))
+            with np.errstate(all="ignore"):
+                actual = be / al
+            raise UnsolvableModeError(
+                f"degenerate mode {i + 1} violates compatibility: beta/alpha = {actual}, "
+                f"required {required}", mode_index=i + 1)
     if t == 0.0:
         return (alpha.copy(), np.where(degenerate, rate * alpha, beta),
                 np.zeros(lam.shape, dtype=bool))
@@ -483,10 +359,12 @@ def reference_heat_mode(a: float, b: float, lambda_sq: float,
 
 
 def reference_telegraph_mode(tau: float, kappa: float, lambda_sq: float,
-                             data: ModalInitialData | tuple[float, float],
-                             t: float) -> float:
-    """Mode of the classical Cattaneo law tau theta'' + theta' = kappa d_xx theta."""
+                             data: tuple[float, float], t: float) -> float:
+    """Mode of the classical Cattaneo law tau theta'' + theta' = kappa d_xx theta
+    from data = (theta(0), theta'(0))."""
     if not (tau > 0.0 and kappa > 0.0 and lambda_sq > 0.0):
         raise ValueError("tau, kappa, lambda_sq must be positive")
-    sol = solve_second_order(tau, 1.0, kappa * lambda_sq, data)
-    return eval_mode(sol, t).value
+    if not all(math.isfinite(v) for v in (*data, t)):
+        raise ValueError("data and t must be finite")
+    value, _, _ = _state(*_roots(tau, 1.0, kappa * lambda_sq)[1:], *data, t)
+    return float(value)

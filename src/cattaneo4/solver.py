@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ExceptionalParameterError
-from .modal import ParameterSet, evolve_modes, is_degenerate
+from .modal import NEAR_TOL, ParameterSet, evolve_modes, is_degenerate
 from .spectrum import BasisDescriptor, nearest_member, spectrum
 from .util import dst1, simpson_weights
 
@@ -63,7 +63,6 @@ class WellPosednessReport:
     distance: float
     nearest: float
     verdict: str  # 'well_posed' | 'near_exceptional' | 'exceptional'
-    threshold: float
 
 
 def zero_field(basis: BasisDescriptor) -> Field:
@@ -178,31 +177,29 @@ def project_samples(samples, basis: BasisDescriptor) -> Field:
     return Field(basis, coefficients)
 
 
-def check_wellposed(c_value: float, basis: BasisDescriptor,
-                    threshold: float = 1e-9) -> WellPosednessReport:
+def check_wellposed(c_value: float, basis: BasisDescriptor) -> WellPosednessReport:
     """Locate c relative to the truncated exceptional set.
 
     Verdicts: 'exceptional' when some mode is first order by the test
-    ``solve_mode`` applies (``modal.is_degenerate``), 'near_exceptional'
-    within ``threshold`` of a member, or for c below the smallest enumerated
-    member, where collisions with the un-enumerated tail cannot be excluded
-    at this truncation.  Otherwise 'well_posed'.
+    ``evolve_modes`` applies (``modal.is_degenerate``), 'near_exceptional'
+    within ``modal.NEAR_TOL`` of a member, or for c below the smallest
+    enumerated member, where collisions with the un-enumerated tail cannot
+    be excluded at this truncation.  Otherwise 'well_posed'.  c must be
+    positive and finite.
     """
-    if threshold < 0.0:
-        raise ValueError("threshold must be nonnegative")
-    if not c_value > 0.0:
-        raise ValueError("parameter value must be positive")
+    if not (c_value > 0.0 and math.isfinite(c_value)):
+        raise ValueError("parameter value must be positive and finite")
     spec = spectrum(basis)
     dist, nearest = nearest_member(spec.inverse, c_value)
     # |1 - c lam2| = lam2 |1/lam2 - c| is least at a neighbour of c
     i = int(np.searchsorted(spec.inverse, c_value))
     if np.any(is_degenerate(c_value, spec.lambda_sq[::-1][max(i - 1, 0):i + 1])):
         verdict = "exceptional"
-    elif dist <= threshold or c_value < spec.inverse[0]:
+    elif dist <= NEAR_TOL or c_value < spec.inverse[0]:
         verdict = "near_exceptional"
     else:
         verdict = "well_posed"
-    return WellPosednessReport(c_value, dist, nearest, verdict, threshold)
+    return WellPosednessReport(c_value, dist, nearest, verdict)
 
 
 def evolve_homogeneous(p: ParameterSet, theta0: Field, theta1: Field, t: float,
@@ -221,7 +218,7 @@ def evolve_homogeneous(p: ParameterSet, theta0: Field, theta1: Field, t: float,
     if not math.isfinite(t):
         raise ValueError("t must be finite")
     basis = theta0.basis
-    report = check_wellposed(p.c, basis, threshold=0.0)
+    report = check_wellposed(p.c, basis)
     if report.verdict == "exceptional" and not override_exceptional:
         raise ExceptionalParameterError(
             f"c={p.c} lies in the exceptional set (nearest member {report.nearest}); "

@@ -17,10 +17,10 @@ from cattaneo4 import (BasisDescriptor, BoundarySignal, ExceptionalParameterErro
                        Field, OdeProblem, ParameterSet,
                        UnsolvableModeError, basis_field, build_blocks,
                        characteristic_roots, dirichlet_map_interval,
-                       eval_mode, evolve_homogeneous, evolve_with_boundary,
+                       evolve_homogeneous, evolve_modes, evolve_with_boundary,
                        fd_solve, first_crossing, integrate_mode, limit1_scan,
                        limit2_scan, limit3_scan, propagation_burst,
-                       reconstruct, singularity_scan, solve_mode, zero_field)
+                       reconstruct, singularity_scan, zero_field)
 
 PI = math.pi
 
@@ -42,16 +42,15 @@ def test_criterion_01_compatibility_dichotomy():
         alpha, beta = rng.normal(size=2)
         while abs(beta - required * alpha) <= 1e-6:
             alpha, beta = rng.normal(size=2)
-        with pytest.raises(UnsolvableModeError):
-            solve_mode(p, lam_sq, (alpha, beta), mode_index=2)
+        with pytest.raises(UnsolvableModeError) as exc:
+            evolve_modes(p, [1.0, lam_sq], [0.0, alpha], [0.0, beta], 0.5)
+        assert exc.value.mode_index == 2
         n_rejected += 1
     worst = 0.0
     for alpha in (1.0, -0.7, 0.05):
-        sol = solve_mode(p, lam_sq, (alpha, required * alpha), mode_index=2)
-        assert sol.roots.kind == "first_order"
         for t in np.linspace(0.0, 2.0, 10):
             want = alpha * math.exp(-(b * lam_sq / a) * t)
-            got = eval_mode(sol, float(t)).value
+            got = float(evolve_modes(p, lam_sq, alpha, required * alpha, float(t))[0])
             worst = max(worst, abs(got - want) / abs(want))
     elapsed = time.perf_counter() - t0
     stamp(1, "compatibility dichotomy",
@@ -83,25 +82,25 @@ def test_criterion_02_closed_form_vs_ode_oracle():
     for a_v, b_v, c_v, lam_sq in draws:
         p = ParameterSet(a_v, b_v, c_v)
         alpha, beta = rng.normal(size=2)
-        sol = solve_mode(p, lam_sq, (alpha, beta))
-        if sol.roots.kind == "double":
+        roots = characteristic_roots(p, lam_sq)
+        if roots.kind == "double":
             counts["double"] += 1
-            rate = abs(sol.roots.r_plus)
-        elif sol.roots.kind == "complex_pair":
+            rate = abs(roots.r_plus)
+        elif roots.kind == "complex_pair":
             counts["complex"] += 1
-            rate = abs(sol.roots.decay)
+            rate = abs(roots.decay)
         else:
-            assert sol.roots.kind == "real_distinct"
+            assert roots.kind == "real_distinct"
             counts["real"] += 1
-            rate = max(abs(sol.roots.r_plus), abs(sol.roots.r_minus))
+            rate = max(abs(roots.r_plus), abs(roots.r_minus))
         t = rng.uniform(0.0, min(1.0, 20.0 / max(rate, 1.0)))
-        mv = eval_mode(sol, t)
+        value = float(evolve_modes(p, lam_sq, alpha, beta, t)[0])
         amp = abs(alpha) + abs(beta)
-        if abs(mv.value) < 1e-3 * amp:
+        if abs(value) < 1e-3 * amp:
             continue  # relative error is not meaningful at a zero crossing
         prob = OdeProblem(1.0 - c_v * lam_sq, a_v, b_v * lam_sq, alpha, beta)
         got, _ = integrate_mode(prob, t + 1e-9, rel_tol=1e-12, abs_tol=1e-15)(t)
-        worst = max(worst, abs(mv.value - got) / abs(got))
+        worst = max(worst, abs(value - got) / abs(got))
     elapsed = time.perf_counter() - t0
     stamp(2, "closed form vs ODE oracle",
           worst <= 1e-8 and all(v > 0 for v in counts.values()) and elapsed < 10.0,

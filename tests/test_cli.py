@@ -49,6 +49,14 @@ def test_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+    # every exported name resolves, and of the modal layer the package
+    # exports only the one evaluator, the root report and their helpers
+    assert [n for n in cattaneo4.__all__ if not hasattr(cattaneo4, n)] == []
+    modal_names = {n for n in dir(cattaneo4)
+                   if getattr(getattr(cattaneo4, n), "__module__", None) == "cattaneo4.modal"}
+    assert modal_names == {"CharacteristicRoots", "ParameterSet", "characteristic_roots",
+                           "evolve_modes", "propagator", "reference_heat_mode",
+                           "reference_telegraph_mode", "second_order_roots"}
 
 
 def test_spectrum_roundtrip(tmp_path):

@@ -6,10 +6,9 @@ import pytest
 
 from cattaneo4 import (BasisDescriptor, ExceptionalParameterError, Field, OdeProblem,
                        ParameterSet, SingularParameterError, basis_field,
-                       eval_mode, first_crossing, heat_comparison, integrate_mode,
+                       evolve_modes, first_crossing, heat_comparison, integrate_mode,
                        limit1_reference, limit1_scan, limit2_scan, limit3_scan,
-                       propagation_burst, singularity_scan, solve_mode,
-                       whole_line_mode)
+                       propagation_burst, singularity_scan, whole_line_mode)
 
 PI = math.pi
 
@@ -71,6 +70,11 @@ def test_limit1_validation():
         limit1_scan(1.0, 1.0, 2.0, -0.1, [0.3])
     with pytest.raises(ValueError):
         limit1_scan(1.0, 1.0, 2.0, 0.1, [0.0])
+    # a non-finite c is invalid, not an 'exceptional' row
+    for c in (math.inf, math.nan):
+        with pytest.raises(ValueError) as exc:
+            limit1_scan(1.0, 1.0, 2.0, 0.1, [0.3, c])
+        assert not isinstance(exc.value, ExceptionalParameterError)
 
 
 # ------------------------------------------------------------------ limit 2
@@ -182,9 +186,9 @@ def test_heat_comparison_matches_per_mode_reference():
         p = family.at_sigma(sigma)
         terms, saturated = [], False
         for n, (a0, b0) in enumerate(zip(theta0.coefficients, theta1.coefficients), 1):
-            mv = eval_mode(solve_mode(p, float(n * n), (a0, b0)), t)
-            saturated |= mv.saturated
-            terms.append((mv.value - a0 * math.exp(-heat_rate * n * n * t)) ** 2)
+            value, _, sat = evolve_modes(p, float(n * n), a0, b0, t)
+            saturated |= bool(sat)
+            terms.append((float(value) - a0 * math.exp(-heat_rate * n * n * t)) ** 2)
         if saturated:
             assert row.flag == "saturated" and row.distance == math.inf
         else:
@@ -203,6 +207,11 @@ def test_heat_comparison_rejects_exceptional_sigma():
         heat_comparison(family, [1.0], theta0, theta1, 0.5)
     with pytest.raises(ValueError):
         heat_comparison(ParameterSet(1.0, 1.0, 0.05), [0.5], theta0, theta1, 0.5)
+    # a non-finite sigma is invalid, not exceptional
+    for sigma in (math.inf, math.nan):
+        with pytest.raises(ValueError) as exc:
+            heat_comparison(family, [0.3, sigma], theta0, theta1, 0.5)
+        assert not isinstance(exc.value, ExceptionalParameterError)
 
 
 # --------------------------------------------------------------- wholeline

@@ -7,13 +7,16 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cattaneo4 import (CompatibilityReport, DegenerateModeError,
-                       ModalInitialData, OdeProblem, ParameterSet,
-                       UnsolvableModeError, characteristic_roots,
-                       compatibility_report, eval_mode, evolve_modes,
+from cattaneo4 import (DegenerateModeError, OdeProblem, ParameterSet,
+                       UnsolvableModeError, characteristic_roots, evolve_modes,
                        integrate_mode, propagator, reference_heat_mode,
-                       reference_telegraph_mode, solve_mode, solve_second_order)
-from cattaneo4.modal import discriminant_delta, mode_ode_coefficients
+                       reference_telegraph_mode, second_order_roots)
+
+
+def mode(p, lam2, alpha, beta, t):
+    """(theta, theta', saturated) of one mode as Python scalars."""
+    v, d, s = evolve_modes(p, lam2, alpha, beta, t)
+    return float(v), float(d), bool(s)
 
 
 def complex_two_exp(leading, damping, stiffness, alpha, beta, t):
@@ -49,21 +52,14 @@ def test_parameter_set_validation():
                      map_tag="m1")
     with pytest.raises(ValueError):
         ParameterSet.from_physical(chi=2.0, sigma=-5.0, gamma_rho=4.0)
-    with pytest.raises(ValueError):
-        ModalInitialData(math.nan, 0.0)
-
-
-def test_mode_ode_coefficients():
-    p = ParameterSet(3.0, 1.5, 0.5)
-    assert mode_ode_coefficients(p, 4.0) == (1.0 - 0.5 * 4.0, 3.0, 1.5 * 4.0)
 
 
 def test_discriminant_examples():
-    # a^2 - 4 b lam2 (1 - c lam2)
-    assert discriminant_delta(ParameterSet(1.0, 1.0, 0.05), 4.0) == \
+    # a^2 - 4 b lam2 (1 - c lam2) of the mode ODE (1 - c lam2, a, b lam2)
+    assert second_order_roots(1.0 - 0.05 * 4.0, 1.0, 4.0)[0] == \
         pytest.approx(1.0 - 16.0 * 0.8, rel=1e-15)
     # exact double root: lam2=1, c=0.75 -> eps=0.25, 4*1*0.25 = 1 = a^2
-    assert discriminant_delta(ParameterSet(1.0, 1.0, 0.75), 1.0) == 0.0
+    assert second_order_roots(1.0 - 0.75, 1.0, 1.0)[0] == 0.0
 
 
 def test_characteristic_roots_regimes():
@@ -99,45 +95,44 @@ def test_limit3_family_roots_are_exact():
 
 def test_sigma_form_and_normalized_form_agree():
     # k=1: raw -5/4 y'' + 2 y' + y = 0 is the unnormalized version of the
-    # mapped parameter set; both routes must produce the same trajectory
-    sol_raw = solve_second_order(-1.25, 2.0, 1.0, (1.0, -0.5))
+    # mapped parameter set; its propagator (h, k) = (2, 1)/(-5/4) and the
+    # mapped mode must produce the same trajectory
     p = ParameterSet.from_physical(chi=2.0, sigma=5.0, gamma_rho=4.0)
-    sol_map = solve_mode(p, 1.0, (1.0, -0.5))
-    assert sol_raw.roots.kind == sol_map.roots.kind == "real_distinct"
-    assert sol_raw.roots.r_minus == sol_map.roots.r_minus == 2.0
+    roots = characteristic_roots(p, 1.0)
+    assert roots.kind == "real_distinct" and roots.r_minus == 2.0
+    assert second_order_roots(-1.25, 2.0, 1.0)[3] == 2.0
     for t in (0.0, 0.3, 1.1):
-        assert eval_mode(sol_raw, t).value == \
-            pytest.approx(eval_mode(sol_map, t).value, rel=1e-14)
+        phi0, phi1, log_scale, _ = propagator(2.0 / -1.25, -1.0 / -1.25, t)
+        raw = math.exp(log_scale) * (phi0 * 1.0 + phi1 * -0.5)
+        assert raw == pytest.approx(mode(p, 1.0, 1.0, -0.5, t)[0], rel=1e-14)
 
 
 def test_real_distinct_against_linear_solve():
     p = ParameterSet(3.0, 1.0, 0.5)
-    sol = solve_mode(p, 1.0, (1.0, 0.25))
     for t in (0.1, 0.7, 2.0):
         want_v, want_d = complex_two_exp(0.5, 3.0, 1.0, 1.0, 0.25, t)
-        got = eval_mode(sol, t)
-        assert got.value == pytest.approx(want_v, rel=1e-13)
-        assert got.derivative == pytest.approx(want_d, rel=1e-13)
+        value, deriv, _ = mode(p, 1.0, 1.0, 0.25, t)
+        assert value == pytest.approx(want_v, rel=1e-13)
+        assert deriv == pytest.approx(want_d, rel=1e-13)
 
 
 def test_complex_pair_against_linear_solve():
     p = ParameterSet(1.0, 1.0, 0.05)
-    sol = solve_mode(p, 4.0, (0.7, -0.3))
-    assert sol.roots.kind == "complex_pair"
+    assert characteristic_roots(p, 4.0).kind == "complex_pair"
     for t in (0.2, 1.0, 3.0):
         want_v, want_d = complex_two_exp(0.8, 1.0, 4.0, 0.7, -0.3, t)
-        got = eval_mode(sol, t)
-        assert got.value == pytest.approx(want_v, rel=1e-12, abs=1e-14)
-        assert got.derivative == pytest.approx(want_d, rel=1e-12, abs=1e-14)
+        value, deriv, _ = mode(p, 4.0, 0.7, -0.3, t)
+        assert value == pytest.approx(want_v, rel=1e-12, abs=1e-14)
+        assert deriv == pytest.approx(want_d, rel=1e-12, abs=1e-14)
 
 
 def test_double_root_closed_form():
     # (A + B t) e^{-2t} with A = alpha, B = beta + 2 alpha
-    sol = solve_mode(ParameterSet(1.0, 1.0, 0.75), 1.0, (1.0, 0.5))
-    assert sol.roots.kind == "double"
+    p = ParameterSet(1.0, 1.0, 0.75)
+    assert characteristic_roots(p, 1.0).kind == "double"
     for t in (0.0, 0.4, 2.5):
         want = (1.0 + (0.5 + 2.0) * t) * math.exp(-2.0 * t)
-        assert eval_mode(sol, t).value == pytest.approx(want, rel=1e-14)
+        assert mode(p, 1.0, 1.0, 0.5, t)[0] == pytest.approx(want, rel=1e-14)
 
 
 def test_root_products_and_sums():
@@ -153,54 +148,67 @@ def test_root_products_and_sums():
 def test_degenerate_dispatch_and_compatibility():
     p = ParameterSet(2.0, 1.0, 0.25)  # exceptional at lam2 = 4
     required = -(1.0 * 4.0) / 2.0
-    rep = compatibility_report(p, 4.0, ModalInitialData(1.0, required))
-    assert rep.satisfied and rep.actual_ratio == required
+    with pytest.raises(DegenerateModeError):
+        characteristic_roots(p, 4.0)
 
-    sol = solve_mode(p, 4.0, (1.0, required))
-    assert sol.roots.kind == "first_order"
-    assert sol.roots.r_plus == required
-    mv = eval_mode(sol, 0.5)
-    assert mv.value == pytest.approx(math.exp(required * 0.5), rel=1e-15)
+    value, deriv, sat = mode(p, 4.0, 1.0, required, 0.5)
+    assert value == pytest.approx(math.exp(required * 0.5), rel=1e-15)
+    assert deriv == pytest.approx(required * math.exp(required * 0.5), rel=1e-15)
+    assert not sat
+    assert mode(p, 4.0, 1.0, required, 0.0) == (1.0, required, False)
 
+    # mode 2 of the batch is the degenerate one
     with pytest.raises(UnsolvableModeError) as exc:
-        solve_mode(p, 4.0, (1.0, required + 0.1), mode_index=2)
+        evolve_modes(p, [1.0, 4.0], [0.0, 1.0], [0.0, required + 0.1], 0.5)
     assert exc.value.mode_index == 2
-    assert isinstance(exc.value.report, CompatibilityReport)
-    assert not exc.value.report.satisfied
+    assert "required -2.0" in str(exc.value) and "beta/alpha = -1.9" in str(exc.value)
 
 
 def test_zero_alpha_compatibility_is_exact():
     p = ParameterSet(2.0, 1.0, 0.25)
-    assert compatibility_report(p, 4.0, ModalInitialData(0.0, 0.0)).satisfied
-    assert not compatibility_report(p, 4.0, ModalInitialData(0.0, 1e-300)).satisfied
+    assert mode(p, 4.0, 0.0, 0.0, 0.5) == (0.0, -0.0, False)
+    with pytest.raises(UnsolvableModeError):
+        evolve_modes(p, 4.0, 0.0, 1e-300, 0.5)
 
 
 def test_near_degenerate_stays_second_order():
     eps = 1e-9
     p = ParameterSet(1.0, 1.0, (1.0 - eps) / 4.0)
-    sol = solve_mode(p, 4.0, (1.0, 0.0))
-    assert sol.roots.kind == "real_distinct"
+    roots = characteristic_roots(p, 4.0)
+    assert roots.kind == "real_distinct"
     # slow root approaches the first-order rate -b lam2 / a
-    assert sol.roots.r_plus == pytest.approx(-4.0, rel=1e-6)
+    assert roots.r_plus == pytest.approx(-4.0, rel=1e-6)
 
 
 def test_eval_saturation_flags():
     # eps < 0 puts one root at roughly a/|eps| > 0; t=1 overflows e^709
     eps = -1e-6
     p = ParameterSet(1.0, 1.0, (1.0 - eps) / 4.0)
-    sol = solve_mode(p, 4.0, (1.0, 0.0))
-    assert sol.roots.kind == "real_distinct" and sol.roots.r_minus > 1e5
-    mv = eval_mode(sol, 1.0)
-    assert mv.saturated
-    assert math.isinf(mv.value) and math.isinf(mv.derivative)
+    roots = characteristic_roots(p, 4.0)
+    assert roots.kind == "real_distinct" and roots.r_minus > 1e5
+    value, deriv, sat = mode(p, 4.0, 1.0, 0.0, 1.0)
+    assert sat
+    assert math.isinf(value) and math.isinf(deriv)
 
 
 def test_eval_time_validation():
-    sol = solve_mode(ParameterSet(1.0, 1.0, 0.05), 4.0, (1.0, 0.0))
-    with pytest.raises(ValueError):
-        eval_mode(sol, math.inf)
-    with pytest.raises(ValueError):
-        eval_mode(sol, math.nan)
+    p = ParameterSet(1.0, 1.0, 0.05)
+    for t in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            evolve_modes(p, 4.0, 1.0, 0.0, t)
+
+
+def test_evolve_modes_data_validation():
+    p = ParameterSet(1.0, 1.0, 0.05)
+    for lam2 in (0.0, -4.0, math.nan, [4.0, 0.0]):
+        with pytest.raises(ValueError):
+            evolve_modes(p, lam2, 1.0, 0.0, 0.5)
+    for alpha, beta in ((math.nan, 0.0), (1.0, math.nan), ([1.0, math.nan], 0.0)):
+        with pytest.raises(ValueError):
+            evolve_modes(p, [4.0, 9.0], alpha, beta, 0.5)
+    # saturated data are not rejected: they evolve to a flagged value
+    value, _, sat = mode(p, 4.0, math.inf, 0.0, 0.5)
+    assert sat and math.isinf(value)
 
 
 def test_heat_reference_value():
@@ -210,26 +218,22 @@ def test_heat_reference_value():
 
 def test_telegraph_reference_roots_and_limit():
     # tau=1, kappa lam2=1: mu^2 + mu + 1 = 0 -> (-1 +- i sqrt3)/2
-    sol = solve_second_order(1.0, 1.0, 1.0, (1.0, 0.0))
-    assert sol.roots.kind == "complex_pair"
-    assert sol.roots.decay == pytest.approx(-0.5, rel=1e-15)
-    assert sol.roots.frequency == pytest.approx(math.sqrt(3.0) / 2.0, rel=1e-14)
+    delta_sq, delta, r_plus, r_minus = second_order_roots(1.0, 1.0, 1.0)
+    assert delta_sq < 0.0 and r_plus == r_minus == -0.5
+    w = delta / 2.0
+    assert w == pytest.approx(math.sqrt(3.0) / 2.0, rel=1e-14)
     got = reference_telegraph_mode(tau=1.0, kappa=1.0, lambda_sq=1.0,
                                    data=(1.0, 0.0), t=0.7)
-    assert got == pytest.approx(eval_mode(sol, 0.7).value, rel=1e-14)
+    want = math.exp(-0.35) * (math.cos(0.7 * w) + 0.5 / w * math.sin(0.7 * w))
+    assert got == pytest.approx(want, rel=1e-14)
+    with pytest.raises(ValueError):
+        reference_telegraph_mode(1.0, 1.0, 1.0, (math.nan, 0.0), 0.7)
     # tau -> 0 recovers the heat decay on compatible data
     for t in (0.2, 1.0):
         heat = reference_heat_mode(a=1.0, b=1.0, lambda_sq=1.0, alpha=1.0, t=t)
         tele = reference_telegraph_mode(tau=1e-8, kappa=1.0, lambda_sq=1.0,
                                         data=(1.0, -1.0), t=t)
         assert tele == pytest.approx(heat, rel=1e-6)
-
-
-def test_solve_second_order_validation():
-    with pytest.raises(DegenerateModeError):
-        solve_second_order(0.0, 1.0, 1.0, (1.0, 0.0))
-    with pytest.raises(ValueError):
-        solve_second_order(1.0, -1.0, 1.0, (1.0, 0.0))
 
 
 mode_params = st.tuples(
@@ -247,10 +251,10 @@ mode_params = st.tuples(
 def test_t0_reproduces_data_exactly(params, alpha, beta):
     a, b, c, lam2 = params
     assume(abs(1.0 - c * lam2) > 1e-6)
-    sol = solve_mode(ParameterSet(a, b, c), lam2, (alpha, beta))
-    mv = eval_mode(sol, 0.0)
-    assert mv.value == alpha
-    assert mv.derivative == beta
+    value, deriv, sat = mode(ParameterSet(a, b, c), lam2, alpha, beta, 0.0)
+    assert value == alpha
+    assert deriv == beta
+    assert not sat
 
 
 @given(mode_params,
@@ -264,13 +268,12 @@ def test_closed_form_matches_ode_oracle(params, alpha, beta, t):
     assume(abs(eps) > 0.02)
     assume(abs(alpha) + abs(beta) > 1e-3)
     p = ParameterSet(a, b, c)
-    sol = solve_mode(p, lam2, (alpha, beta))
     traj = integrate_mode(OdeProblem(eps, a, b * lam2, alpha, beta), 1.0)
     ref_v, ref_d = traj(t)
-    got = eval_mode(sol, t)
+    value, deriv, _ = mode(p, lam2, alpha, beta, t)
     scale = max(1.0, abs(ref_v), abs(ref_d))
-    assert abs(got.value - ref_v) / scale < 1e-8
-    assert abs(got.derivative - ref_d) / scale < 1e-8
+    assert abs(value - ref_v) / scale < 1e-8
+    assert abs(deriv - ref_d) / scale < 1e-8
 
 
 @given(st.sampled_from([1.0, 4.0, 16.0, 64.0]),
@@ -284,12 +287,17 @@ def test_compatibility_dichotomy(lam2, alpha, compat):
     p = ParameterSet(1.5, 1.0, 1.0 / lam2)
     required = -(1.0 * lam2) / 1.5
     beta = required * alpha if compat else required * alpha + 0.5
+    with pytest.raises(DegenerateModeError):
+        characteristic_roots(p, lam2)
     if compat:
-        sol = solve_mode(p, lam2, (alpha, beta))
-        assert sol.roots.kind == "first_order"
+        # the first-order decay alpha e^{required t}
+        value, deriv, sat = mode(p, lam2, alpha, beta, 0.25)
+        assert value == pytest.approx(alpha * math.exp(0.25 * required), rel=1e-14, abs=1e-300)
+        assert deriv == pytest.approx(beta * math.exp(0.25 * required), rel=1e-14, abs=1e-300)
+        assert not sat
     else:
         with pytest.raises(UnsolvableModeError):
-            solve_mode(p, lam2, (alpha, beta))
+            evolve_modes(p, lam2, alpha, beta, 0.25)
 
 
 # ------------------------------------------- extended-precision kernel checks
@@ -329,23 +337,20 @@ def normwise_error(got, ref):
 
 
 def check_against_reference(a, b, c, lam2, alpha, beta, t):
-    """Scalar and vectorized paths against the reference, saturation included."""
-    p = ParameterSet(a, b, c)
+    """evolve_modes against the reference, saturation included."""
     ref = mp_mode_state(a, b, c, lam2, alpha, beta, t)
-    mv = eval_mode(solve_mode(p, lam2, (alpha, beta)), t)
-    v, d, s = evolve_modes(p, [lam2], [alpha], [beta], t)
-    assert (v[0], d[0], bool(s[0])) == (mv.value, mv.derivative, mv.saturated)
+    value, deriv, sat = mode(ParameterSet(a, b, c), lam2, alpha, beta, t)
     logs = [float(mp.log(abs(x))) if x != 0 else -math.inf for x in ref[:2]]
     if max(logs) > LOG_SAT + 1e-6:
-        assert mv.saturated
-        for got, want, lg in zip((mv.value, mv.derivative), ref[:2], logs):
+        assert sat
+        for got, want, lg in zip((value, deriv), ref[:2], logs):
             if lg > LOG_SAT + 1e-6:
                 assert math.isinf(got) and (got > 0) == (want > 0)
         return
     if max(logs) > LOG_SAT - 1e-6:
         return  # at the saturation edge either answer is right
-    assert not mv.saturated
-    assert normwise_error((mv.value, mv.derivative), ref) <= 64 * U * (1.0 + ref[3])
+    assert not sat
+    assert normwise_error((value, deriv), ref) <= 64 * U * (1.0 + ref[3])
 
 
 data = st.floats(min_value=-2.0, max_value=2.0)
@@ -430,10 +435,15 @@ def test_propagator_broadcasts_and_starts_at_identity():
     assert (log_scale[:, 0] == 0.0).all() and not saturated.any()
 
 
-def test_vectorized_modes_match_scalar_path():
-    # one array call against solve_mode + eval_mode per mode, across the
-    # complex, real-decaying, growing and saturated regimes of c next to
-    # the exceptional member 1/lam_200^2, plus one degenerate mode
+def same_bits(x, y):
+    return np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+def test_batch_matches_single_mode_calls():
+    # one array call against one call per mode, bit for bit (signs of zero
+    # included), across the complex, real-decaying, growing and saturated
+    # regimes of c next to the exceptional member 1/lam_200^2, plus one
+    # degenerate mode
     n = np.arange(1, 401, dtype=float)
     lam2 = (n / 16.0) ** 2
     rng = np.random.default_rng(5)
@@ -443,17 +453,19 @@ def test_vectorized_modes_match_scalar_path():
         v, d, s = evolve_modes(p, lam2, alpha, beta, t)
         assert s.any() and not s.all()
         for i in range(400):
-            mv = eval_mode(solve_mode(p, lam2[i], (alpha[i], beta[i])), t)
-            assert (v[i], d[i], bool(s[i])) == (mv.value, mv.derivative, mv.saturated)
+            one = evolve_modes(p, lam2[i:i + 1], alpha[i:i + 1], beta[i:i + 1], t)
+            assert all(same_bits(x[i:i + 1], y) for x, y in zip((v, d, s), one))
     # c = 1/lam_4^2 exactly: mode 4 is first order; compatible data there
     p = ParameterSet(2.0, 1.0, 1.0 / lam2[3])
     beta_c = beta.copy()
     beta_c[3] = -(p.b * lam2[3]) / p.a * alpha[3]
     v, d, s = evolve_modes(p, lam2[:8], alpha[:8], beta_c[:8], 0.9)
     for i in range(8):
-        mv = eval_mode(solve_mode(p, lam2[i], (alpha[i], beta_c[i])), 0.9)
-        assert (v[i], d[i], bool(s[i])) == (mv.value, mv.derivative, mv.saturated)
-    assert solve_mode(p, lam2[3], (alpha[3], beta_c[3])).roots.kind == "first_order"
+        one = evolve_modes(p, lam2[i:i + 1], alpha[i:i + 1], beta_c[i:i + 1], 0.9)
+        assert all(same_bits(x[i:i + 1], y) for x, y in zip((v, d, s), one))
+    with pytest.raises(DegenerateModeError):
+        characteristic_roots(p, lam2[3])
+    assert v[3] == pytest.approx(alpha[3] * math.exp(-0.9 * lam2[3] / 2.0), rel=1e-14)
     with pytest.raises(UnsolvableModeError) as err:
         evolve_modes(p, lam2[:8], alpha[:8], beta[:8], 0.9)
     assert err.value.mode_index == 4

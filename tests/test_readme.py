@@ -28,11 +28,13 @@ def run_readme_blocks():
 
 def test_readme_examples_show_their_values():
     ns, shown = run_readme_blocks()
-    assert len(shown) == 4
+    assert len(shown) == 5
     verdict, nearest, distance = shown[0]
     assert (verdict, nearest) == ("well_posed", 0.25)
     assert distance == pytest.approx(0.01, rel=1e-12)
     assert shown[1] == pytest.approx([0.909606, 0.0, -0.118364, 0.0], abs=5e-7)
-    assert ns["sol"].roots.kind == "complex_pair"
-    assert shown[2] == pytest.approx(0.657042, abs=5e-7)
-    assert shown[3] == (0.0625, 0.1111111111111111, 0.25, 1.0)
+    value, deriv, saturated = shown[2]
+    assert (value, deriv) == pytest.approx((0.65704238, -1.07229772), abs=5e-9)
+    assert not saturated
+    assert shown[3] == "complex_pair"
+    assert shown[4] == (0.0625, 0.1111111111111111, 0.25, 1.0)

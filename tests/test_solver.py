@@ -140,7 +140,7 @@ def test_field_norm_scales_before_summing():
 
 def test_check_wellposed_verdicts():
     basis = interval_basis(10)
-    rep = check_wellposed(0.26, basis, threshold=1e-3)
+    rep = check_wellposed(0.26, basis)
     assert rep.verdict == "well_posed"
     assert rep.nearest == 0.25
     assert rep.distance == pytest.approx(0.01, rel=1e-12)
@@ -148,18 +148,21 @@ def test_check_wellposed_verdicts():
     assert check_wellposed(0.25, basis).verdict == "exceptional"
     assert check_wellposed(1.0, basis).verdict == "exceptional"
 
-    rep = check_wellposed(0.25 + 1e-10, basis, threshold=1e-9)
+    rep = check_wellposed(0.25 + 1e-10, basis)
     assert rep.verdict == "near_exceptional"
+    assert check_wellposed(0.25 + 2e-9, basis).verdict == "well_posed"
 
     # below the enumerated tail the verdict cannot be well_posed
     rep = check_wellposed(1e-9, basis)
     assert rep.verdict == "near_exceptional"
-    with pytest.raises(ValueError):
-        check_wellposed(0.3, basis, threshold=-1.0)
+    # an infinite c is no member of the exceptional set, just invalid
+    for c in (math.inf, math.nan, 0.0, -0.25):
+        with pytest.raises(ValueError):
+            check_wellposed(c, basis)
 
 
-def test_exceptional_gate_agrees_with_solve_mode():
-    # |1 - c lam2| = 1e-8 at mode 5000: second order for solve_mode, so
+def test_exceptional_gate_agrees_with_evolve_modes():
+    # |1 - c lam2| = 1e-8 at mode 5000: second order for evolve_modes, so
     # neither 'exceptional' nor refused by evolve_homogeneous
     basis = interval_basis(6000)
     c = (1.0 + 1e-8) / 5000.0**2
@@ -169,7 +172,7 @@ def test_exceptional_gate_agrees_with_solve_mode():
     p = ParameterSet(2.0, 1.0, c)
     th, _ = evolve_homogeneous(p, basis_field(basis, 1), basis_field(basis, 5000), 0.1)
     assert th.saturated[4999] and not th.saturated[0]
-    # inside the degeneracy gate of solve_mode the verdict is 'exceptional'
+    # inside the degeneracy gate of evolve_modes the verdict is 'exceptional'
     for rel in (4e-13, -4e-13):
         c = (1.0 + rel) / 5000.0**2
         assert abs(1.0 - c * 5000.0**2) <= 1e-12
@@ -228,6 +231,23 @@ def test_evolve_mixed_data_and_masks():
     assert bool(th.saturated[0]) is False
     assert th.saturated[2:].all()
     assert field_norm(th) == math.inf
+
+
+def test_evolve_saturated_field_keeps_its_flags():
+    # saturated +/-inf coefficients evolve to flagged infinities; the finite
+    # modes come out exactly as from the field without them
+    basis = interval_basis(6)
+    p = ParameterSet(1.0, 1.0, 0.2)
+    c0 = np.array([1.0, math.inf, 0.5, -math.inf, 0.0, 2.0])
+    sat = ~np.isfinite(c0)
+    th, dth = evolve_homogeneous(p, Field(basis, c0, sat), zero_field(basis), 0.3)
+    assert (th.saturated == sat).all() and (dth.saturated == sat).all()
+    assert th.coefficients[1] == math.inf and th.coefficients[3] == -math.inf
+    assert np.isinf(dth.coefficients[sat]).all()
+    fin, dfin = evolve_homogeneous(p, Field(basis, np.where(sat, 0.0, c0)),
+                                   zero_field(basis), 0.3)
+    assert th.coefficients[~sat].tobytes() == fin.coefficients[~sat].tobytes()
+    assert dth.coefficients[~sat].tobytes() == dfin.coefficients[~sat].tobytes()
 
 
 def test_evolve_linearity():
