@@ -29,6 +29,12 @@ Coefficients for limit 1 use the cancellation-free forms
 
 algebraically equal to the generic variation-of-parameters coefficients but
 stable arbitrarily close to the degenerate point.
+
+The split columns are what the paper's tables report.  Values and
+log-magnitudes come from the modal kernel of ``evolve_modes``
+(``modal._mode_value``), one array call per scan.  A row is 'saturated'
+exactly where that kernel flags |theta| > e^700: its value is then +/-inf
+and its log-magnitude stays finite.
 """
 
 from __future__ import annotations
@@ -41,11 +47,10 @@ import numpy as np
 
 from .boundary import BoundarySignal, build_blocks, dirichlet_map_interval, evolve_with_boundary
 from .errors import ExceptionalParameterError, SingularParameterError
-from .modal import (ParameterSet, characteristic_roots, evolve_modes, is_degenerate,
-                    propagator, second_order_roots)
+from .modal import ParameterSet, _mode_value, evolve_modes, is_degenerate, second_order_roots
 from .solver import Field, check_wellposed, reconstruct, zero_field
 from .spectrum import BasisDescriptor, spectrum
-from .util import LOG_SATURATION, exp_term, fit_slope, log_abs_exp_sum, scaled_exp, simpson
+from .util import fit_slope, simpson
 
 # Simpson points on the subregion of propagation_burst (odd).
 MASS_GRID = 2049
@@ -63,7 +68,6 @@ class LimitScanRow:
     exp_second: float
     value_at_t: float
     log_abs_value: float
-    lower_bound_norm: float
     flag: str
 
 
@@ -130,27 +134,13 @@ def _log_abs_term(coeff: float, rate: float, t: float) -> float:
     return math.log(abs(coeff)) + rate * t
 
 
-def _two_exp(c1: float, x1: float, c2: float, x2: float,
-             t: float) -> tuple[float, float, str]:
-    """(value, log|value|, flag) of c1 e^{x1 t} + c2 e^{x2 t}.  When a term
-    saturates the value comes from the log-magnitude and the flag is
-    'saturated'."""
-    v1, s1 = exp_term(c1, x1, t)
-    v2, s2 = exp_term(c2, x2, t)
-    sign, logv = log_abs_exp_sum([(c1, _log_abs_term(c1, x1, t)),
-                                  (c2, _log_abs_term(c2, x2, t))])
-    if not (s1 or s2):
-        return v1 + v2, logv, "ok"
-    value = (math.copysign(math.inf, sign) if logv > LOG_SATURATION
-             else sign * math.exp(logv))
-    return value, logv, "saturated"
-
-
-def _split_row(k: int, parameter: float, c1: float, x1: float, c2: float,
-               x2: float, t: float) -> LimitScanRow:
-    value, logv, flag = _two_exp(c1, x1, c2, x2, t)
-    bound = abs(value) if math.isfinite(value) else math.inf
-    return LimitScanRow(k, parameter, c1, c2, x1, x2, value, logv, bound, flag)
+def _scan_rows(k, parameter, coeff_first, coeff_second, exp_first, exp_second,
+               value, log_abs, flag) -> list[LimitScanRow]:
+    """One LimitScanRow per entry of the column arrays, as Python scalars."""
+    columns = (np.asarray(col).tolist() for col in (
+        k, parameter, coeff_first, coeff_second, exp_first, exp_second, value,
+        log_abs, flag))
+    return [LimitScanRow(*row) for row in zip(*columns)]
 
 
 def limit1_scan(a: float, b: float, lambda_sq: float, t: float,
@@ -159,38 +149,44 @@ def limit1_scan(a: float, b: float, lambda_sq: float, t: float,
 
     Data are the distinguished compatible pair theta(0) = -a/(b lam2),
     theta'(0) = 1.  Rows carry the slow/fast split theta = A e^{r+ t}
-    + B e^{r- t}; at an exactly exceptional c the row degenerates to the
+    + B e^{r- t}, or nan split columns where the roots are not real and
+    distinct; at an exactly exceptional c the row degenerates to the
     first-order decay and is flagged 'exceptional'.
     """
     if not (a > 0.0 and b > 0.0 and lambda_sq > 0.0):
         raise ValueError("a, b, lambda_sq must be positive")
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("t must be finite and nonnegative")
+    c = np.asarray(list(c_values), dtype=float)
+    if not np.all((c > 0.0) & np.isfinite(c)):
+        raise ValueError("c values must be positive and finite")
     alpha = -a / (b * lambda_sq)
-    rows = []
-    for k, c in enumerate(c_values, start=1):
-        if not (c > 0.0 and math.isfinite(c)):
-            raise ValueError("c values must be positive and finite")
-        eps = 1.0 - c * lambda_sq
-        if is_degenerate(c, lambda_sq):
-            rate = -(b * lambda_sq) / a
-            v, _ = exp_term(alpha, rate, t)
-            rows.append(LimitScanRow(k, c, alpha, 0.0, rate, 0.0, v,
-                                     _log_abs_term(alpha, rate, t),
-                                     abs(v), "exceptional"))
-            continue
-        delta_sq, delta, r_plus, r_minus = (
-            float(v) for v in second_order_roots(eps, a, b * lambda_sq))
-        if delta_sq <= 0.0:
-            # far from the limit the mode may turn oscillatory; record its value
-            v = float(evolve_modes(ParameterSet(a, b, c), lambda_sq, alpha, 1.0, t)[0])
-            rows.append(LimitScanRow(k, c, math.nan, math.nan, math.nan, math.nan, v,
-                                     math.log(abs(v)) if v else -math.inf, abs(v), "ok"))
-            continue
-        B = 4.0 * b * lambda_sq * eps * eps / (delta * (a + delta) ** 2)
-        A = alpha - B
-        rows.append(_split_row(k, c, A, r_plus, B, r_minus, t))
-    return rows
+    rate = -(b * lambda_sq) / a
+    eps = 1.0 - c * lambda_sq
+    exceptional = is_degenerate(c, lambda_sq)
+    delta_sq, delta, r_plus, r_minus = second_order_roots(eps, a, b * lambda_sq)
+    split = delta_sq > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        B = np.where(split, 4.0 * b * lambda_sq * eps * eps
+                     / (delta * ((a + delta) * (a + delta))), math.nan)
+    A = alpha - B
+    r_plus, r_minus = (np.where(split, r, math.nan) for r in (r_plus, r_minus))
+    value, log_abs = np.empty(c.shape), np.empty(c.shape)
+    saturated = np.zeros(c.shape, dtype=bool)
+    second = ~exceptional
+    value[second], log_abs[second], saturated[second] = _mode_value(
+        eps[second], a, b * lambda_sq, alpha, 1.0, t)
+    if np.any(exceptional):
+        # the first-order decay alpha e^{rate t}, the same for every such c
+        p = ParameterSet(a, b, float(c[exceptional][0]))
+        value[exceptional] = evolve_modes(p, lambda_sq, alpha, 1.0, t)[0]
+        log_abs[exceptional] = _log_abs_term(alpha, rate, t)
+    return _scan_rows(np.arange(1, c.size + 1), c,
+                      np.where(exceptional, alpha, A), np.where(exceptional, 0.0, B),
+                      np.where(exceptional, rate, r_plus),
+                      np.where(exceptional, 0.0, r_minus), value, log_abs,
+                      np.where(exceptional, "exceptional",
+                               np.where(saturated, "saturated", "ok")))
 
 
 def limit1_reference(a: float, b: float, lambda_sq: float, t: float) -> dict:
@@ -218,32 +214,30 @@ def limit2_scan(a: float, b: float, gamma: float, k_range, t: float) -> Limit2Re
     """
     if not (a > 0.0 and b > 0.0 and gamma > 0.0):
         raise ValueError("a, b, gamma must be positive")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("t must be finite and nonnegative")
     ks = sorted(set(int(k) for k in k_range))
     if not ks or ks[0] < 1:
         raise ValueError("k_range must hold positive integers")
-    kmax = ks[-1]
-    basis = BasisDescriptor(1, (math.pi,), 2 * kmax + 8)
-    spec = spectrum(basis)
-    rows = []
-    for k in ks:
-        lam_sq = float(spec.lambda_sq[k - 1])
-        lam = math.sqrt(lam_sq)
-        c_k = 1.0 / lam_sq + gamma / lam ** 3
-        report = check_wellposed(c_k, basis)
+    basis = BasisDescriptor(1, (math.pi,), 2 * ks[-1] + 8)
+    ks = np.array(ks)
+    lam_sq = spectrum(basis).lambda_sq[ks - 1]
+    c_k = np.array([1.0 / x + gamma / math.sqrt(x) ** 3 for x in lam_sq.tolist()])
+    for k, c in zip(ks.tolist(), c_k.tolist()):
+        report = check_wellposed(c, basis)
         if report.verdict == "exceptional":
             raise ExceptionalParameterError(
-                f"c_{k} = {c_k!r} collides with exceptional member {report.nearest!r}; "
-                "adjust gamma or the mode range", value=c_k, nearest=report.nearest)
-        eps = 1.0 - c_k * lam_sq
-        _, delta, r_plus, r_minus = (
-            float(v) for v in second_order_roots(eps, a, b * lam_sq))
-        amp = (1.0 / k) * eps / delta
-        rows.append(_split_row(k, c_k, amp, r_plus, -amp, r_minus, t))
-    growth = fit_slope([math.log(r.k) for r in rows],
-                       [math.log(r.exp_second) for r in rows])
-    decay = fit_slope([math.log(r.k) for r in rows],
-                      [math.log(abs(r.coeff_first)) for r in rows])
-    return Limit2Result(rows, growth, decay)
+                f"c_{k} = {c!r} collides with exceptional member {report.nearest!r}; "
+                "adjust gamma or the mode range", value=c, nearest=report.nearest)
+    eps = 1.0 - c_k * lam_sq
+    _, delta, r_plus, r_minus = second_order_roots(eps, a, b * lam_sq)
+    amp = (1.0 / ks) * eps / delta
+    value, log_abs, saturated = _mode_value(eps, a, b * lam_sq, 0.0, 1.0 / ks, t)
+    rows = _scan_rows(ks, c_k, amp, -amp, r_plus, r_minus, value, log_abs,
+                      np.where(saturated, "saturated", "ok"))
+    log_k = [math.log(k) for k in ks.tolist()]
+    return Limit2Result(rows, fit_slope(log_k, [math.log(x) for x in r_minus.tolist()]),
+                        fit_slope(log_k, [math.log(abs(x)) for x in amp.tolist()]))
 
 
 def limit3_scan(k_range, t: float) -> Limit3Result:
@@ -258,35 +252,30 @@ def limit3_scan(k_range, t: float) -> Limit3Result:
     ks = sorted(set(int(k) for k in k_range))
     if not ks or ks[0] < 1:
         raise ValueError("k_range must hold positive integers")
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("t must be finite and nonnegative")
     family = ParameterSet.sigma_form(2.0, 4.0)
     compat_exact = all(
         2 * Fraction(-1, 2 * k * k) == -(k * k) * Fraction(1, k ** 4) for k in ks)
-    rows = []
-    for k in ks:
-        sigma_k = 5.0 / (k * k)
-        p = family.at_sigma(sigma_k)
-        lam_sq = float(k * k)
-        alpha = 1.0 / k ** 4
-        beta = -1.0 / (2 * k * k)
-        roots = characteristic_roots(p, lam_sq)
-        rp, rm = roots.r_plus, roots.r_minus
-        A = (beta - alpha * rm) / (rp - rm)   # theta = A e^{rp t} + B e^{rm t}
-        B = (alpha * rp - beta) / (rp - rm)
-        # paper order: growing addendum first; identify by root value
-        if rm > rp:
-            rows.append(_split_row(k, sigma_k, B, rm, A, rp, t))
-        else:
-            rows.append(_split_row(k, sigma_k, A, rp, B, rm, t))
-    smallest = None
-    for row in rows:
-        exceeds = (row.log_abs_value > math.log(row.k)
-                   if not math.isfinite(row.value_at_t)
-                   else abs(row.value_at_t) > row.k)
-        if exceeds:
-            smallest = row.k
-            break
+    ks = np.array(ks)
+    lam_sq = ks.astype(float) ** 2
+    sigma = 5.0 / lam_sq
+    # (a, b, c) of ParameterSet.from_physical(chi, sigma, gamma_rho)
+    chi, gamma_rho = family.chi, family.gamma_rho
+    a, b, c = chi / sigma, chi * chi / (sigma * gamma_rho), sigma / gamma_rho
+    alpha, beta = 1.0 / (lam_sq * lam_sq), -1.0 / (2.0 * lam_sq)
+    eps = 1.0 - c * lam_sq
+    _, _, rp, rm = second_order_roots(eps, a, b * lam_sq)
+    A = (beta - alpha * rm) / (rp - rm)   # theta = A e^{rp t} + B e^{rm t}
+    B = (alpha * rp - beta) / (rp - rm)
+    value, log_abs, saturated = _mode_value(eps, a, b * lam_sq, alpha, beta, t)
+    # paper order: growing addendum first; identify by root value
+    grow = rm > rp
+    rows = _scan_rows(ks, sigma, np.where(grow, B, A), np.where(grow, A, B),
+                      np.where(grow, rm, rp), np.where(grow, rp, rm), value, log_abs,
+                      np.where(saturated, "saturated", "ok"))
+    exceeds = np.where(np.isfinite(value), np.abs(value) > ks, log_abs > np.log(ks))
+    smallest = int(ks[np.argmax(exceeds)]) if np.any(exceeds) else None
     return Limit3Result(rows, smallest, compat_exact)
 
 
@@ -332,28 +321,29 @@ def whole_line_mode(a: float, b: float, c: float, lam: float, w1_hat: float,
     """Fourier-frequency solution on the whole line from velocity data w1.
 
     theta_hat(lam, t) = [(1 - c lam^2)/delta] w1 (e^{r+ t} - e^{r- t}).
-    The frequency lam = 1/sqrt(c) is an essential singularity of the symbol
-    and is rejected; crossing it flips the fast root from strong decay to
-    growth.
+    The frequency lam = 1/sqrt(c) is an essential singularity of the symbol,
+    rejected where ``modal.is_degenerate(c, lam^2)``; crossing it flips the
+    fast root from strong decay to growth.  The value is the modal kernel's
+    from data (0, w1), 'saturated' exactly where it flags |theta_hat| >
+    e^700; the logs are those of the two addenda (or of the envelope).
     """
     if not (a > 0.0 and b > 0.0 and c > 0.0):
         raise ValueError("a, b, c must be positive")
-    if lam < 0.0:
-        raise ValueError("lam must be nonnegative")
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
+    if not (0.0 <= lam < math.inf and math.isfinite(w1_hat)):
+        raise ValueError("lam must be finite and nonnegative, and w1_hat finite")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("t must be finite and nonnegative")
     lam_sq = lam * lam
-    eps = 1.0 - c * lam_sq
-    if abs(eps) <= 1e-14 * max(1.0, c * lam_sq):
+    if is_degenerate(c, lam_sq):
         raise SingularParameterError(
             f"lam={lam!r} sits at the singular frequency 1/sqrt(c)")
+    eps = 1.0 - c * lam_sq
     delta_sq, delta, r_plus, r_minus = (
         float(v) for v in second_order_roots(eps, a, b * lam_sq))
+    value, _, saturated = (v.item() for v in _mode_value(eps, a, b * lam_sq, 0.0, w1_hat, t))
+    flag = "saturated" if saturated else "ok"
     if delta_sq <= 0.0:
-        # conjugate pair r_plus +/- i delta/(2 eps) or a double root (eps > 0
-        # here): theta_hat = w1 phi1 e^log_scale from the data (0, w1)
-        _, phi1, log_scale, _ = propagator(a / eps, -b * lam_sq / eps, t)
-        value = float(scaled_exp(w1_hat * phi1, log_scale)[0])
+        # conjugate pair r_plus +/- i delta/(2 eps) or a double root (eps > 0 here)
         if delta_sq < 0.0:  # bounded by the envelope 2 |coeff| e^{r_plus t}
             coeff = abs(eps * w1_hat / delta)
             logmag = math.log(2.0 * coeff) + r_plus * t if coeff else -math.inf
@@ -361,10 +351,8 @@ def whole_line_mode(a: float, b: float, c: float, lam: float, w1_hat: float,
             coeff = abs(w1_hat)
             logmag = _log_abs_term(w1_hat * t, r_plus, t)
         return WholeLineMode(lam, eps, delta_sq, coeff, r_plus, r_plus, value,
-                             logmag, logmag, True,
-                             "saturated" if logmag > LOG_SATURATION else "ok")
+                             logmag, logmag, True, flag)
     coeff = eps * w1_hat / delta
-    value, _, flag = _two_exp(coeff, r_plus, -coeff, r_minus, t)
     return WholeLineMode(lam, eps, delta_sq, coeff, r_plus, r_minus, value,
                          _log_abs_term(coeff, r_plus, t),
                          _log_abs_term(-coeff, r_minus, t), False, flag)

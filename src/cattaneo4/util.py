@@ -1,8 +1,9 @@
-"""Small numeric helpers: saturating exponentials, deterministic reductions.
+"""Small numeric helpers: the saturating exponential, deterministic reductions.
 
-Exponentials that exceed e^700 in magnitude are reported as +/-inf with a
-saturation flag; tables then fall back to the log-magnitude, which stays
-finite and comparable far beyond the float range.
+``scaled_exp`` reports exponentials that exceed e^700 in magnitude as +/-inf
+with a saturation flag; tables then fall back to the log-magnitude of the
+modal kernel (``modal._mode_value``), which stays finite far beyond the float
+range.  The rest are a least-squares slope, Simpson's rule and the DST-I.
 """
 
 from __future__ import annotations
@@ -45,30 +46,6 @@ def scaled_exp(x, log_scale, exponent=None):
             in_logs = in_logs | lost
         value = np.where(in_logs, np.copysign(np.exp(logmag), x), full * np.exp(log_scale))
     return np.where(saturated, np.copysign(np.inf, x), value), saturated
-
-
-def exp_term(coeff: float, rate: float, t: float) -> tuple[float, bool]:
-    """Scalar coeff * exp(rate * t) with the saturation of ``scaled_exp``."""
-    value, saturated = scaled_exp(coeff, rate * t)
-    return float(value), bool(saturated)
-
-
-def log_abs_exp_sum(terms) -> tuple[float, float]:
-    """Log-magnitude and sign of ``sum_i s_i * exp(l_i)``.
-
-    ``terms`` is an iterable of ``(sign, log_magnitude)`` pairs; zero terms are
-    passed as ``(0.0, -inf)``.  Works far outside the float range.  Returns
-    ``(sign, log|sum|)`` with ``(0.0, -inf)`` for an exactly cancelled sum.
-    """
-    terms = [(math.copysign(1.0, s), l) for s, l in terms
-             if s != 0.0 and l != -math.inf]
-    if not terms:
-        return 0.0, -math.inf
-    lmax = max(l for _, l in terms)
-    acc = math.fsum(s * math.exp(l - lmax) for s, l in terms)
-    if acc == 0.0:
-        return 0.0, -math.inf
-    return math.copysign(1.0, acc), lmax + math.log(abs(acc))
 
 
 def fit_slope(xs, ys) -> float:

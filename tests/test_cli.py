@@ -211,11 +211,11 @@ README_COMMANDS = [
      "--signal sin --omega 2 --T 1 --t 1",
      "430e30e87b989fcf759f88b67d5786ce9d9ecb07e150a630140ced4ad39f8dc6"),
     ("limit1 --a 1 --b 1 --lambda-sq 1 --t 0.3 --j-min 1 --j-max 8",
-     "7293ea0fd7c1b74e79b1bdc841b922f498db6871eb8ed29b74ca6a85193e7db8"),
+     "2718f880455258b44bf25bfab73a0b1d4401cd187eab91a52b71947fcf363dec"),
     ("limit2 --a 1 --b 1 --gamma 1 --k-min 4 --k-max 40 --t 0.5",
-     "92e0fb9b9854aeee54d4d307116d8237578061640bcf54c11f6ae3d749b42388"),
+     "23a9fe0aded962e9f0ba40c6c2b1352b9e34b942227e238de770c2ff27ab80f0"),
     ("limit3 --k-min 1 --k-max 12 --t 0.1",
-     "bab2d1b7ac4d99cb69cfbc426e7fc53cbb93a214e86bc6f2397836eef7e0203c"),
+     "d4e9fa987764ebdaba6e66bf8f8c8609834625a17236bacc4d5aa84261dd2d07"),
     ("heatcmp --chi 2 --gamma-rho 4 --j-max 10 --t 0.5 --N 32",
      "363130498745016b0a883a998535e0ec72199b1cff63d71666c2e3ed66da050b"),
     ("propagation --a 3 --b 1 --c 0.5 --L pi --N 256 --g0 1 --g1 0 "

@@ -1,6 +1,7 @@
 import math
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -9,8 +10,25 @@ from cattaneo4 import (BasisDescriptor, ExceptionalParameterError, Field, OdePro
                        evolve_modes, first_crossing, heat_comparison, integrate_mode,
                        limit1_reference, limit1_scan, limit2_scan, limit3_scan,
                        propagation_burst, singularity_scan, whole_line_mode)
+from cattaneo4.modal import is_degenerate
+from cattaneo4.spectrum import spectrum
 
 PI = math.pi
+
+
+def kernel_value(p, lam2, alpha, beta, t):
+    """theta(t) of one mode from the modal evaluator, as Python float."""
+    return float(evolve_modes(p, lam2, alpha, beta, t)[0])
+
+
+def kernel_flag(p, lam2, alpha, beta, t):
+    """The scan flag of one mode: the saturation of theta(t) alone."""
+    value = kernel_value(p, lam2, alpha, beta, t)
+    return "saturated" if math.isinf(value) else "ok"
+
+
+def same_bits(x, y):
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
 
 
 # ------------------------------------------------------------------ limit 1
@@ -77,6 +95,60 @@ def test_limit1_validation():
         assert not isinstance(exc.value, ExceptionalParameterError)
 
 
+def test_limit1_oscillatory_rows_come_from_the_kernel():
+    # 1 - 4 eps < 0 at eps = 0.95, 0.9, 0.8: a complex pair has no real split
+    a, b, lam_sq, t = 1.0, 1.0, 1.0, 0.3
+    rows = limit1_scan(a, b, lam_sq, t, [0.05, 0.1, 0.2])
+    for row in rows:
+        split = (row.coeff_first, row.coeff_second, row.exp_first, row.exp_second)
+        assert all(math.isnan(x) for x in split)
+        assert row.flag == "ok"
+        want = kernel_value(ParameterSet(a, b, row.parameter), lam_sq, -a / (b * lam_sq), 1.0, t)
+        assert same_bits(row.value_at_t, want)
+        assert row.log_abs_value == pytest.approx(math.log(abs(want)), rel=1e-15)
+
+
+def readme_scan_rows():
+    """(row, ParameterSet, lam2, alpha, beta, t) of the README limit1, limit2
+    and limit3 commands."""
+    cs = [1.0 - 10.0 ** (-j) for j in range(1, 9)] + [1.0 + 10.0 ** (-j) for j in range(1, 9)]
+    for row in limit1_scan(1.0, 1.0, 1.0, 0.3, cs):
+        yield row, ParameterSet(1.0, 1.0, row.parameter), 1.0, -1.0, 1.0, 0.3
+    lam_sq = spectrum(BasisDescriptor(1, (PI,), 2 * 40 + 8)).lambda_sq
+    for row in limit2_scan(1.0, 1.0, 1.0, range(4, 41), 0.5).rows:
+        yield (row, ParameterSet(1.0, 1.0, row.parameter), float(lam_sq[row.k - 1]),
+               0.0, 1.0 / row.k, 0.5)
+    family = ParameterSet.sigma_form(2.0, 4.0)
+    for row in limit3_scan(range(1, 13), 0.1).rows:
+        k = row.k
+        yield (row, family.at_sigma(row.parameter), float(k * k), 1.0 / k ** 4,
+               -1.0 / (2 * k * k), 0.1)
+
+
+def test_scan_values_are_the_modal_kernel():
+    # every value of the three README scans is the evolve_modes value of its
+    # one mode, bit for bit, and a row is 'saturated' exactly where that
+    # value is; the scans share the kernel, not a second formula
+    rows = list(readme_scan_rows())
+    assert len(rows) == 16 + 37 + 12
+    assert sum(row.flag == "saturated" for row, *_ in rows) == 5  # limit1, c >= 1 + 1e-4
+    for row, *mode in rows:
+        assert same_bits(row.value_at_t, kernel_value(*mode)), row
+        assert row.flag == kernel_flag(*mode), row
+        assert math.isfinite(row.log_abs_value)
+
+
+def test_scans_reject_non_finite_t():
+    # the kernel would return nan with no flag; a scan time must be a number
+    for t in (math.nan, math.inf, -1.0):
+        for scan in (lambda: limit1_scan(1.0, 1.0, 1.0, t, [0.5]),
+                     lambda: limit2_scan(1.0, 1.0, 1.0, [4, 5], t),
+                     lambda: limit3_scan([1, 2], t),
+                     lambda: whole_line_mode(1.0, 1.0, 0.25, 1.0, 1.0, t)):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                scan()
+
+
 # ------------------------------------------------------------------ limit 2
 
 
@@ -141,6 +213,30 @@ def test_limit3_matches_ode_oracle():
                           1.0 / k ** 4, -1.0 / (2 * k * k))
         got, _ = integrate_mode(prob, 0.1, rel_tol=1e-11, abs_tol=1e-13)(0.1)
         assert row.value_at_t == pytest.approx(got, rel=1e-8)
+
+
+def test_limit3_log_magnitude_past_saturation():
+    # at t = 1 the growing addendum e^{2 k^2} passes e^700 from k = 19 on;
+    # the log column stays finite and matches the exact solution of each
+    # float-parameter mode, computed in mpmath
+    res = limit3_scan(range(1, 25), 1.0)
+    family = ParameterSet.sigma_form(2.0, 4.0)
+    saturated = [r for r in res.rows if r.flag == "saturated"]
+    assert [r.k for r in saturated] == list(range(19, 25))
+    assert all(r.value_at_t == -math.inf for r in saturated)
+    with mp.workdps(40):
+        for row in res.rows:
+            k = row.k
+            p = family.at_sigma(row.parameter)
+            lead, damp, stiff = (mp.mpf(1) - mp.mpf(p.c) * k * k, mp.mpf(p.a),
+                                 mp.mpf(p.b) * k * k)
+            disc = mp.sqrt(damp * damp - 4 * stiff * lead)
+            r1, r2 = (-damp + disc) / (2 * lead), (-damp - disc) / (2 * lead)
+            alpha, beta = mp.mpf(1) / k ** 4, mp.mpf(-1) / (2 * k * k)
+            theta = ((beta - alpha * r2) * mp.exp(r1) - (beta - alpha * r1) * mp.exp(r2)) / (r1 - r2)
+            want = mp.log(abs(theta))
+            assert math.isfinite(row.log_abs_value)
+            assert abs(row.log_abs_value - want) <= 1e-14 * abs(want), k
 
 
 def test_limit3_rerun_stability():
@@ -253,8 +349,19 @@ def test_whole_line_exact_double_root():
 def test_whole_line_singular_frequency_gate():
     with pytest.raises(SingularParameterError):
         whole_line_mode(1.0, 1.0, 0.04, 5.0, 1.0, 0.1)
+    # 1 - c lam^2 = -6e-13 is inside the one degeneracy gate of the modes
+    lam = 2.0 * (1.0 + 3e-13)
+    assert is_degenerate(0.25, lam * lam)
+    with pytest.raises(SingularParameterError):
+        whole_line_mode(1.0, 1.0, 0.25, lam, 1.0, 1.0)
     with pytest.raises(ValueError):
         whole_line_mode(-1.0, 1.0, 0.04, 1.0, 1.0, 0.1)
+    # nan or infinite lam or w1 is invalid input, not a nan 'ok' row
+    for lam, w1 in ((math.nan, 1.0), (math.inf, 1.0), (-1.0, 1.0), (1.0, math.nan),
+                    (1.0, math.inf)):
+        with pytest.raises(ValueError) as exc:
+            whole_line_mode(1.0, 1.0, 0.04, lam, w1, 0.1)
+        assert not isinstance(exc.value, SingularParameterError)
 
 
 def test_singularity_scan_sides():

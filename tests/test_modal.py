@@ -19,7 +19,7 @@ def mode(p, lam2, alpha, beta, t):
     return float(v), float(d), bool(s)
 
 
-def complex_two_exp(leading, damping, stiffness, alpha, beta, t):
+def vandermonde_state(leading, damping, stiffness, alpha, beta, t):
     """Textbook reference: solve the 2x2 Vandermonde system in complex
     arithmetic, no stable-form tricks.  Valid away from double roots."""
     mu1 = (-damping + cmath.sqrt(damping**2 - 4 * leading * stiffness)) / (2 * leading)
@@ -110,7 +110,7 @@ def test_sigma_form_and_normalized_form_agree():
 def test_real_distinct_against_linear_solve():
     p = ParameterSet(3.0, 1.0, 0.5)
     for t in (0.1, 0.7, 2.0):
-        want_v, want_d = complex_two_exp(0.5, 3.0, 1.0, 1.0, 0.25, t)
+        want_v, want_d = vandermonde_state(0.5, 3.0, 1.0, 1.0, 0.25, t)
         value, deriv, _ = mode(p, 1.0, 1.0, 0.25, t)
         assert value == pytest.approx(want_v, rel=1e-13)
         assert deriv == pytest.approx(want_d, rel=1e-13)
@@ -120,7 +120,7 @@ def test_complex_pair_against_linear_solve():
     p = ParameterSet(1.0, 1.0, 0.05)
     assert characteristic_roots(p, 4.0).kind == "complex_pair"
     for t in (0.2, 1.0, 3.0):
-        want_v, want_d = complex_two_exp(0.8, 1.0, 4.0, 0.7, -0.3, t)
+        want_v, want_d = vandermonde_state(0.8, 1.0, 4.0, 0.7, -0.3, t)
         value, deriv, _ = mode(p, 4.0, 0.7, -0.3, t)
         assert value == pytest.approx(want_v, rel=1e-12, abs=1e-14)
         assert deriv == pytest.approx(want_d, rel=1e-12, abs=1e-14)
@@ -209,6 +209,37 @@ def test_evolve_modes_data_validation():
     # saturated data are not rejected: they evolve to a flagged value
     value, _, sat = mode(p, 4.0, math.inf, 0.0, 0.5)
     assert sat and math.isinf(value)
+
+
+def test_infinite_data_come_back_flagged():
+    # a complex-pair mode: phi0 and phi1 share a sign at t = 0.5, so
+    # (inf, -inf) meets inf - inf in theta and (inf, inf) in theta'
+    p = ParameterSet(1.0, 1.0, 0.05)
+    for alpha, beta in ((math.inf, -math.inf), (math.inf, math.inf),
+                        (-math.inf, 0.0), (0.0, math.inf)):
+        for t in (0.5, 0.0):
+            value, deriv, sat = mode(p, 4.0, alpha, beta, t)
+            assert sat, (alpha, beta, t)
+    # in a batch only the mode with infinite data is flagged
+    value, deriv, sat = evolve_modes(p, [4.0, 9.0], [math.inf, 1.0], [-math.inf, 0.0], 0.5)
+    assert sat.tolist() == [True, False]
+    assert np.isfinite([value[1], deriv[1]]).all()
+
+
+def test_degenerate_mode_rejects_infinite_data():
+    # compatibility of an infinite datum means nothing: every sign pair is a
+    # plain ValueError, before the inf - inf of the compatibility test
+    p = ParameterSet(2.0, 1.0, 0.25)  # exceptional at lam2 = 4, rate -2
+    for alpha, beta in ((math.inf, math.inf), (math.inf, -math.inf),
+                        (-math.inf, math.inf), (math.inf, 0.0), (1.0, math.inf)):
+        with pytest.raises(ValueError) as exc:
+            evolve_modes(p, [1.0, 4.0], [0.0, alpha], [0.0, beta], 0.5)
+        assert not isinstance(exc.value, UnsolvableModeError)
+        assert "finite" in str(exc.value)
+    # infinite data on a second-order mode of the same batch are fine, also
+    # where the compatibility test of the batch meets inf - inf
+    value, _, sat = evolve_modes(p, [1.0, 4.0], [math.inf, 1.0], [-math.inf, -2.0], 0.5)
+    assert sat.tolist() == [True, False] and math.isfinite(value[1])
 
 
 def test_heat_reference_value():

@@ -250,6 +250,23 @@ def test_evolve_saturated_field_keeps_its_flags():
     assert dth.coefficients[~sat].tobytes() == dfin.coefficients[~sat].tobytes()
 
 
+def test_evolve_field_with_infinities_of_both_signs():
+    # (inf, -inf) and (inf, inf) data on a complex-pair mode: inf - inf may
+    # leave nan, but only in flagged coefficients, so the Field is valid;
+    # t = 0 flags them as well
+    basis = interval_basis(4)
+    p = ParameterSet(1.0, 1.0, 0.05)
+    c0 = np.array([0.5, math.inf, math.inf, 1.0])
+    c1 = np.array([0.0, -math.inf, math.inf, 0.0])
+    want = ~np.isfinite(c0)
+    for t in (0.5, 0.0):
+        th, dth = evolve_homogeneous(p, Field(basis, c0, want), Field(basis, c1, want), t)
+        assert (th.saturated == want).all() and (dth.saturated == want).all()
+        assert np.isfinite(th.coefficients[~want]).all()
+        assert np.isfinite(dth.coefficients[~want]).all()
+    assert field_norm(th) == math.inf
+
+
 def test_evolve_linearity():
     basis = interval_basis(6)
     p = ParameterSet(3.0, 1.0, 0.01)
