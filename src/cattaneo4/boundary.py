@@ -6,7 +6,8 @@ lifted with the map D solving (1 + c d_xx)(Dg) = 0 with traces g; on (0, L)
     (Dg)(x) = [g0 sin((L-x)/sqrt(c)) + g1 sin(x/sqrt(c))] / sin(L/sqrt(c)),
 
 which exists precisely when sin(L/sqrt(c)) != 0, i.e. c outside the
-exceptional set (truncation-independent gate).  Each mode then carries a 2x2
+exceptional set; the gate applies ``modal.is_degenerate`` to the two members
+next to c, independent of the truncation.  Each mode then carries a 2x2
 block A = [[0, 1], [k, -h]] with h = a/(1 - c lam2), k = -b lam2/(1-c lam2),
 beta = b/c, forced through the state W = (theta_n, theta_n'):
 
@@ -20,7 +21,11 @@ derivatives of f from under the integral:
 
 with E(t) = exp(A t) in the closed 2x2 form E = phi0 I + phi1 A of
 ``modal.propagator``.  Only f itself appears under the integral, so rough
-signals are handled stably.
+signals are handled stably.  The integral is composite Simpson on uniform
+nodes; the table of E(t - s) at the nodes does not depend on f, so signals
+that share an operator, a time and a step share one table
+(``_evolve_signals``; ``experiments.propagation_burst`` evolves all its
+burst rates that way).
 
 A weaker solution notion that decouples the lift parameter from c exists in
 principle but has no clear physical reading; it is intentionally not
@@ -36,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExceptionalParameterError
-from .modal import ParameterSet, propagator
+from .modal import ParameterSet, _digits_kept, is_degenerate, propagator
 from .solver import Field
 from .spectrum import BasisDescriptor, spectrum
 from .util import scaled_exp, simpson_weights
@@ -182,16 +187,28 @@ def _interval_pair(g) -> tuple[float, float]:
 
 
 def _lift_gate(c: float, L: float) -> float:
+    """sin(L/sqrt(c)), the denominator of the lift, after the gate.
+
+    The Dirichlet map exists exactly when 1/c is not an eigenvalue
+    (n pi / L)^2, so c is rejected where ``modal.is_degenerate`` holds at
+    one of the two members of the whole exceptional set next to it, n =
+    floor and ceil of L / (pi sqrt(c)): the test ``evolve_modes`` and
+    ``solver.check_wellposed`` apply, in O(1) and for any truncation.
+    """
     if not (c > 0.0 and math.isfinite(c)):
         raise ValueError("c must be positive and finite")
     if not (L > 0.0 and math.isfinite(L)):
         raise ValueError("L must be positive and finite")
-    s = math.sin(L / math.sqrt(c))
-    if abs(s) <= 1e-12:
+    x = L / (math.pi * math.sqrt(c))
+    n = np.array([max(1, math.floor(x)), max(1, math.ceil(x))])
+    lam_sq = (n * (math.pi / L)) ** 2
+    hit = is_degenerate(c, lam_sq)
+    if np.any(hit):
+        nearest = float(1.0 / lam_sq[np.argmax(hit)])
         raise ExceptionalParameterError(
-            f"c={c} is exceptional for the Dirichlet map: sin(L/sqrt(c)) = {s:.3e}",
-            value=c)
-    return s
+            f"c={c} is exceptional for the Dirichlet map: it collides with the "
+            f"member {nearest!r} of mode {int(n[np.argmax(hit)])}", value=c, nearest=nearest)
+    return math.sin(L / math.sqrt(c))
 
 
 def _lift_coefficients(c: float, L: float, g0: float, g1: float, N: int) -> np.ndarray:
@@ -211,8 +228,8 @@ def dirichlet_map_interval(c: float, L: float, g, truncation: int = 64):
 
     u satisfies (1 + c u'')(x) = 0 identically; ``field`` holds its modal
     projection over the first ``truncation`` modes in closed form.  Raises
-    ExceptionalParameterError when sin(L/sqrt(c)) vanishes to gate precision
-    (c in the exceptional set, truncation-independent).
+    ExceptionalParameterError when c is in the exceptional set to the
+    precision of ``modal.is_degenerate``, whatever the truncation.
     """
     g0, g1 = _interval_pair(g)
     s = _lift_gate(c, L)
@@ -233,7 +250,8 @@ def build_blocks(p: ParameterSet, basis: BasisDescriptor, g) -> BoundaryOperator
     """The boundary operator of every basis mode with the lift of boundary datum g.
 
     Interval bases only; the exceptional gate is the Dirichlet-map condition
-    sin(L/sqrt(c)) != 0.  Degenerate blocks cannot arise past the gate.
+    that 1/c is no eigenvalue (``_lift_gate``).  Degenerate blocks cannot
+    arise past the gate.
     """
     if basis.dimension != 1:
         raise ValueError("semigroup blocks are implemented on intervals")
@@ -265,37 +283,51 @@ def evolve_with_boundary(blocks: BoundaryOperator, theta0: Field, theta1: Field,
     even interval count).  Modes go through ``propagator`` in blocks of
     ``MODE_BLOCK``.  Each mode's dominant exponent is kept out of the sums
     and applied last, so values beyond the e^700 range saturate to +/-inf
-    with the flag set.
+    with the flag set.  Subnormal data keep their digits: where a scaled
+    value would lose them, the power of two at the mode's largest datum is
+    factored out, as ``modal._state`` does.
+    """
+    return _evolve_signals(blocks, theta0, theta1, [signal], t, quad_step)[0]
+
+
+def _evolve_signals(blocks: BoundaryOperator, theta0: Field, theta1: Field,
+                    signals, t: float,
+                    quad_step: float | None) -> list[tuple[Field, Field]]:
+    """``evolve_with_boundary`` for several signals on one operator and one
+    set of nodes: one (theta, theta') pair per signal, each bit for bit what
+    a call with that signal alone gives.
+
+    The propagator table of a mode block (phi0, phi1 and the log-scale
+    weights at every node) does not depend on the signal, so it is formed
+    once per block and summed against each signal's Simpson-weighted
+    samples (the table reuse of exponential integrators: Hochbruck &
+    Ostermann, Acta Numerica 19, 2010, section 2).
     """
     if theta0.basis != theta1.basis:
         raise ValueError("theta0 and theta1 must share one basis")
     basis = theta0.basis
     if len(blocks) != basis.truncation:
         raise ValueError("need exactly one block per basis mode")
-    if not 0.0 <= t <= signal.T * (1 + 1e-12):
-        raise ValueError(f"t={t} outside the signal horizon [0, {signal.T}]")
+    for signal in signals:
+        if not 0.0 <= t <= signal.T * (1 + 1e-12):
+            raise ValueError(f"t={t} outside the signal horizon [0, {signal.T}]")
     if t == 0.0:
-        return (Field(basis, theta0.coefficients.copy()),
-                Field(basis, theta1.coefficients.copy()))
-    h, k, d, beta = blocks.h, blocks.k, blocks.d, blocks.beta
+        return [(Field(basis, theta0.coefficients.copy()),
+                 Field(basis, theta1.coefficients.copy())) for _ in signals]
+    h, k, d = blocks.h, blocks.k, blocks.d
 
     m_int = _even_intervals(t, quad_step)
     s_nodes = np.linspace(0.0, t, m_int + 1)
     tau = t - s_nodes
-    f_nodes = np.array([signal.value(s) for s in s_nodes])
-    f0, df0 = signal.value(0.0), signal.derivative(0.0)
-    ft, dft = signal.value(t), signal.derivative(t)
+    rule = simpson_weights(m_int + 1)
+    f_nodes = [np.array([signal.value(s) for s in s_nodes]) for signal in signals]
+    fw = [rule * f * ((t / m_int) / 3.0) for f in f_nodes]
 
-    adj1 = theta0.coefficients - d * f0
-    adj2 = theta1.coefficients - d * df0 + h * d * f0
-    w1 = -h * d
-    w2 = (k + h * h - beta) * d
-    fw = simpson_weights(m_int + 1) * f_nodes * ((t / m_int) / 3.0)
-
-    # per mode: E(t) = e^shift (e0 I + e1 A) and the quadrature sums
-    # int_0^t E(tau) f = e^shift (p0 I + p1 A), shift = max log-scale >= 0
+    # per mode: E(t) = e^shift (e0 I + e1 A) and, per signal, the quadrature
+    # sums int_0^t E(tau) f = e^shift (p0 I + p1 A), shift = max log-scale >= 0
     n_modes = basis.truncation
-    shift, e0, e1, p0, p1 = (np.empty(n_modes) for _ in range(5))
+    shift, e0, e1 = (np.empty(n_modes) for _ in range(3))
+    p0, p1 = (np.empty((len(signals), n_modes)) for _ in range(2))
     for lo in range(0, n_modes, MODE_BLOCK):
         sl = slice(lo, lo + MODE_BLOCK)
         phi0, phi1, log_scale, _ = propagator(h[sl, None], k[sl, None], tau)
@@ -304,18 +336,58 @@ def evolve_with_boundary(blocks: BoundaryOperator, theta0: Field, theta1: Field,
         shift[sl] = top[:, 0]
         e0[sl] = phi0[:, 0] * weight[:, 0]                # tau[0] = t
         e1[sl] = phi1[:, 0] * weight[:, 0]
-        weight *= fw
-        p0[sl] = np.sum(phi0 * weight, axis=1)
-        p1[sl] = np.sum(phi1 * weight, axis=1)
+        for j, fw_j in enumerate(fw):
+            # the last signal scales the weights in place: a copy of this
+            # cache-sized table made one-signal calls 3% slower
+            weight_j = np.multiply(weight, fw_j, out=weight if j == len(fw) - 1 else None)
+            p0[j, sl] = np.sum(phi0 * weight_j, axis=1)
+            p1[j, sl] = np.sum(phi1 * weight_j, axis=1)
 
     lift = np.exp(-shift)
+    results = []
+    for j, signal in enumerate(signals):
+        f_ends = (signal.value(0.0), signal.derivative(0.0), signal.value(t),
+                  signal.derivative(t))
+        v1, v2 = _scaled_values(blocks, d, theta0.coefficients, theta1.coefficients,
+                                e0, e1, (p0[j], p1[j], *f_ends), lift)
+        exponent = None
+        if not (_digits_kept(v1) and _digits_kept(v2)):
+            # factor out the power of two at each mode's largest datum, theta
+            # or d f (Higham, Accuracy and Stability, 2nd ed., 2.1): theta
+            # enters times 2^-e, d times 2^-e_d and the signal times 2^-e_f,
+            # e_d + e_f = e, which scales v1 and v2 by 2^-e; where d = 0 the
+            # signal terms vanish and the signal is left as it is
+            f_top = max(abs(v) for v in (*f_ends, *f_nodes[j].tolist()))
+            exponent = np.frexp(np.maximum(np.maximum(np.abs(theta0.coefficients),
+                                                      np.abs(theta1.coefficients)),
+                                           np.abs(d) * f_top))[1]
+            e_d = np.frexp(d)[1]
+            e_f = np.where(d != 0.0, exponent - e_d, 0)
+            v1, v2 = _scaled_values(
+                blocks, np.ldexp(d, -e_d), np.ldexp(theta0.coefficients, -exponent),
+                np.ldexp(theta1.coefficients, -exponent), e0, e1,
+                [np.ldexp(v, -e_f) for v in (p0[j], p1[j], *f_ends)], lift)
+        vals, s1 = scaled_exp(v1, shift, exponent)
+        derivs, s2 = scaled_exp(v2, shift, exponent)
+        sat = s1 | s2
+        results.append((Field(basis, vals, sat.copy()), Field(basis, derivs, sat.copy())))
+    return results
+
+
+def _scaled_values(blocks: BoundaryOperator, d, alpha, beta, e0, e1, signal_terms, lift):
+    """(theta, theta') at t over e^shift from the data (alpha, beta), the
+    lift coefficients d, and ``signal_terms`` = (p0, p1, f(0), f'(0), f(t),
+    f'(t)): the quadrature sums and the end values of the signal."""
+    h, k = blocks.h, blocks.k
+    p0, p1, f0, df0, ft, dft = signal_terms
+    adj1 = alpha - d * f0
+    adj2 = beta - d * df0 + h * d * f0
+    w1 = -h * d
+    w2 = (k + h * h - blocks.beta) * d
     v1 = e0 * adj1 + e1 * adj2 + p0 * w1 + p1 * w2 + d * ft * lift
     v2 = (e0 * adj2 + e1 * (k * adj1 - h * adj2) + p0 * w2 + p1 * (k * w1 - h * w2)
           + (d * dft - h * d * ft) * lift)
-    vals, s1 = scaled_exp(v1, shift)
-    derivs, s2 = scaled_exp(v2, shift)
-    sat = s1 | s2
-    return Field(basis, vals, sat.copy()), Field(basis, derivs, sat.copy())
+    return v1, v2
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,8 @@ as lam decreases toward 1/sqrt(c) from above and to -inf from below.
 The propagation burst drives zero data with f_n(t) = (1/n) e^{-n(T-t)}; as
 n grows, f_n -> 0 uniformly yet theta'(T) converges to the lift D f0, so a
 fixed fraction of lift mass appears in any interior subregion at time T:
-boundary information reaches the interior instantly in the limit.
+boundary information reaches the interior instantly in the limit.  Both
+masses are integrals of products of sines, taken in closed form.
 
 Coefficients for limit 1 use the cancellation-free forms
 
@@ -45,15 +46,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boundary import BoundarySignal, build_blocks, dirichlet_map_interval, evolve_with_boundary
+from .boundary import BoundarySignal, _evolve_signals, build_blocks
 from .errors import ExceptionalParameterError, SingularParameterError
 from .modal import ParameterSet, _mode_value, evolve_modes, is_degenerate, second_order_roots
-from .solver import Field, check_wellposed, reconstruct, zero_field
+from .solver import Field, check_wellposed, zero_field
 from .spectrum import BasisDescriptor, spectrum
-from .util import fit_slope, simpson
+from .util import fit_slope
 
-# Simpson points on the subregion of propagation_burst (odd).
-MASS_GRID = 2049
+# Rows of the mass matrix G per block in propagation_burst: bounds its
+# (rows, modes) temporaries; every mass is the same for any block size.
+_MASS_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -383,15 +385,73 @@ def singularity_scan(a: float, b: float, c: float, t: float, j_values,
     return rows
 
 
+def _cos_integrals(k, lo: float, hi: float, center: float = 0.0):
+    """int_lo^hi cos(k (x - center)) dx for k >= 0, elementwise.
+
+    Written as 2 cos(k (mid - center)) sin(k rad) / k, mid and rad the centre
+    and half-width of [lo, hi], which has no cancellation at small k; k = 0
+    gives hi - lo.
+    """
+    k = np.asarray(k, dtype=float)
+    mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = 2.0 * np.cos(k * (mid - center)) * np.sin(k * rad) / k
+    return np.where(k == 0.0, hi - lo, s)
+
+
+def _subregion_masses(coefficients: np.ndarray, L: float, lo: float, hi: float) -> list[float]:
+    """int_lo^hi w^2 for each column of ``coefficients`` (N, R), the sine
+    coefficients of a field w on (0, L), in closed form: c^T G c with
+
+        G_nm = (1/L) [S(k_n - k_m) - S(k_n + k_m)],   k_n = n pi / L,
+
+    S(k) = int_lo^hi cos(k x) dx.  G depends only on |n - m| and n + m, so
+    one vector S(j pi / L), j = 0..2N, gives it; it is formed
+    ``_MASS_ROWS`` rows at a time, so memory is O(rows N).  Rows are reduced
+    with numpy sums and the products summed with ``math.fsum``, so the result
+    does not depend on the BLAS build.  A column with a non-finite
+    coefficient (a saturated mode) has mass +inf.
+    """
+    n_modes, n_cols = coefficients.shape
+    s = _cos_integrals(np.arange(2 * n_modes + 1) * (math.pi / L), lo, hi)
+    modes = np.arange(1, n_modes + 1)
+    terms = {r: [] for r in np.flatnonzero(np.all(np.isfinite(coefficients), axis=0)).tolist()}
+    for first in range(0, n_modes, _MASS_ROWS):
+        rows = modes[first:first + _MASS_ROWS]
+        g = s[np.abs(np.subtract.outer(rows, modes))] - s[np.add.outer(rows, modes)]
+        for r, t in terms.items():
+            c = coefficients[:, r]
+            t.append(c[rows - 1] * np.sum(g * c, axis=1))
+    masses = [math.inf] * n_cols
+    for r, t in terms.items():
+        masses[r] = math.fsum(np.concatenate(t).tolist()) / L
+    return masses
+
+
+def _lift_mass(c: float, L: float, g0: float, g1: float, lo: float, hi: float) -> float:
+    """int_lo^hi u^2 of the lift u = [g0 sin((L-x)/sqrt(c)) + g1 sin(x/sqrt(c))]
+    / sin(L/sqrt(c)) in closed form, from 2 sin^2 y = 1 - cos 2y and
+    2 sin y sin z = cos(y - z) - cos(y + z)."""
+    p = 1.0 / math.sqrt(c)
+    width = hi - lo
+    near, far, cross = (float(_cos_integrals(2.0 * p, lo, hi, center))
+                        for center in (0.0, L, 0.5 * L))
+    return math.fsum((0.5 * g0 * g0 * (width - far), 0.5 * g1 * g1 * (width - near),
+                      g0 * g1 * (cross - width * math.cos(L * p)))) / math.sin(L * p) ** 2
+
+
 def propagation_burst(p: ParameterSet, basis: BasisDescriptor, g, T: float,
                       n_values, subregion: tuple[float, float],
                       quad_step: float | None = None) -> list[PropagationRow]:
     """Drive zero data with sharpening bursts and measure interior arrival.
 
     For each n the boundary signal is f_n(t) = (1/n) e^{-n (T-t)} (so
-    f_n'(T) = 1 exactly); the rate field theta'(T) is reconstructed on the
-    subregion and its squared mass compared with that of the lift D g, the
-    n -> infinity limit, both by Simpson's rule on MASS_GRID points.  The
+    f_n'(T) = 1 exactly); the squared mass of the rate field theta'(T) on
+    the subregion is compared with that of the lift D g, the n -> infinity
+    limit.  All rates are evolved on one propagator table
+    (``boundary._evolve_signals``), and both masses are integrals of
+    products of sines, computed in closed form (``_subregion_masses``,
+    ``_lift_mass``); a saturated rate field has mass and ratio +inf.  The
     subregion must be strictly interior.
     """
     if basis.dimension != 1:
@@ -403,24 +463,17 @@ def propagation_burst(p: ParameterSet, basis: BasisDescriptor, g, T: float,
     blocks = build_blocks(p, basis, g)
     if not np.any(blocks.d):
         raise ValueError("boundary datum lifts to zero; nothing propagates")
-    u, _ = dirichlet_map_interval(p.c, L, g, truncation=basis.truncation)
-    grid = np.linspace(lo, hi, MASS_GRID)
-    h = (hi - lo) / (MASS_GRID - 1)
-    target = simpson(np.asarray(u(grid)) ** 2, h)
+    ns = [float(n) for n in n_values]
+    if not all(n > 0 for n in ns):
+        raise ValueError("burst rates must be positive")
+    target = _lift_mass(p.c, L, *g, lo, hi)
     step = (T / 4096.0) if quad_step is None else quad_step
-    theta0 = zero_field(basis)
-    theta1 = zero_field(basis)
-    rows = []
-    for n in n_values:
-        if not n > 0:
-            raise ValueError("burst rates must be positive")
-        signal = BoundarySignal.burst(T, float(n))
-        _, rate_field = evolve_with_boundary(blocks, theta0, theta1, signal, T,
-                                             quad_step=step)
-        w = reconstruct(rate_field, grid)
-        mass = simpson(w * w, h)
-        rows.append(PropagationRow(float(n), mass, target, mass / target))
-    return rows
+    zero = zero_field(basis)
+    fields = _evolve_signals(blocks, zero, zero, [BoundarySignal.burst(T, n) for n in ns],
+                             T, step)
+    masses = _subregion_masses(np.stack([rate.coefficients for _, rate in fields], axis=1),
+                               L, lo, hi)
+    return [PropagationRow(n, mass, target, mass / target) for n, mass in zip(ns, masses)]
 
 
 def first_crossing(rows, level: float = 0.5) -> float | None:

@@ -210,8 +210,11 @@ def fd_solve(p, L: float, nx: int, dt: float, T: float,
     the resulting tridiagonal system is factorized once.  Dirichlet values
     are g * f(t) (zero when no signal is given).
 
-    Raises DiscreteExceptionalError when c collides with an eigenvalue
-    1/mu_k of the discrete Laplacian, mirroring the continuous gate.
+    Raises DiscreteExceptionalError when |1 - c mu_k| <= 1e-9 for an
+    eigenvalue mu_k of the discrete Laplacian, or when the Crank-Nicolson
+    matrix has an eigenvalue that small.  These absolute gates guard the
+    conditioning of the factorized solve; they are not the exceptional-set
+    test, which is ``modal.is_degenerate`` on the continuous spectrum.
     """
     from scipy.sparse import csr_matrix, diags, identity
     from scipy.sparse.linalg import splu

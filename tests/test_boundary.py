@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from cattaneo4 import (BasisDescriptor, BoundaryOperator, BoundarySignal,
@@ -9,7 +11,8 @@ from cattaneo4 import (BasisDescriptor, BoundaryOperator, BoundarySignal,
                        basis_field, build_blocks, characteristic_roots,
                        dirichlet_map_interval, evolve_homogeneous,
                        evolve_with_boundary, mild_solution_check,
-                       project_samples, zero_field)
+                       check_wellposed, project_samples, zero_field)
+from cattaneo4.boundary import _evolve_signals
 
 PI = math.pi
 
@@ -115,6 +118,26 @@ def test_dirichlet_map_exceptional_gate():
         dirichlet_map_interval(-0.1, PI, (1.0, 0.0))
     with pytest.raises(ValueError):
         dirichlet_map_interval(0.05, PI, (1.0, 0.0), truncation=0)
+
+
+@pytest.mark.parametrize("n", [1, 3, 20000])
+@pytest.mark.parametrize("offset", [-1.2e-12, -8e-13, 8e-13, 1.2e-12])
+def test_lift_gate_agrees_with_check_wellposed(n, offset):
+    # c = (1 + offset)/n^2 on (0, pi): |1 - c lam_n^2| = |offset| sits on
+    # either side of the 1e-12 gate; the sine test |sin(pi/sqrt(c))| <= 1e-12
+    # accepted every one of these c
+    c = (1.0 + offset) / float(n * n)
+    basis = interval_basis(n + 1)
+    exceptional = check_wellposed(c, basis).verdict == "exceptional"
+    assert exceptional == (abs(offset) < 1e-12)
+    for build in (lambda: build_blocks(ParameterSet(2.0, 1.0, c), basis, (1.0, 0.0)),
+                  lambda: dirichlet_map_interval(c, PI, (1.0, 0.0), truncation=n + 1)):
+        if exceptional:
+            with pytest.raises(ExceptionalParameterError) as err:
+                build()
+            assert err.value.nearest == 1.0 / float(n * n)
+        else:
+            build()
 
 
 def test_dirichlet_map_coefficients_match_quadrature():
@@ -267,6 +290,71 @@ def test_bounded_response_to_small_signals():
         n2, c2 = norm_at(1e-3, t)
         assert n1 <= 5.0
         assert np.allclose(c2, 1e-3 * c1, rtol=1e-12, atol=1e-18)
+
+
+@given(st.floats(min_value=5e-324, max_value=1e-300), st.sampled_from([-1.0, 1.0]))
+@example(5e-324, 1.0)
+@example(3e-320, 1.0)
+@example(2.225073858507203e-309, -1.0)
+@settings(max_examples=40, deadline=None)
+def test_subnormal_data_match_homogeneous_evolution(scale, sign):
+    # a zero signal leaves the homogeneous evolution; data near the bottom of
+    # the float range keep their digits (modes 19 and 20 grow by e^70 and
+    # more, so their values are normal).  Both sides form a subnormal result
+    # as exp of its logarithm (util.scaled_exp), good to about 745 eps
+    # relative, so errors are measured against at least the smallest normal.
+    p = ParameterSet(2.0, 1.0, 0.003)
+    basis = interval_basis(20)
+    rng = np.random.default_rng(11)
+    theta0 = Field(basis, sign * scale * rng.uniform(0.5, 2.0, 20))
+    theta1 = Field(basis, scale * rng.uniform(-2.0, 2.0, 20))
+    blocks = build_blocks(p, basis, (1.0, 0.0))
+    got = evolve_with_boundary(blocks, theta0, theta1, BoundarySignal.constant(1.0, 0.0), 1.0)
+    want = evolve_homogeneous(p, theta0, theta1, 1.0)
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g.coefficients, w.coefficients, rtol=1e-13,
+                                   atol=1e-13 * 2.0 ** -1022)
+
+
+SIGNALS = st.one_of(
+    st.floats(min_value=0.5, max_value=4096.0).map(lambda n: BoundarySignal.burst(1.0, n)),
+    st.tuples(st.floats(min_value=0.6, max_value=2.0), st.floats(min_value=0.0, max_value=9.0))
+    .map(lambda tw: BoundarySignal.sinusoid(tw[0], tw[1])),
+    st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=1, max_size=4)
+    .map(lambda cs: BoundarySignal.polynomial(1.5, cs)))
+
+
+@given(st.sampled_from([0.05, 0.003, (1.0 + 1e-4) / 19.0**2]),
+       st.lists(SIGNALS, min_size=1, max_size=4),
+       st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=1.2)),
+       st.booleans())
+@example(0.003, [BoundarySignal.burst(1.0, 1.0), BoundarySignal.sinusoid(0.6, 3.0)], 0.8,
+         False)
+@settings(max_examples=30, deadline=None)
+def test_signal_batch_matches_single_signal_calls(c, signals, t, data):
+    # one propagator table for S signals gives, bit for bit, what S calls
+    # give; c = 1.0001/19^2 saturates mode 19, and a signal whose horizon
+    # ends before t makes both forms raise
+    basis = interval_basis(40)
+    blocks = build_blocks(ParameterSet(2.0, 1.0, c), basis, (1.0, -0.3))
+    rng = np.random.default_rng(3)
+    theta0, theta1 = ((Field(basis, rng.normal(size=40)) if data else zero_field(basis))
+                      for _ in range(2))
+    if t > min(s.T for s in signals) * (1 + 1e-12):
+        with pytest.raises(ValueError):
+            _evolve_signals(blocks, theta0, theta1, signals, t, t / 200)
+        with pytest.raises(ValueError):
+            for s in signals:
+                evolve_with_boundary(blocks, theta0, theta1, s, t, quad_step=t / 200)
+        return
+    batch = _evolve_signals(blocks, theta0, theta1, signals, t, t / 200 if t else None)
+    assert len(batch) == len(signals)
+    for s, pair in zip(signals, batch):
+        single = evolve_with_boundary(blocks, theta0, theta1, s, t,
+                                      quad_step=t / 200 if t else None)
+        for got, want in zip(pair, single):
+            np.testing.assert_array_equal(got.coefficients, want.coefficients)
+            np.testing.assert_array_equal(got.saturated, want.saturated)
 
 
 def test_evolve_with_boundary_validation():

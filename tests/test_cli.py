@@ -220,7 +220,7 @@ README_COMMANDS = [
      "363130498745016b0a883a998535e0ec72199b1cff63d71666c2e3ed66da050b"),
     ("propagation --a 3 --b 1 --c 0.5 --L pi --N 256 --g0 1 --g1 0 "
      "--T 0.05 --n-max-exp 12 --sub-lo 1 --sub-hi 2",
-     "edf381b7566d86b6a939547408fe3236eec57b5a39c740ad2d75ccb6819621bd"),
+     "bab3e30de38c0e5c0fd8b84eed10fb3b903762a7b25540b6c71e0cbf702d26cf"),
     ("wholeline --a 1 --b 1 --c 0.25 --t 1 --j-min 1 --j-max 20",
      "7f55deb98a572c97195a9d1041ffa4d8cde32ff6243614b6e384d495a24b1a06"),
     ("verify --seed 7",

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -10,6 +11,8 @@ from cattaneo4 import (BasisDescriptor, ExceptionalParameterError, Field, OdePro
                        evolve_modes, first_crossing, heat_comparison, integrate_mode,
                        limit1_reference, limit1_scan, limit2_scan, limit3_scan,
                        propagation_burst, singularity_scan, whole_line_mode)
+from cattaneo4 import experiments
+from cattaneo4.boundary import BoundarySignal, build_blocks, evolve_with_boundary
 from cattaneo4.modal import is_degenerate
 from cattaneo4.spectrum import spectrum
 
@@ -414,3 +417,68 @@ def test_propagation_validation():
     with pytest.raises(ValueError):
         propagation_burst(p, BasisDescriptor(2, (PI, PI), 4), (1.0, 0.0),
                           0.05, [1.0], (1.0, 2.0))
+
+
+def lift_mass_reference(c, L, g, lo, hi):
+    """int_lo^hi u^2 of the Dirichlet lift by mpmath quadrature."""
+    with mp.workdps(30):
+        p, Lm = 1 / mp.sqrt(mp.mpf(c)), mp.mpf(L)
+        return mp.quad(lambda x: ((g[0] * mp.sin((Lm - x) * p) + g[1] * mp.sin(x * p))
+                                  / mp.sin(Lm * p)) ** 2, [lo, hi])
+
+
+def test_subregion_mass_matches_mpmath(monkeypatch):
+    # the closed-form masses against mpmath integrals of w^2 and u^2; the
+    # Simpson masses they replace were 2e-11 off at the README arguments
+    p = ParameterSet(2.0, 1.0, 0.003)
+    basis = BasisDescriptor(1, (PI,), 64)
+    T, n, g = 0.05, 64.0, (0.7, -0.3)
+    row, = propagation_burst(p, basis, g, T, [n], (1.0, 2.0))
+    z = Field(basis, np.zeros(64))
+    _, rate = evolve_with_boundary(build_blocks(p, basis, g), z, z,
+                                   BoundarySignal.burst(T, n), T, quad_step=T / 4096)
+    with mp.workdps(30):
+        coeffs = [mp.mpf(float(v)) for v in rate.coefficients]
+        scale, k = mp.sqrt(2 / mp.mpf(PI)), mp.pi / mp.mpf(PI)
+
+        def w(x):
+            return scale * mp.fsum(cv * mp.sin((i + 1) * k * x) for i, cv in enumerate(coeffs))
+
+        mass = mp.quad(lambda x: w(x) ** 2, mp.linspace(1, 2, 18), method="gauss-legendre")
+        assert abs(row.mass_in_subregion / mass - 1) < 1e-13
+        target = lift_mass_reference(0.003, PI, g, 1.0, 2.0)
+        assert abs(row.target_mass / target - 1) < 1e-14
+        target = lift_mass_reference(0.5, PI, (1.0, 0.0), 1.0, 2.0)
+        readme, = propagation_burst(ParameterSet(3.0, 1.0, 0.5), BasisDescriptor(1, (PI,), 8),
+                                    (1.0, 0.0), T, [n], (1.0, 2.0))
+        assert abs(readme.target_mass / target - 1) < 1e-14
+    # the row blocks of G do not change a mass
+    monkeypatch.setattr(experiments, "_MASS_ROWS", 5)
+    assert propagation_burst(p, basis, g, T, [n], (1.0, 2.0)) == [row]
+
+
+def test_saturated_rate_field_has_infinite_mass():
+    # at T = 40 modes 19..32 saturate: one of them alone (T = 0.5 with c
+    # just above 1/19^2), or several of one sign, whose sampled sums met
+    # as inf - inf = nan
+    for c, T in (((1.0 + 1e-4) / 19.0**2, 0.5), (0.003, 40.0)):
+        rows = propagation_burst(ParameterSet(2.0, 1.0, c), BasisDescriptor(1, (PI,), 32),
+                                 (1.0, 0.0), T, [1.0, 8.0], (1.0, 2.0))
+        for row in rows:
+            assert row.mass_in_subregion == math.inf and row.ratio == math.inf
+            assert math.isfinite(row.target_mass)
+
+
+def test_mass_blocks_memory_is_linear_in_modes():
+    # G at N = 4096 would take 134 MB; its blocks of _MASS_ROWS rows need a
+    # few (rows, N) arrays
+    n_modes = 4096
+    coeffs = np.random.default_rng(2).normal(size=(n_modes, 3)) / np.arange(1, n_modes + 1)[:, None]
+    tracemalloc.start()
+    try:
+        masses = experiments._subregion_masses(coeffs, PI, 1.0, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * experiments._MASS_ROWS * n_modes * 8
+    assert all(0.0 < m < math.inf for m in masses)

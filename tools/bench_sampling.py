@@ -1,19 +1,31 @@
-"""Time ``project_samples`` and ``reconstruct`` on the 4N + 1 interval grid.
+"""Time single layers of ``cattaneo4`` in fresh interpreters, N by N.
 
-For each package source given with ``--src LABEL=PATH`` and N = 1e3, 1e4,
-1e5, one fresh interpreter per function imports ``cattaneo4`` from PATH,
-makes seeded data on (0, pi) with N modes (a full random series to
-reconstruct, a 12-mode sine series sampled on the grid to project), and
-reports the median wall time of 5 calls and its own peak RSS.  The time of
-the next size is predicted from the last one at quadratic growth (the order
-of the compensated-sum path): past 60 s the size is recorded as
-``"skipped: > 60 s"`` and not run, and past 1 s it is timed by one call.
-Mind the memory: the compensated-sum ``reconstruct`` holds (npts, N)
-tables, about 6 GB at N = 1e4.
+For each package source given with ``--src LABEL=PATH``, each layer and
+each of its sizes N, one fresh interpreter imports ``cattaneo4`` from PATH,
+makes seeded data on (0, pi) with N modes, and reports the median wall time
+of 5 calls and its own peak RSS.  The layers:
+
+* ``project_samples`` and ``reconstruct`` on the 4N + 1 interval grid, N =
+  1e3, 1e4, 1e5 (a full random series to reconstruct, a 12-mode sine series
+  sampled on the grid to project);
+* ``propagation_burst`` at the README's propagation arguments (a = 3, b = 1,
+  c = 0.5, g = (1, 0), T = 0.05, subregion [1, 2], 13 rates 2^0..2^12) with
+  N = 256, 1e3, 1e4 modes;
+* ``propagation_cli``: the README's ``propagation`` command as a cold
+  ``python -m cattaneo4`` process, interpreter start and import included,
+  timed from outside; its peak RSS is that of the command.
+
+The time of the next size is predicted from the last one at the layer's
+growth order (quadratic for the sampling layers, the order of their
+compensated-sum path; linear for ``propagation_burst``, whose boundary sums
+are linear in N): past 60 s the size is recorded as ``"skipped: > 60 s"``
+and not run, and past 1 s it is timed by one call.  Mind the memory: the
+compensated-sum ``reconstruct`` holds (npts, N) tables, about 6 GB at
+N = 1e4.
 
     python3 tools/bench_sampling.py --src parent=../parent/src --src change=src
 
-prints the ``layers`` object of ``BENCH_7.json``.
+prints the ``layers`` object of a ``BENCH_*.json``.
 """
 
 from __future__ import annotations
@@ -24,32 +36,54 @@ import os
 import subprocess
 import sys
 
-SIZES = (1000, 10000, 100000)
 REPEATS = 5
 LIMIT_S = 60.0
-LAYERS = ("project_samples", "reconstruct")
+# layer: (sizes N, growth order of its time in N)
+LAYERS = {
+    "project_samples": ((1000, 10000, 100000), 2),
+    "reconstruct": ((1000, 10000, 100000), 2),
+    "propagation_burst": ((256, 1000, 10000), 1),
+    "propagation_cli": ((256,), 1),
+}
+PROPAGATION = ["propagation", "--a", "3", "--b", "1", "--c", "0.5", "--L", "pi",
+               "--g0", "1", "--g1", "0", "--T", "0.05", "--n-max-exp", "12",
+               "--sub-lo", "1", "--sub-hi", "2"]
 
 CHILD = r"""
-import json, math, resource, statistics, sys, time
+import json, math, os, resource, statistics, subprocess, sys, tempfile, time
 import numpy as np
-import cattaneo4 as c4
 
 n, repeats, layer = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
-basis = c4.BasisDescriptor(1, (math.pi,), n)
-x = np.linspace(0.0, math.pi, 4 * n + 1)
-rng = np.random.default_rng(n)
-field = c4.Field(basis, rng.normal(size=n) / np.arange(1, n + 1))
-values = sum(a * math.sqrt(2.0 / math.pi) * np.sin(k * x)
-             for k, a in zip(rng.choice(np.arange(1, n + 1), 12), rng.normal(size=12)))
 times = []
-for _ in range(repeats):
-    t0 = time.perf_counter()
-    if layer == "reconstruct":
-        c4.reconstruct(field, x)
-    else:
-        c4.project_samples((x, values), basis)
-    times.append(time.perf_counter() - t0)
-rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+if layer == "propagation_cli":
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [sys.executable, "-m", "cattaneo4", *json.loads(sys.argv[4]), "--N", str(n),
+                "--out", os.path.join(tmp, "propagation.csv")]
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            subprocess.run(argv, check=True, capture_output=True)
+            times.append(time.perf_counter() - t0)
+    rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+else:
+    import cattaneo4 as c4
+    basis = c4.BasisDescriptor(1, (math.pi,), n)
+    x = np.linspace(0.0, math.pi, 4 * n + 1)
+    rng = np.random.default_rng(n)
+    field = c4.Field(basis, rng.normal(size=n) / np.arange(1, n + 1))
+    values = sum(a * math.sqrt(2.0 / math.pi) * np.sin(k * x)
+                 for k, a in zip(rng.choice(np.arange(1, n + 1), 12), rng.normal(size=12)))
+    p = c4.ParameterSet(3.0, 1.0, 0.5)
+    rates = [2.0 ** j for j in range(13)]
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        if layer == "reconstruct":
+            c4.reconstruct(field, x)
+        elif layer == "project_samples":
+            c4.project_samples((x, values), basis)
+        else:
+            c4.propagation_burst(p, basis, (1.0, 0.0), 0.05, rates, (1.0, 2.0))
+        times.append(time.perf_counter() - t0)
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 print(json.dumps({"median_ms": statistics.median(times) * 1e3,
                   "peak_rss_mb": round(rss, 1), "repeats": repeats}))
 """
@@ -58,7 +92,8 @@ print(json.dumps({"median_ms": statistics.median(times) * 1e3,
 def measure(src: str, n: int, repeats: int, layer: str) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    out = subprocess.run([sys.executable, "-c", CHILD, str(n), str(repeats), layer],
+    out = subprocess.run([sys.executable, "-c", CHILD, str(n), str(repeats), layer,
+                          json.dumps(PROPAGATION)],
                          env=env, capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
 
@@ -68,7 +103,7 @@ def main(argv=None) -> int:
     ap.add_argument("--src", action="append", required=True,
                     help="LABEL=PATH of a directory holding the cattaneo4 package")
     args = ap.parse_args(argv)
-    report = {"grid": "4N + 1 points on (0, pi)",
+    report = {"grid": "4N + 1 points on (0, pi) for the sampling layers",
               "note": ("median wall time of one call in ms and the peak RSS in MB of a "
                        f"fresh process running that call; a size predicted to pass "
                        f"{LIMIT_S:g} s is skipped, and one predicted to pass 1 s is "
@@ -76,10 +111,10 @@ def main(argv=None) -> int:
     for spec in args.src:
         label, _, src = spec.partition("=")
         side = report[label] = {}
-        for layer in LAYERS:
+        for layer, (sizes, order) in LAYERS.items():
             rows, last = side.setdefault(layer, {}), None
-            for n in SIZES:
-                predicted_ms = 0.0 if last is None else last[1] * (n / last[0]) ** 2
+            for n in sizes:
+                predicted_ms = 0.0 if last is None else last[1] * (n / last[0]) ** order
                 if predicted_ms > LIMIT_S * 1e3:
                     rows[str(n)] = f"skipped: > {LIMIT_S:g} s"
                     continue
