@@ -22,10 +22,12 @@ derivatives of f from under the integral:
 with E(t) = exp(A t) in the closed 2x2 form E = phi0 I + phi1 A of
 ``modal.propagator``.  Only f itself appears under the integral, so rough
 signals are handled stably.  The integral is composite Simpson on uniform
-nodes; the table of E(t - s) at the nodes does not depend on f, so signals
-that share an operator, a time and a step share one table
-(``_evolve_signals``; ``experiments.propagation_burst`` evolves all its
-burst rates that way).
+nodes.  The eigenvalues of A are computed once per operator and the table
+of E(t - s) at the nodes is formed from them block by block, through the
+same kernel as ``modal.propagator`` (``modal._factors``).  The table does
+not depend on f, so signals that share an operator, a time and a step
+share one table (``_evolve_signals``; ``experiments.propagation_burst``
+evolves all its burst rates that way).
 
 A weaker solution notion that decouples the lift parameter from c exists in
 principle but has no clear physical reading; it is intentionally not
@@ -41,12 +43,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExceptionalParameterError
-from .modal import ParameterSet, _digits_kept, is_degenerate, propagator
+from .modal import ParameterSet, _digits_kept, _factors, _roots, is_degenerate
 from .solver import Field
 from .spectrum import BasisDescriptor, spectrum
 from .util import scaled_exp, simpson_weights
 
-# Modes per propagator call in evolve_with_boundary: bounds the (modes, nodes)
+# Modes per propagator table in evolve_with_boundary: bounds the (modes, nodes)
 # temporaries; every mode's result is the same for any block size.
 MODE_BLOCK = 32
 # mild_solution_check: internal step of the five-point second difference,
@@ -280,9 +282,9 @@ def evolve_with_boundary(blocks: BoundaryOperator, theta0: Field, theta1: Field,
 
     The convolution integral contains only f itself and is computed by
     composite Simpson with the caller's step (default t/1000, rounded to an
-    even interval count).  Modes go through ``propagator`` in blocks of
-    ``MODE_BLOCK``.  Each mode's dominant exponent is kept out of the sums
-    and applied last, so values beyond the e^700 range saturate to +/-inf
+    even interval count).  The propagator tables are formed in blocks of
+    ``MODE_BLOCK`` modes.  Each mode's dominant exponent is kept out of the
+    sums and applied last, so values beyond the e^700 range saturate to +/-inf
     with the flag set.  Subnormal data keep their digits: where a scaled
     value would lose them, the power of two at the mode's largest datum is
     factored out, as ``modal._state`` does.
@@ -297,11 +299,16 @@ def _evolve_signals(blocks: BoundaryOperator, theta0: Field, theta1: Field,
     set of nodes: one (theta, theta') pair per signal, each bit for bit what
     a call with that signal alone gives.
 
-    The propagator table of a mode block (phi0, phi1 and the log-scale
-    weights at every node) does not depend on the signal, so it is formed
+    The eigenvalues of every block come from one ``modal._roots`` call per
+    operator.  The propagator table of a mode block (phi0, phi1 and the
+    log-scale weights at every node, from ``modal._factors``, which orders
+    the roots once per mode) does not depend on the signal, so it is formed
     once per block and summed against each signal's Simpson-weighted
     samples (the table reuse of exponential integrators: Hochbruck &
-    Ostermann, Acta Numerica 19, 2010, section 2).
+    Ostermann, Acta Numerica 19, 2010, section 2).  The sums are numpy row
+    sums over the nodes, not BLAS products, whose per-row result can depend
+    on how many rows a call holds; so each mode's result is the same for
+    any ``MODE_BLOCK``.
     """
     if theta0.basis != theta1.basis:
         raise ValueError("theta0 and theta1 must share one basis")
@@ -314,7 +321,8 @@ def _evolve_signals(blocks: BoundaryOperator, theta0: Field, theta1: Field,
     if t == 0.0:
         return [(Field(basis, theta0.coefficients.copy()),
                  Field(basis, theta1.coefficients.copy())) for _ in signals]
-    h, k, d = blocks.h, blocks.k, blocks.d
+    d = blocks.d
+    _, r_plus, r_minus, freq = _roots(1.0, blocks.h, -blocks.k)
 
     m_int = _even_intervals(t, quad_step)
     s_nodes = np.linspace(0.0, t, m_int + 1)
@@ -330,18 +338,21 @@ def _evolve_signals(blocks: BoundaryOperator, theta0: Field, theta1: Field,
     p0, p1 = (np.empty((len(signals), n_modes)) for _ in range(2))
     for lo in range(0, n_modes, MODE_BLOCK):
         sl = slice(lo, lo + MODE_BLOCK)
-        phi0, phi1, log_scale, _ = propagator(h[sl, None], k[sl, None], tau)
+        phi0, phi1, log_scale = _factors(r_plus[sl, None], r_minus[sl, None],
+                                         freq[sl, None], tau)
         top = np.max(log_scale, axis=1, keepdims=True)   # tau = 0 gives 0
-        weight = np.exp(log_scale - top)
+        weight = np.exp(np.subtract(log_scale, top, out=log_scale), out=log_scale)
         shift[sl] = top[:, 0]
         e0[sl] = phi0[:, 0] * weight[:, 0]                # tau[0] = t
         e1[sl] = phi1[:, 0] * weight[:, 0]
         for j, fw_j in enumerate(fw):
-            # the last signal scales the weights in place: a copy of this
-            # cache-sized table made one-signal calls 3% slower
-            weight_j = np.multiply(weight, fw_j, out=weight if j == len(fw) - 1 else None)
-            p0[j, sl] = np.sum(phi0 * weight_j, axis=1)
-            p1[j, sl] = np.sum(phi1 * weight_j, axis=1)
+            # the last signal scales the weights and the factors in place:
+            # fresh tables of this size cost page faults (5% of a
+            # one-signal call at 2048 modes)
+            last = j == len(fw) - 1
+            weight_j = np.multiply(weight, fw_j, out=weight if last else None)
+            p0[j, sl] = np.sum(np.multiply(phi0, weight_j, out=phi0 if last else None), axis=1)
+            p1[j, sl] = np.sum(np.multiply(phi1, weight_j, out=phi1 if last else None), axis=1)
 
     lift = np.exp(-shift)
     results = []

@@ -207,24 +207,39 @@ def _factors(r_plus, r_minus, freq, tau):
 
     the first divided difference of exp and the identity e^{oth tau} =
     phi0 + oth phi1 (equal to 1 - dom phi1, but a sum of two terms of one
-    sign whenever oth < 0).  A double root (g = 0) gives phi1 = tau; a
-    complex pair dom +/- i freq gives phi1 = sin(freq tau)/freq.
+    sign whenever oth < 0).  Where g = 0 (a double root, tau = 0, or gap tau
+    below the float range) phi1 = tau; a complex pair dom +/- i freq gives
+    phi1 = sin(freq tau)/freq.
+
+    The roots carry the mode shape and ``tau`` broadcasts against them; its
+    entries must share one sign.  Then the order of the roots depends on
+    the mode alone: it is decided once per mode by r_plus s >= r_minus s at
+    the entry s of tau with the largest magnitude (s = tau for a scalar),
+    and the sines are taken on the complex modes only.
     """
+    tau = np.asarray(tau, dtype=float)
+    s = tau if tau.ndim == 0 else tau.flat[np.abs(tau).argmax()] if tau.size else 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        first = r_plus * tau >= r_minus * tau
+        first = r_plus * s >= r_minus * s
         dom = np.where(first, r_plus, r_minus)
         oth = np.where(first, r_minus, r_plus)
-        log_scale = dom * tau
         gap = oth - dom
-        g = gap * tau
-        phi1 = np.where(g == 0.0, tau, np.expm1(g) / gap)
-        phi0 = np.exp(g) - oth * phi1
+        log_scale = dom * tau
+        g = np.asarray(gap * tau)
+        phi1 = np.expm1(g, out=np.empty(g.shape))
+        np.divide(phi1, gap, out=phi1)
+        fixed = g == 0.0    # a double root, tau = 0, or gap tau below the float range
+        if fixed.any():
+            np.copyto(phi1, tau, where=fixed)
+        phi0 = np.exp(g, out=g)
+        phi0 -= oth * phi1
         cplx = freq > 0.0
-        if np.any(cplx):
-            w = freq * tau
-            s = np.sin(w) / np.where(cplx, freq, 1.0)
-            phi1 = np.where(cplx, s, phi1)
-            phi0 = np.where(cplx, np.cos(w) - dom * s, phi0)
+        if cplx.any():
+            w = np.asarray(freq * tau)
+            np.sin(w, out=phi1, where=cplx)
+            np.divide(phi1, freq, out=phi1, where=cplx)
+            np.multiply(dom, phi1, out=phi0, where=cplx)
+            np.subtract(np.cos(w, out=w, where=cplx), phi0, out=phi0, where=cplx)
     return phi0, phi1, log_scale
 
 
@@ -240,11 +255,16 @@ def propagator(h, k, tau):
     of 1 and tau, so they stay finite however large log_scale is;
     ``saturated`` marks e^{log_scale} past e^LOG_SATURATION.  Real, double,
     near-double and complex eigenvalues share one formula (``_factors``).
-    Arguments broadcast; after Moler & Van Loan, SIAM Rev. 45 (2003).
+    Arguments broadcast; the entries of ``tau`` must share one sign (zeros
+    go with either), since the dominant eigenvalue is chosen once per
+    (h, k), and a ``tau`` with entries of both signs, or with nan, raises
+    ValueError.  After Moler & Van Loan, SIAM Rev. 45 (2003).
     """
     h = np.asarray(h, dtype=float)
-    phi0, phi1, log_scale = _factors(*_roots(1.0, h, -np.asarray(k, dtype=float))[1:],
-                                     np.asarray(tau, dtype=float))
+    tau = np.asarray(tau, dtype=float)
+    if np.isnan(tau).any() or (np.any(tau > 0.0) and np.any(tau < 0.0)):
+        raise ValueError("tau must hold no nan and no entries of both signs")
+    phi0, phi1, log_scale = _factors(*_roots(1.0, h, -np.asarray(k, dtype=float))[1:], tau)
     return phi0, phi1, log_scale, log_scale > LOG_SATURATION
 
 

@@ -12,6 +12,7 @@ from cattaneo4 import (BasisDescriptor, BoundaryOperator, BoundarySignal,
                        dirichlet_map_interval, evolve_homogeneous,
                        evolve_with_boundary, mild_solution_check,
                        check_wellposed, project_samples, zero_field)
+from cattaneo4 import boundary
 from cattaneo4.boundary import _evolve_signals
 
 PI = math.pi
@@ -292,25 +293,48 @@ def test_bounded_response_to_small_signals():
         assert np.allclose(c2, 1e-3 * c1, rtol=1e-12, atol=1e-18)
 
 
-@given(st.floats(min_value=5e-324, max_value=1e-300), st.sampled_from([-1.0, 1.0]))
-@example(5e-324, 1.0)
-@example(3e-320, 1.0)
-@example(2.225073858507203e-309, -1.0)
+GROWTH_19 = ((1.0 + 1e-4) / 19.0**2, 0.035)
+
+
+@given(st.floats(min_value=5e-324, max_value=1e-300), st.sampled_from([-1.0, 1.0]),
+       st.sampled_from([(0.003, 1.0), GROWTH_19]))
+@example(5e-324, 1.0, (0.003, 1.0))
+@example(3e-320, 1.0, (0.003, 1.0))
+@example(2.225073858507203e-309, -1.0, (0.003, 1.0))
+@example(1e-320, 1.0, GROWTH_19)
 @settings(max_examples=40, deadline=None)
-def test_subnormal_data_match_homogeneous_evolution(scale, sign):
+def test_subnormal_data_match_homogeneous_evolution(scale, sign, case):
     # a zero signal leaves the homogeneous evolution; data near the bottom of
-    # the float range keep their digits (modes 19 and 20 grow by e^70 and
-    # more, so their values are normal).  Both sides form a subnormal result
-    # as exp of its logarithm (util.scaled_exp), good to about 745 eps
-    # relative, so errors are measured against at least the smallest normal.
-    p = ParameterSet(2.0, 1.0, 0.003)
+    # the float range keep their digits.  At c = 0.003, t = 1 modes 19 and 20
+    # grow by e^70 and more, so their values are normal.  In GROWTH_19 mode
+    # 19 grows by e^706: its scaled theta' (mantissa-sized data times e^706
+    # and a root of 2e4) passes the float range on the way, though theta'
+    # itself is small.  Each side equals its own evolution of the data
+    # scaled by 2^K to about 2^-600 (normal, and far from saturation), to
+    # one rounding of a subnormal result.  The two sides differ by their own
+    # roundings, as on normal data (up to 8.9e-14 relative in 40000 draws),
+    # measured against at least the smallest normal.
+    c, t = case
+    p = ParameterSet(2.0, 1.0, c)
     basis = interval_basis(20)
     rng = np.random.default_rng(11)
-    theta0 = Field(basis, sign * scale * rng.uniform(0.5, 2.0, 20))
-    theta1 = Field(basis, scale * rng.uniform(-2.0, 2.0, 20))
+    alpha = sign * scale * rng.uniform(0.5, 2.0, 20)
+    beta = scale * rng.uniform(-2.0, 2.0, 20)
     blocks = build_blocks(p, basis, (1.0, 0.0))
-    got = evolve_with_boundary(blocks, theta0, theta1, BoundarySignal.constant(1.0, 0.0), 1.0)
-    want = evolve_homogeneous(p, theta0, theta1, 1.0)
+    signal = BoundarySignal.constant(1.0, 0.0)
+    K = -math.frexp(scale)[1] - 600
+
+    def both(alpha, beta):
+        theta0, theta1 = Field(basis, alpha), Field(basis, beta)
+        return (evolve_with_boundary(blocks, theta0, theta1, signal, t),
+                evolve_homogeneous(p, theta0, theta1, t))
+
+    got, want = both(alpha, beta)
+    got_k, want_k = both(np.ldexp(alpha, K), np.ldexp(beta, K))
+    for side, normal in zip((*got, *want), (*got_k, *want_k)):
+        assert np.isfinite(side.coefficients).all() and not side.saturated.any()
+        np.testing.assert_allclose(side.coefficients, np.ldexp(normal.coefficients, -K),
+                                   rtol=2.0 ** -52, atol=2.0 ** -1073)
     for g, w in zip(got, want):
         np.testing.assert_allclose(g.coefficients, w.coefficients, rtol=1e-13,
                                    atol=1e-13 * 2.0 ** -1022)
@@ -389,6 +413,29 @@ def test_modes_do_not_depend_on_the_truncation_split():
                                        zero_field(large), sig, 0.8)
     assert np.array_equal(th_s.coefficients, th_l.coefficients[:10])
     assert np.array_equal(dth_s.coefficients, dth_l.coefficients[:10])
+
+
+@given(st.sampled_from([0.05, 0.003, (1.0 + 1e-4) / 19.0**2]),
+       st.integers(min_value=1, max_value=80), SIGNALS,
+       st.floats(min_value=0.05, max_value=0.5), st.booleans())
+@settings(max_examples=20, deadline=None)
+def test_modes_do_not_depend_on_the_block_size(c, n_modes, signal, t, data):
+    # the same bytes for any MODE_BLOCK: no reduction (a BLAS matvec, say)
+    # whose per-row result depends on how many rows one call holds
+    basis = interval_basis(n_modes)
+    blocks = build_blocks(ParameterSet(2.0, 1.0, c), basis, (1.0, -0.3))
+    rng = np.random.default_rng(n_modes)
+    theta0, theta1 = ((Field(basis, rng.normal(size=n_modes)) if data else zero_field(basis))
+                      for _ in range(2))
+    runs = []
+    for size in (1, 7, 32, n_modes):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(boundary, "MODE_BLOCK", size)
+            runs.append(evolve_with_boundary(blocks, theta0, theta1, signal, t))
+    for run in runs[1:]:
+        for got, want in zip(run, runs[0]):
+            assert got.coefficients.tobytes() == want.coefficients.tobytes()
+            assert got.saturated.tobytes() == want.saturated.tobytes()
 
 
 def test_growth_past_e700_saturates_without_nan():

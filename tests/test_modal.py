@@ -466,6 +466,48 @@ def test_propagator_broadcasts_and_starts_at_identity():
     assert (log_scale[:, 0] == 0.0).all() and not saturated.any()
 
 
+def test_propagator_table_matches_scalar_calls():
+    # one (modes x nodes) table against one scalar call per entry, bit for
+    # bit: complex rows among real ones, an exact double root (gap = 0), a
+    # near-double pair and a row that grows past e^700, for either sign of
+    # tau; the root order is decided once per row, so tau of both signs (or
+    # nan, which has no sign) is refused
+    h = np.array([3.0, 0.5, -2.0, -2.0, 0.2, -600.0, 1e-3, -0.5])
+    k = np.array([-2.0, -4.0, -1.0, -1.0 + 1e-12, -9.0, 100.0, 0.0, -9.0])
+    for tau in (np.linspace(0.0, 2.0, 9)[::-1], 0.0 - np.linspace(0.0, 2.0, 9)):
+        table = propagator(h[:, None], k[:, None], tau)
+        phi0, phi1, log_scale, saturated = table
+        zero = tau == 0.0
+        for i in range(h.size):
+            for j in np.flatnonzero(~zero):
+                one = propagator(h[i], k[i], tau[j])
+                assert all(same_bits(x[i, j], y) for x, y in zip(table, one)), (i, j)
+        # tau = 0 is the identity, phi1 = +0.0 on every row
+        assert (phi0[:, zero] == 1.0).all() and (log_scale[:, zero] == 0.0).all()
+        assert same_bits(phi1[:, zero], np.zeros((h.size, 1)))
+        # e^{600 tau} passes e^700 forward in time only
+        assert saturated[5].any() == (tau[0] > 0.0)
+        assert not np.delete(saturated, 5, axis=0).any()
+    for mixed in ([-0.5, 0.0, 0.5], [1.0, np.nan, 0.5]):
+        with pytest.raises(ValueError):
+            propagator(h[:, None], k[:, None], np.array(mixed))
+
+
+def test_propagator_phi1_where_gap_tau_underflows():
+    # g = gap tau rounds to 0 with neither factor 0 (gap = -0.4 at a
+    # subnormal tau, gap = -1e-160 at tau = 1e-170): phi1 = tau, as at a
+    # double root, in a table and in scalar calls alike
+    h, k = np.array([[0.4], [1e-160]]), np.array([[0.0], [0.0]])
+    tau = np.array([5e-324, 1e-170, 1.0])
+    phi0, phi1, _, _ = propagator(h, k, tau)
+    assert same_bits(phi1[0, 0], 5e-324) and same_bits(phi1[1, 1], 1e-170)
+    assert (phi0[:, :2] == 1.0).all()
+    for i in range(2):
+        for j in range(3):
+            one = propagator(h[i, 0], k[i, 0], tau[j])
+            assert same_bits(phi0[i, j], one[0]) and same_bits(phi1[i, j], one[1])
+
+
 def same_bits(x, y):
     return np.asarray(x).tobytes() == np.asarray(y).tobytes()
 

@@ -13,15 +13,19 @@ of 5 calls and its own peak RSS.  The layers:
   N = 256, 1e3, 1e4 modes;
 * ``propagation_cli``: the README's ``propagation`` command as a cold
   ``python -m cattaneo4`` process, interpreter start and import included,
-  timed from outside; its peak RSS is that of the command.
+  timed from outside; its peak RSS is that of the command;
+* ``evolve_with_boundary`` on the stiff case of the ``boundary`` benchmark
+  workload (a = 2, b = 1, c = 0.003, g = (1, 0), f = sin 3t, zero data) at
+  t = 0.8 with the default step t/1000 (M = 1000 intervals), N = 1e3, 1e4,
+  1e5; the operator is built outside the timed call.
 
 The time of the next size is predicted from the last one at the layer's
 growth order (quadratic for the sampling layers, the order of their
-compensated-sum path; linear for ``propagation_burst``, whose boundary sums
-are linear in N): past 60 s the size is recorded as ``"skipped: > 60 s"``
-and not run, and past 1 s it is timed by one call.  Mind the memory: the
-compensated-sum ``reconstruct`` holds (npts, N) tables, about 6 GB at
-N = 1e4.
+compensated-sum path; linear for ``propagation_burst`` and
+``evolve_with_boundary``, whose boundary sums are linear in N): past 60 s
+the size is recorded as ``"skipped: > 60 s"`` and not run, and past 1 s it
+is timed by one call.  Mind the memory: the compensated-sum
+``reconstruct`` holds (npts, N) tables, about 6 GB at N = 1e4.
 
     python3 tools/bench_sampling.py --src parent=../parent/src --src change=src
 
@@ -44,6 +48,7 @@ LAYERS = {
     "reconstruct": ((1000, 10000, 100000), 2),
     "propagation_burst": ((256, 1000, 10000), 1),
     "propagation_cli": ((256,), 1),
+    "evolve_with_boundary": ((1000, 10000, 100000), 1),
 }
 PROPAGATION = ["propagation", "--a", "3", "--b", "1", "--c", "0.5", "--L", "pi",
                "--g0", "1", "--g1", "0", "--T", "0.05", "--n-max-exp", "12",
@@ -74,12 +79,16 @@ else:
                  for k, a in zip(rng.choice(np.arange(1, n + 1), 12), rng.normal(size=12)))
     p = c4.ParameterSet(3.0, 1.0, 0.5)
     rates = [2.0 ** j for j in range(13)]
+    stiff = c4.build_blocks(c4.ParameterSet(2.0, 1.0, 0.003), basis, (1.0, 0.0))
+    sine, zero = c4.BoundarySignal.sinusoid(1.0, 3.0), c4.zero_field(basis)
     for _ in range(repeats):
         t0 = time.perf_counter()
         if layer == "reconstruct":
             c4.reconstruct(field, x)
         elif layer == "project_samples":
             c4.project_samples((x, values), basis)
+        elif layer == "evolve_with_boundary":
+            c4.evolve_with_boundary(stiff, zero, zero, sine, 0.8)
         else:
             c4.propagation_burst(p, basis, (1.0, 0.0), 0.05, rates, (1.0, 2.0))
         times.append(time.perf_counter() - t0)
