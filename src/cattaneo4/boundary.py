@@ -7,7 +7,7 @@ lifted with the map D solving (1 + c d_xx)(Dg) = 0 with traces g; on (0, L)
 
 which exists precisely when sin(L/sqrt(c)) != 0, i.e. c outside the
 exceptional set; the gate applies ``modal.is_degenerate`` to the two members
-next to c, independent of the truncation.  Each mode then carries a 2x2
+next to c in closed form, independent of the truncation.  Each mode has a 2x2
 block A = [[0, 1], [k, -h]] with h = a/(1 - c lam2), k = -b lam2/(1-c lam2),
 beta = b/c, forced through the state W = (theta_n, theta_n'):
 
@@ -43,9 +43,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExceptionalParameterError
-from .modal import ParameterSet, _digits_kept, _factors, _roots, is_degenerate
+from .modal import (ParameterSet, _check_positive, _digits_kept, _factors, _roots,
+                    is_degenerate)
 from .solver import Field
-from .spectrum import BasisDescriptor, spectrum
+from .spectrum import BasisDescriptor, _interval_neighbours, spectrum
 from .util import scaled_exp, simpson_weights
 
 # Modes per propagator table in evolve_with_boundary: bounds the (modes, nodes)
@@ -193,23 +194,19 @@ def _lift_gate(c: float, L: float) -> float:
 
     The Dirichlet map exists exactly when 1/c is not an eigenvalue
     (n pi / L)^2, so c is rejected where ``modal.is_degenerate`` holds at
-    one of the two members of the whole exceptional set next to it, n =
-    floor and ceil of L / (pi sqrt(c)): the test ``evolve_modes`` and
-    ``solver.check_wellposed`` apply, in O(1) and for any truncation.
+    one of the two members of the whole exceptional set next to it (the
+    closed form of ``spectrum.exceptional_neighbours`` with no truncation):
+    the test of ``evolve_modes`` and ``solver.check_wellposed``, in O(1).  A
+    subnormal c meets the eigenvalue +inf there and is rejected.
     """
-    if not (c > 0.0 and math.isfinite(c)):
-        raise ValueError("c must be positive and finite")
-    if not (L > 0.0 and math.isfinite(L)):
-        raise ValueError("L must be positive and finite")
-    x = L / (math.pi * math.sqrt(c))
-    n = np.array([max(1, math.floor(x)), max(1, math.ceil(x))])
-    lam_sq = (n * (math.pi / L)) ** 2
+    _check_positive(c=c, L=L)
+    n, lam_sq = _interval_neighbours(L, c)
     hit = is_degenerate(c, lam_sq)
     if np.any(hit):
         nearest = float(1.0 / lam_sq[np.argmax(hit)])
         raise ExceptionalParameterError(
             f"c={c} is exceptional for the Dirichlet map: it collides with the "
-            f"member {nearest!r} of mode {int(n[np.argmax(hit)])}", value=c, nearest=nearest)
+            f"member {nearest!r} of mode {n[np.argmax(hit)]:.17g}", value=c, nearest=nearest)
     return math.sin(L / math.sqrt(c))
 
 

@@ -101,8 +101,7 @@ def _cmd_exceptional(args) -> str:
     if args.kind == "sigma":
         if args.gamma_rho is None:
             raise ValueError("--gamma-rho is required for --kind sigma")
-        if not (math.isfinite(args.gamma_rho) and args.gamma_rho > 0.0):
-            raise ValueError("gamma_rho must be positive and finite")
+        modal._check_positive(gamma_rho=args.gamma_rho)
         values = args.gamma_rho * values
     _write_csv(args.out, ["index", "value"],
                [(i + 1, v) for i, v in enumerate(values.tolist())])
@@ -182,7 +181,7 @@ def _cmd_limit3(args) -> str:
 
 
 def _cmd_heatcmp(args) -> str:
-    family = modal.ParameterSet.sigma_form(args.chi, args.gamma_rho)
+    modal._check_positive(chi=args.chi, gamma_rho=args.gamma_rho)
     basis = spectrum.BasisDescriptor(1, (math.pi,), args.N)
     theta0 = solver.basis_field(basis, args.mode, 1.0)
     heat_rate = args.chi / args.gamma_rho
@@ -191,7 +190,7 @@ def _cmd_heatcmp(args) -> str:
     # 4/n^2 is exceptional for gamma_rho=4, so plain powers of two collide at
     # every even j; the factor 3 keeps the whole ladder clear of 4/n^2.
     sigmas = [3.0 * 2.0 ** (-j) for j in range(0, args.j_max + 1)]
-    rows = exp.heat_comparison(family, sigmas, theta0, theta1, args.t)
+    rows = exp.heat_comparison(args.chi, args.gamma_rho, sigmas, theta0, theta1, args.t)
     _write_csv(args.out, ["sigma", "distance", "flag"],
                [(r.sigma, r.distance, r.flag) for r in rows])
     return (f"heatcmp: sigma={fmt_float(sigmas[-1])} "

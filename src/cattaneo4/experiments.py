@@ -48,8 +48,9 @@ import numpy as np
 
 from .boundary import BoundarySignal, _evolve_signals, build_blocks
 from .errors import ExceptionalParameterError, SingularParameterError
-from .modal import ParameterSet, _mode_value, evolve_modes, is_degenerate, second_order_roots
-from .solver import Field, check_wellposed, zero_field
+from .modal import (ParameterSet, _check_positive, _mode_value, _physical_map, evolve_modes,
+                    is_degenerate, second_order_roots)
+from .solver import Field, _locate, zero_field
 from .spectrum import BasisDescriptor, spectrum
 from .util import fit_slope
 
@@ -212,7 +213,8 @@ def limit2_scan(a: float, b: float, gamma: float, k_range, t: float) -> Limit2Re
     lam_k (a+delta_k)/(2 gamma) diverges polynomially.  Fits are least-squares
     slopes in log-log: growth of the divergent exponent and decay of the
     coefficient, over the scanned k.  The modes are those of (0, pi); a c_k
-    at which some mode is first order (``check_wellposed``) is rejected.
+    at which some mode is first order (``check_wellposed``'s verdict, one
+    lookup for all c_k) is rejected.
     """
     if not (a > 0.0 and b > 0.0 and gamma > 0.0):
         raise ValueError("a, b, gamma must be positive")
@@ -225,12 +227,13 @@ def limit2_scan(a: float, b: float, gamma: float, k_range, t: float) -> Limit2Re
     ks = np.array(ks)
     lam_sq = spectrum(basis).lambda_sq[ks - 1]
     c_k = np.array([1.0 / x + gamma / math.sqrt(x) ** 3 for x in lam_sq.tolist()])
-    for k, c in zip(ks.tolist(), c_k.tolist()):
-        report = check_wellposed(c, basis)
-        if report.verdict == "exceptional":
-            raise ExceptionalParameterError(
-                f"c_{k} = {c!r} collides with exceptional member {report.nearest!r}; "
-                "adjust gamma or the mode range", value=c, nearest=report.nearest)
+    _, nearest, exceptional, _ = _locate(c_k, basis)
+    if exceptional.any():
+        i = int(np.argmax(exceptional))
+        c, member = float(c_k[i]), float(nearest[i])
+        raise ExceptionalParameterError(
+            f"c_{ks[i]} = {c!r} collides with exceptional member {member!r}; "
+            "adjust gamma or the mode range", value=c, nearest=member)
     eps = 1.0 - c_k * lam_sq
     _, delta, r_plus, r_minus = second_order_roots(eps, a, b * lam_sq)
     amp = (1.0 / ks) * eps / delta
@@ -243,7 +246,8 @@ def limit2_scan(a: float, b: float, gamma: float, k_range, t: float) -> Limit2Re
 
 
 def limit3_scan(k_range, t: float) -> Limit3Result:
-    """Sigma-form family chi = 2, gamma_rho = 4 at sigma_k = 5/k^2, mode k.
+    """Sigma-form family chi = 2, gamma_rho = 4 at sigma_k = 5/k^2, mode k,
+    mapped to (a, b, c) by ``modal._physical_map`` as one array.
 
     Data theta_k(0) = 1/k^4, theta_k'(0) = -1/(2 k^2) satisfy the heat
     compatibility 2 theta'(0) = -k^2 theta(0) exactly (checked in rational
@@ -256,15 +260,12 @@ def limit3_scan(k_range, t: float) -> Limit3Result:
         raise ValueError("k_range must hold positive integers")
     if not 0.0 <= t < math.inf:
         raise ValueError("t must be finite and nonnegative")
-    family = ParameterSet.sigma_form(2.0, 4.0)
     compat_exact = all(
         2 * Fraction(-1, 2 * k * k) == -(k * k) * Fraction(1, k ** 4) for k in ks)
     ks = np.array(ks)
     lam_sq = ks.astype(float) ** 2
     sigma = 5.0 / lam_sq
-    # (a, b, c) of ParameterSet.from_physical(chi, sigma, gamma_rho)
-    chi, gamma_rho = family.chi, family.gamma_rho
-    a, b, c = chi / sigma, chi * chi / (sigma * gamma_rho), sigma / gamma_rho
+    a, b, c = _physical_map(2.0, sigma, 4.0)
     alpha, beta = 1.0 / (lam_sq * lam_sq), -1.0 / (2.0 * lam_sq)
     eps = 1.0 - c * lam_sq
     _, _, rp, rm = second_order_roots(eps, a, b * lam_sq)
@@ -281,35 +282,42 @@ def limit3_scan(k_range, t: float) -> Limit3Result:
     return Limit3Result(rows, smallest, compat_exact)
 
 
-def heat_comparison(family: ParameterSet, sigmas, theta0: Field, theta1: Field,
+def heat_comparison(chi: float, gamma_rho: float, sigmas, theta0: Field, theta1: Field,
                     t: float) -> list[HeatComparisonRow]:
     """Distance of the sigma-form solution to the heat solution as sigma varies.
 
-    The heat reference evolves theta0 under a theta' = b d_xx theta, whose
-    rate b/a = chi/gamma_rho is sigma-independent.  A sigma at which some
-    mode is first order (``check_wellposed``'s 'exceptional' verdict on
-    c = sigma/gamma_rho) is rejected, and a non-finite sigma is a ValueError;
-    values below the smallest member of Z = gamma_rho E only constrain
-    un-enumerated modes and are evolved as-is.
+    The sigma-form equation
+
+        sigma theta'' + chi theta' = (chi^2 d_xx theta - sigma^2 d_xx theta'') / gamma_rho
+
+    is normalized at each sigma by ``ParameterSet.from_physical``; chi,
+    gamma_rho and each sigma must be positive and finite.  The heat reference
+    evolves theta0 under a theta' = b d_xx theta at the sigma-free rate b/a =
+    chi/gamma_rho.  A sigma at which some mode is first order
+    (``check_wellposed``'s verdict on c = sigma/gamma_rho, one lookup for all
+    sigma) is rejected; values below the smallest member of Z = gamma_rho E
+    only constrain un-enumerated modes and are evolved as-is.
     """
-    if family.map_tag != "m2":
-        raise ValueError("heat_comparison needs a sigma-form parameter family")
+    _check_positive(chi=chi, gamma_rho=gamma_rho)
     if theta0.basis != theta1.basis:
         raise ValueError("fields must share one basis")
     if not math.isfinite(t):
         raise ValueError("t must be finite")
+    sigmas = list(sigmas)
+    params = [ParameterSet.from_physical(chi, sigma, gamma_rho) for sigma in sigmas]
+    _, nearest, exceptional, _ = _locate([p.c for p in params], theta0.basis)
+    if exceptional.any():
+        i = int(np.argmax(exceptional))
+        member = gamma_rho * float(nearest[i])
+        raise ExceptionalParameterError(
+            f"sigma={sigmas[i]!r} collides with exceptional member {member!r}",
+            value=sigmas[i], nearest=member)
     spec = spectrum(theta0.basis)
-    heat = theta0.coefficients * np.exp(-(family.chi / family.gamma_rho) * spec.lambda_sq * t)
+    heat = theta0.coefficients * np.exp(-(chi / gamma_rho) * spec.lambda_sq * t)
     rows = []
-    for sigma in sigmas:
-        report = check_wellposed(sigma / family.gamma_rho, theta0.basis)
-        if report.verdict == "exceptional":
-            nearest = family.gamma_rho * report.nearest
-            raise ExceptionalParameterError(
-                f"sigma={sigma!r} collides with exceptional member {nearest!r}",
-                value=sigma, nearest=nearest)
-        value, _, sat = evolve_modes(family.at_sigma(sigma), spec.lambda_sq,
-                                     theta0.coefficients, theta1.coefficients, t)
+    for sigma, p in zip(sigmas, params):
+        value, _, sat = evolve_modes(p, spec.lambda_sq, theta0.coefficients,
+                                     theta1.coefficients, t)
         if np.any(sat) or not np.all(np.isfinite(value)):
             rows.append(HeatComparisonRow(sigma, math.inf, "saturated"))
         else:

@@ -26,7 +26,8 @@ mode ('real_distinct', 'double' or 'complex_pair').  The gates are
 constants: a mode is first order when |1 - c lam2| <= DEGENERATE_TOL
 max(1, c lam2), its data are compatible when |beta - rate alpha| <=
 COMPAT_TOL max(1, |rate|) |alpha|, and ``solver.check_wellposed`` calls c
-near-exceptional within NEAR_TOL of a member.
+near-exceptional within NEAR_TOL of a member.  ``ParameterSet`` holds (a, b,
+c) alone; ``_physical_map`` is the one map from (chi, sigma, gamma_rho).
 """
 
 from __future__ import annotations
@@ -47,65 +48,35 @@ COMPAT_TOL = 1e-9
 NEAR_TOL = 1e-9
 
 
+def _check_positive(**values) -> None:
+    """ValueError naming the first value that is not positive and finite."""
+    for name, v in values.items():
+        if not (v > 0.0 and math.isfinite(v)):
+            raise ValueError(f"{name} must be positive and finite")
+
+
+def _physical_map(chi, sigma, gamma_rho):
+    """(a, b, c) = (chi / sigma, chi^2 / (sigma gamma_rho), sigma / gamma_rho),
+    elementwise, so that b sigma gamma_rho = chi^2."""
+    return chi / sigma, chi * chi / (sigma * gamma_rho), sigma / gamma_rho
+
+
 @dataclass(frozen=True)
 class ParameterSet:
-    """Coefficients (a, b, c) of the normalized equation, all positive.
-
-    When built from the physical triple (chi, sigma, gamma_rho) the map is
-
-        a = chi / sigma,  b = chi^2 / (sigma gamma_rho),  c = sigma / gamma_rho,
-
-    and the identity b * sigma * gamma_rho = chi^2 ties the forms together.
-    ``sigma_form`` keeps the sigma-scaled equation
-    sigma theta'' + a theta' = b d_xx theta - sigma^2 c d_xx theta''
-    parameterized by sigma through ``at_sigma``.
-    """
+    """Coefficients (a, b, c) of the normalized equation, all positive;
+    ``from_physical`` maps the physical triple (chi, sigma, gamma_rho) to them."""
 
     a: float
     b: float
     c: float
-    chi: float | None = None
-    sigma: float | None = None
-    gamma_rho: float | None = None
-    map_tag: str | None = None
 
     def __post_init__(self):
-        for name in ("a", "b", "c"):
-            v = getattr(self, name)
-            if not (v > 0.0 and math.isfinite(v)):
-                raise ValueError(f"{name} must be positive and finite")
-        if self.map_tag not in (None, "m1", "m2"):
-            raise ValueError("map_tag must be None, 'm1' or 'm2'")
-        if self.map_tag == "m1":
-            chi, sig, gr = self.chi, self.sigma, self.gamma_rho
-            if None in (chi, sig, gr):
-                raise ValueError("m1-mapped set needs the full physical triple")
-            if abs(self.b * sig * gr - chi * chi) > 1e-9 * chi * chi:
-                raise ValueError("physical triple inconsistent with (a, b, c)")
+        _check_positive(a=self.a, b=self.b, c=self.c)
 
     @classmethod
     def from_physical(cls, chi: float, sigma: float, gamma_rho: float) -> "ParameterSet":
-        for name, v in (("chi", chi), ("sigma", sigma), ("gamma_rho", gamma_rho)):
-            if not (v > 0.0 and math.isfinite(v)):
-                raise ValueError(f"{name} must be positive and finite")
-        return cls(a=chi / sigma, b=chi * chi / (sigma * gamma_rho),
-                   c=sigma / gamma_rho, chi=chi, sigma=sigma,
-                   gamma_rho=gamma_rho, map_tag="m1")
-
-    @classmethod
-    def sigma_form(cls, chi: float, gamma_rho: float) -> "ParameterSet":
-        """Sigma-scaled form: holds (a, b, c) = (chi, chi^2/gr, 1/gr)."""
-        for name, v in (("chi", chi), ("gamma_rho", gamma_rho)):
-            if not (v > 0.0 and math.isfinite(v)):
-                raise ValueError(f"{name} must be positive and finite")
-        return cls(a=chi, b=chi * chi / gamma_rho, c=1.0 / gamma_rho,
-                   chi=chi, gamma_rho=gamma_rho, map_tag="m2")
-
-    def at_sigma(self, sigma: float) -> "ParameterSet":
-        """Normalize the sigma-form equation at a concrete sigma."""
-        if self.map_tag != "m2":
-            raise ValueError("at_sigma applies to sigma-form parameter sets")
-        return ParameterSet.from_physical(self.chi, sigma, self.gamma_rho)
+        _check_positive(chi=chi, sigma=sigma, gamma_rho=gamma_rho)
+        return cls(*_physical_map(chi, sigma, gamma_rho))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ExceptionalParameterError
 from .modal import NEAR_TOL, ParameterSet, evolve_modes, is_degenerate
-from .spectrum import BasisDescriptor, nearest_member, spectrum
+from .spectrum import BasisDescriptor, exceptional_neighbours, spectrum
 from .util import dst1, simpson_weights
 
 EPS = float(np.finfo(float).eps)
@@ -177,29 +177,36 @@ def project_samples(samples, basis: BasisDescriptor) -> Field:
     return Field(basis, coefficients)
 
 
+def _locate(c, basis: BasisDescriptor):
+    """``check_wellposed`` elementwise: arrays (distance, nearest, exceptional,
+    near) for the verdicts.  |1 - c lam2| = lam2 |1/lam2 - c| and the rounded
+    distance are least at a neighbour of c, so the two neighbours decide."""
+    c = np.asarray(c, dtype=float)
+    if not ((c > 0.0) & np.isfinite(c)).all():
+        raise ValueError("parameter value must be positive and finite")
+    lam = exceptional_neighbours(basis, c)
+    members = 1.0 / lam
+    gap = np.abs(c[..., None] - members)
+    nearest = np.where(gap[..., 0] <= gap[..., 1], members[..., 0], members[..., 1])
+    distance = np.minimum(gap[..., 0], gap[..., 1])
+    hit = is_degenerate(c[..., None], lam)
+    return (distance, nearest, hit[..., 0] | hit[..., 1],
+            (distance <= NEAR_TOL) | (c < members[..., 0]))
+
+
 def check_wellposed(c_value: float, basis: BasisDescriptor) -> WellPosednessReport:
     """Locate c relative to the truncated exceptional set.
 
     Verdicts: 'exceptional' when some mode is first order by the test
     ``evolve_modes`` applies (``modal.is_degenerate``), 'near_exceptional'
-    within ``modal.NEAR_TOL`` of a member, or for c below the smallest
-    enumerated member, where collisions with the un-enumerated tail cannot
-    be excluded at this truncation.  Otherwise 'well_posed'.  c must be
-    positive and finite.
+    within the absolute ``modal.NEAR_TOL`` of a member, or for c below the
+    smallest enumerated member, where collisions with the un-enumerated tail
+    cannot be excluded at this truncation.  Otherwise 'well_posed'.  c must be
+    positive and finite.  One ``spectrum.exceptional_neighbours`` lookup.
     """
-    if not (c_value > 0.0 and math.isfinite(c_value)):
-        raise ValueError("parameter value must be positive and finite")
-    spec = spectrum(basis)
-    dist, nearest = nearest_member(spec.inverse, c_value)
-    # |1 - c lam2| = lam2 |1/lam2 - c| is least at a neighbour of c
-    i = int(np.searchsorted(spec.inverse, c_value))
-    if np.any(is_degenerate(c_value, spec.lambda_sq[::-1][max(i - 1, 0):i + 1])):
-        verdict = "exceptional"
-    elif dist <= NEAR_TOL or c_value < spec.inverse[0]:
-        verdict = "near_exceptional"
-    else:
-        verdict = "well_posed"
-    return WellPosednessReport(c_value, dist, nearest, verdict)
+    distance, nearest, exceptional, near = _locate(c_value, basis)
+    verdict = "exceptional" if exceptional else "near_exceptional" if near else "well_posed"
+    return WellPosednessReport(c_value, float(distance), float(nearest), verdict)
 
 
 def evolve_homogeneous(p: ParameterSet, theta0: Field, theta1: Field, t: float,

@@ -5,13 +5,12 @@ phi, so on (0, L) the interval spectrum is (n pi / L)^2 and a box spectrum is
 the sum of per-axis interval values.  ``spectrum(basis)`` holds them with the
 per-axis mode indices and the exceptional values E = {1/lambda_n^2} of the
 c-form equation, ascending; the sigma-form set is Z = gamma_rho * E.
-Parameters inside these sets break well-posedness for generic data
-(``solver.check_wellposed`` decides).
+Parameters inside these sets break well-posedness for generic data; the one
+lookup that places c against E is ``exceptional_neighbours``.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -53,13 +52,27 @@ class Spectrum:
     inverse: np.ndarray
 
 
-def _interval_lambda_sq(L: float, N: int) -> np.ndarray:
-    """(n pi / L)^2 for n = 1..N.
+# x * _UP_DOWN, ceiled, times _UP_DOWN is (ceil(x), floor(x)), as floor(x) = -ceil(-x)
+_UP_DOWN = np.array([1.0, -1.0])
+
+
+def _interval_lambda_sq(L: float, n) -> np.ndarray:
+    """(n pi / L)^2 for mode indices n, elementwise.
 
     The ratio pi/L is formed once so that the common cases L = pi and
     L = pi/2 yield exact integer eigenvalues.
     """
-    return (np.arange(1, N + 1) * (math.pi / L)) ** 2
+    return (n * (math.pi / L)) ** 2
+
+
+def _interval_neighbours(L: float, c, top: float = math.inf):
+    """Modes n and eigenvalues of the two members (L / (n pi))^2 next to c on
+    (0, L), each of shape (..., 2): n = ceil and floor of L / (pi sqrt(c))
+    clipped to [1, top], the smaller member first; +inf past the float range."""
+    with np.errstate(over="ignore"):
+        x = np.expand_dims(L / (math.pi * np.sqrt(c)), -1)
+        n = np.minimum(np.maximum(np.ceil(x * _UP_DOWN) * _UP_DOWN, 1.0), top)
+        return n, _interval_lambda_sq(L, n)
 
 
 def _box_arrays(desc: BasisDescriptor) -> tuple[np.ndarray, np.ndarray]:
@@ -89,8 +102,8 @@ def _box_arrays(desc: BasisDescriptor) -> tuple[np.ndarray, np.ndarray]:
 def spectrum(desc: BasisDescriptor) -> Spectrum:
     """Cached arrays of a descriptor: interval enumeration in 1-d, box otherwise."""
     if desc.dimension == 1:
-        lam = _interval_lambda_sq(desc.lengths[0], desc.truncation)
-        idx = np.arange(1, desc.truncation + 1).reshape(-1, 1)
+        n = np.arange(1, desc.truncation + 1)
+        lam, idx = _interval_lambda_sq(desc.lengths[0], n), n.reshape(-1, 1)
     else:
         lam, idx = _box_arrays(desc)
     inverse = 1.0 / lam[::-1]
@@ -99,17 +112,19 @@ def spectrum(desc: BasisDescriptor) -> Spectrum:
     return Spectrum(lam, idx, inverse)
 
 
-def nearest_member(values, value: float) -> tuple[float, float]:
-    """(|value - v|, v) for the member v of the ascending ``values`` nearest
-    to ``value``, ties toward the smaller member.
-
-    Rounded distances are monotone on each side of ``value``, so only its
-    two neighbours need comparing.
-    """
-    i = bisect.bisect_left(values, value)
-    best = min((float(v) for v in values[max(i - 1, 0):i + 1]),
-               key=lambda v: abs(value - v))
-    return abs(value - best), best
+def exceptional_neighbours(desc: BasisDescriptor, c) -> np.ndarray:
+    """lambda_sq of the two members of the truncated exceptional set next to
+    a scalar or array c, shape (..., 2), the smaller member first; past an end
+    of the truncation the end member repeats.  On an interval in closed form,
+    bit for bit the cached eigenvalues, without building the spectrum; on a
+    box by one binary search of the cached ``inverse``."""
+    if desc.dimension == 1:
+        return _interval_neighbours(desc.lengths[0], c, desc.truncation)[1]
+    spec = spectrum(desc)
+    i = np.searchsorted(spec.inverse, c)
+    descending = spec.lambda_sq[::-1]
+    return np.stack([descending[np.maximum(i - 1, 0)],
+                     descending[np.minimum(i, desc.truncation - 1)]], axis=-1)
 
 
 def weyl_exponent_fit(lambda_sq) -> float:

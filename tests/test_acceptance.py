@@ -273,13 +273,12 @@ def test_criterion_09_limit3():
     t0 = time.perf_counter()
     res = limit3_scan(range(1, 13), 0.1)
     res2 = limit3_scan(range(1, 13), 0.1)
-    family = ParameterSet.sigma_form(2.0, 4.0)
     worst_oracle = 0.0
     worst_t0 = 0.0
     second_ok = True
     for row in res.rows:
         k = row.k
-        p = family.at_sigma(5.0 / (k * k))
+        p = ParameterSet.from_physical(2.0, 5.0 / (k * k), 4.0)
         prob = OdeProblem(1.0 - p.c * k * k, p.a, p.b * k * k,
                           1.0 / k ** 4, -1.0 / (2 * k * k))
         got, _ = integrate_mode(prob, 0.1, rel_tol=1e-11, abs_tol=1e-14)(0.1)

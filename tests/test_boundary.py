@@ -14,6 +14,7 @@ from cattaneo4 import (BasisDescriptor, BoundaryOperator, BoundarySignal,
                        check_wellposed, project_samples, zero_field)
 from cattaneo4 import boundary
 from cattaneo4.boundary import _evolve_signals
+from cattaneo4.cli import main
 
 PI = math.pi
 
@@ -121,7 +122,7 @@ def test_dirichlet_map_exceptional_gate():
         dirichlet_map_interval(0.05, PI, (1.0, 0.0), truncation=0)
 
 
-@pytest.mark.parametrize("n", [1, 3, 20000])
+@pytest.mark.parametrize("n", [1, 3, 20000, 10**6])
 @pytest.mark.parametrize("offset", [-1.2e-12, -8e-13, 8e-13, 1.2e-12])
 def test_lift_gate_agrees_with_check_wellposed(n, offset):
     # c = (1 + offset)/n^2 on (0, pi): |1 - c lam_n^2| = |offset| sits on
@@ -139,6 +140,28 @@ def test_lift_gate_agrees_with_check_wellposed(n, offset):
             assert err.value.nearest == 1.0 / float(n * n)
         else:
             build()
+
+
+@pytest.mark.parametrize("c", [5e-324, 1e-310])
+def test_subnormal_c_is_exceptional(c, tmp_path, capsys):
+    # L/(pi sqrt(c)) is about 1e161: the members next to c have the
+    # eigenvalue +inf, and is_degenerate rejects it (no overflow, no warning)
+    basis = interval_basis(8)
+    for build in (lambda: build_blocks(ParameterSet(3.0, 1.0, c), basis, (1.0, 0.0)),
+                  lambda: dirichlet_map_interval(c, PI, (1.0, 0.0), truncation=8)):
+        with pytest.raises(ExceptionalParameterError) as err:
+            build()
+        assert err.value.nearest == 0.0
+    common = ["--a", "3", "--b", "1", "--c", repr(c), "--L", "pi", "--N", "8",
+              "--g0", "1", "--g1", "0"]
+    for argv in (["boundary", *common, "--signal", "sin", "--omega", "2", "--T", "1",
+                  "--t", "1"],
+                 ["propagation", *common, "--T", "0.05", "--n-max-exp", "2",
+                  "--sub-lo", "1", "--sub-hi", "2"]):
+        out = tmp_path / f"{argv[0]}.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "exceptional for the Dirichlet map" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_dirichlet_map_coefficients_match_quadrature():

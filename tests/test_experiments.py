@@ -121,10 +121,10 @@ def readme_scan_rows():
     for row in limit2_scan(1.0, 1.0, 1.0, range(4, 41), 0.5).rows:
         yield (row, ParameterSet(1.0, 1.0, row.parameter), float(lam_sq[row.k - 1]),
                0.0, 1.0 / row.k, 0.5)
-    family = ParameterSet.sigma_form(2.0, 4.0)
     for row in limit3_scan(range(1, 13), 0.1).rows:
         k = row.k
-        yield (row, family.at_sigma(row.parameter), float(k * k), 1.0 / k ** 4,
+        yield (row, ParameterSet.from_physical(2.0, row.parameter, 4.0), float(k * k),
+               1.0 / k ** 4,
                -1.0 / (2 * k * k), 0.1)
 
 
@@ -208,10 +208,9 @@ def test_limit3_value_structure():
 
 def test_limit3_matches_ode_oracle():
     res = limit3_scan(range(1, 13), 0.1)
-    family = ParameterSet.sigma_form(2.0, 4.0)
     for row in res.rows:
         k = row.k
-        p = family.at_sigma(5.0 / (k * k))
+        p = ParameterSet.from_physical(2.0, 5.0 / (k * k), 4.0)
         prob = OdeProblem(1.0 - p.c * k * k, p.a, p.b * k * k,
                           1.0 / k ** 4, -1.0 / (2 * k * k))
         got, _ = integrate_mode(prob, 0.1, rel_tol=1e-11, abs_tol=1e-13)(0.1)
@@ -223,14 +222,13 @@ def test_limit3_log_magnitude_past_saturation():
     # the log column stays finite and matches the exact solution of each
     # float-parameter mode, computed in mpmath
     res = limit3_scan(range(1, 25), 1.0)
-    family = ParameterSet.sigma_form(2.0, 4.0)
     saturated = [r for r in res.rows if r.flag == "saturated"]
     assert [r.k for r in saturated] == list(range(19, 25))
     assert all(r.value_at_t == -math.inf for r in saturated)
     with mp.workdps(40):
         for row in res.rows:
             k = row.k
-            p = family.at_sigma(row.parameter)
+            p = ParameterSet.from_physical(2.0, row.parameter, 4.0)
             lead, damp, stiff = (mp.mpf(1) - mp.mpf(p.c) * k * k, mp.mpf(p.a),
                                  mp.mpf(p.b) * k * k)
             disc = mp.sqrt(damp * damp - 4 * stiff * lead)
@@ -254,13 +252,12 @@ def test_limit3_rerun_stability():
 
 
 def test_heat_comparison_first_order_in_sigma():
-    family = ParameterSet.sigma_form(2.0, 4.0)
     basis = BasisDescriptor(1, (PI,), 8)
-    heat_rate = family.chi / family.gamma_rho
+    heat_rate = 2.0 / 4.0
     theta0 = basis_field(basis, 1, 1.0)
     theta1 = basis_field(basis, 1, -heat_rate)  # slow-manifold pairing
     sigmas = [3.0 * 2.0 ** (-j) for j in range(2, 9)]
-    rows = heat_comparison(family, sigmas, theta0, theta1, 0.5)
+    rows = heat_comparison(2.0, 4.0, sigmas, theta0, theta1, 0.5)
     dists = [r.distance for r in rows]
     assert all(r.flag == "ok" for r in rows)
     assert all(x > y for x, y in zip(dists, dists[1:]))
@@ -270,19 +267,18 @@ def test_heat_comparison_first_order_in_sigma():
 
 
 def test_heat_comparison_matches_per_mode_reference():
-    family = ParameterSet.sigma_form(2.0, 4.0)
     basis = BasisDescriptor(1, (PI,), 8)
     rng = np.random.default_rng(17)
     theta0 = Field(basis, rng.normal(size=8))
     theta1 = Field(basis, rng.normal(size=8))
-    heat_rate = family.chi / family.gamma_rho
+    heat_rate = 2.0 / 4.0
     # sigma = 1.001 sits just above the member 4/2^2, so mode 2 grows like
     # e^{2000 t} and passes e^700 by t = 0.5
     sigmas, t = [0.3, 0.05, 1.001, 0.01], 0.5
-    rows = heat_comparison(family, sigmas, theta0, theta1, t)
+    rows = heat_comparison(2.0, 4.0, sigmas, theta0, theta1, t)
     assert [r.sigma for r in rows] == sigmas
     for row, sigma in zip(rows, sigmas):
-        p = family.at_sigma(sigma)
+        p = ParameterSet.from_physical(2.0, sigma, 4.0)
         terms, saturated = [], False
         for n, (a0, b0) in enumerate(zip(theta0.coefficients, theta1.coefficients), 1):
             value, _, sat = evolve_modes(p, float(n * n), a0, b0, t)
@@ -297,20 +293,22 @@ def test_heat_comparison_matches_per_mode_reference():
 
 
 def test_heat_comparison_rejects_exceptional_sigma():
-    family = ParameterSet.sigma_form(2.0, 4.0)
     basis = BasisDescriptor(1, (PI,), 8)
     theta0 = basis_field(basis, 1, 1.0)
     theta1 = basis_field(basis, 1, 0.0)
     # 1.0 = 4/2^2 sits in the sigma-form exceptional set
     with pytest.raises(ExceptionalParameterError):
-        heat_comparison(family, [1.0], theta0, theta1, 0.5)
-    with pytest.raises(ValueError):
-        heat_comparison(ParameterSet(1.0, 1.0, 0.05), [0.5], theta0, theta1, 0.5)
-    # a non-finite sigma is invalid, not exceptional
+        heat_comparison(2.0, 4.0, [1.0], theta0, theta1, 0.5)
+    # a non-finite sigma, chi or gamma_rho is invalid, not exceptional
     for sigma in (math.inf, math.nan):
         with pytest.raises(ValueError) as exc:
-            heat_comparison(family, [0.3, sigma], theta0, theta1, 0.5)
+            heat_comparison(2.0, 4.0, [0.3, sigma], theta0, theta1, 0.5)
         assert not isinstance(exc.value, ExceptionalParameterError)
+    for bad in (math.inf, math.nan, 0.0, -4.0):
+        for chi, gamma_rho in ((bad, 4.0), (2.0, bad)):
+            with pytest.raises(ValueError, match="positive and finite") as exc:
+                heat_comparison(chi, gamma_rho, [0.3], theta0, theta1, 0.5)
+            assert not isinstance(exc.value, ExceptionalParameterError)
 
 
 # --------------------------------------------------------------- wholeline

@@ -11,6 +11,7 @@ from cattaneo4 import (DegenerateModeError, OdeProblem, ParameterSet,
                        UnsolvableModeError, characteristic_roots, evolve_modes,
                        integrate_mode, propagator, reference_heat_mode,
                        reference_telegraph_mode, second_order_roots)
+from cattaneo4.modal import _physical_map
 
 
 def mode(p, lam2, alpha, beta, t):
@@ -37,9 +38,11 @@ def test_parameter_set_maps():
     # both invariants of the physical map
     assert p.a**2 * p.c == pytest.approx(p.b, rel=1e-15)
     assert p.b * 5.0 * 4.0 == pytest.approx(4.0, rel=1e-15)
-    fam = ParameterSet.sigma_form(2.0, 4.0)
-    q = fam.at_sigma(5.0)
-    assert (q.a, q.b, q.c) == (p.a, p.b, p.c)
+    # the map applied to an array of sigma gives each triple's bits
+    sigma = np.array([5.0, 0.3, 5.0 / 49.0, 1e-300])
+    for i, row in enumerate(zip(*_physical_map(2.0, sigma, 4.0))):
+        q = ParameterSet.from_physical(2.0, float(sigma[i]), 4.0)
+        assert row == (q.a, q.b, q.c)
 
 
 def test_parameter_set_validation():
@@ -47,9 +50,6 @@ def test_parameter_set_validation():
         ParameterSet(0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         ParameterSet(1.0, -1.0, 1.0)
-    with pytest.raises(ValueError):
-        ParameterSet(1.0, 1.0, 1.0, chi=3.0, sigma=5.0, gamma_rho=4.0,
-                     map_tag="m1")
     with pytest.raises(ValueError):
         ParameterSet.from_physical(chi=2.0, sigma=-5.0, gamma_rho=4.0)
 
@@ -85,9 +85,8 @@ def test_characteristic_roots_regimes():
 def test_limit3_family_roots_are_exact():
     # sigma-form family chi=2, gamma rho=4 at sigma_k = 5/k^2, mode k:
     # roots come out as exactly 2k^2 and -2k^2/5
-    fam = ParameterSet.sigma_form(2.0, 4.0)
     for k in (1, 2, 3, 5, 8):
-        p = fam.at_sigma(5.0 / k**2)
+        p = ParameterSet.from_physical(2.0, 5.0 / k**2, 4.0)
         r = characteristic_roots(p, float(k * k))
         assert r.r_minus == 2.0 * k * k
         assert r.r_plus == pytest.approx(-0.4 * k * k, rel=1e-15)

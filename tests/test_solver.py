@@ -12,6 +12,7 @@ from cattaneo4 import (BasisDescriptor, ExceptionalParameterError, Field,
                        check_wellposed, evolve_homogeneous, field_norm,
                        project_samples, reconstruct, zero_field)
 from cattaneo4 import solver
+from cattaneo4.modal import NEAR_TOL, is_degenerate
 from cattaneo4.spectrum import spectrum
 from cattaneo4.util import dst1, simpson, simpson_weights
 
@@ -159,6 +160,65 @@ def test_check_wellposed_verdicts():
     for c in (math.inf, math.nan, 0.0, -0.25):
         with pytest.raises(ValueError):
             check_wellposed(c, basis)
+
+
+def brute_force_wellposed(c, basis):
+    """(distance, nearest, verdict) of check_wellposed from a scan of the
+    whole truncated spectrum."""
+    spec = spectrum(basis)
+    gaps = np.abs(c - spec.inverse)
+    i = int(np.argmin(gaps))  # the first minimum: ties to the smaller member
+    if np.any(is_degenerate(c, spec.lambda_sq)):
+        verdict = "exceptional"
+    elif gaps[i] <= NEAR_TOL or c < spec.inverse[0]:
+        verdict = "near_exceptional"
+    else:
+        verdict = "well_posed"
+    return float(gaps[i]), float(spec.inverse[i]), verdict
+
+
+# relative offsets of c from a member: |1 - c lam2| on both sides of the
+# 1e-12 gate, at the near-exceptional scale, and far off
+MEMBER_OFFSETS = [0.0, 5e-13, 8e-13, 1e-12, 1.2e-12, 2e-12, 1e-9, 1e-6, 0.3]
+
+
+@st.composite
+def lookup_cases(draw):
+    """(c, basis): an interval with modes up to 1e6 or a box with d = 2, 3,
+    and c off a member by MEMBER_OFFSETS, off its neighbour, or anywhere."""
+    if draw(st.booleans()):
+        basis = BasisDescriptor(1, (draw(st.sampled_from([PI, 1.0, 7.3])),),
+                                draw(st.sampled_from([1, 2, 7, 1000, 10**6 + 1])))
+        n = draw(st.integers(1, min(basis.truncation + 2, 10**6)))
+        lam2 = (n * (PI / basis.lengths[0])) ** 2
+    else:
+        d = draw(st.sampled_from([2, 3]))
+        basis = BasisDescriptor(d, draw(st.sampled_from([(PI,) * d, (1.0, 2.3, 0.7)[:d]])),
+                                draw(st.sampled_from([1, 5, 60, 400])))
+        lam2 = float(spectrum(basis).lambda_sq[draw(st.integers(0, basis.truncation - 1))])
+    kind = draw(st.sampled_from(["member", "member", "anywhere"]))
+    if kind == "anywhere":
+        return 10.0 ** draw(st.floats(-13.0, 2.0)), basis
+    offset = draw(st.sampled_from(MEMBER_OFFSETS)) * draw(st.sampled_from([-1.0, 1.0]))
+    return (1.0 + offset) / lam2, basis
+
+
+@given(lookup_cases())
+@settings(max_examples=150, deadline=None)
+def test_check_wellposed_matches_brute_force(case):
+    c, basis = case
+    rep = check_wellposed(c, basis)
+    assert (rep.distance, rep.nearest, rep.verdict) == brute_force_wellposed(c, basis)
+
+
+def test_check_wellposed_builds_no_interval_spectrum():
+    basis = interval_basis(10**12)
+    before = spectrum.cache_info()
+    for c in (0.26, 0.25, (1.0 + 5e-13) / 1e12, 1e-30, 5e-324):
+        check_wellposed(c, basis)
+    assert spectrum.cache_info() == before
+    assert check_wellposed(0.25, basis).verdict == "exceptional"
+    assert check_wellposed(1e-30, basis).verdict == "near_exceptional"  # below mode 1e12
 
 
 def test_exceptional_gate_agrees_with_evolve_modes():

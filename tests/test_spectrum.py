@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
-from cattaneo4 import BasisDescriptor, weyl_exponent_fit
+from cattaneo4 import BasisDescriptor, check_wellposed, weyl_exponent_fit
 from cattaneo4.cli import main
-from cattaneo4.spectrum import nearest_member, spectrum
+from cattaneo4.spectrum import exceptional_neighbours, spectrum
 
 
 def interval_lambda_sq(L, N):
@@ -109,12 +109,41 @@ def test_cached_spectrum_arrays():
                 arr[0] = 1
 
 
+def nearest(c, desc):
+    rep = check_wellposed(c, desc)
+    return rep.distance, rep.nearest
+
+
 def test_nearest_member_ties_go_to_the_smaller():
-    values = (0.25, 0.5, 0.75)
-    assert nearest_member(values, 0.625) == (0.125, 0.5)
-    assert nearest_member(np.array(values), 0.375) == (0.125, 0.25)
-    assert nearest_member(values, 0.1) == (0.15, 0.25)
-    assert nearest_member(values, 2.0) == (1.25, 0.75)
+    # members (L/(n pi))^2 exact in binary, c halfway between two of them
+    assert nearest(0.625, BasisDescriptor(1, (math.pi,), 8)) == (0.375, 0.25)
+    assert nearest(2.5, BasisDescriptor(1, (2 * math.pi,), 8)) == (1.5, 1.0)
+    assert nearest(0.15625, BasisDescriptor(1, (math.pi / 2,), 8)) == (0.09375, 0.0625)
+    # past either end of the truncation the end member is the nearest
+    assert nearest(0.1, BasisDescriptor(1, (math.pi,), 2)) == (0.15, 0.25)
+    assert nearest(2.0, BasisDescriptor(1, (math.pi,), 2)) == (1.0, 1.0)
+    assert nearest(3.0, BasisDescriptor(2, (math.pi, math.pi), 8)) == (2.5, 0.5)
+    assert nearest(1e-3, BasisDescriptor(2, (math.pi, math.pi), 3)) == (0.199, 0.2)
+
+
+@pytest.mark.parametrize("desc", [BasisDescriptor(1, (math.pi,), 6),
+                                  BasisDescriptor(1, (2.3,), 6),
+                                  BasisDescriptor(2, (math.pi, 1.3), 6),
+                                  BasisDescriptor(3, (1.0, 1.0, 1.0), 6)])
+def test_exceptional_neighbours_bracket_c(desc):
+    spec = spectrum(desc)
+    inv = spec.inverse.tolist()
+    cs = np.array([0.5 * inv[0], *inv, *np.sqrt(np.multiply(inv[1:], inv[:-1])), 2.0 * inv[-1]])
+    lam = exceptional_neighbours(desc, cs)
+    assert lam.shape == (cs.size, 2)
+    for c, (lo, hi) in zip(cs.tolist(), lam.tolist()):
+        # eigenvalues of the cache, the smaller member first, c between them
+        assert lo in spec.lambda_sq and hi in spec.lambda_sq
+        assert 1.0 / lo <= 1.0 / hi
+        assert 1.0 / lo <= c <= 1.0 / hi or c < inv[0] or c > inv[-1]
+        assert exceptional_neighbours(desc, c).tolist() == [lo, hi]
+    assert lam[0].tolist() == [spec.lambda_sq[-1]] * 2
+    assert lam[-1].tolist() == [spec.lambda_sq[0]] * 2
 
 
 def test_exceptional_for_sigma_scales_elementwise():
@@ -138,14 +167,14 @@ def test_exceptional_for_sigma_needs_finite_positive_gamma_rho(gamma_rho, tmp_pa
 
 
 def test_distance_to_exceptional_values():
-    exc = spectrum(BasisDescriptor(1, (math.pi,), 10)).inverse
-    dist, nearest = nearest_member(exc, 5.0 / 4.0)
-    assert nearest == 1.0
+    desc = BasisDescriptor(1, (math.pi,), 10)
+    dist, member = nearest(5.0 / 4.0, desc)
+    assert member == 1.0
     assert dist == pytest.approx(0.25, abs=0.0)
-    dist, nearest = nearest_member(exc, 0.26)
-    assert nearest == 0.25
+    dist, member = nearest(0.26, desc)
+    assert member == 0.25
     assert dist == pytest.approx(0.01, rel=1e-12)
-    dist, nearest = nearest_member(exc, 1.0)
+    dist, member = nearest(1.0, desc)
     assert dist == 0.0
 
 
@@ -184,7 +213,7 @@ def test_interval_spectrum_monotone_and_scaling(n, L):
                  allow_nan=False, allow_infinity=False))
 @settings(max_examples=60, deadline=None)
 def test_distance_is_a_distance(c):
-    exc = spectrum(BasisDescriptor(1, (math.pi,), 30)).inverse
-    dist, nearest = nearest_member(exc, c)
-    assert dist == abs(c - nearest)
-    assert all(abs(c - v) >= dist for v in exc.tolist())
+    desc = BasisDescriptor(1, (math.pi,), 30)
+    dist, member = nearest(c, desc)
+    assert dist == abs(c - member)
+    assert all(abs(c - v) >= dist for v in spectrum(desc).inverse.tolist())

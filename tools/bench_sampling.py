@@ -17,12 +17,15 @@ of 5 calls and its own peak RSS.  The layers:
 * ``evolve_with_boundary`` on the stiff case of the ``boundary`` benchmark
   workload (a = 2, b = 1, c = 0.003, g = (1, 0), f = sin 3t, zero data) at
   t = 0.8 with the default step t/1000 (M = 1000 intervals), N = 1e3, 1e4,
-  1e5; the operator is built outside the timed call.
+  1e5; the operator is built outside the timed call;
+* ``check_wellposed`` at c = 0.26 on (0, pi) with a cold spectrum cache
+  (cleared before each call), N = 1e3, 1e4, 1e5.
 
 The time of the next size is predicted from the last one at the layer's
 growth order (quadratic for the sampling layers, the order of their
 compensated-sum path; linear for ``propagation_burst`` and
-``evolve_with_boundary``, whose boundary sums are linear in N): past 60 s
+``evolve_with_boundary``, whose boundary sums are linear in N, and for
+``check_wellposed``, whose bound is a spectrum built from cold): past 60 s
 the size is recorded as ``"skipped: > 60 s"`` and not run, and past 1 s it
 is timed by one call.  Mind the memory: the compensated-sum
 ``reconstruct`` holds (npts, N) tables, about 6 GB at N = 1e4.
@@ -49,6 +52,7 @@ LAYERS = {
     "propagation_burst": ((256, 1000, 10000), 1),
     "propagation_cli": ((256,), 1),
     "evolve_with_boundary": ((1000, 10000, 100000), 1),
+    "check_wellposed": ((1000, 10000, 100000), 1),
 }
 PROPAGATION = ["propagation", "--a", "3", "--b", "1", "--c", "0.5", "--L", "pi",
                "--g0", "1", "--g1", "0", "--T", "0.05", "--n-max-exp", "12",
@@ -82,8 +86,12 @@ else:
     stiff = c4.build_blocks(c4.ParameterSet(2.0, 1.0, 0.003), basis, (1.0, 0.0))
     sine, zero = c4.BoundarySignal.sinusoid(1.0, 3.0), c4.zero_field(basis)
     for _ in range(repeats):
+        if layer == "check_wellposed":
+            c4.spectrum.spectrum.cache_clear()  # a cold cache
         t0 = time.perf_counter()
-        if layer == "reconstruct":
+        if layer == "check_wellposed":
+            c4.check_wellposed(0.26, basis)
+        elif layer == "reconstruct":
             c4.reconstruct(field, x)
         elif layer == "project_samples":
             c4.project_samples((x, values), basis)
