@@ -24,8 +24,7 @@ from .experiments import (first_crossing, heat_comparison, limit1_reference,
 from .modal import (CharacteristicRoots, ParameterSet, characteristic_roots,
                     evolve_modes, propagator, reference_heat_mode,
                     reference_telegraph_mode, second_order_roots)
-from .oracle import (GridSolution, ModeTrajectory, OdeProblem, fd_solve,
-                     integrate_mode, integrate_mode_batch)
+from .oracle import GridSolution, fd_solve, integrate_modes
 from .solver import (Field, WellPosednessReport, basis_field, check_wellposed,
                      evolve_homogeneous, field_norm, project_samples,
                      reconstruct, zero_field)
@@ -38,14 +37,14 @@ __all__ = [
     "DegenerateModeError", "DiscreteExceptionalError",
     "ExceptionalParameterError", "Field",
     "GridSolution", "MildSolutionReport",
-    "ModeTrajectory", "OdeProblem", "ParameterSet",
+    "ParameterSet",
     "SingularParameterError", "Spectrum",
     "StiffnessError", "UnsolvableModeError", "WellPosednessReport",
     "basis_field", "build_blocks", "characteristic_roots",
     "check_wellposed", "dirichlet_map_interval",
     "evolve_homogeneous", "evolve_modes", "evolve_with_boundary",
     "fd_solve", "field_norm", "first_crossing", "heat_comparison",
-    "integrate_mode", "integrate_mode_batch",
+    "integrate_modes",
     "limit1_reference", "limit1_scan", "limit2_scan", "limit3_scan",
     "mild_solution_check", "project_samples",
     "propagation_burst", "propagator", "reconstruct",

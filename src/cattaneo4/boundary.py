@@ -53,10 +53,9 @@ from .util import scaled_exp, simpson_weights
 # temporaries; every mode's result is the same for any block size.
 MODE_BLOCK = 32
 # mild_solution_check: internal step of the five-point second difference,
-# and the residual bounds of its two clauses.
+# and the bound on its residual.
 FD_STEP = 1e-3
 C2_TOL = 1e-5
-RELATION_TOL = 1e-7
 
 
 @dataclass
@@ -403,12 +402,10 @@ class MildSolutionReport:
     """Consistency diagnostics of a boundary-forced trajectory."""
 
     max_c2_residual: float
-    max_relation_residual: float
 
     @property
     def ok(self) -> bool:
-        return (self.max_c2_residual <= C2_TOL
-                and self.max_relation_residual <= RELATION_TOL)
+        return self.max_c2_residual <= C2_TOL
 
 
 def mild_solution_check(blocks: BoundaryOperator, theta0: Field, theta1: Field,
@@ -416,13 +413,11 @@ def mild_solution_check(blocks: BoundaryOperator, theta0: Field, theta1: Field,
                         quad_step: float | None = None) -> MildSolutionReport:
     """Check the computed trajectory against the lifted formulation.
 
-    Two clauses: (1) the lifted variable y = theta - d f(t) is C^2-consistent:
-    a fourth-order five-point second difference with internal step FD_STEP
-    matches the governing y'' = k theta - h theta' - beta d f(t) to C2_TOL;
-    (2) the lifted relation (y'' - beta y) = (k - beta) theta - h theta'
-    holds along the trajectory to RELATION_TOL, testing the mutual wiring of
-    (h, k, beta).  Residuals are relative to the larger of 1 and the local
-    scale.
+    The lifted variable y = theta - d f(t) must be C^2-consistent: a
+    fourth-order five-point second difference with internal step FD_STEP
+    matches the governing y'' = k theta - h theta' - beta d f(t) to C2_TOL,
+    relative to the larger of 1 and |y''|.  A nan residual (a mode that
+    saturated) reaches the report, so that ``ok`` is False.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 5:
@@ -442,21 +437,15 @@ def mild_solution_check(blocks: BoundaryOperator, theta0: Field, theta1: Field,
         th = f_t.coefficients
         return th - d * fval, th, f_dt.coefficients, fval
 
-    c2_res = 0.0
-    rel_res = 0.0
+    c2_res = []
     for tj in t_grid:
         tj = float(tj)
         ys = [lifted_at(tj + m * FD_STEP)[0] for m in (-2, -1, 1, 2)]
         y0, th, dth, fval = lifted_at(tj)
-        ypp = k * th - h * dth - beta * d * fval
-        fd2 = (-ys[0] + 16.0 * ys[1] - 30.0 * y0 + 16.0 * ys[2] - ys[3]) / (
-            12.0 * FD_STEP * FD_STEP)
-        scale2 = np.maximum(1.0, np.abs(ypp))
-        c2_res = max(c2_res, float(np.max(np.abs(fd2 - ypp) / scale2)))
+        with np.errstate(invalid="ignore"):  # inf - inf of a saturated mode
+            ypp = k * th - h * dth - beta * d * fval
+            fd2 = (-ys[0] + 16.0 * ys[1] - 30.0 * y0 + 16.0 * ys[2] - ys[3]) / (
+                12.0 * FD_STEP * FD_STEP)
+            c2_res.append(np.max(np.abs(fd2 - ypp) / np.maximum(1.0, np.abs(ypp))))
 
-        lhs = ypp - beta * y0
-        rhs = (k - beta) * th - h * dth
-        scale_r = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-        rel_res = max(rel_res, float(np.max(np.abs(lhs - rhs) / scale_r)))
-
-    return MildSolutionReport(c2_res, rel_res)
+    return MildSolutionReport(float(np.max(c2_res)))

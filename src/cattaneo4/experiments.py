@@ -156,8 +156,7 @@ def limit1_scan(a: float, b: float, lambda_sq: float, t: float,
     distinct; at an exactly exceptional c the row degenerates to the
     first-order decay and is flagged 'exceptional'.
     """
-    if not (a > 0.0 and b > 0.0 and lambda_sq > 0.0):
-        raise ValueError("a, b, lambda_sq must be positive")
+    _check_positive(a=a, b=b, lambda_sq=lambda_sq)
     if not 0.0 <= t < math.inf:
         raise ValueError("t must be finite and nonnegative")
     c = np.asarray(list(c_values), dtype=float)
@@ -216,8 +215,7 @@ def limit2_scan(a: float, b: float, gamma: float, k_range, t: float) -> Limit2Re
     at which some mode is first order (``check_wellposed``'s verdict, one
     lookup for all c_k) is rejected.
     """
-    if not (a > 0.0 and b > 0.0 and gamma > 0.0):
-        raise ValueError("a, b, gamma must be positive")
+    _check_positive(a=a, b=b, gamma=gamma)
     if not 0.0 <= t < math.inf:
         raise ValueError("t must be finite and nonnegative")
     ks = sorted(set(int(k) for k in k_range))
@@ -337,8 +335,7 @@ def whole_line_mode(a: float, b: float, c: float, lam: float, w1_hat: float,
     from data (0, w1), 'saturated' exactly where it flags |theta_hat| >
     e^700; the logs are those of the two addenda (or of the envelope).
     """
-    if not (a > 0.0 and b > 0.0 and c > 0.0):
-        raise ValueError("a, b, c must be positive")
+    _check_positive(a=a, b=b, c=c)
     if not (0.0 <= lam < math.inf and math.isfinite(w1_hat)):
         raise ValueError("lam must be finite and nonnegative, and w1_hat finite")
     if not 0.0 <= t < math.inf:
@@ -379,6 +376,7 @@ def singularity_scan(a: float, b: float, c: float, t: float, j_values,
     """
     if side not in ("above", "below"):
         raise ValueError("side must be 'above' or 'below'")
+    _check_positive(c=c)
     lam_star = 1.0 / math.sqrt(c)
     rows = []
     for j in j_values:

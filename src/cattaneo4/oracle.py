@@ -2,9 +2,12 @@
 
 Two oracles, deliberately disjoint from the spectral machinery:
 
-* ``integrate_mode`` / ``integrate_mode_batch``: the explicit Runge-Kutta
-  method DOP853 on the per-mode ODE, sampled through its own seventh-order
-  continuous extension (Hairer, Norsett & Wanner, *Solving ODEs I*, II.10),
+* ``integrate_modes``: the explicit Runge-Kutta method DOP853 on the
+  per-mode ODE (1 - c lam2) theta'' + a theta' + b lam2 theta = 0, for
+  arrays of modes in one stacked system, sampled through its own
+  seventh-order continuous extension (Hairer, Norsett & Wanner, *Solving
+  ODEs I*, II.10).  Rows whose leading coefficient is exactly 0 integrate
+  the first-order reduction, so one call covers both regimes,
 * ``fd_solve``: Crank-Nicolson finite differences for the full PDE on a
   uniform grid, boundary signal included.
 
@@ -32,147 +35,90 @@ _TOL_MARGIN = 10.0
 _RTOL_FLOOR = 100.0 * np.finfo(float).eps
 
 
-@dataclass(frozen=True)
-class OdeProblem:
-    """Scalar IVP: leading y'' + damping y' + stiffness y = 0, y(0), y'(0).
+class Trajectory:
+    """Dense output of ``integrate_modes``: ``traj(t) -> (values, derivatives)``,
+    arrays of the broadcast shape of its arguments; ``t`` must lie in
+    [0, t_end]."""
 
-    ``leading`` may be exactly 0.0, in which case the problem is first order
-    and the data must satisfy beta = -(stiffness/damping) alpha.
-    """
-
-    leading: float
-    damping: float
-    stiffness: float
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        for name in ("leading", "damping", "stiffness", "alpha", "beta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if not self.damping > 0.0:
-            raise ValueError("damping must be positive")
-        if not self.stiffness > 0.0:
-            raise ValueError("stiffness must be positive")
-
-    def root_bound(self) -> float:
-        """Upper bound on the characteristic root magnitudes."""
-        if self.leading == 0.0:
-            return self.stiffness / self.damping
-        d = self.damping
-        disc = d * d + 4.0 * abs(self.stiffness * self.leading)
-        return (d + math.sqrt(disc)) / (2.0 * abs(self.leading))
-
-
-class ModeTrajectory:
-    """Dense output of one integrated mode: ``traj(t) -> (value, derivative)``.
-
-    Wraps the integrator's continuous extension over the state (values of all
-    modes, then their derivatives); ``t`` must lie in [0, t_end].
-    """
-
-    def __init__(self, sol, t_end: float):
+    def __init__(self, sol, t_end: float, shape: tuple):
         self._sol = sol
         self.t_end = t_end
+        self.shape = shape
 
-    def __call__(self, t: float) -> tuple[float, float]:
-        v, d = self._sample(t)
-        return float(v[0]), float(d[0])
-
-    def _sample(self, t: float):
+    def __call__(self, t: float):
         if not (-1e-12 <= t <= self.t_end * (1 + 1e-12) + 1e-12):
             raise ValueError(f"t={t} outside integrated range [0, {self.t_end}]")
         y = self._sol(min(max(t, 0.0), self.t_end))
         n = y.size // 2
-        return y[:n], y[n:]
+        return y[:n].reshape(self.shape), y[n:].reshape(self.shape)
 
 
-class BatchTrajectory(ModeTrajectory):
-    """Dense output for a batch of independent modes integrated together."""
+def integrate_modes(leading, damping, stiffness, alpha, beta, t_end: float,
+                    rel_tol: float = 1e-10, abs_tol: float = 1e-12) -> Trajectory:
+    """DOP853 trajectories of the independent modes leading y'' + damping y'
+    + stiffness y = 0, y(0) = alpha, y'(0) = beta, as one stacked system.
 
-    def __call__(self, t: float):
-        return self._sample(t)
-
-
-def _check_tols(rel_tol: float, abs_tol: float):
+    The arguments broadcast against each other, as in ``modal._mode_value``;
+    every entry must be finite, with damping and stiffness positive.  A row
+    with leading exactly 0.0 is first order: its data must satisfy beta =
+    rate alpha, rate = -stiffness/damping, and it integrates y' = v, v' =
+    rate v from (alpha, rate alpha).  The rows share the adaptive step, so
+    the cost is set by the stiffest one.  Raises StiffnessError when the
+    largest root bound rho needs steps h ~ (384 rel_tol)^(1/4) / rho below
+    1e-12 t_end, which an explicit method cannot take.
+    """
     for name, v in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
         if not (0.0 < v <= 1e-2):
             raise ValueError(f"{name} must lie in (0, 1e-2]")
+    if not t_end > 0.0:
+        raise ValueError("t_end must be positive")
+    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in
+                                   (leading, damping, stiffness, alpha, beta)))
+    shape = arrays[0].shape
+    if arrays[0].size == 0:
+        raise ValueError("no modes to integrate")
+    for name, v in zip(("leading", "damping", "stiffness", "alpha", "beta"), arrays):
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"{name} must be finite")
+    lead, damp, stiff, alpha, beta = (v.ravel() for v in arrays)
+    if not np.all(damp > 0.0):
+        raise ValueError("damping must be positive")
+    if not np.all(stiff > 0.0):
+        raise ValueError("stiffness must be positive")
 
+    second = lead != 0.0
+    lead = np.where(second, lead, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rate = -stiff / damp
+        required = rate * alpha
+        bad = ~second & ~(np.abs(beta - required) <= 1e-9 * np.maximum(1.0, np.abs(required)))
+        bound = np.where(second, (damp + np.sqrt(damp * damp + 4.0 * np.abs(stiff * lead)))
+                         / (2.0 * np.abs(lead)), -rate)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError("first-order row needs compatible data: "
+                         f"beta={beta[i]} but -(s/d) alpha = {required[i]}")
+    rho = float(np.max(bound))
+    if (384.0 * rel_tol) ** 0.25 / max(rho, 1e-12) < 1e-12 * t_end:
+        raise StiffnessError(
+            f"root bound {rho:.3e} forces step below resolvable size at rel_tol={rel_tol}")
 
-def _dense_solve(rhs, t_end: float, y0, rel_tol: float, abs_tol: float):
+    n = lead.size
+
+    def rhs(_t, y):
+        v = y[n:]
+        acc = -(damp * v + stiff * y[:n]) / lead
+        return np.concatenate([v, np.where(second, acc, rate * v)])
+
     from scipy.integrate import solve_ivp
 
+    y0 = np.concatenate([alpha, np.where(second, beta, required)])
     sol = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853", dense_output=True,
                     rtol=max(rel_tol / _TOL_MARGIN, _RTOL_FLOOR),
                     atol=abs_tol / _TOL_MARGIN)
     if sol.status != 0:
         raise StiffnessError(f"integrator failed: {sol.message}")
-    return sol.sol
-
-
-def integrate_mode_batch(problems, t_end: float, rel_tol: float = 1e-10,
-                         abs_tol: float = 1e-12) -> BatchTrajectory:
-    """Integrate independent second-order problems as one stacked system.
-
-    All ``leading`` coefficients must be nonzero; a batch shares the adaptive
-    step, so its cost is set by the stiffest member.  Raises StiffnessError
-    when the largest root bound rho needs steps h ~ (384 rel_tol)^(1/4) / rho
-    below 1e-12 t_end, which an explicit method cannot take.
-    """
-    _check_tols(rel_tol, abs_tol)
-    if not t_end > 0.0:
-        raise ValueError("t_end must be positive")
-    problems = list(problems)
-    if not problems:
-        raise ValueError("empty batch")
-    if any(p.leading == 0.0 for p in problems):
-        raise ValueError("batch integration requires nonzero leading coefficients")
-    lead = np.array([p.leading for p in problems])
-    damp = np.array([p.damping for p in problems])
-    stiff = np.array([p.stiffness for p in problems])
-    y0 = np.concatenate([[p.alpha for p in problems], [p.beta for p in problems]])
-    n = len(problems)
-
-    def rhs(_t, y):
-        v = y[n:]
-        acc = -(damp * v + stiff * y[:n]) / lead
-        return np.concatenate([v, acc])
-
-    rho = max(p.root_bound() for p in problems)
-    if (384.0 * rel_tol) ** 0.25 / max(rho, 1e-12) < 1e-12 * t_end:
-        raise StiffnessError(
-            f"root bound {rho:.3e} forces step below resolvable size at rel_tol={rel_tol}")
-    return BatchTrajectory(_dense_solve(rhs, t_end, y0, rel_tol, abs_tol), t_end)
-
-
-def integrate_mode(prob: OdeProblem, t_end: float, rel_tol: float = 1e-10,
-                   abs_tol: float = 1e-12) -> ModeTrajectory:
-    """DOP853 trajectory of one mode, sampled through its dense output.
-
-    The returned values meet ``rel_tol``/``abs_tol``.  Degenerate problems
-    (leading exactly 0.0) require compatible data and integrate the
-    first-order reduction y' = -(stiffness/damping) y instead, carrying
-    y' along as a second component.
-    """
-    _check_tols(rel_tol, abs_tol)
-    if not t_end > 0.0:
-        raise ValueError("t_end must be positive")
-    if prob.leading == 0.0:
-        required = -(prob.stiffness / prob.damping) * prob.alpha
-        if abs(prob.beta - required) > 1e-9 * max(1.0, abs(required)):
-            raise ValueError(
-                "first-order fallback needs compatible data: "
-                f"beta={prob.beta} but -(s/d) alpha = {required}")
-        rate = -prob.stiffness / prob.damping
-
-        def rhs1(_t, y):
-            return rate * y
-
-        y0 = [prob.alpha, rate * prob.alpha]
-        return ModeTrajectory(_dense_solve(rhs1, t_end, y0, rel_tol, abs_tol), t_end)
-    batch = integrate_mode_batch([prob], t_end, rel_tol, abs_tol)
-    return ModeTrajectory(batch._sol, t_end)
+    return Trajectory(sol.sol, t_end, shape)
 
 
 def discrete_laplacian_eigenvalues(L: float, nx: int) -> np.ndarray:

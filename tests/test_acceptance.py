@@ -14,11 +14,11 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from cattaneo4 import (BasisDescriptor, BoundarySignal, ExceptionalParameterError,
-                       Field, OdeProblem, ParameterSet,
+                       Field, ParameterSet,
                        UnsolvableModeError, basis_field, build_blocks,
                        characteristic_roots, dirichlet_map_interval,
                        evolve_homogeneous, evolve_modes, evolve_with_boundary,
-                       fd_solve, first_crossing, integrate_mode, limit1_scan,
+                       fd_solve, first_crossing, integrate_modes, limit1_scan,
                        limit2_scan, limit3_scan, propagation_burst,
                        reconstruct, singularity_scan, zero_field)
 
@@ -98,8 +98,8 @@ def test_criterion_02_closed_form_vs_ode_oracle():
         amp = abs(alpha) + abs(beta)
         if abs(value) < 1e-3 * amp:
             continue  # relative error is not meaningful at a zero crossing
-        prob = OdeProblem(1.0 - c_v * lam_sq, a_v, b_v * lam_sq, alpha, beta)
-        got, _ = integrate_mode(prob, t + 1e-9, rel_tol=1e-12, abs_tol=1e-15)(t)
+        got, _ = integrate_modes(1.0 - c_v * lam_sq, a_v, b_v * lam_sq, alpha, beta,
+                                 t + 1e-9, rel_tol=1e-12, abs_tol=1e-15)(t)
         worst = max(worst, abs(value - got) / abs(got))
     elapsed = time.perf_counter() - t0
     stamp(2, "closed form vs ODE oracle",
@@ -279,9 +279,9 @@ def test_criterion_09_limit3():
     for row in res.rows:
         k = row.k
         p = ParameterSet.from_physical(2.0, 5.0 / (k * k), 4.0)
-        prob = OdeProblem(1.0 - p.c * k * k, p.a, p.b * k * k,
-                          1.0 / k ** 4, -1.0 / (2 * k * k))
-        got, _ = integrate_mode(prob, 0.1, rel_tol=1e-11, abs_tol=1e-14)(0.1)
+        got, _ = integrate_modes(1.0 - p.c * k * k, p.a, p.b * k * k,
+                                 1.0 / k ** 4, -1.0 / (2 * k * k), 0.1,
+                                 rel_tol=1e-11, abs_tol=1e-14)(0.1)
         worst_oracle = max(worst_oracle,
                            abs(row.value_at_t - got) / abs(got))
         worst_t0 = max(worst_t0,

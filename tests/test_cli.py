@@ -49,14 +49,20 @@ def test_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
-    # every exported name resolves, and of the modal layer the package
-    # exports only the one evaluator, the root report and their helpers
+    # every exported name resolves; of the modal layer the package exports
+    # only the one evaluator, the root report and their helpers, and of the
+    # oracle layer its two routes and the grid record
     assert [n for n in cattaneo4.__all__ if not hasattr(cattaneo4, n)] == []
-    modal_names = {n for n in dir(cattaneo4)
-                   if getattr(getattr(cattaneo4, n), "__module__", None) == "cattaneo4.modal"}
-    assert modal_names == {"CharacteristicRoots", "ParameterSet", "characteristic_roots",
-                           "evolve_modes", "propagator", "reference_heat_mode",
-                           "reference_telegraph_mode", "second_order_roots"}
+
+    def exported(module):
+        return {n for n in dir(cattaneo4)
+                if getattr(getattr(cattaneo4, n), "__module__", None) == module}
+
+    assert exported("cattaneo4.modal") == {
+        "CharacteristicRoots", "ParameterSet", "characteristic_roots", "evolve_modes",
+        "propagator", "reference_heat_mode", "reference_telegraph_mode",
+        "second_order_roots"}
+    assert exported("cattaneo4.oracle") == {"GridSolution", "fd_solve", "integrate_modes"}
 
 
 def test_spectrum_roundtrip(tmp_path):
@@ -78,6 +84,16 @@ def test_exceptional_subcommand(tmp_path):
     rows = read_csv(out)
     vals = sorted(float(r[1]) for r in rows[1:])
     assert vals == [0.25, 4.0 / 9.0, 1.0, 4.0]
+
+
+@pytest.mark.parametrize("a, c", [("inf", "0.25"), ("1", "0"), ("1", "inf")])
+def test_wholeline_rejects_bad_parameters(tmp_path, capsys, a, c):
+    out = tmp_path / "wl.csv"
+    rc = main(["wholeline", "--a", a, "--b", "1", "--c", c, "--t", "1",
+               "--side", "above", "--j-min", "0", "--j-max", "1", "--out", str(out)])
+    assert rc == 1
+    assert "must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("gamma_rho", ["inf", "nan", "0"])

@@ -6,9 +6,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from cattaneo4 import (BasisDescriptor, ExceptionalParameterError, Field, OdeProblem,
+from cattaneo4 import (BasisDescriptor, ExceptionalParameterError, Field,
                        ParameterSet, SingularParameterError, basis_field,
-                       evolve_modes, first_crossing, heat_comparison, integrate_mode,
+                       evolve_modes, first_crossing, heat_comparison, integrate_modes,
                        limit1_reference, limit1_scan, limit2_scan, limit3_scan,
                        propagation_burst, singularity_scan, whole_line_mode)
 from cattaneo4 import experiments
@@ -152,6 +152,25 @@ def test_scans_reject_non_finite_t():
                 scan()
 
 
+def test_scans_reject_non_finite_parameters():
+    # an infinite a, b, c, lambda_sq or gamma gave nan rows flagged 'ok' or
+    # a math domain error; each is now a ValueError naming the argument
+    for bad in (math.inf, math.nan, 0.0, -1.0):
+        for name, scan in (
+                ("a", lambda: limit1_scan(bad, 1.0, 1.0, 0.5, [0.5])),
+                ("b", lambda: limit1_scan(1.0, bad, 1.0, 0.5, [0.5])),
+                ("lambda_sq", lambda: limit1_scan(1.0, 1.0, bad, 0.5, [0.5])),
+                ("a", lambda: limit2_scan(bad, 1.0, 1.0, range(4, 6), 0.5)),
+                ("b", lambda: limit2_scan(1.0, bad, 1.0, range(4, 6), 0.5)),
+                ("gamma", lambda: limit2_scan(1.0, 1.0, bad, range(4, 6), 0.5)),
+                ("a", lambda: whole_line_mode(bad, 1.0, 0.25, 2.5, 1.0, 1.0)),
+                ("b", lambda: whole_line_mode(1.0, bad, 0.25, 2.5, 1.0, 1.0)),
+                ("c", lambda: whole_line_mode(1.0, 1.0, bad, 2.5, 1.0, 1.0)),
+                ("c", lambda: singularity_scan(1.0, 1.0, bad, 1.0, [1, 2]))):
+            with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+                scan()
+
+
 # ------------------------------------------------------------------ limit 2
 
 
@@ -211,9 +230,9 @@ def test_limit3_matches_ode_oracle():
     for row in res.rows:
         k = row.k
         p = ParameterSet.from_physical(2.0, 5.0 / (k * k), 4.0)
-        prob = OdeProblem(1.0 - p.c * k * k, p.a, p.b * k * k,
-                          1.0 / k ** 4, -1.0 / (2 * k * k))
-        got, _ = integrate_mode(prob, 0.1, rel_tol=1e-11, abs_tol=1e-13)(0.1)
+        got, _ = integrate_modes(1.0 - p.c * k * k, p.a, p.b * k * k,
+                                 1.0 / k ** 4, -1.0 / (2 * k * k), 0.1,
+                                 rel_tol=1e-11, abs_tol=1e-13)(0.1)
         assert row.value_at_t == pytest.approx(got, rel=1e-8)
 
 
@@ -327,8 +346,8 @@ def test_whole_line_matches_mode_oracle():
     for lam in (0.5, 2.0, 40.0):
         m = whole_line_mode(a, b, c, lam, w1, 0.4)
         eps = 1.0 - c * lam * lam
-        prob = OdeProblem(eps, a, b * lam * lam, 0.0, w1)
-        got, _ = integrate_mode(prob, 0.4, rel_tol=1e-11, abs_tol=1e-13)(0.4)
+        got, _ = integrate_modes(eps, a, b * lam * lam, 0.0, w1, 0.4,
+                                 rel_tol=1e-11, abs_tol=1e-13)(0.4)
         assert m.value == pytest.approx(got, rel=1e-8, abs=1e-12)
     # oscillatory regime flags itself
     m = whole_line_mode(0.1, 1.0, 0.01, 1.0, 1.0, 0.4)

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cattaneo4 import (DegenerateModeError, OdeProblem, ParameterSet,
+from cattaneo4 import (DegenerateModeError, ParameterSet,
                        UnsolvableModeError, characteristic_roots, evolve_modes,
-                       integrate_mode, propagator, reference_heat_mode,
+                       integrate_modes, propagator, reference_heat_mode,
                        reference_telegraph_mode, second_order_roots)
 from cattaneo4.modal import _physical_map
 
@@ -298,7 +298,7 @@ def test_closed_form_matches_ode_oracle(params, alpha, beta, t):
     assume(abs(eps) > 0.02)
     assume(abs(alpha) + abs(beta) > 1e-3)
     p = ParameterSet(a, b, c)
-    traj = integrate_mode(OdeProblem(eps, a, b * lam2, alpha, beta), 1.0)
+    traj = integrate_modes(eps, a, b * lam2, alpha, beta, 1.0)
     ref_v, ref_d = traj(t)
     value, deriv, _ = mode(p, lam2, alpha, beta, t)
     scale = max(1.0, abs(ref_v), abs(ref_d))

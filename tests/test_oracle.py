@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cattaneo4 import (BoundarySignal, DiscreteExceptionalError, OdeProblem,
-                       ParameterSet, StiffnessError, evolve_modes, fd_solve,
-                       integrate_mode, integrate_mode_batch)
+from cattaneo4 import (BoundarySignal, DiscreteExceptionalError, ParameterSet,
+                       StiffnessError, evolve_modes, fd_solve, integrate_modes)
 from cattaneo4.oracle import discrete_laplacian_eigenvalues
 from cattaneo4.util import simpson
 
@@ -21,7 +20,7 @@ def damped_oscillator(t):
 
 
 def test_integrate_mode_against_analytic():
-    traj = integrate_mode(OdeProblem(1.0, 1.0, 1.0, 1.0, 0.0), 5.0)
+    traj = integrate_modes(1.0, 1.0, 1.0, 1.0, 0.0, 5.0)
     for t in (0.0, 0.3, 1.7, 5.0):
         want_y, want_yp = damped_oscillator(t)
         got_y, got_yp = traj(t)
@@ -30,10 +29,10 @@ def test_integrate_mode_against_analytic():
 
 
 def test_tolerance_monotonicity():
-    prob = OdeProblem(1.0, 1.0, 1.0, 1.0, 0.0)
     errs = []
     for rtol in (1e-4, 1e-7, 1e-10):
-        traj = integrate_mode(prob, 3.0, rel_tol=rtol, abs_tol=rtol * 1e-2)
+        traj = integrate_modes(1.0, 1.0, 1.0, 1.0, 0.0, 3.0, rel_tol=rtol,
+                               abs_tol=rtol * 1e-2)
         err = max(abs(traj(t)[0] - damped_oscillator(t)[0])
                   for t in np.linspace(0.1, 3.0, 23))
         errs.append(err)
@@ -42,46 +41,81 @@ def test_tolerance_monotonicity():
 
 
 def test_batch_matches_single():
-    probs = [OdeProblem(0.96, 1.0, 1.0, 1.0, 0.0),
-             OdeProblem(0.2, 1.0, 9.0, 0.3, -0.7),
-             OdeProblem(-0.5, 2.0, 4.0, 0.1, 0.0)]
-    batch = integrate_mode_batch(probs, 1.0)
+    rows = [(0.96, 1.0, 1.0, 1.0, 0.0),
+            (0.2, 1.0, 9.0, 0.3, -0.7),
+            (-0.5, 2.0, 4.0, 0.1, 0.0)]
+    batch = integrate_modes(*np.transpose(rows), 1.0)
     vals, ders = batch(0.8)
-    for i, prob in enumerate(probs):
-        v, d = integrate_mode(prob, 1.0)(0.8)
+    assert vals.shape == ders.shape == (3,)
+    for i, row in enumerate(rows):
+        v, d = integrate_modes(*row, 1.0)(0.8)
         assert vals[i] == pytest.approx(v, rel=1e-9, abs=1e-12)
         assert ders[i] == pytest.approx(d, rel=1e-9, abs=1e-12)
+
+
+def test_mixed_orders_match_single_rows():
+    # one first-order row (leading 0, beta = rate alpha) beside two
+    # second-order rows in one stacked system
+    rate = -2.0 / 0.5
+    rows = [(0.0, 0.5, 2.0, 1.0, rate),
+            (0.2, 1.0, 9.0, 0.3, -0.7),
+            (-0.5, 2.0, 4.0, 0.1, 0.0)]
+    vals, ders = integrate_modes(*np.transpose(rows), 1.0)(0.8)
+    for i, row in enumerate(rows):
+        v, d = integrate_modes(*row, 1.0)(0.8)
+        assert vals[i] == pytest.approx(v, rel=1e-9)
+        assert ders[i] == pytest.approx(d, rel=1e-9)
+    assert vals[0] == pytest.approx(math.exp(rate * 0.8), rel=1e-9)
+    with pytest.raises(ValueError, match="compatible"):
+        integrate_modes([0.0, 0.2], [0.5, 1.0], [2.0, 9.0], [1.0, 0.3], [0.0, -0.7], 1.0)
+
+
+def test_arguments_broadcast_and_are_checked():
+    # scalars broadcast against arrays; the trajectory keeps the shape
+    vals, ders = integrate_modes(1.0, 1.0, [[1.0, 4.0]], [[1.0], [0.5]], 0.0, 1.0)(0.5)
+    assert vals.shape == ders.shape == (2, 2)
+    want, _ = integrate_modes(1.0, 1.0, 4.0, 0.5, 0.0, 1.0)(0.5)
+    assert vals[1, 1] == pytest.approx(want, rel=1e-9)
+    for bad in ([1.0, math.nan], [1.0, math.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            integrate_modes(bad, 1.0, 1.0, 1.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="damping"):
+        integrate_modes(1.0, [1.0, 0.0], 1.0, 1.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="stiffness"):
+        integrate_modes(1.0, 1.0, [1.0, -1.0], 1.0, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        integrate_modes([], 1.0, 1.0, 1.0, 0.0, 1.0)
 
 
 def test_first_order_fallback():
     # leading exactly 0: y' = -(stiffness/damping) y from compatible data
     rate = -2.0 / 0.5
-    traj = integrate_mode(OdeProblem(0.0, 0.5, 2.0, 1.0, rate), 1.0)
+    traj = integrate_modes(0.0, 0.5, 2.0, 1.0, rate, 1.0)
     v, d = traj(0.6)
     # numerical reference, so only the requested tolerance is promised
     assert v == pytest.approx(math.exp(rate * 0.6), rel=1e-9)
     assert d == pytest.approx(rate * math.exp(rate * 0.6), rel=1e-9)
     with pytest.raises(ValueError):
-        integrate_mode(OdeProblem(0.0, 0.5, 2.0, 1.0, 0.0), 1.0)
+        integrate_modes(0.0, 0.5, 2.0, 1.0, 0.0, 1.0)
 
 
 def test_stiffness_guard():
     with pytest.raises(StiffnessError):
-        integrate_mode(OdeProblem(1e-300, 1.0, 1.0, 1.0, 0.0), 1.0)
+        integrate_modes(1e-300, 1.0, 1.0, 1.0, 0.0, 1.0)
 
 
 def test_tolerance_validation():
-    prob = OdeProblem(1.0, 1.0, 1.0, 1.0, 0.0)
+    prob = (1.0, 1.0, 1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
-        integrate_mode(prob, 1.0, rel_tol=0.5)
+        integrate_modes(*prob, 1.0, rel_tol=0.5)
     with pytest.raises(ValueError):
-        integrate_mode(prob, 1.0, rel_tol=0.0)
+        integrate_modes(*prob, 1.0, rel_tol=0.0)
     with pytest.raises(ValueError):
-        integrate_mode(prob, -1.0)
+        integrate_modes(*prob, -1.0)
 
 
 def test_trajectory_range_checks():
-    traj = integrate_mode(OdeProblem(1.0, 1.0, 1.0, 1.0, 0.0), 1.0)
+    traj = integrate_modes(1.0, 1.0, 1.0, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         traj(1.5)
     with pytest.raises(ValueError):
