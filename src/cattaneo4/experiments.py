@@ -470,13 +470,11 @@ def propagation_burst(p: ParameterSet, basis: BasisDescriptor, g, T: float,
     if not np.any(blocks.d):
         raise ValueError("boundary datum lifts to zero; nothing propagates")
     ns = [float(n) for n in n_values]
-    if not all(n > 0 for n in ns):
-        raise ValueError("burst rates must be positive")
+    signals = [BoundarySignal.burst(T, n) for n in ns]   # each checks its rate
     target = _lift_mass(p.c, L, *g, lo, hi)
     step = (T / 4096.0) if quad_step is None else quad_step
     zero = zero_field(basis)
-    fields = _evolve_signals(blocks, zero, zero, [BoundarySignal.burst(T, n) for n in ns],
-                             T, step)
+    fields = _evolve_signals(blocks, zero, zero, signals, T, step)
     masses = _subregion_masses(np.stack([rate.coefficients for _, rate in fields], axis=1),
                                L, lo, hi)
     return [PropagationRow(n, mass, target, mass / target) for n, mass in zip(ns, masses)]

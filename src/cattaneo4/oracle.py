@@ -191,19 +191,16 @@ def fd_solve(p, L: float, nx: int, dt: float, T: float,
             f"CN system matrix nearly singular at dt={dt}, nx={nx}", value=p.c)
 
     h = L / nx
-    if signal is None:
-        def f_of(_t):
-            return 0.0
-
-        def fpp_of(_t):
-            return 0.0
-    else:
-        f_of, fpp_of = signal.value, signal.second_derivative
+    t_steps = np.arange(n_steps + 1) * dt
+    f, df, fpp = ((np.zeros(n_steps + 1),) * 3 if signal is None else
+                  (signal.value(t_steps), signal.derivative(t_steps),
+                   signal.second_derivative(t_steps)))
+    forcing = 0.5 * p.b * (f[:-1] + f[1:]) - 0.5 * p.c * (fpp[:-1] + fpp[1:])
 
     g0, g1 = g
     # boundary consistency of the initial data
     for edge, gval in ((0, g0), (nx, g1)):
-        want = gval * f_of(0.0)
+        want = gval * f[0]
         if abs(theta0[edge] - want) > 1e-6 * max(1.0, abs(want)):
             raise ValueError("theta0 samples disagree with the boundary signal at t=0")
 
@@ -226,35 +223,17 @@ def fd_solve(p, L: float, nx: int, dt: float, T: float,
     if snapshot_times is None:
         snapshot_times = [T]
     snap_steps = sorted({min(max(int(round(ts / dt)), 0), n_steps) for ts in snapshot_times})
-    records = {}
-
-    def record(step):
-        t = step * dt
-        ft = f_of(t)
-        full_u = np.concatenate([[g0 * ft], u, [g1 * ft]])
-        dft = 0.0 if signal is None else signal.derivative(t)
-        full_v = np.concatenate([[g0 * dft], v, [g1 * dft]])
-        records[step] = (t, full_u, full_v)
-
-    if 0 in snap_steps:
-        record(0)
-    t = 0.0
-    for step in range(1, n_steps + 1):
-        t_next = step * dt
-        forcing = (0.5 * p.b * (f_of(t) + f_of(t_next))
-                   - 0.5 * p.c * (fpp_of(t) + fpp_of(t_next)))
-        rhs = a_minus @ v + dt * (p.b * (lap @ u) + forcing * bvec)
-        v_new = lu.solve(rhs)
-        u += 0.5 * dt * (v + v_new)
-        v = v_new
-        t = t_next
+    snaps = []
+    for step in range(n_steps + 1):
+        if step:
+            rhs = a_minus @ v + dt * (p.b * (lap @ u) + forcing[step - 1] * bvec)
+            v_new = lu.solve(rhs)
+            u += 0.5 * dt * (v + v_new)
+            v = v_new
         if step in snap_steps:
-            record(step)
-
-    steps = sorted(records)
-    times = np.array([records[s][0] for s in steps])
-    theta = np.stack([records[s][1] for s in steps])
-    theta_prime = np.stack([records[s][2] for s in steps])
+            snaps.append([np.concatenate([[g0 * w[step]], x, [g1 * w[step]]])
+                          for w, x in ((f, u), (df, v))])
+    theta, theta_prime = (np.stack(rows) for rows in zip(*snaps))
     return GridSolution(nx=nx, dt=dt, x=np.linspace(0.0, L, nx + 1),
-                        times=times, theta=theta, theta_prime=theta_prime,
+                        times=t_steps[snap_steps], theta=theta, theta_prime=theta_prime,
                         scheme="crank-nicolson tridiagonal, factorized once")

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -57,6 +58,136 @@ def test_signal_constructors():
         BoundarySignal.burst(1.0, n=0.0)
     with pytest.raises(ValueError):
         BoundarySignal.smoothed_step(1.0, t0=0.5, width=1.0)
+
+
+INF, NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize("make", [
+    lambda: BoundarySignal.constant(1.0, INF),
+    lambda: BoundarySignal.constant(1.0, NAN),
+    lambda: BoundarySignal.sinusoid(1.0, INF),
+    lambda: BoundarySignal.sinusoid(1.0, NAN),
+    lambda: BoundarySignal.sinusoid(1.0, 2.0, amplitude=INF),
+    lambda: BoundarySignal.sinusoid(1.0, 2.0, phase=INF),
+    lambda: BoundarySignal.sinusoid(1.0, 1e200),           # f'' overflows
+    lambda: BoundarySignal.polynomial(1.0, [1.0, INF]),
+    lambda: BoundarySignal.polynomial(1.0, [NAN]),
+    lambda: BoundarySignal.burst(1.0, INF),
+    lambda: BoundarySignal.burst(1.0, 5.0, scale=NAN),
+    lambda: BoundarySignal.burst(1.0, 1e300, scale=1e10),  # f'' overflows
+    lambda: BoundarySignal.smoothed_step(1.0, 0.0, 0.5, height=INF),
+    lambda: BoundarySignal.smoothed_step(1.0, 0.0, 1e-160),  # f'' overflows
+    lambda: BoundarySignal([(0.0, NAN, 1.0, [(0.0, False, [1.0])])], 1.0),
+    lambda: BoundarySignal([(0.0, 0.0, 1.0, []), (INF, 0.0, 1.0, [(0.0, False, [1.0])])], 1.0),
+    lambda: BoundarySignal([(0.5, 0.0, 1.0, []), (0.2, 0.0, 1.0, [(0.0, False, [1.0])])], 1.0),
+    lambda: BoundarySignal([(0.0, 0.0, 1.0, [(NAN * 1j, False, [1.0])])], 1.0),
+])
+def test_signal_rejects_non_finite_data(make):
+    # one check in the signal: no inf or nan coefficient, rate, origin or
+    # piece start in f, f' or f'' (and no RuntimeWarning on the way)
+    with pytest.raises(ValueError, match="must be finite"):
+        make()
+
+
+@pytest.mark.parametrize("args", [["--signal", "sin", "--omega", "inf"],
+                                  ["--signal", "constant", "--level", "inf"],
+                                  ["--signal", "burst", "--n-rate", "inf"],
+                                  ["--signal", "poly", "--coeffs", "0,nan"]])
+def test_boundary_command_rejects_non_finite_signals(args, tmp_path, capsys):
+    argv = ["boundary", "--a", "3", "--b", "1", "--c", "0.5", "--L", "pi", "--N", "8",
+            "--g0", "1", "--g1", "0", "--T", "1", "--t", "1",
+            "--out", str(tmp_path / "b.csv"), *args]
+    assert main(argv) == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "b.csv").exists()
+
+
+def test_signal_exactness_and_range():
+    # the burst's f'(T) = scale holds exactly, where (scale/n) n does not
+    assert (1.0 / 49.0) * 49.0 != 1.0
+    for n in (49.0, 3.0, 0.7, 1000.1):
+        for scale in (1.0, 2.5, 0.3):
+            assert BoundarySignal.burst(2.0, n, scale).derivative(2.0) == scale
+    # a narrow ramp stays finite: its terms are powers of u = (t - t0)/width
+    s = BoundarySignal.smoothed_step(1.0, 0.0, 1e-80)
+    assert s.value(5e-81) == 0.5 and s.value(0.0) == 0.0 and s.value(1e-80) == 1.0
+    assert s.derivative(5e-81) == pytest.approx(1.875e80, rel=1e-15)
+    assert math.isfinite(s.second_derivative(2.5e-81))
+    # the signal is data: (scale/n) e^{n (s - T)} is the term scale e^{n (s - T)}
+    # marked as divided by its rate n
+    assert not any(callable(v) for v in vars(s).values())
+    assert BoundarySignal.burst(1.0, 4.0).pieces == ((0.0, 1.0, 1.0, ((4.0, True, (1.0,)),)),)
+    custom = BoundarySignal([(0.0, 0.5, 2.0, [(0.0, False, [1.0, 2.0]), (1j, False, [3.0])])], 1.0)
+    assert custom.value(0.9) == pytest.approx(1.0 + 2.0 * 0.2 + 3.0 * math.cos(0.4), rel=1e-15)
+    assert custom.derivative(0.9) == pytest.approx(1.0 - 3.0 * math.sin(0.4), rel=1e-15)
+    # a piece needs a positive unit, and a term over its rate a nonzero rate
+    for pieces in ([(0.0, 0.0, 0.0, [])], [(0.0, 0.0, 1.0, [(0.0, True, [1.0])])]):
+        with pytest.raises(ValueError, match="positive units"):
+            BoundarySignal(pieces, 1.0)
+
+
+@st.composite
+def signal_cases(draw):
+    """(signal, its f in mpmath, a bound on |f^(m)| near s for m = 0, 1, 2, s)."""
+    T = draw(st.floats(0.5, 2.0))
+    s = draw(st.floats(0.0, 1.0)) * T
+    num = st.floats(-3.0, 3.0)
+    kind = draw(st.sampled_from(["constant", "sinusoid", "polynomial", "burst",
+                                 "smoothed_step"]))
+    if kind == "constant":
+        level = draw(num)
+        return BoundarySignal.constant(T, level), lambda x: mp.mpf(level), [1.0] * 3, s
+    if kind == "sinusoid":
+        omega, amp, phase = draw(st.floats(0.0, 50.0)), draw(num), draw(num)
+        sig = BoundarySignal.sinusoid(T, omega, amp, phase)
+        return (sig, lambda x: amp * mp.sin(omega * x + phase),
+                [abs(amp) * omega ** m * (2.0 + omega * s) for m in range(3)], s)
+    if kind == "polynomial":
+        cs = draw(st.lists(num, min_size=1, max_size=6))
+        bound = [sum(abs(c) * math.perm(k, m) * max(s, 1.0) ** k for k, c in enumerate(cs))
+                 for m in range(3)]
+        return (BoundarySignal.polynomial(T, cs),
+                lambda x: mp.fsum(c * x ** k for k, c in enumerate(cs)), bound, s)
+    if kind == "burst":
+        n, scale = draw(st.floats(0.1, 4096.0)), draw(num)
+        size = abs(scale) * math.exp(n * (s - T)) * (2.0 + n * (T - s))
+        return (BoundarySignal.burst(T, n, scale),
+                lambda x: mp.mpf(scale) / n * mp.exp(n * (x - T)),
+                [size / n, size, size * n], s)
+    t0 = draw(st.floats(0.0, 0.5)) * T
+    width = draw(st.floats(1e-3, 1.0)) * (T - t0)
+    height = draw(num)
+    sig = BoundarySignal.smoothed_step(T, t0, width, height)
+    # the formula of the piece that holds s
+    if s < t0:
+        f = lambda x: mp.mpf(0)
+    elif s >= t0 + width:
+        f = lambda x: mp.mpf(height)
+    else:
+        f = lambda x: height * ((x - t0) / width) ** 3 * (
+            10 - 15 * ((x - t0) / width) + 6 * ((x - t0) / width) ** 2)
+    return sig, f, [abs(height) * 60.0 / width ** m for m in range(3)], s
+
+
+@given(signal_cases())
+@settings(max_examples=150, deadline=None)
+def test_signal_derivatives_match_mpmath(case):
+    # f, f' and f'' of every constructor against mpmath derivatives of f,
+    # and an array call gives, bit for bit, what the scalar calls give
+    # (mpmath differences resolve f^(m) to about 1e-30 of the signal's scale;
+    # 1e-300 allows for subnormal values)
+    sig, f_mp, bound, s = case
+    orders = (sig.value, sig.derivative, sig.second_derivative)
+    with mp.workdps(40):
+        for m, evaluate in enumerate(orders):
+            want = mp.diff(f_mp, mp.mpf(s), m)
+            assert abs(evaluate(s) - want) <= 1e-12 * bound[m] + 1e-30 * sum(bound) + 1e-300
+    points = np.array([0.0, s, 0.37 * sig.T, sig.T])
+    for evaluate in orders:
+        assert np.array_equal(evaluate(points), [evaluate(float(x)) for x in points])
+        assert isinstance(evaluate(s), float)
+        assert evaluate(points.reshape(2, 2)).shape == (2, 2)
 
 
 def test_datum_validation():

@@ -212,8 +212,8 @@ def test_help_exits_zero():
     assert main(["solve", "--help"]) == 0
 
 
-# The eleven README commands, then a box spectrum and the other side of the
-# whole-line scan.  Each digest is the sha256 of the summary line and the CSV
+# The eleven README commands, then a box spectrum, the other side of the
+# whole-line scan and the README boundary run under the other CLI signals.  Each digest is the sha256 of the summary line and the CSV
 # bytes, recorded with the numpy and scipy versions that CI pins; a change
 # that moves any README table must update its digest and say why.
 README_COMMANDS = [
@@ -245,6 +245,15 @@ README_COMMANDS = [
      "f713ab8042258b41f88b0e111e971548c0e5ce1949415e3d000544761d43a9b0"),
     ("wholeline --a 1 --b 1 --c 0.25 --t 1 --j-min 1 --j-max 20 --side below",
      "5743e6da069b2499ee06387cfc8d9df44ccc8a9401010bc0d89da4250e112ec7"),
+    ("boundary --a 3 --b 1 --c 0.5 --L pi --N 32 --g0 1 --g1 0 "
+     "--signal constant --T 1 --t 1",
+     "9be62448aa84c365087facf2acbf61c20a9f999aad640049c5c05fa46454475d"),
+    ("boundary --a 3 --b 1 --c 0.5 --L pi --N 32 --g0 1 --g1 0 "
+     "--signal poly --coeffs 0,1,0.5 --T 1 --t 1",
+     "9b0b091b1d3a32b5e01eec03c727b06cd8bdd002c43afe2dcda0a4015df0140a"),
+    ("boundary --a 3 --b 1 --c 0.5 --L pi --N 32 --g0 1 --g1 0 "
+     "--signal burst --n-rate 16 --T 1 --t 1",
+     "d9126e54ad66595701da8d3ff7b86f9271386d1fef9596e5bb0737c870fab178"),
 ]
 
 
