@@ -11,29 +11,36 @@ next to c in closed form, independent of the truncation.  Each mode has a 2x2
 block A = [[0, 1], [k, -h]] with h = a/(1 - c lam2), k = -b lam2/(1-c lam2),
 beta = b/c, forced through the state W = (theta_n, theta_n'):
 
-    W' = A W - beta D_n f(t) + D_n f''(t),   D_n = (0, d_n).
+    W' = A W + D_n q(t),   D_n = (0, d_n),   q = f'' - beta f.
 
-Integrating the variation-of-constants formula by parts twice removes all
-derivatives of f from under the integral:
+The variation-of-constants formula
 
-    W(t) = E(t)[W(0) - D_n f'(0) - A D_n f(0)] + D_n f'(t) + A D_n f(t)
-           + int_0^t E(t-s) (-beta I + A^2) D_n f(s) ds,
+    W(t) = E(t) W(0) + int_0^t E(t-s) D_n q(s) ds,   E(t) = exp(A t),
 
-with E(t) = exp(A t) in the closed 2x2 form E = phi0 I + phi1 A of
-``modal.propagator``.  Only f itself appears under the integral, so rough
-signals are handled stably.  The integral is composite Simpson on uniform
-nodes.  The eigenvalues of A are computed once per operator and the table
-of E(t - s) at the nodes is formed from them block by block, through the
-same kernel as ``modal.propagator`` (``modal._factors``).  The table does
-not depend on f, so signals that share an operator, a time and a step
-share one table (``_evolve_signals``; ``experiments.propagation_burst``
-evolves all its burst rates that way).
+is evaluated exactly.  E(t) is the closed 2x2 form of ``modal.propagator``
+(``modal._factors``).  q is again an exponential polynomial, so on each
+piece [s_a, s_b] of the signal, length l, every term r^j e^{sigma r}
+integrates to j! l^{j+1} F(A l) (0, 1), F(z) = exp[c, ..., c, z] with j + 1
+copies of the node c = sigma l: a phi-function of (A - sigma I) l
+(Hochbruck & Ostermann, Acta Numerica 19, 2010, section 2).  For the 2x2
+block, F(A l) is the Newton form over the eigenvalue nodes mu_i l, so each
+mode needs the divided differences of exp over (c, ..., c, mu_1 l, mu_2 l).
+They are summed as a Taylor series where all nodes lie close together
+(resonance sigma = mu, a double root, a short piece) and by recurrences that
+divide by the widest gap elsewhere (``_divided_differences``), with the
+dominant exponent factored out.  A time costs O(modes); there is no
+quadrature and no node table.  The eigenvalues of A are computed once per
+operator and shared by every signal and time (``_evolve_signals``;
+``experiments.propagation_burst`` evolves all its burst rates that way).
+f'' itself stands under the integral, so a ramp of width w carries a
+rounding error of about eps/w per unit height in theta'; a ramp that ends
+where it starts in floating point is a step.
 
 A signal f is data (``BoundarySignal``): on each piece, the real part of a
 sum of terms coef u^p e^{rate (s - origin)}, u = (s - origin)/unit, with
 complex coef and rate.  One rule gives f' and f''; one numpy evaluator
-samples them at all nodes at once, through the complex ``np.exp``, which
-gives the bits of ``math.exp`` and ``math.sin`` (the real one does not).
+samples them over arrays of s, through the complex ``np.exp``, which gives
+the bits of ``math.exp`` and ``math.sin`` (the real one does not).
 
 A weaker solution notion that decouples the lift parameter from c exists in
 principle but has no clear physical reading; it is intentionally not
@@ -56,15 +63,24 @@ from .modal import (ParameterSet, _check_positive, _digits_kept, _factors, _root
                     is_degenerate)
 from .solver import Field
 from .spectrum import BasisDescriptor, _interval_neighbours, spectrum
-from .util import scaled_exp, simpson_weights
+from .util import scaled_exp
 
-# Modes per propagator table in evolve_with_boundary: bounds the (modes, nodes)
-# temporaries; every mode's result is the same for any block size.
-MODE_BLOCK = 32
 # mild_solution_check: internal step of the five-point second difference,
 # and the bound on its residual.
 FD_STEP = 1e-3
 C2_TOL = 1e-5
+# Nodes of a divided difference that all lie within CLUSTER_RADIUS (at least;
+# half the order for long polynomials) of each other are summed as one Taylor
+# series of TAYLOR_TERMS terms about their mean; farther nodes are split by
+# the recurrences, which then divide by gaps wider than that radius.
+CLUSTER_RADIUS = 2.0
+TAYLOR_TERMS = 40
+# Powers u^0..u^(MAX_POWERS - 1) per signal term: the divided differences
+# then have at most MAX_POWERS + 2 nodes (measured within 1e-14 of mpmath at
+# 16 powers; 7.8e-12 at 32).
+MAX_POWERS = 16
+_INV_FACTORIAL = np.array([1.0 / math.factorial(n)
+                           for n in range(TAYLOR_TERMS + MAX_POWERS + 3)])
 
 
 class Piece(NamedTuple):
@@ -106,6 +122,8 @@ class BoundarySignal:
                   for a, o, u, terms in pieces)
         if not all(p.unit > 0.0 and all(r or not over for r, over, _ in p.terms) for p in f):
             raise ValueError("a signal needs positive units, and no term over a zero rate")
+        if any(len(cs) > MAX_POWERS for p in f for _, _, cs in p.terms):
+            raise ValueError(f"a term of a signal holds at most {MAX_POWERS} powers")
         stack = [f, tuple(p.derivative() for p in f)]
         stack.append(tuple(p.derivative() for p in stack[1]))
         self._tables = [[(p.origin, p.unit, [(r, np.array([c / r if over else c for c in cs]))
@@ -137,6 +155,24 @@ class BoundarySignal:
                 part = acc.real * e.real - acc.imag * e.imag
                 out[at] = part if j == 0 else out[at] + part
         return float(out[0]) if s.ndim == 0 else out.reshape(s.shape)
+
+    def _forcing(self, beta: float) -> list:
+        """q = f'' - beta f piece by piece: (lo, hi, origin, unit, groups), q
+        being Re sum coefs[p] u^p e^{rate (s - origin)} over the groups (rate,
+        coefs) on [lo, hi); the first piece starts at -inf, the last ends at
+        +inf.  Terms of f'' and f with one rate share one group."""
+        bounds = [-math.inf, *self._starts.tolist(), math.inf]
+        out = []
+        for i, ((origin, unit, f), (_, _, f2)) in enumerate(zip(self._tables[0], self._tables[2])):
+            groups = {}
+            for rate, coefs in [*f2, *((r, -beta * cs) for r, cs in f)]:
+                have = groups.get(rate, np.zeros(0, dtype=complex))
+                merged = np.zeros(max(have.size, coefs.size), dtype=complex)
+                merged[:have.size] = have
+                merged[:coefs.size] += coefs
+                groups[rate] = merged
+            out.append((bounds[i], bounds[i + 1], origin, unit, list(groups.items())))
+        return out
 
     value = partialmethod(_evaluate, 0)
     derivative = partialmethod(_evaluate, 1)
@@ -293,138 +329,291 @@ def build_blocks(p: ParameterSet, basis: BasisDescriptor, g) -> BoundaryOperator
                             p.b / p.c)
 
 
-def _even_intervals(t: float, quad_step: float | None) -> int:
-    step = 1e-3 * t if quad_step is None else quad_step
-    if not step > 0.0:
-        raise ValueError("quad_step must be positive")
-    m = max(2, math.ceil(t / step))
-    return m + (m % 2)
+def _radius(K: int) -> float:
+    return max(CLUSTER_RADIUS, 0.5 * K)
+
+
+def _phis(z, mag, psi0, scale, K: int) -> list:
+    """[e^-rho phi_k(z) for k = 1..K], elementwise, for rho >= max(0, Re z),
+    from mag = |z|, psi0 = e^{z - rho} and scale = e^-rho.
+
+    phi_k(z) = exp[0 (k times), z] = sum_m z^m/(m + k)!.  Where |z| exceeds
+    ``_radius(K)`` the upward recurrence phi_k = (phi_{k-1} - 1/(k-1)!)/z
+    from phi_0 = e^z divides by a wide gap; nearer 0 the Taylor series of
+    phi_K and the downward recurrence phi_{k-1} = z phi_k + 1/(k-1)! are
+    used (Kassam & Trefethen, SISC 26, 2005, on the cancellation near 0).
+    """
+    out = []
+    with np.errstate(all="ignore"):
+        shrink = 1.0 / mag
+        inverse = np.conj(z) * shrink * shrink   # 1/z without a complex division
+        psi = psi0
+        for k in range(1, K + 1):
+            psi = (psi - scale * _INV_FACTORIAL[k - 1]) * inverse
+            out.append(psi)
+    near = mag <= _radius(K)
+    if near.any():
+        zs, ss = z[near], scale[near]
+        acc = np.full(zs.shape, _INV_FACTORIAL[TAYLOR_TERMS + K], dtype=complex)
+        for m in range(TAYLOR_TERMS - 1, -1, -1):
+            acc = acc * zs + _INV_FACTORIAL[m + K]
+        psi = ss * acc
+        out[K - 1][near] = psi
+        for k in range(K, 1, -1):
+            psi = zs * psi + ss * _INV_FACTORIAL[k - 1]
+            out[k - 2][near] = psi
+    return out
+
+
+def _divided_differences(z1, z2, g1, g2, rho, base, a, b) -> list:
+    """[e^-rho exp[0 (j + 1 times), z1, z2] for j = 0..K-1], elementwise,
+    from g1, g2 = |z1|, |z2|, base = e^-rho exp[z1, z2] and a, b = ``_phis``
+    at z1, z2.
+
+    The recurrence divides by the widest gap between the nodes: by z2 - z1
+    where that is widest, (phi_{j+1}(z2) - phi_{j+1}(z1))/(z2 - z1); else
+    by the node z_far farther from 0, (x_{j-1} - phi_{j+1}(z_near))/z_far.
+    Where every gap is within ``_radius(K)`` the nodes form one cluster, and
+    the Taylor series of exp about their mean zeta is summed instead,
+    exp[nodes] = e^zeta sum_m h_m(nodes - zeta)/(m + n)!, with h_m the
+    complete homogeneous symmetric polynomials of the n + 1 nodes.
+    """
+    K = len(a)
+    gap = z2 - z1
+    g12 = np.abs(gap)
+    with np.errstate(all="ignore"):
+        out = [(b[j] - a[j]) / gap for j in range(K)]
+        rest = g12 < np.maximum(g1, g2)
+        if rest.any():
+            far1 = (g1 >= g2)[rest]
+            z_far = np.where(far1, z1[rest], z2[rest])
+            x = base[rest]
+            for j in range(K):
+                x = (x - np.where(far1, b[j][rest], a[j][rest])) / z_far
+                out[j][rest] = x
+    cluster = np.maximum(g12, np.maximum(g1, g2)) <= _radius(K)
+    if cluster.any():
+        u1, u2 = z1[cluster], z2[cluster]
+        centre = (u1 + u2) / 3.0
+        h = np.zeros((TAYLOR_TERMS + 1, u1.size), dtype=complex)
+        h[0] = 1.0
+
+        def absorb(node):   # multiply the series of h by 1/(1 - node x)
+            for m in range(1, TAYLOR_TERMS + 1):
+                h[m] += node * h[m - 1]
+
+        absorb(u1 - centre)
+        absorb(u2 - centre)
+        lift = np.exp(centre - rho[cluster])
+        for j in range(K):
+            absorb(-centre)
+            acc = np.zeros(u1.shape, dtype=complex)
+            for m in range(TAYLOR_TERMS, -1, -1):
+                acc += h[m] * _INV_FACTORIAL[m + j + 2]
+            out[j][cluster] = lift * acc
+    return out
+
+
+def _convolution(mu1, mu2, sigma: complex, ell, coefs, phi1_ell, log_ell):
+    """int_0^ell e^{A (ell - r)} (0, 1) sum_j coefs[j] (r/ell)^j e^{sigma r} dr
+    in scaled form: returns (v1, v2, rho), the integral being e^{sigma ell +
+    rho} (v1, v2).
+
+    mu1 + mu2 = -h are the eigenvalues of A (mode shape); ``phi1_ell`` and
+    ``log_ell`` are the ``modal._factors`` of exp(A ell).  Term j gives
+    j! ell F(A ell) (0, 1) with F(z) = exp[c (j+1 times), z], c = sigma ell;
+    in the Newton form over the nodes m_i = mu_i ell,
+
+        F(M) (0, 1) = (ell exp[c.., m1, m2], (z e^z)[c.., m1, m2]),
+
+    the first from ``_divided_differences`` (shifted by c) and the second
+    by the Leibniz rule (z e^z)[x_0..x_n] = x_0 exp[x_0..x_n] + exp[x_1..x_n]
+    with x_0 the node of least magnitude, so that a stiff root or a fast
+    rate does not cancel the slow part.  rho = max(0, Re(m_i - c)) is the
+    dominant exponent, factored out (Hochbruck & Ostermann, Acta Numerica
+    19, 2010, section 2).
+    """
+    c = sigma * ell
+    m1, m2 = mu1 * ell, mu2 * ell
+    z1, z2 = m1 - c, m2 - c
+    g1, g2 = np.abs(z1), np.abs(z2)
+    rho = np.maximum(0.0, np.maximum(z1.real, z2.real))
+    scale = np.exp(-rho)
+    # e^{z - rho} as real exponentials times unit phases: Im m2 = -Im m1, and
+    # the phase of c is one per time (a complex exp costs 30 real ones)
+    turn = np.exp(-1j * c.imag)
+    spin = np.ones(m1.shape, dtype=complex)
+    turning = m1.imag != 0.0
+    if turning.any():
+        spin[turning] = np.exp(1j * m1.imag[turning])
+    K = len(coefs)
+    a = _phis(z1, g1, np.exp(z1.real - rho) * (spin * turn), scale, K)
+    b = _phis(z2, g2, np.exp(z2.real - rho) * (np.conj(spin) * turn), scale, K)
+    with np.errstate(all="ignore"):
+        base = np.exp(log_ell - c.real - rho) * (phi1_ell / ell) * turn
+    x = _divided_differences(z1, z2, g1, g2, rho, base, a, b)
+    mag1, mag2 = np.abs(mu1) * ell, np.abs(mu2) * ell
+    by_m = np.abs(c) > np.minimum(mag1, mag2)   # else the node c
+    mixed = bool(by_m.any())
+    if mixed:
+        by_2 = (mag2 <= mag1)[by_m]
+        node = np.where(by_2, m2[by_m], m1[by_m])
+    s1 = s2 = 0.0
+    prev = base
+    for j, cj in enumerate(coefs):
+        y = c * x[j] + prev
+        if mixed:
+            y[by_m] = node * x[j][by_m] + np.where(by_2, a[j][by_m], b[j][by_m])
+        w = cj * float(math.factorial(j))
+        s1 = s1 + w * x[j]
+        s2 = s2 + w * y
+        prev = x[j]
+    return ell * (ell * s1), ell * s2, rho
+
+
+def _taylor_shift(coefs, u: float) -> list:
+    """Coefficients of P(u + w) in powers of w, for P = sum coefs[p] w^p."""
+    s = list(coefs)
+    if u != 0.0:
+        for i in range(len(s) - 1):
+            for k in range(len(s) - 2, i - 1, -1):
+                s[k] += u * s[k + 1]
+    return s
 
 
 def evolve_with_boundary(blocks: BoundaryOperator, theta0: Field, theta1: Field,
-                         signal: BoundarySignal, t: float,
-                         quad_step: float | None = None) -> tuple[Field, Field]:
-    """Evaluate the twice-integrated-by-parts mild formula at time t.
+                         signal: BoundarySignal, t: float) -> tuple[Field, Field]:
+    """(theta, theta') at time t from the data (theta0, theta1) under the
+    boundary signal, by the exact variation-of-constants formula
 
-    The convolution integral contains only f itself and is computed by
-    composite Simpson with the caller's step (default t/1000, rounded to an
-    even interval count).  The propagator tables are formed in blocks of
-    ``MODE_BLOCK`` modes.  Each mode's dominant exponent is kept out of the
-    sums and applied last, so values beyond the e^700 range saturate to +/-inf
-    with the flag set.  Subnormal data keep their digits: where a scaled
-    value would lose them, the power of two at the mode's largest datum is
-    factored out, as ``modal._state`` does.
+        W(t) = E(t) W(0) + int_0^t E(t - s) D_n q(s) ds,   q = f'' - beta f,
+
+    with W = (theta_n, theta_n'), D_n = (0, d_n) and E(t) = exp(A t).  The
+    integral is evaluated in closed form, piece by piece of the signal, from
+    divided differences of exp (``_convolution``); there is no quadrature.
+    Each mode's dominant exponent is kept out of the sums and applied last,
+    so values beyond the e^700 range saturate to +/-inf with the flag set.
+    Subnormal data keep their digits: where a scaled value would lose them,
+    the power of two at the mode's largest datum is factored out, as
+    ``modal._state`` does.
     """
-    return _evolve_signals(blocks, theta0, theta1, [signal], t, quad_step)[0]
+    theta, dtheta, sat = _evolve_signals(blocks, theta0, theta1, [signal], float(t))[0]
+    return (Field(theta0.basis, theta, sat.copy()), Field(theta0.basis, dtheta, sat.copy()))
 
 
 def _evolve_signals(blocks: BoundaryOperator, theta0: Field, theta1: Field,
-                    signals, t: float,
-                    quad_step: float | None) -> list[tuple[Field, Field]]:
-    """``evolve_with_boundary`` for several signals on one operator and one
-    set of nodes: one (theta, theta') pair per signal, each bit for bit what
-    a call with that signal alone gives.
+                    signals, t) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``evolve_with_boundary`` for several signals on one operator, at every
+    time of the array ``t``: one (theta, theta', saturated) triple of arrays
+    of shape t.shape + (modes,) per signal, each entry bit for bit what a
+    call with that signal and that time alone gives.
 
-    The eigenvalues of every block come from one ``modal._roots`` call per
-    operator.  The propagator table of a mode block (phi0, phi1 and the
-    log-scale weights at every node, from ``modal._factors``, which orders
-    the roots once per mode) does not depend on the signal, so it is formed
-    once per block and summed against each signal's Simpson-weighted
-    samples (the table reuse of exponential integrators: Hochbruck &
-    Ostermann, Acta Numerica 19, 2010, section 2).  The sums are numpy row
-    sums over the nodes, not BLAS products, whose per-row result can depend
-    on how many rows a call holds; so each mode's result is the same for
-    any ``MODE_BLOCK``.
+    The eigenvalues of every block come from one ``modal._roots`` call, and
+    E(t) from one ``modal._factors`` call, shared by the signals.  A piece
+    [s_a, s_b] of a signal adds E(t - s_b) times its own integral, one
+    ``_convolution`` per rate of q on the piece.  Every step is elementwise
+    over modes and times, so a time costs O(modes).
     """
     if theta0.basis != theta1.basis:
         raise ValueError("theta0 and theta1 must share one basis")
     basis = theta0.basis
     if len(blocks) != basis.truncation:
         raise ValueError("need exactly one block per basis mode")
+    t = np.asarray(t, dtype=float)
     for signal in signals:
-        if not 0.0 <= t <= signal.T * (1 + 1e-12):
+        if not np.all((0.0 <= t) & (t <= signal.T * (1 + 1e-12))):
             raise ValueError(f"t={t} outside the signal horizon [0, {signal.T}]")
-    if t == 0.0:
-        return [(Field(basis, theta0.coefficients.copy()),
-                 Field(basis, theta1.coefficients.copy())) for _ in signals]
-    d = blocks.d
-    _, r_plus, r_minus, freq = _roots(1.0, blocks.h, -blocks.k)
+    times = t.reshape(-1, 1)
+    h, k, d = blocks.h, blocks.k, blocks.d
+    alpha, beta = theta0.coefficients, theta1.coefficients
+    _, r_plus, r_minus, freq = _roots(1.0, h, -k)
+    first = r_plus >= r_minus
+    mu1 = np.where(first, r_plus, r_minus) + 1j * freq
+    mu2 = np.where(first, r_minus, r_plus) - 1j * freq
+    e0, e1, log_e = _factors(r_plus, r_minus, freq, times)
 
-    m_int = _even_intervals(t, quad_step)
-    s_nodes = np.linspace(0.0, t, m_int + 1)
-    tau = t - s_nodes
-    rule = simpson_weights(m_int + 1)
-    f_nodes = [signal.value(s_nodes) for signal in signals]
-    fw = [rule * f * ((t / m_int) / 3.0) for f in f_nodes]
-
-    # per mode: E(t) = e^shift (e0 I + e1 A) and, per signal, the quadrature
-    # sums int_0^t E(tau) f = e^shift (p0 I + p1 A), shift = max log-scale >= 0
-    n_modes = basis.truncation
-    shift, e0, e1 = (np.empty(n_modes) for _ in range(3))
-    p0, p1 = (np.empty((len(signals), n_modes)) for _ in range(2))
-    for lo in range(0, n_modes, MODE_BLOCK):
-        sl = slice(lo, lo + MODE_BLOCK)
-        phi0, phi1, log_scale = _factors(r_plus[sl, None], r_minus[sl, None],
-                                         freq[sl, None], tau)
-        top = np.max(log_scale, axis=1, keepdims=True)   # tau = 0 gives 0
-        weight = np.exp(np.subtract(log_scale, top, out=log_scale), out=log_scale)
-        shift[sl] = top[:, 0]
-        e0[sl] = phi0[:, 0] * weight[:, 0]                # tau[0] = t
-        e1[sl] = phi1[:, 0] * weight[:, 0]
-        for j, fw_j in enumerate(fw):
-            # the last signal scales the weights and the factors in place:
-            # fresh tables of this size cost page faults (5% of a
-            # one-signal call at 2048 modes)
-            last = j == len(fw) - 1
-            weight_j = np.multiply(weight, fw_j, out=weight if last else None)
-            p0[j, sl] = np.sum(np.multiply(phi0, weight_j, out=phi0 if last else None), axis=1)
-            p1[j, sl] = np.sum(np.multiply(phi1, weight_j, out=phi1 if last else None), axis=1)
-
-    lift = np.exp(-shift)
     results = []
-    for j, signal in enumerate(signals):
-        df_ends = signal.derivative(s_nodes[[0, -1]])
-        f_ends = (f_nodes[j][0], df_ends[0], f_nodes[j][-1], df_ends[1])
-        v1, v2 = _scaled_values(blocks, d, theta0.coefficients, theta1.coefficients,
-                                e0, e1, (p0[j], p1[j], *f_ends), lift)
-        exponent = None
-        if not (_digits_kept(v1) and _digits_kept(v2)):
-            # factor out the power of two at each mode's largest datum, theta
-            # or d f (Higham, Accuracy and Stability, 2nd ed., 2.1): theta
-            # enters times 2^-e, d times 2^-e_d and the signal times 2^-e_f,
-            # e_d + e_f = e, which scales v1 and v2 by 2^-e; where d = 0 the
-            # signal terms vanish and the signal is left as it is
-            f_top = np.max(np.abs(np.concatenate((f_nodes[j], df_ends))))
-            exponent = np.frexp(np.maximum(np.maximum(np.abs(theta0.coefficients),
-                                                      np.abs(theta1.coefficients)),
-                                           np.abs(d) * f_top))[1]
-            e_d = np.frexp(d)[1]
-            e_f = np.where(d != 0.0, exponent - e_d, 0)
-            v1, v2 = _scaled_values(
-                blocks, np.ldexp(d, -e_d), np.ldexp(theta0.coefficients, -exponent),
-                np.ldexp(theta1.coefficients, -exponent), e0, e1,
-                [np.ldexp(v, -e_f) for v in (p0[j], p1[j], *f_ends)], lift)
-        vals, s1 = scaled_exp(v1, shift, exponent)
-        derivs, s2 = scaled_exp(v2, shift, exponent)
-        sat = s1 | s2
-        results.append((Field(basis, vals, sat.copy()), Field(basis, derivs, sat.copy())))
+    for signal in signals:
+        # the scaled response of each (piece, rate) at t: (u1, u2, log) is
+        # e^log (u1, u2), before the factor d
+        parts = []
+        for lo, hi, origin, unit, groups in signal._forcing(blocks.beta):
+            s_a = max(lo, 0.0)
+            s_b = np.minimum(hi, times)
+            live = s_b > s_a
+            if not live.any():
+                continue
+            ell = np.where(live, s_b - s_a, 1.0)   # dead entries are dropped below
+            kappa = ell / unit
+            if s_a == 0.0 and np.array_equal(ell, times):
+                phi1_ell, log_ell = e1, log_e   # the piece is all of [0, t]
+            else:
+                _, phi1_ell, log_ell = _factors(r_plus, r_minus, freq, ell)
+            tau = times - s_b
+            ends_early = bool(np.any(tau > 0.0))
+            if ends_early:
+                f0, f1, log_tau = _factors(r_plus, r_minus, freq, tau)
+            for rate, coefs in groups:
+                # q on the piece in powers of v = (s - s_a)/ell: u = u_a + kappa v
+                shifted = _taylor_shift(coefs, (s_a - origin) / unit)
+                coefs_v = [cj * kappa ** j for j, cj in enumerate(shifted)]
+                v1, v2, rho = _convolution(mu1, mu2, rate, ell, coefs_v, phi1_ell, log_ell)
+                w = rate * (s_b - origin)
+                phase = np.exp(1j * w.imag)
+                u1, u2, log = (phase * v1).real, (phase * v2).real, w.real + rho
+                if ends_early:
+                    u1, u2 = f0 * u1 + f1 * u2, f0 * u2 + f1 * (k * u1 - h * u2)
+                    log = log + log_tau
+                if not live.all():
+                    u1, u2 = np.where(live, u1, 0.0), np.where(live, u2, 0.0)
+                    log = np.where(live, log, -np.inf)
+                parts.append((u1, u2, log))
+        results.append(_combine(blocks, alpha, beta, e0, e1, log_e, parts, times, t.shape))
     return results
 
 
-def _scaled_values(blocks: BoundaryOperator, d, alpha, beta, e0, e1, signal_terms, lift):
-    """(theta, theta') at t over e^shift from the data (alpha, beta), the
-    lift coefficients d, and ``signal_terms`` = (p0, p1, f(0), f'(0), f(t),
-    f'(t)): the quadrature sums and the end values of the signal."""
-    h, k = blocks.h, blocks.k
-    p0, p1, f0, df0, ft, dft = signal_terms
-    adj1 = alpha - d * f0
-    adj2 = beta - d * df0 + h * d * f0
-    w1 = -h * d
-    w2 = (k + h * h - blocks.beta) * d
-    v1 = e0 * adj1 + e1 * adj2 + p0 * w1 + p1 * w2 + d * ft * lift
-    v2 = (e0 * adj2 + e1 * (k * adj1 - h * adj2) + p0 * w2 + p1 * (k * w1 - h * w2)
-          + (d * dft - h * d * ft) * lift)
-    return v1, v2
+def _combine(blocks: BoundaryOperator, alpha, beta, e0, e1, log_e, parts, times, shape):
+    """(theta, theta', saturated) from the scaled homogeneous factors and the
+    scaled signal parts: shift = the largest log-scale of each entry is
+    kept out of the sums and applied last by ``scaled_exp``."""
+    h, k, d = blocks.h, blocks.k, blocks.d
+    shift = log_e
+    for _, _, log in parts:
+        shift = np.maximum(shift, log)
+    with np.errstate(invalid="ignore", over="ignore"):
+        weight = np.exp(log_e - shift)
+        e0, e1 = e0 * weight, e1 * weight
+        p1 = p2 = np.zeros(shift.shape)
+        for u1, u2, log in parts:
+            lift = np.exp(log - shift)
+            p1, p2 = p1 + u1 * lift, p2 + u2 * lift
+
+    def values(alpha, beta, d, p1, p2):
+        return (e0 * alpha + e1 * beta + d * p1,
+                e0 * beta + e1 * (k * alpha - h * beta) + d * p2)
+
+    v1, v2 = values(alpha, beta, d, p1, p2)
+    exponent = None
+    if not (_digits_kept(v1) and _digits_kept(v2)):
+        # factor out the power of two at each mode's largest datum, theta or
+        # d q (Higham, Accuracy and Stability, 2nd ed., 2.1): theta enters
+        # times 2^-e, d times 2^-e_d and the signal part times 2^-e_f, e_d +
+        # e_f = e, which scales v1 and v2 by 2^-e; where d = 0 the signal
+        # part vanishes and is left as it is
+        exponent = np.frexp(np.maximum(np.maximum(np.abs(alpha), np.abs(beta)),
+                                       np.abs(d) * np.maximum(np.abs(p1), np.abs(p2))))[1]
+        e_d = np.frexp(d)[1]
+        e_f = np.where(d != 0.0, exponent - e_d, 0)
+        v1, v2 = values(np.ldexp(alpha, -exponent), np.ldexp(beta, -exponent),
+                        np.ldexp(d, -e_d), np.ldexp(p1, -e_f), np.ldexp(p2, -e_f))
+    theta, s1 = scaled_exp(v1, shift, exponent)
+    dtheta, s2 = scaled_exp(v2, shift, exponent)
+    at_zero = times == 0.0   # the data, exactly
+    theta = np.where(at_zero, alpha, theta)
+    dtheta = np.where(at_zero, beta, dtheta)
+    sat = (s1 | s2) & ~at_zero
+    out_shape = (*shape, len(d))
+    return theta.reshape(out_shape), dtheta.reshape(out_shape), sat.reshape(out_shape)
 
 
 @dataclass(frozen=True)
@@ -439,15 +628,15 @@ class MildSolutionReport:
 
 
 def mild_solution_check(blocks: BoundaryOperator, theta0: Field, theta1: Field,
-                        signal: BoundarySignal, t_grid,
-                        quad_step: float | None = None) -> MildSolutionReport:
+                        signal: BoundarySignal, t_grid) -> MildSolutionReport:
     """Check the computed trajectory against the lifted formulation.
 
     The lifted variable y = theta - d f(t) must be C^2-consistent: a
     fourth-order five-point second difference with internal step FD_STEP
     matches the governing y'' = k theta - h theta' - beta d f(t) to C2_TOL,
-    relative to the larger of 1 and |y''|.  A nan residual (a mode that
-    saturated) reaches the report, so that ``ok`` is False.
+    relative to the larger of 1 and |y''|.  The five stencil times of every
+    grid time are evolved in one ``_evolve_signals`` call.  A nan residual
+    (a mode that saturated) reaches the report, so that ``ok`` is False.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 5:
@@ -459,10 +648,7 @@ def mild_solution_check(blocks: BoundaryOperator, theta0: Field, theta1: Field,
         raise ValueError(f"need t_grid[0] >= {2.0 * FD_STEP:g}, room for the stencil")
 
     times = t_grid[:, None] + FD_STEP * np.arange(-2.0, 3.0)   # the stencil of each time
-    pairs = [evolve_with_boundary(blocks, theta0, theta1, signal, float(t), quad_step=quad_step)
-             for t in times.ravel()]
-    th, dth = (np.reshape([f.coefficients for f in fields], (*times.shape, -1))
-               for fields in zip(*pairs))
+    th, dth, _ = _evolve_signals(blocks, theta0, theta1, [signal], times)[0]
     f = signal.value(times)[..., None]
     y = th - blocks.d * f
     with np.errstate(invalid="ignore"):  # inf - inf of a saturated mode

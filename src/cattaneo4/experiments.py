@@ -447,16 +447,17 @@ def _lift_mass(c: float, L: float, g0: float, g1: float, lo: float, hi: float) -
 
 
 def propagation_burst(p: ParameterSet, basis: BasisDescriptor, g, T: float,
-                      n_values, subregion: tuple[float, float],
-                      quad_step: float | None = None) -> list[PropagationRow]:
+                      n_values, subregion: tuple[float, float]) -> list[PropagationRow]:
     """Drive zero data with sharpening bursts and measure interior arrival.
 
     For each n the boundary signal is f_n(t) = (1/n) e^{-n (T-t)} (so
     f_n'(T) = 1 exactly); the squared mass of the rate field theta'(T) on
     the subregion is compared with that of the lift D g, the n -> infinity
-    limit.  All rates are evolved on one propagator table
-    (``boundary._evolve_signals``), and both masses are integrals of
-    products of sines, computed in closed form (``_subregion_masses``,
+    limit.  All rates are evolved in one call that shares the eigenvalues
+    and E(T) (``boundary._evolve_signals``); each rate field is the exact
+    convolution, finite also where a rate equals an eigenvalue (rate 4 and
+    mode 2 at the README arguments).  Both masses are integrals of products
+    of sines, computed in closed form (``_subregion_masses``,
     ``_lift_mass``); a saturated rate field has mass and ratio +inf.  The
     subregion must be strictly interior.
     """
@@ -472,11 +473,9 @@ def propagation_burst(p: ParameterSet, basis: BasisDescriptor, g, T: float,
     ns = [float(n) for n in n_values]
     signals = [BoundarySignal.burst(T, n) for n in ns]   # each checks its rate
     target = _lift_mass(p.c, L, *g, lo, hi)
-    step = (T / 4096.0) if quad_step is None else quad_step
     zero = zero_field(basis)
-    fields = _evolve_signals(blocks, zero, zero, signals, T, step)
-    masses = _subregion_masses(np.stack([rate.coefficients for _, rate in fields], axis=1),
-                               L, lo, hi)
+    fields = _evolve_signals(blocks, zero, zero, signals, T)
+    masses = _subregion_masses(np.stack([rate for _, rate, _ in fields], axis=1), L, lo, hi)
     return [PropagationRow(n, mass, target, mass / target) for n, mass in zip(ns, masses)]
 
 

@@ -131,8 +131,7 @@ def test_criterion_03_semigroup_identity():
     t = 1.2
     worst_formula = 0.0
     for sig in signals:
-        th, dth = evolve_with_boundary(blocks8, theta0, theta1, sig, t,
-                                       quad_step=1e-3)
+        th, dth = evolve_with_boundary(blocks8, theta0, theta1, sig, t)
         for i, blk in enumerate(blocks8):
             def rhs(s, w, blk=blk, sig=sig):
                 force = blk.d * ((blk.k - blk.beta) * sig.value(s)

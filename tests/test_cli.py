@@ -173,6 +173,24 @@ def test_verify_battery(tmp_path):
     assert all(r[3] == "ok" for r in rows[1:])
 
 
+def test_verify_lift_row_checks_the_identity_in_double(monkeypatch):
+    # the dirichlet_map_residual row tests the discrete form of u'' = -u/c in
+    # double: the lift passes it to rounding, and a lift whose frequency is
+    # off by 5e-8 (the same traces) fails it
+    from cattaneo4 import boundary, cli
+
+    def row(checks):
+        return next((err, tol) for name, err, tol in checks if name == "dirichlet_map_residual")
+
+    err, tol = row(cli._verify_battery(7, True))
+    assert err <= 1e-13 and tol == 1e-10
+    exact = boundary.dirichlet_map_interval
+    monkeypatch.setattr(boundary, "dirichlet_map_interval",
+                        lambda c, L, g, truncation=64: exact(c * (1 + 1e-7), L, g, truncation))
+    err, tol = row(cli._verify_battery(7, True))
+    assert err > tol
+
+
 @pytest.mark.parametrize("args", [
     ["solve", "--a", "2", "--b", "1", "--c", "0.003", "--N", "24",
      "--mode", "3", "--t", "0.6"],
@@ -225,7 +243,7 @@ README_COMMANDS = [
      "52f0f37af12290ee5f386e750a5f23721d13ea4c8979c6ced383fa45d679f5a0"),
     ("boundary --a 3 --b 1 --c 0.5 --L pi --N 32 --g0 1 --g1 0 "
      "--signal sin --omega 2 --T 1 --t 1",
-     "430e30e87b989fcf759f88b67d5786ce9d9ecb07e150a630140ced4ad39f8dc6"),
+     "6be6c2edc6fb78bddd504ca37a0dd663cb9ee5c5772d7636d049579d20d493e2"),
     ("limit1 --a 1 --b 1 --lambda-sq 1 --t 0.3 --j-min 1 --j-max 8",
      "2718f880455258b44bf25bfab73a0b1d4401cd187eab91a52b71947fcf363dec"),
     ("limit2 --a 1 --b 1 --gamma 1 --k-min 4 --k-max 40 --t 0.5",
@@ -236,24 +254,24 @@ README_COMMANDS = [
      "363130498745016b0a883a998535e0ec72199b1cff63d71666c2e3ed66da050b"),
     ("propagation --a 3 --b 1 --c 0.5 --L pi --N 256 --g0 1 --g1 0 "
      "--T 0.05 --n-max-exp 12 --sub-lo 1 --sub-hi 2",
-     "bab3e30de38c0e5c0fd8b84eed10fb3b903762a7b25540b6c71e0cbf702d26cf"),
+     "980bab5f8f800fc3b6bc44244fe6aac5123ef3ecb139b8258688c0e48c7ee004"),
     ("wholeline --a 1 --b 1 --c 0.25 --t 1 --j-min 1 --j-max 20",
      "7f55deb98a572c97195a9d1041ffa4d8cde32ff6243614b6e384d495a24b1a06"),
     ("verify --seed 7",
-     "edc79201f809c71f4997abf3ea4aff558003905256ebb2697fea7efb3b1444f2"),
+     "6360f37721a42b835d28053149854f781c93184e49b67ce69e5d59d1ef068369"),
     ("spectrum --lengths pi,pi --N 20",
      "f713ab8042258b41f88b0e111e971548c0e5ce1949415e3d000544761d43a9b0"),
     ("wholeline --a 1 --b 1 --c 0.25 --t 1 --j-min 1 --j-max 20 --side below",
      "5743e6da069b2499ee06387cfc8d9df44ccc8a9401010bc0d89da4250e112ec7"),
     ("boundary --a 3 --b 1 --c 0.5 --L pi --N 32 --g0 1 --g1 0 "
      "--signal constant --T 1 --t 1",
-     "9be62448aa84c365087facf2acbf61c20a9f999aad640049c5c05fa46454475d"),
+     "d4586fe93d3be891d2b518948870a2820d3bbb6b5783361210cdcc59f0c4f428"),
     ("boundary --a 3 --b 1 --c 0.5 --L pi --N 32 --g0 1 --g1 0 "
      "--signal poly --coeffs 0,1,0.5 --T 1 --t 1",
-     "9b0b091b1d3a32b5e01eec03c727b06cd8bdd002c43afe2dcda0a4015df0140a"),
+     "01a2f88c1c1fb18811b94e594864b9f8756efba81b0089de6ece174edebe2523"),
     ("boundary --a 3 --b 1 --c 0.5 --L pi --N 32 --g0 1 --g1 0 "
      "--signal burst --n-rate 16 --T 1 --t 1",
-     "d9126e54ad66595701da8d3ff7b86f9271386d1fef9596e5bb0737c870fab178"),
+     "36570d36b16936a12a0e2a3a00736556e61902e1258a507f68ad11f208ac93f7"),
 ]
 
 

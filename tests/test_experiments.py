@@ -453,7 +453,7 @@ def test_subregion_mass_matches_mpmath(monkeypatch):
     row, = propagation_burst(p, basis, g, T, [n], (1.0, 2.0))
     z = Field(basis, np.zeros(64))
     _, rate = evolve_with_boundary(build_blocks(p, basis, g), z, z,
-                                   BoundarySignal.burst(T, n), T, quad_step=T / 4096)
+                                   BoundarySignal.burst(T, n), T)
     with mp.workdps(30):
         coeffs = [mp.mpf(float(v)) for v in rate.coefficients]
         scale, k = mp.sqrt(2 / mp.mpf(PI)), mp.pi / mp.mpf(PI)

@@ -16,15 +16,15 @@ of 5 calls and its own peak RSS.  The layers:
   timed from outside; its peak RSS is that of the command;
 * ``evolve_with_boundary`` on the stiff case of the ``boundary`` benchmark
   workload (a = 2, b = 1, c = 0.003, g = (1, 0), f = sin 3t, zero data) at
-  t = 0.8 with the default step t/1000 (M = 1000 intervals), N = 1e3, 1e4,
-  1e5; the operator is built outside the timed call;
+  t = 0.8, the exact convolution (no quadrature nodes), N = 1e3, 1e4, 1e5;
+  the operator is built outside the timed call;
 * ``check_wellposed`` at c = 0.26 on (0, pi) with a cold spectrum cache
   (cleared before each call), N = 1e3, 1e4, 1e5.
 
 The time of the next size is predicted from the last one at the layer's
 growth order (quadratic for the sampling layers, the order of their
 compensated-sum path; linear for ``propagation_burst`` and
-``evolve_with_boundary``, whose boundary sums are linear in N, and for
+``evolve_with_boundary``, whose boundary convolution is O(N) per time, and for
 ``check_wellposed``, whose bound is a spectrum built from cold): past 60 s
 the size is recorded as ``"skipped: > 60 s"`` and not run, and past 1 s it
 is timed by one call.  Mind the memory: the compensated-sum
