@@ -11,8 +11,11 @@ Two oracles, deliberately disjoint from the spectral machinery:
 * ``fd_solve``: Crank-Nicolson finite differences for the full PDE on a
   uniform grid, boundary signal included.
 
-scipy is imported inside the functions that use it, so importing the package
-does not load it.
+Both need scipy, which is a test dependency (``pip install
+'cattaneo4[test]'``), not a dependency of the package: it is imported inside
+the functions that use it, so the package and its command line run without
+it, and a call without it raises an ImportError that names the extra.  The
+command line's ``verify`` does not use this module.
 
 The integrator runs at a tenth of the requested tolerances, so the sampled
 trajectory, not only the step-wise local error, meets what the caller asked
@@ -22,6 +25,7 @@ steps themselves.
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass
 
@@ -33,6 +37,18 @@ from .errors import DiscreteExceptionalError, StiffnessError
 # kept above the 100 eps floor below which scipy overrides it with a warning.
 _TOL_MARGIN = 10.0
 _RTOL_FLOOR = 100.0 * np.finfo(float).eps
+
+
+def _scipy(module: str):
+    try:
+        return importlib.import_module(module)
+    except ModuleNotFoundError as exc:
+        # only a missing `module` or parent is the missing extra; an installed
+        # scipy that fails on import raises its own error
+        if exc.name is None or not (module + ".").startswith(exc.name + "."):
+            raise
+        raise ImportError(f"cattaneo4.oracle needs {module}, a test dependency: "
+                          "pip install 'cattaneo4[test]'") from exc
 
 
 class Trajectory:
@@ -110,8 +126,7 @@ def integrate_modes(leading, damping, stiffness, alpha, beta, t_end: float,
         acc = -(damp * v + stiff * y[:n]) / lead
         return np.concatenate([v, np.where(second, acc, rate * v)])
 
-    from scipy.integrate import solve_ivp
-
+    solve_ivp = _scipy("scipy.integrate").solve_ivp
     y0 = np.concatenate([alpha, np.where(second, beta, required)])
     sol = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853", dense_output=True,
                     rtol=max(rel_tol / _TOL_MARGIN, _RTOL_FLOOR),
@@ -162,8 +177,8 @@ def fd_solve(p, L: float, nx: int, dt: float, T: float,
     conditioning of the factorized solve; they are not the exceptional-set
     test, which is ``modal.is_degenerate`` on the continuous spectrum.
     """
-    from scipy.sparse import csr_matrix, diags, identity
-    from scipy.sparse.linalg import splu
+    sparse = _scipy("scipy.sparse")
+    splu = _scipy("scipy.sparse.linalg").splu
 
     if nx < 64:
         raise ValueError("nx must be >= 64 for a meaningful comparison grid")
@@ -205,12 +220,12 @@ def fd_solve(p, L: float, nx: int, dt: float, T: float,
             raise ValueError("theta0 samples disagree with the boundary signal at t=0")
 
     m = nx - 1
-    lap = diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(m, m)) / (h * h)
-    eye = identity(m)
+    lap = sparse.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(m, m)) / (h * h)
+    eye = sparse.identity(m)
     mass = eye + p.c * lap
     a_plus = (mass + (0.5 * p.a * dt) * eye - (0.25 * p.b * dt * dt) * lap).tocsc()
-    a_minus = csr_matrix(mass - (0.5 * p.a * dt) * eye + (0.25 * p.b * dt * dt) * lap)
-    lap = csr_matrix(lap)
+    a_minus = sparse.csr_matrix(mass - (0.5 * p.a * dt) * eye + (0.25 * p.b * dt * dt) * lap)
+    lap = sparse.csr_matrix(lap)
     lu = splu(a_plus)
 
     bvec = np.zeros(m)

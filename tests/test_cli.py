@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cattaneo4
@@ -29,9 +30,20 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def row(checks, name):
+    """(max_error, tol) of the named row of a verify battery."""
+    return next((err, tol) for check, err, tol in checks if check == name)
+
+
+def digest(summary, cwd):
+    """sha256 of a command's summary line and the bytes of the CSV it names."""
+    out = summary.rsplit("-> ", 1)[1].strip()
+    return hashlib.sha256(summary.encode("utf-8") + (Path(cwd) / out).read_bytes()).hexdigest()
+
+
 def test_production_modules_do_not_import_the_oracle():
     src = Path(cattaneo4.__file__).parent
-    for name in ("experiments", "solver", "boundary", "modal", "spectrum", "util"):
+    for name in ("experiments", "solver", "boundary", "modal", "spectrum", "util", "cli"):
         for node in ast.walk(ast.parse((src / f"{name}.py").read_text())):
             if isinstance(node, ast.ImportFrom):
                 mods = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
@@ -39,16 +51,21 @@ def test_production_modules_do_not_import_the_oracle():
                 mods = [a.name for a in node.names]
             else:
                 continue
-            assert not any(m.split(".")[-1] == "oracle" for m in mods), (name, mods)
+            # neither the oracle nor scipy, so every command runs without scipy
+            assert not any(m.split(".")[-1] == "oracle" or m.split(".")[0] == "scipy"
+                           for m in mods), (name, mods)
 
 
-def test_import_does_not_load_scipy():
-    # scipy is imported inside the oracle functions that use it
-    code = ("import sys, cattaneo4; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+def test_import_does_not_load_scipy(tmp_path):
+    # scipy is imported inside the oracle functions that use it, and verify
+    # does not use them
+    code = ("import sys, cattaneo4; from cattaneo4.cli import main; "
+            "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+            "print(loaded()); rc = main(['verify', '--quick']); print(rc, loaded())")
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    lines = out.stdout.splitlines()
+    assert lines[0] == "[]" and lines[-1] == "0 []"
     # every exported name resolves; of the modal layer the package exports
     # only the one evaluator, the root report and their helpers, and of the
     # oracle layer its two routes and the grid record
@@ -63,6 +80,105 @@ def test_import_does_not_load_scipy():
         "propagator", "reference_heat_mode", "reference_telegraph_mode",
         "second_order_roots"}
     assert exported("cattaneo4.oracle") == {"GridSolution", "fd_solve", "integrate_modes"}
+
+
+# Run in a child whose sys.modules holds None for scipy, so any import of it
+# raises ImportError, as where scipy is not installed.
+NO_SCIPY = "import sys; sys.modules['scipy'] = None; "
+
+
+def test_verify_runs_without_scipy(tmp_path):
+    # the closed-form row of verify checks against numpy alone
+    cmd, want = next((cmd, d) for cmd, d in README_COMMANDS if cmd == "verify --seed 7")
+    code = NO_SCIPY + "from cattaneo4.cli import main; sys.exit(main(sys.argv[1:]))"
+    out = subprocess.run([sys.executable, "-c", code, *cmd.split()], cwd=tmp_path,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert digest(out.stdout, tmp_path) == want
+
+
+# calls both oracles in a child and prints each ImportError with its cause
+ORACLE_CALLS = """
+import cattaneo4
+from cattaneo4 import oracle
+calls = [lambda: oracle.integrate_modes(1.0, 1.0, 1.0, 1.0, 0.0, 1.0),
+         lambda: oracle.fd_solve(cattaneo4.ParameterSet(1.0, 1.0, 0.01), 3.0, 64,
+                                 0.1, 1.0, [0.0] * 65, [0.0] * 65)]
+for call in calls:
+    try:
+        call()
+    except ImportError as exc:
+        print(type(exc).__name__, type(exc.__cause__).__name__, exc)
+"""
+
+
+def test_oracle_names_the_test_extra_without_scipy():
+    out = subprocess.run([sys.executable, "-c", NO_SCIPY + ORACLE_CALLS], capture_output=True,
+                         text=True, check=True)
+    lines = out.stdout.splitlines()
+    assert len(lines) == 2
+    for line, module in zip(lines, ("scipy.integrate", "scipy.sparse")):
+        assert line.startswith("ImportError ModuleNotFoundError "), line
+        assert module in line and "cattaneo4[test]" in line, line
+
+
+def test_oracle_passes_a_broken_scipy_through(tmp_path):
+    # an installed scipy that fails on import is not reported as the missing
+    # extra: one whose compiled part is missing, one built for another numpy
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    (tmp_path / "scipy" / "integrate.py").write_text("import scipy._odepack\n")
+    (tmp_path / "scipy" / "sparse.py").write_text("raise ImportError('numpy ABI mismatch')\n")
+    code = f"import sys; sys.path.insert(0, {str(tmp_path)!r})" + ORACLE_CALLS
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.splitlines() == [
+        "ModuleNotFoundError NoneType No module named 'scipy._odepack'",
+        "ImportError NoneType numpy ABI mismatch"]
+
+
+@pytest.mark.parametrize("roots", [(-1.0, -3.0), (-0.5, -60.0), (-1 + 5j, -1 - 5j),
+                                   (-2.0, -2.0), (3.0, -5.0), (8j, -8j)],
+                         ids=["real", "stiff", "complex", "double", "growing", "centre"])
+def test_verify_matrix_exponential_matches_mpmath(roots):
+    # the generator of (1 - c lam2) y'' + a y' + b lam2 y = 0 with these roots,
+    # h = a/eps and k = b lam2/eps, eps = 1 - c lam2 (negative for "growing"),
+    # at times that put ||A t|| between 0.01 and 100
+    import mpmath as mp
+
+    from cattaneo4.cli import _expm_2x2
+
+    h, k = -(roots[0] + roots[1]).real, (roots[0] * roots[1]).real
+    gen = np.array([[0.0, 1.0], [-k, -h]])
+    norm = float(np.max(np.sum(np.abs(gen), axis=1)))
+    for size in (0.01, 0.3, 1.0, 7.0, 30.0, 100.0):
+        m = gen * (size / norm)
+        with mp.workdps(40):
+            ref = mp.expm(mp.matrix(m.tolist()))
+            want = np.array([[float(ref[i, j]) for j in range(2)] for i in range(2)])
+        scale = max(1.0, float(np.max(np.sum(np.abs(want), axis=1))))
+        assert np.max(np.abs(_expm_2x2(m) - want)) <= 1e-13 * scale, size
+
+
+def test_closed_form_row_over_seeds():
+    # the reference is exact to rounding: 6.0e-14 at worst over these seeds
+    from cattaneo4 import cli
+
+    for quick in (True, False):
+        for seed in range(200):
+            err, tol = row(cli._verify_battery(seed, quick), "closed_form_vs_expm")
+            assert err <= 1e-12 and tol == 1e-11, (seed, quick, err)
+
+
+def test_closed_form_row_fails_on_a_wrong_closed_form(monkeypatch):
+    # a closed form off by 1e-10 of its value fails the row
+    from cattaneo4 import cli, modal
+
+    exact = modal.evolve_modes
+    monkeypatch.setattr(modal, "evolve_modes",
+                        lambda *args: (exact(*args)[0] * (1 + 1e-10),) + exact(*args)[1:])
+    err, tol = row(cli._verify_battery(7, True), "closed_form_vs_expm")
+    assert err > tol
 
 
 def test_spectrum_roundtrip(tmp_path):
@@ -179,15 +295,12 @@ def test_verify_lift_row_checks_the_identity_in_double(monkeypatch):
     # off by 5e-8 (the same traces) fails it
     from cattaneo4 import boundary, cli
 
-    def row(checks):
-        return next((err, tol) for name, err, tol in checks if name == "dirichlet_map_residual")
-
-    err, tol = row(cli._verify_battery(7, True))
+    err, tol = row(cli._verify_battery(7, True), "dirichlet_map_residual")
     assert err <= 1e-13 and tol == 1e-10
     exact = boundary.dirichlet_map_interval
     monkeypatch.setattr(boundary, "dirichlet_map_interval",
                         lambda c, L, g, truncation=64: exact(c * (1 + 1e-7), L, g, truncation))
-    err, tol = row(cli._verify_battery(7, True))
+    err, tol = row(cli._verify_battery(7, True), "dirichlet_map_residual")
     assert err > tol
 
 
@@ -232,8 +345,9 @@ def test_help_exits_zero():
 
 # The eleven README commands, then a box spectrum, the other side of the
 # whole-line scan and the README boundary run under the other CLI signals.  Each digest is the sha256 of the summary line and the CSV
-# bytes, recorded with the numpy and scipy versions that CI pins; a change
-# that moves any README table must update its digest and say why.
+# bytes, recorded with the numpy version that CI pins (no command uses
+# scipy); a change that moves any README table must update its digest and
+# say why.
 README_COMMANDS = [
     ("spectrum --L pi --N 16",
      "c1324d160b2be2a379566c8f61e47ef35231cf8ce9890ecccff66e388ece39f1"),
@@ -258,7 +372,7 @@ README_COMMANDS = [
     ("wholeline --a 1 --b 1 --c 0.25 --t 1 --j-min 1 --j-max 20",
      "7f55deb98a572c97195a9d1041ffa4d8cde32ff6243614b6e384d495a24b1a06"),
     ("verify --seed 7",
-     "6360f37721a42b835d28053149854f781c93184e49b67ce69e5d59d1ef068369"),
+     "3c060146522abd041ad51508562eab30ff515643b813dfefa71dc673412ee12f"),
     ("spectrum --lengths pi,pi --N 20",
      "f713ab8042258b41f88b0e111e971548c0e5ce1949415e3d000544761d43a9b0"),
     ("wholeline --a 1 --b 1 --c 0.25 --t 1 --j-min 1 --j-max 20 --side below",
@@ -288,9 +402,6 @@ def test_readme_commands_are_frozen(tmp_path, monkeypatch, capsys):
     assert len(readme) == 11
     assert readme == [cmd for cmd, _ in README_COMMANDS[:11]]
     monkeypatch.chdir(tmp_path)
-    for cmd, digest in README_COMMANDS:
+    for cmd, want in README_COMMANDS:
         assert main(cmd.split()) == 0, cmd
-        summary = capsys.readouterr().out
-        out = summary.rsplit("-> ", 1)[1].strip()
-        blob = summary.encode("utf-8") + (tmp_path / out).read_bytes()
-        assert hashlib.sha256(blob).hexdigest() == digest, cmd
+        assert digest(capsys.readouterr().out, tmp_path) == want, cmd

@@ -14,6 +14,7 @@ of 5 calls and its own peak RSS.  The layers:
 * ``propagation_cli``: the README's ``propagation`` command as a cold
   ``python -m cattaneo4`` process, interpreter start and import included,
   timed from outside; its peak RSS is that of the command;
+* ``verify_cli``: ``verify --seed 7`` the same way; its "size" is the seed;
 * ``evolve_with_boundary`` on the stiff case of the ``boundary`` benchmark
   workload (a = 2, b = 1, c = 0.003, g = (1, 0), f = sin 3t, zero data) at
   t = 0.8, the exact convolution (no quadrature nodes), N = 1e3, 1e4, 1e5;
@@ -27,8 +28,7 @@ compensated-sum path; linear for ``propagation_burst`` and
 ``evolve_with_boundary``, whose boundary convolution is O(N) per time, and for
 ``check_wellposed``, whose bound is a spectrum built from cold): past 60 s
 the size is recorded as ``"skipped: > 60 s"`` and not run, and past 1 s it
-is timed by one call.  Mind the memory: the compensated-sum
-``reconstruct`` holds (npts, N) tables, about 6 GB at N = 1e4.
+is timed by one call.
 
     python3 tools/bench_sampling.py --src parent=../parent/src --src change=src
 
@@ -51,12 +51,15 @@ LAYERS = {
     "reconstruct": ((1000, 10000, 100000), 2),
     "propagation_burst": ((256, 1000, 10000), 1),
     "propagation_cli": ((256,), 1),
+    "verify_cli": ((7,), 1),
     "evolve_with_boundary": ((1000, 10000, 100000), 1),
     "check_wellposed": ((1000, 10000, 100000), 1),
 }
-PROPAGATION = ["propagation", "--a", "3", "--b", "1", "--c", "0.5", "--L", "pi",
-               "--g0", "1", "--g1", "0", "--T", "0.05", "--n-max-exp", "12",
-               "--sub-lo", "1", "--sub-hi", "2"]
+# the command of each CLI layer, completed by its size
+CLI = {"propagation_cli": ["propagation", "--a", "3", "--b", "1", "--c", "0.5", "--L", "pi",
+                           "--g0", "1", "--g1", "0", "--T", "0.05", "--n-max-exp", "12",
+                           "--sub-lo", "1", "--sub-hi", "2", "--N"],
+       "verify_cli": ["verify", "--seed"]}
 
 CHILD = r"""
 import json, math, os, resource, statistics, subprocess, sys, tempfile, time
@@ -64,10 +67,11 @@ import numpy as np
 
 n, repeats, layer = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
 times = []
-if layer == "propagation_cli":
+cli = json.loads(sys.argv[4])
+if layer in cli:
     with tempfile.TemporaryDirectory() as tmp:
-        argv = [sys.executable, "-m", "cattaneo4", *json.loads(sys.argv[4]), "--N", str(n),
-                "--out", os.path.join(tmp, "propagation.csv")]
+        argv = [sys.executable, "-m", "cattaneo4", *cli[layer], str(n),
+                "--out", os.path.join(tmp, "out.csv")]
         for _ in range(repeats):
             t0 = time.perf_counter()
             subprocess.run(argv, check=True, capture_output=True)
@@ -110,7 +114,7 @@ def measure(src: str, n: int, repeats: int, layer: str) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     out = subprocess.run([sys.executable, "-c", CHILD, str(n), str(repeats), layer,
-                          json.dumps(PROPAGATION)],
+                          json.dumps(CLI)],
                          env=env, capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
 
