@@ -18,7 +18,9 @@ The variation-of-constants formula
     W(t) = E(t) W(0) + int_0^t E(t-s) D_n q(s) ds,   E(t) = exp(A t),
 
 is evaluated exactly.  E(t) is the closed 2x2 form of ``modal.propagator``
-(``modal._factors``).  q is again an exponential polynomial, so on each
+(``modal._factors``), and ``modal._finish`` finishes W as it does in the
+homogeneous evolution: scaled, subnormal data rescued, saturated past e^700.
+q is again an exponential polynomial, so on each
 piece [s_a, s_b] of the signal, length l, every term r^j e^{sigma r}
 integrates to j! l^{j+1} F(A l) (0, 1), F(z) = exp[c, ..., c, z] with j + 1
 copies of the node c = sigma l: a phi-function of (A - sigma I) l
@@ -59,11 +61,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ExceptionalParameterError
-from .modal import (ParameterSet, _check_positive, _digits_kept, _factors, _roots,
+from .modal import (ParameterSet, _check_positive, _factors, _finish, _product, _roots,
                     is_degenerate)
 from .solver import Field
 from .spectrum import BasisDescriptor, _interval_neighbours, spectrum
-from .util import scaled_exp
 
 # mild_solution_check: internal step of the five-point second difference,
 # and the bound on its residual.
@@ -491,11 +492,10 @@ def evolve_with_boundary(blocks: BoundaryOperator, theta0: Field, theta1: Field,
     with W = (theta_n, theta_n'), D_n = (0, d_n) and E(t) = exp(A t).  The
     integral is evaluated in closed form, piece by piece of the signal, from
     divided differences of exp (``_convolution``); there is no quadrature.
-    Each mode's dominant exponent is kept out of the sums and applied last,
-    so values beyond the e^700 range saturate to +/-inf with the flag set.
-    Subnormal data keep their digits: where a scaled value would lose them,
-    the power of two at the mode's largest datum is factored out, as
-    ``modal._state`` does.
+    Each mode's dominant exponent is kept out of the sums and applied last
+    by ``modal._finish``, the finish of ``modal.evolve_modes``: values beyond
+    the e^700 range saturate to +/-inf with the flag set, and subnormal data
+    keep their digits.
     """
     theta, dtheta, sat = _evolve_signals(blocks, theta0, theta1, [signal], float(t))[0]
     return (Field(theta0.basis, theta, sat.copy()), Field(theta0.basis, dtheta, sat.copy()))
@@ -524,7 +524,7 @@ def _evolve_signals(blocks: BoundaryOperator, theta0: Field, theta1: Field,
         if not np.all((0.0 <= t) & (t <= signal.T * (1 + 1e-12))):
             raise ValueError(f"t={t} outside the signal horizon [0, {signal.T}]")
     times = t.reshape(-1, 1)
-    h, k, d = blocks.h, blocks.k, blocks.d
+    h, k = blocks.h, blocks.k
     alpha, beta = theta0.coefficients, theta1.coefficients
     _, r_plus, r_minus, freq = _roots(1.0, h, -k)
     first = r_plus >= r_minus
@@ -562,7 +562,7 @@ def _evolve_signals(blocks: BoundaryOperator, theta0: Field, theta1: Field,
                 phase = np.exp(1j * w.imag)
                 u1, u2, log = (phase * v1).real, (phase * v2).real, w.real + rho
                 if ends_early:
-                    u1, u2 = f0 * u1 + f1 * u2, f0 * u2 + f1 * (k * u1 - h * u2)
+                    u1, u2 = _product(f0, f1, k, -h, u1, u2)
                     log = log + log_tau
                 if not live.all():
                     u1, u2 = np.where(live, u1, 0.0), np.where(live, u2, 0.0)
@@ -574,9 +574,8 @@ def _evolve_signals(blocks: BoundaryOperator, theta0: Field, theta1: Field,
 
 def _combine(blocks: BoundaryOperator, alpha, beta, e0, e1, log_e, parts, times, shape):
     """(theta, theta', saturated) from the scaled homogeneous factors and the
-    scaled signal parts: shift = the largest log-scale of each entry is
-    kept out of the sums and applied last by ``scaled_exp``."""
-    h, k, d = blocks.h, blocks.k, blocks.d
+    scaled signal parts: shift = the largest log-scale of each entry is kept
+    out of the sums, and ``modal._finish`` applies it last."""
     shift = log_e
     for _, _, log in parts:
         shift = np.maximum(shift, log)
@@ -587,32 +586,13 @@ def _combine(blocks: BoundaryOperator, alpha, beta, e0, e1, log_e, parts, times,
         for u1, u2, log in parts:
             lift = np.exp(log - shift)
             p1, p2 = p1 + u1 * lift, p2 + u2 * lift
-
-    def values(alpha, beta, d, p1, p2):
-        return (e0 * alpha + e1 * beta + d * p1,
-                e0 * beta + e1 * (k * alpha - h * beta) + d * p2)
-
-    v1, v2 = values(alpha, beta, d, p1, p2)
-    exponent = None
-    if not (_digits_kept(v1) and _digits_kept(v2)):
-        # factor out the power of two at each mode's largest datum, theta or
-        # d q (Higham, Accuracy and Stability, 2nd ed., 2.1): theta enters
-        # times 2^-e, d times 2^-e_d and the signal part times 2^-e_f, e_d +
-        # e_f = e, which scales v1 and v2 by 2^-e; where d = 0 the signal
-        # part vanishes and is left as it is
-        exponent = np.frexp(np.maximum(np.maximum(np.abs(alpha), np.abs(beta)),
-                                       np.abs(d) * np.maximum(np.abs(p1), np.abs(p2))))[1]
-        e_d = np.frexp(d)[1]
-        e_f = np.where(d != 0.0, exponent - e_d, 0)
-        v1, v2 = values(np.ldexp(alpha, -exponent), np.ldexp(beta, -exponent),
-                        np.ldexp(d, -e_d), np.ldexp(p1, -e_f), np.ldexp(p2, -e_f))
-    theta, s1 = scaled_exp(v1, shift, exponent)
-    dtheta, s2 = scaled_exp(v2, shift, exponent)
+    theta, dtheta, sat, _ = _finish(e0, e1, shift, blocks.k, -blocks.h, alpha, beta,
+                                    (blocks.d, p1, p2))
     at_zero = times == 0.0   # the data, exactly
     theta = np.where(at_zero, alpha, theta)
     dtheta = np.where(at_zero, beta, dtheta)
-    sat = (s1 | s2) & ~at_zero
-    out_shape = (*shape, len(d))
+    sat = sat & ~at_zero
+    out_shape = (*shape, len(blocks.d))
     return theta.reshape(out_shape), dtheta.reshape(out_shape), sat.reshape(out_shape)
 
 

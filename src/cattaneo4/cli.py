@@ -240,52 +240,48 @@ def _expm_2x2(m: np.ndarray) -> np.ndarray:
     return total
 
 
-def _verify_battery(seed: int, quick: bool):
-    rng = np.random.default_rng(seed)
-    n_draws = 5 if quick else 20
-    checks = []
+def _modes(rng, count, ranges=((0.5, 3.0), (0.2, 2.0), (0.05, 2.0), (0.5, 9.0)), gap=0.05):
+    """count draws of (a, b, c, lam_sq) in ``ranges``; those with |1 - c lam_sq| >= gap."""
+    for _ in range(count):
+        a, b, c, lam_sq = (rng.uniform(lo, hi) for lo, hi in ranges)
+        if abs(1.0 - c * lam_sq) >= gap:
+            yield a, b, c, lam_sq
 
+
+def _interval_spectrum_exact(rng, n_draws):
     lam = spectrum.spectrum(spectrum.BasisDescriptor(1, (math.pi,), 16)).lambda_sq
-    err = max(abs(l - n * n) for n, l in enumerate(lam.tolist(), start=1))
-    checks.append(("interval_spectrum_exact", err, 0.0))
+    return ("interval_spectrum_exact",
+            max(abs(l - n * n) for n, l in enumerate(lam.tolist(), start=1)), 0.0)
 
+
+def _box_spectrum_sorted(rng, n_draws):
     box = spectrum.spectrum(spectrum.BasisDescriptor(2, (math.pi, math.pi), 32)).lambda_sq
-    err = 0.0 if np.all(box[:-1] <= box[1:]) else 1.0
-    checks.append(("box_spectrum_sorted", err, 0.0))
+    return "box_spectrum_sorted", 0.0 if np.all(box[:-1] <= box[1:]) else 1.0, 0.0
 
+
+def _characteristic_root_identity(rng, n_draws):
     worst = 0.0
-    for _ in range(n_draws * 4):
-        a = rng.uniform(0.5, 3.0)
-        b = rng.uniform(0.2, 2.0)
-        c = rng.uniform(0.05, 2.0)
-        lam_sq = rng.uniform(0.5, 9.0)
-        if abs(1.0 - c * lam_sq) < 0.05:
-            continue
-        p = modal.ParameterSet(a, b, c)
-        roots = modal.characteristic_roots(p, lam_sq)
+    for a, b, c, lam_sq in _modes(rng, n_draws * 4):
+        roots = modal.characteristic_roots(modal.ParameterSet(a, b, c), lam_sq)
         for mu in (roots.mu_plus, roots.mu_minus):
             res = abs((1.0 - c * lam_sq) * mu * mu + a * mu + b * lam_sq)
             scale = max(1.0, abs(mu) ** 2 * abs(1.0 - c * lam_sq))
             worst = max(worst, res / scale)
-    checks.append(("characteristic_root_identity", worst, 1e-10))
+    return "characteristic_root_identity", worst, 1e-10
 
+
+def _eval_t0_round_trip(rng, n_draws):
     worst = 0.0
-    for _ in range(n_draws * 4):
-        a, b = rng.uniform(0.5, 3.0), rng.uniform(0.2, 2.0)
-        c, lam_sq = rng.uniform(0.05, 2.0), rng.uniform(0.5, 9.0)
-        if abs(1.0 - c * lam_sq) < 0.05:
-            continue
+    for a, b, c, lam_sq in _modes(rng, n_draws * 4):
         al, be = rng.uniform(-2, 2), rng.uniform(-2, 2)
         v, d, _ = modal.evolve_modes(modal.ParameterSet(a, b, c), lam_sq, al, be, 0.0)
         worst = max(worst, abs(float(v) - al), abs(float(d) - be))
-    checks.append(("eval_t0_round_trip", worst, 0.0))
+    return "eval_t0_round_trip", worst, 0.0
 
+
+def _modal_linearity(rng, n_draws):
     worst = 0.0
-    for _ in range(n_draws):
-        a, b = rng.uniform(0.5, 3.0), rng.uniform(0.2, 2.0)
-        c, lam_sq = rng.uniform(0.05, 2.0), rng.uniform(0.5, 9.0)
-        if abs(1.0 - c * lam_sq) < 0.05:
-            continue
+    for a, b, c, lam_sq in _modes(rng, n_draws):
         p = modal.ParameterSet(a, b, c)
         d1 = (rng.uniform(-2, 2), rng.uniform(-2, 2))
         d2 = (rng.uniform(-2, 2), rng.uniform(-2, 2))
@@ -293,14 +289,13 @@ def _verify_battery(seed: int, quick: bool):
         v1, v2, v12 = (float(modal.evolve_modes(p, lam_sq, al, be, t)[0]) for al, be in
                        (d1, d2, (d1[0] + d2[0], d1[1] + d2[1])))
         worst = max(worst, abs(v12 - (v1 + v2)) / max(1.0, abs(v12)))
-    checks.append(("modal_linearity", worst, 1e-12))
+    return "modal_linearity", worst, 1e-12
 
+
+def _closed_form_vs_expm(rng, n_draws):
     worst = 0.0
-    for _ in range(n_draws):
-        a, b = rng.uniform(0.5, 2.5), rng.uniform(0.2, 1.5)
-        c, lam_sq = rng.uniform(0.1, 1.5), rng.uniform(0.5, 6.0)
-        if abs(1.0 - c * lam_sq) < 0.1:
-            continue
+    for a, b, c, lam_sq in _modes(rng, n_draws, ((0.5, 2.5), (0.2, 1.5), (0.1, 1.5),
+                                                 (0.5, 6.0)), gap=0.1):
         p = modal.ParameterSet(a, b, c)
         data = (rng.uniform(-1, 1), rng.uniform(-1, 1))
         eps = 1.0 - c * lam_sq
@@ -309,8 +304,10 @@ def _verify_battery(seed: int, quick: bool):
             ref = float((_expm_2x2(gen * t) @ data)[0])
             value = float(modal.evolve_modes(p, lam_sq, *data, t)[0])
             worst = max(worst, abs(value - ref) / max(1.0, abs(ref)))
-    checks.append(("closed_form_vs_expm", worst, 1e-11))
+    return "closed_form_vs_expm", worst, 1e-11
 
+
+def _dirichlet_map_residual(rng, n_draws):
     # the lift is a sum of sin(x/sqrt(c)) and sin((L - x)/sqrt(c)), so in
     # exact arithmetic its second difference with step s obeys u(x + s) +
     # u(x - s) = 2 cos(s/sqrt(c)) u(x), the discrete form of u'' = -u/c with
@@ -330,11 +327,12 @@ def _verify_battery(seed: int, quick: bool):
             2.0 - 2.0 * math.cos(0.5))
         worst = max(worst, float(np.max(np.abs(residual))) / size,
                     abs(float(u(0.0)) - g[0]), abs(float(u(math.pi)) - g[1]))
-    checks.append(("dirichlet_map_residual", worst, 1e-10))
+    return "dirichlet_map_residual", worst, 1e-10
 
+
+def _block_eigenvalues(rng, n_draws):
     p = modal.ParameterSet(3.0, 1.0, 0.5)
-    basis = spectrum.BasisDescriptor(1, (math.pi,), 64)
-    blocks = bnd.build_blocks(p, basis, (1.0, 0.0))
+    blocks = bnd.build_blocks(p, spectrum.BasisDescriptor(1, (math.pi,), 64), (1.0, 0.0))
     worst = 0.0
     for blk in blocks:
         roots = modal.characteristic_roots(p, blk.lambda_sq)
@@ -343,41 +341,46 @@ def _verify_battery(seed: int, quick: bool):
         want = sorted([roots.mu_plus, roots.mu_minus], key=lambda z: (z.real, z.imag))
         for e, wv in zip(eig, want):
             worst = max(worst, abs(e - wv) / max(1.0, abs(wv)))
-    checks.append(("block_eigenvalues", worst, 1e-10))
+    return "block_eigenvalues", worst, 1e-10
 
-    rng2 = np.random.default_rng(seed + 1)
-    coeffs = rng2.normal(size=32) / (1.0 + np.arange(32.0)) ** 2
+
+def _boundary_zero_signal(rng, n_draws):
+    p = modal.ParameterSet(3.0, 1.0, 0.5)
     basis = spectrum.BasisDescriptor(1, (math.pi,), 32)
-    th0 = solver.Field(basis, coeffs)
+    th0 = solver.Field(basis, rng.normal(size=32) / (1.0 + np.arange(32.0)) ** 2)
     th1 = solver.zero_field(basis)
-    blocks = bnd.build_blocks(p, basis, (0.0, 0.0))
-    zero_signal = bnd.BoundarySignal.constant(1.0, 0.0)
-    bth, bdth = bnd.evolve_with_boundary(blocks, th0, th1, zero_signal, 0.8)
+    bth, bdth = bnd.evolve_with_boundary(bnd.build_blocks(p, basis, (0.0, 0.0)), th0, th1,
+                                         bnd.BoundarySignal.constant(1.0, 0.0), 0.8)
     hth, hdth = solver.evolve_homogeneous(p, th0, th1, 0.8)
     worst = max(float(np.max(np.abs(bth.coefficients - hth.coefficients))),
                 float(np.max(np.abs(bdth.coefficients - hdth.coefficients))))
-    checks.append(("boundary_zero_signal_matches_homogeneous", worst, 1e-10))
+    return "boundary_zero_signal_matches_homogeneous", worst, 1e-10
 
+
+def _simpson_quadratic_exact(rng, n_draws):
     vals = np.linspace(0.0, 1.0, 5) ** 2
-    err = abs(simpson(vals, 0.25) - 1.0 / 3.0)
-    checks.append(("simpson_quadratic_exact", err, 0.0))
+    return "simpson_quadratic_exact", abs(simpson(vals, 0.25) - 1.0 / 3.0), 0.0
 
-    return checks
+
+_VERIFY_ROWS = (_interval_spectrum_exact, _box_spectrum_sorted, _characteristic_root_identity,
+                _eval_t0_round_trip, _modal_linearity, _closed_form_vs_expm,
+                _dirichlet_map_residual, _block_eigenvalues, _boundary_zero_signal,
+                _simpson_quadratic_exact)
+
+
+def _verify_row(i: int, seed: int, quick: bool):
+    """Row i of ``verify``, (check, max_error, tol), drawn from default_rng([seed, i])."""
+    return _VERIFY_ROWS[i](np.random.default_rng([seed, i]), 5 if quick else 20)
 
 
 def _cmd_verify(args) -> str:
-    checks = _verify_battery(args.seed, args.quick)
-    rows = []
-    n_ok = 0
-    for name, err, tol in checks:
-        ok = err <= tol
-        n_ok += ok
-        rows.append((name, err, tol, "ok" if ok else "fail"))
+    rows = [(name, err, tol, "ok" if err <= tol else "fail") for name, err, tol in
+            (_verify_row(i, args.seed, args.quick) for i in range(len(_VERIFY_ROWS)))]
     _write_csv(args.out, ["check", "max_error", "tol", "status"], rows)
-    if n_ok != len(checks):
-        bad = ", ".join(r[0] for r in rows if r[3] == "fail")
-        raise ValueError(f"verify failed: {bad} (see {args.out})")
-    return f"verify: {n_ok}/{len(checks)} ok -> {args.out}"
+    bad = [r[0] for r in rows if r[3] == "fail"]
+    if bad:
+        raise ValueError(f"verify failed: {', '.join(bad)} (see {args.out})")
+    return f"verify: {len(rows)}/{len(rows)} ok -> {args.out}"
 
 
 def _add_common(sp, *names):
@@ -477,9 +480,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_propagation, out_default="propagation.csv")
 
     sp = sub.add_parser("wholeline", help="essential-singularity frequency scan")
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--b", type=float, required=True)
-    sp.add_argument("--c", type=float, required=True)
+    _add_common(sp, "abc")
     sp.add_argument("--t", type=float, required=True)
     sp.add_argument("--j-min", type=int, default=1)
     sp.add_argument("--j-max", type=int, default=20)
@@ -509,15 +510,10 @@ def main(argv=None) -> int:
         args.out = args.out_default
     try:
         summary = args.func(args)
-    except UnsolvableModeError as e:
+    except ValueError as e:   # the typed errors below derive from it
         print(f"error: {e}", file=sys.stderr)
-        return 3
-    except (ExceptionalParameterError, SingularParameterError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        return (3 if isinstance(e, UnsolvableModeError) else
+                2 if isinstance(e, (ExceptionalParameterError, SingularParameterError)) else 1)
     print(summary)
     return 0
 

@@ -160,8 +160,8 @@ def limit1_scan(a: float, b: float, lambda_sq: float, t: float,
     if not 0.0 <= t < math.inf:
         raise ValueError("t must be finite and nonnegative")
     c = np.asarray(list(c_values), dtype=float)
-    if not np.all((c > 0.0) & np.isfinite(c)):
-        raise ValueError("c values must be positive and finite")
+    if not (c.size and np.all((c > 0.0) & np.isfinite(c))):
+        raise ValueError("c values must not be empty and must be positive and finite")
     alpha = -a / (b * lambda_sq)
     rate = -(b * lambda_sq) / a
     eps = 1.0 - c * lambda_sq
@@ -302,6 +302,8 @@ def heat_comparison(chi: float, gamma_rho: float, sigmas, theta0: Field, theta1:
     if not math.isfinite(t):
         raise ValueError("t must be finite")
     sigmas = list(sigmas)
+    if not sigmas:
+        raise ValueError("sigmas must not be empty")
     params = [ParameterSet.from_physical(chi, sigma, gamma_rho) for sigma in sigmas]
     _, nearest, exceptional, _ = _locate([p.c for p in params], theta0.basis)
     if exceptional.any():
@@ -388,6 +390,8 @@ def singularity_scan(a: float, b: float, c: float, t: float, j_values,
         m = whole_line_mode(a, b, c, lam, 1.0, t)
         rows.append(SingularityRow(j, lam, m.r_plus, m.r_minus,
                                    m.log_abs_first, m.log_abs_second, m.flag))
+    if not rows:
+        raise ValueError("j_values must not be empty")
     return rows
 
 
@@ -471,6 +475,8 @@ def propagation_burst(p: ParameterSet, basis: BasisDescriptor, g, T: float,
     if not np.any(blocks.d):
         raise ValueError("boundary datum lifts to zero; nothing propagates")
     ns = [float(n) for n in n_values]
+    if not ns:
+        raise ValueError("n_values must not be empty")
     signals = [BoundarySignal.burst(T, n) for n in ns]   # each checks its rate
     target = _lift_mass(p.c, L, *g, lo, hi)
     zero = zero_field(basis)

@@ -22,12 +22,13 @@ naive (-a + delta) form loses all digits.
 
 ``evolve_modes`` evaluates one mode or an array of them, first-order modes
 included; ``characteristic_roots`` reports the regime of one second-order
-mode ('real_distinct', 'double' or 'complex_pair').  The gates are
-constants: a mode is first order when |1 - c lam2| <= DEGENERATE_TOL
-max(1, c lam2), its data are compatible when |beta - rate alpha| <=
-COMPAT_TOL max(1, |rate|) |alpha|, and ``solver.check_wellposed`` calls c
-near-exceptional within NEAR_TOL of a member.  ``ParameterSet`` holds (a, b,
-c) alone; ``_physical_map`` is the one map from (chi, sigma, gamma_rho).
+mode ('real_distinct', 'double' or 'complex_pair').  ``_finish`` scales,
+rescues and saturates every second-order state, ``boundary``'s included.
+The gates are constants: a mode is first order when |1 - c lam2| <=
+DEGENERATE_TOL max(1, c lam2), its data are compatible when |beta - rate
+alpha| <= COMPAT_TOL max(1, |rate|) |alpha|, and ``solver.check_wellposed``
+calls c near-exceptional within NEAR_TOL of a member.  ``ParameterSet`` holds
+(a, b, c) alone; ``_physical_map`` is the one map from (chi, sigma, gamma_rho).
 """
 
 from __future__ import annotations
@@ -239,38 +240,55 @@ def propagator(h, k, tau):
     return phi0, phi1, log_scale, log_scale > LOG_SATURATION
 
 
-def _state(r_plus, r_minus, freq, alpha, beta, t):
-    """(theta, theta', saturated, scaled) at t from (alpha, beta) for roots
-    from ``_roots``.
+def _product(phi0, phi1, k, minus_h, x, y):
+    """(phi0 I + phi1 A)(x, y) for A = [[0, 1], [k, minus_h]], elementwise."""
+    return phi0 * x + phi1 * y, phi0 * y + phi1 * (k * x + minus_h * y)
 
-    W(t) = exp(A t) W(0) with A = [[0, 1], [-r_plus r_minus, r_plus + r_minus]]
-    (for a complex pair r_plus r_minus = decay^2 + freq^2); values beyond the
-    e^700 range saturate to +/-inf with the flag set.  scaled = (value,
-    log_scale, exponent) is the scaled form theta = value 2^exponent
-    e^log_scale, finite however large log_scale is.  exponent is None unless
-    an entry would lose digits; then it is the power of two at max(|alpha|,
-    |beta|), factored out of the data as solver.field_norm does, so subnormal
-    data keep their digits (Higham, Accuracy and Stability, 2nd ed., 2.1).
-    The scaled form and the finish share one frame: returning the scaled
-    form first frees the factor arrays before the finish allocates, and the
-    C allocator then trims and refaults heap pages (20-35% slower at 2e4
-    modes, measured with the ``evolve`` benchmark workload).
+
+def _finish(phi0, phi1, log_scale, k, minus_h, alpha, beta, forcing=None):
+    """(theta, theta', saturated, scaled) of W = e^log_scale [(phi0 I + phi1 A)
+    (alpha, beta) + d (p1, p2)], A = [[0, 1], [k, minus_h]], from the scaled
+    factors of ``_factors``; without a forcing (d, p1, p2) no term is added.
+
+    Values past e^700 saturate to +/-inf with the flag set; scaled = (value,
+    log_scale, exponent) is the finite scaled form theta = value 2^exponent
+    e^log_scale.  exponent is None unless an entry would lose digits; then
+    the power of two at the largest datum, |alpha|, |beta| or |d| max(|p1|,
+    |p2|), is factored out (split between d and (p1, p2)), so subnormal data
+    keep their digits (Higham, Accuracy and Stability, 2nd ed., 2.1).  The
+    factors stay bound until both ``scaled_exp`` calls have run: freed first,
+    they let the C allocator trim and refault heap pages (20-35% slower at
+    2e4 modes, measured with the ``evolve`` benchmark workload).
     """
-    phi0, phi1, log_scale = _factors(r_plus, r_minus, freq, t)
-    k = -(r_plus * r_minus + freq * freq)
-    minus_h = r_plus + r_minus
+    def combine(alpha, beta, forcing):
+        value, deriv = _product(phi0, phi1, k, minus_h, alpha, beta)
+        if forcing is not None:
+            d, p1, p2 = forcing
+            value, deriv = value + d * p1, deriv + d * p2
+        return value, deriv
 
-    def combine(alpha, beta):
-        return phi0 * alpha + phi1 * beta, phi0 * beta + phi1 * (k * alpha + minus_h * beta)
-
-    value, deriv = combine(alpha, beta)
+    value, deriv = combine(alpha, beta, forcing)
     exponent = None
     if not (_digits_kept(value) and _digits_kept(deriv)):
-        exponent = np.frexp(np.maximum(np.abs(alpha), np.abs(beta)))[1]
-        value, deriv = combine(np.ldexp(alpha, -exponent), np.ldexp(beta, -exponent))
+        d, p1, p2 = forcing or (0.0, 0.0, 0.0)
+        exponent = np.frexp(np.maximum(np.maximum(np.abs(alpha), np.abs(beta)),
+                                       np.abs(d) * np.maximum(np.abs(p1), np.abs(p2))))[1]
+        if forcing is not None:
+            e_d = np.frexp(d)[1]
+            e_f = np.where(d != 0.0, exponent - e_d, 0)
+            forcing = np.ldexp(d, -e_d), np.ldexp(p1, -e_f), np.ldexp(p2, -e_f)
+        value, deriv = combine(np.ldexp(alpha, -exponent), np.ldexp(beta, -exponent), forcing)
     theta, s1 = scaled_exp(value, log_scale, exponent)
     dtheta, s2 = scaled_exp(deriv, log_scale, exponent)
     return theta, dtheta, s1 | s2, (value, log_scale, exponent)
+
+
+def _state(r_plus, r_minus, freq, alpha, beta, t):
+    """``_finish`` of W(t) = exp(A t) (alpha, beta) for roots from ``_roots``:
+    A = [[0, 1], [-r_plus r_minus - freq^2, r_plus + r_minus]]."""
+    phi0, phi1, log_scale = _factors(r_plus, r_minus, freq, t)
+    return _finish(phi0, phi1, log_scale, -(r_plus * r_minus + freq * freq),
+                   r_plus + r_minus, alpha, beta)
 
 
 def _mode_value(leading, damping, stiffness, alpha, beta, t):

@@ -348,17 +348,29 @@ def test_block_fields_and_lift_consistency():
 
 
 def test_zero_signal_matches_homogeneous_evolution():
-    p = ParameterSet(2.0, 1.0, 0.003)
-    basis = interval_basis(8)
-    rng = np.random.default_rng(5)
-    theta0 = Field(basis, rng.normal(size=8))
-    theta1 = Field(basis, rng.normal(size=8))
-    blocks = build_blocks(p, basis, (0.0, 0.0))
-    sig = BoundarySignal.constant(2.0, 0.0)
-    th_b, dth_b = evolve_with_boundary(blocks, theta0, theta1, sig, 0.8)
-    th_h, dth_h = evolve_homogeneous(p, theta0, theta1, 0.8)
-    assert np.max(np.abs(th_b.coefficients - th_h.coefficients)) < 1e-10
-    assert np.max(np.abs(dth_b.coefficients - dth_h.coefficients)) < 1e-10
+    # both paths end in one finish: at c = (1 + 1e-4)/19^2 mode 19 grows past
+    # e^700 by t = 0.035, and both flag it alone, with the same signs of inf
+    c19 = (1 + 1e-4) / 19 ** 2
+    for c, n, times in ((0.003, 8, (0.8,)), (c19, 32, (0.035, 0.5))):
+        p = ParameterSet(2.0, 1.0, c)
+        basis = interval_basis(n)
+        rng = np.random.default_rng(5)
+        theta0 = Field(basis, rng.normal(size=n))
+        theta1 = Field(basis, rng.normal(size=n))
+        blocks = build_blocks(p, basis, (0.0, 0.0))
+        sig = BoundarySignal.constant(2.0, 0.0)
+        flagged = [18] if c == c19 else []
+        for t in times:
+            for b, h in zip(evolve_with_boundary(blocks, theta0, theta1, sig, t),
+                            evolve_homogeneous(p, theta0, theta1, t)):
+                for f in (b, h):
+                    assert np.flatnonzero(f.saturated).tolist() == flagged, (c, t)
+                    assert np.flatnonzero(np.isinf(f.coefficients)).tolist() == flagged
+                assert np.array_equal(b.coefficients[flagged], h.coefficients[flagged])
+                rest = ~h.saturated
+                want = h.coefficients[rest]
+                assert np.all(np.abs(b.coefficients[rest] - want)
+                              <= 1e-13 * np.maximum(1.0, np.abs(want))), (c, t)
 
 
 def test_formula_matches_direct_integration():

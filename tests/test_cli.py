@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import cattaneo4
+from cattaneo4 import cli
 from cattaneo4.cli import main
 
 RUN = [sys.executable, "-m", "cattaneo4"]
@@ -30,9 +31,9 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
-def row(checks, name):
-    """(max_error, tol) of the named row of a verify battery."""
-    return next((err, tol) for check, err, tol in checks if check == name)
+def row(check, seed=7, quick=True):
+    """(max_error, tol) of one verify row, the function ``check``, run alone."""
+    return cli._verify_row(cli._VERIFY_ROWS.index(check), seed, quick)[1:]
 
 
 def digest(summary, cwd):
@@ -161,23 +162,21 @@ def test_verify_matrix_exponential_matches_mpmath(roots):
 
 
 def test_closed_form_row_over_seeds():
-    # the reference is exact to rounding: 6.0e-14 at worst over these seeds
-    from cattaneo4 import cli
-
+    # the reference is exact to rounding: 8.6e-14 at worst over these seeds
     for quick in (True, False):
         for seed in range(200):
-            err, tol = row(cli._verify_battery(seed, quick), "closed_form_vs_expm")
+            err, tol = row(cli._closed_form_vs_expm, seed, quick)
             assert err <= 1e-12 and tol == 1e-11, (seed, quick, err)
 
 
 def test_closed_form_row_fails_on_a_wrong_closed_form(monkeypatch):
     # a closed form off by 1e-10 of its value fails the row
-    from cattaneo4 import cli, modal
+    from cattaneo4 import modal
 
     exact = modal.evolve_modes
     monkeypatch.setattr(modal, "evolve_modes",
                         lambda *args: (exact(*args)[0] * (1 + 1e-10),) + exact(*args)[1:])
-    err, tol = row(cli._verify_battery(7, True), "closed_form_vs_expm")
+    err, tol = row(cli._closed_form_vs_expm)
     assert err > tol
 
 
@@ -210,6 +209,23 @@ def test_wholeline_rejects_bad_parameters(tmp_path, capsys, a, c):
     assert rc == 1
     assert "must be positive and finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    "wholeline --a 1 --b 1 --c 0.25 --t 1 --j-min 5 --j-max 1",
+    "heatcmp --t 0.5 --j-max -1",
+    "propagation --a 3 --b 1 --c 0.5 --N 8 --g0 1 --g1 0 --T 0.05 --n-max-exp -1 "
+    "--sub-lo 1 --sub-hi 2",
+    "limit1 --a 1 --b 1 --lambda-sq 1 --t 0.3 --j-min 5 --j-max 1",
+], ids=["wholeline", "heatcmp", "propagation", "limit1"])
+def test_empty_ranges_exit_1_with_a_named_error(tmp_path, args):
+    # an empty scan range is an invalid argument, not a traceback or an
+    # empty table
+    out = run_cli(args.split(), cwd=tmp_path)
+    assert out.returncode == 1
+    assert out.stderr.startswith("error:") and "Traceback" not in out.stderr, out.stderr
+    assert "must not be empty" in out.stderr, out.stderr
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("gamma_rho", ["inf", "nan", "0"])
@@ -293,14 +309,14 @@ def test_verify_lift_row_checks_the_identity_in_double(monkeypatch):
     # the dirichlet_map_residual row tests the discrete form of u'' = -u/c in
     # double: the lift passes it to rounding, and a lift whose frequency is
     # off by 5e-8 (the same traces) fails it
-    from cattaneo4 import boundary, cli
+    from cattaneo4 import boundary
 
-    err, tol = row(cli._verify_battery(7, True), "dirichlet_map_residual")
+    err, tol = row(cli._dirichlet_map_residual)
     assert err <= 1e-13 and tol == 1e-10
     exact = boundary.dirichlet_map_interval
     monkeypatch.setattr(boundary, "dirichlet_map_interval",
                         lambda c, L, g, truncation=64: exact(c * (1 + 1e-7), L, g, truncation))
-    err, tol = row(cli._verify_battery(7, True), "dirichlet_map_residual")
+    err, tol = row(cli._dirichlet_map_residual)
     assert err > tol
 
 
@@ -372,7 +388,7 @@ README_COMMANDS = [
     ("wholeline --a 1 --b 1 --c 0.25 --t 1 --j-min 1 --j-max 20",
      "7f55deb98a572c97195a9d1041ffa4d8cde32ff6243614b6e384d495a24b1a06"),
     ("verify --seed 7",
-     "3c060146522abd041ad51508562eab30ff515643b813dfefa71dc673412ee12f"),
+     "d951cddb0ea739ad82475bb8b0de04d23cc2b7fa3e0519395d632cb90dcdac4f"),
     ("spectrum --lengths pi,pi --N 20",
      "f713ab8042258b41f88b0e111e971548c0e5ce1949415e3d000544761d43a9b0"),
     ("wholeline --a 1 --b 1 --c 0.25 --t 1 --j-min 1 --j-max 20 --side below",
