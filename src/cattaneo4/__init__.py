@@ -15,16 +15,14 @@ package is built around detecting, avoiding, or deliberately approaching.
 from .boundary import (BoundaryOperator, BoundarySignal, MildSolutionReport,
                        build_blocks, dirichlet_map_interval, evolve_with_boundary,
                        mild_solution_check)
-from .errors import (DegenerateModeError, DiscreteExceptionalError,
-                     ExceptionalParameterError, SingularParameterError,
-                     StiffnessError, UnsolvableModeError)
+from .errors import (DegenerateModeError, ExceptionalParameterError,
+                     SingularParameterError, UnsolvableModeError)
 from .experiments import (first_crossing, heat_comparison, limit1_reference,
                           limit1_scan, limit2_scan, limit3_scan,
                           propagation_burst, singularity_scan, whole_line_mode)
 from .modal import (CharacteristicRoots, ParameterSet, characteristic_roots,
                     evolve_modes, propagator, reference_heat_mode,
                     reference_telegraph_mode, second_order_roots)
-from .oracle import GridSolution, fd_solve, integrate_modes
 from .solver import (Field, WellPosednessReport, basis_field, check_wellposed,
                      evolve_homogeneous, field_norm, project_samples,
                      reconstruct, zero_field)
@@ -34,17 +32,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisDescriptor", "BoundaryOperator", "BoundarySignal", "CharacteristicRoots",
-    "DegenerateModeError", "DiscreteExceptionalError",
-    "ExceptionalParameterError", "Field",
-    "GridSolution", "MildSolutionReport",
-    "ParameterSet",
+    "DegenerateModeError", "ExceptionalParameterError", "Field",
+    "MildSolutionReport", "ParameterSet",
     "SingularParameterError", "Spectrum",
-    "StiffnessError", "UnsolvableModeError", "WellPosednessReport",
+    "UnsolvableModeError", "WellPosednessReport",
     "basis_field", "build_blocks", "characteristic_roots",
     "check_wellposed", "dirichlet_map_interval",
     "evolve_homogeneous", "evolve_modes", "evolve_with_boundary",
-    "fd_solve", "field_norm", "first_crossing", "heat_comparison",
-    "integrate_modes",
+    "field_norm", "first_crossing", "heat_comparison",
     "limit1_reference", "limit1_scan", "limit2_scan", "limit3_scan",
     "mild_solution_check", "project_samples",
     "propagation_burst", "propagator", "reconstruct",

@@ -49,11 +49,3 @@ class UnsolvableModeError(ValueError):
 
 class SingularParameterError(ValueError):
     """Whole-line mode evaluated at the singular frequency lambda = 1/sqrt(c)."""
-
-
-class DiscreteExceptionalError(ExceptionalParameterError):
-    """c collides with an eigenvalue of the *discrete* Laplacian in the FD oracle."""
-
-
-class StiffnessError(RuntimeError):
-    """Adaptive integrator step size underflowed; problem too stiff at this tolerance."""

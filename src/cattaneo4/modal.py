@@ -77,7 +77,11 @@ class ParameterSet:
     @classmethod
     def from_physical(cls, chi: float, sigma: float, gamma_rho: float) -> "ParameterSet":
         _check_positive(chi=chi, sigma=sigma, gamma_rho=gamma_rho)
-        return cls(*_physical_map(chi, sigma, gamma_rho))
+        try:
+            return cls(*_physical_map(chi, sigma, gamma_rho))
+        except ValueError as exc:   # e.g. a subnormal sigma overflows a = chi/sigma
+            raise ValueError(f"(chi, sigma, gamma_rho) = ({chi!r}, {sigma!r}, {gamma_rho!r}) "
+                             f"maps outside the floats: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 ``scaled_exp`` reports exponentials that exceed e^700 in magnitude as +/-inf
 with a saturation flag; tables then fall back to the log-magnitude of the
 modal kernel (``modal._mode_value``), which stays finite far beyond the float
-range.  The rest are a least-squares slope, Simpson's rule and the DST-I.
+range.  The rest are a least-squares slope, the composite Simpson weights and
+the DST-I.
 """
 
 from __future__ import annotations
@@ -79,15 +80,6 @@ def simpson_weights(n: int) -> np.ndarray:
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return w
-
-
-def simpson(values, h: float) -> float:
-    """Composite Simpson rule over uniformly spaced samples with spacing h,
-    accumulated with compensated (fsum) summation."""
-    if not h > 0.0:
-        raise ValueError("h must be positive")
-    values = np.asarray(values, dtype=float)
-    return math.fsum((simpson_weights(values.size) * values).tolist()) * h / 3.0
 
 
 def dst1(x, axis: int = -1) -> np.ndarray:

@@ -11,11 +11,10 @@ Two oracles, deliberately disjoint from the spectral machinery:
 * ``fd_solve``: Crank-Nicolson finite differences for the full PDE on a
   uniform grid, boundary signal included.
 
-Both need scipy, which is a test dependency (``pip install
-'cattaneo4[test]'``), not a dependency of the package: it is imported inside
-the functions that use it, so the package and its command line run without
-it, and a call without it raises an ImportError that names the extra.  The
-command line's ``verify`` does not use this module.
+Both need scipy, a test dependency (``pip install 'cattaneo4[test]'``).
+This module lives with the tests, which import it as ``oracle``; the package
+and its command line neither ship nor import it.  ``simpson`` is the
+composite Simpson rule that some tests integrate samples with.
 
 The integrator runs at a tenth of the requested tolerances, so the sampled
 trajectory, not only the step-wise local error, meets what the caller asked
@@ -25,13 +24,16 @@ steps themselves.
 
 from __future__ import annotations
 
-import importlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.integrate import solve_ivp
+from scipy.sparse.linalg import splu
 
-from .errors import DiscreteExceptionalError, StiffnessError
+from cattaneo4.errors import ExceptionalParameterError
+from cattaneo4.util import simpson_weights
 
 # Internal tolerances are the requested ones divided by this factor; rtol is
 # kept above the 100 eps floor below which scipy overrides it with a warning.
@@ -39,16 +41,21 @@ _TOL_MARGIN = 10.0
 _RTOL_FLOOR = 100.0 * np.finfo(float).eps
 
 
-def _scipy(module: str):
-    try:
-        return importlib.import_module(module)
-    except ModuleNotFoundError as exc:
-        # only a missing `module` or parent is the missing extra; an installed
-        # scipy that fails on import raises its own error
-        if exc.name is None or not (module + ".").startswith(exc.name + "."):
-            raise
-        raise ImportError(f"cattaneo4.oracle needs {module}, a test dependency: "
-                          "pip install 'cattaneo4[test]'") from exc
+class DiscreteExceptionalError(ExceptionalParameterError):
+    """c collides with an eigenvalue of the *discrete* Laplacian in the FD oracle."""
+
+
+class StiffnessError(RuntimeError):
+    """Adaptive integrator step size underflowed; problem too stiff at this tolerance."""
+
+
+def simpson(values, h: float) -> float:
+    """Composite Simpson rule over uniformly spaced samples with spacing h,
+    accumulated with compensated (fsum) summation."""
+    if not h > 0.0:
+        raise ValueError("h must be positive")
+    values = np.asarray(values, dtype=float)
+    return math.fsum((simpson_weights(values.size) * values).tolist()) * h / 3.0
 
 
 class Trajectory:
@@ -126,7 +133,6 @@ def integrate_modes(leading, damping, stiffness, alpha, beta, t_end: float,
         acc = -(damp * v + stiff * y[:n]) / lead
         return np.concatenate([v, np.where(second, acc, rate * v)])
 
-    solve_ivp = _scipy("scipy.integrate").solve_ivp
     y0 = np.concatenate([alpha, np.where(second, beta, required)])
     sol = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853", dense_output=True,
                     rtol=max(rel_tol / _TOL_MARGIN, _RTOL_FLOOR),
@@ -177,9 +183,6 @@ def fd_solve(p, L: float, nx: int, dt: float, T: float,
     conditioning of the factorized solve; they are not the exceptional-set
     test, which is ``modal.is_degenerate`` on the continuous spectrum.
     """
-    sparse = _scipy("scipy.sparse")
-    splu = _scipy("scipy.sparse.linalg").splu
-
     if nx < 64:
         raise ValueError("nx must be >= 64 for a meaningful comparison grid")
     if not (dt > 0.0 and T > 0.0):

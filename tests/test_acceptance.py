@@ -18,9 +18,10 @@ from cattaneo4 import (BasisDescriptor, BoundarySignal, ExceptionalParameterErro
                        UnsolvableModeError, basis_field, build_blocks,
                        characteristic_roots, dirichlet_map_interval,
                        evolve_homogeneous, evolve_modes, evolve_with_boundary,
-                       fd_solve, first_crossing, integrate_modes, limit1_scan,
+                       first_crossing, limit1_scan,
                        limit2_scan, limit3_scan, propagation_burst,
                        reconstruct, singularity_scan, zero_field)
+from oracle import fd_solve, integrate_modes
 
 PI = math.pi
 

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from cattaneo4 import (BoundarySignal, DiscreteExceptionalError, ParameterSet,
-                       StiffnessError, evolve_modes, fd_solve, integrate_modes)
-from cattaneo4.oracle import discrete_laplacian_eigenvalues
-from cattaneo4.util import simpson
+from cattaneo4 import BoundarySignal, ParameterSet, evolve_modes
+from oracle import (DiscreteExceptionalError, StiffnessError,
+                    discrete_laplacian_eigenvalues, fd_solve, integrate_modes,
+                    simpson)
 
 
 def damped_oscillator(t):
