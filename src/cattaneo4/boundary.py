@@ -61,8 +61,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ExceptionalParameterError
-from .modal import (ParameterSet, _check_positive, _factors, _finish, _product, _roots,
-                    is_degenerate)
+from .modal import (ParameterSet, _check_positive, _factors, _finish, _generator, _product,
+                    is_degenerate, second_order_roots)
 from .solver import Field
 from .spectrum import BasisDescriptor, _interval_neighbours, spectrum
 
@@ -285,7 +285,7 @@ def _lift_coefficients(c: float, L: float, g0: float, g1: float, N: int) -> np.n
     lam_sq = (n * ratio) ** 2
     signs = np.where(np.arange(1, N + 1) % 2 == 0, 1.0, -1.0)
     numer = c * scale * (n * ratio) * (g1 * signs - g0)
-    return numer / (1.0 - c * lam_sq)
+    return numer / _generator(1.0, 1.0, c, lam_sq)[0]   # (a, b) play no part
 
 
 def dirichlet_map_interval(c: float, L: float, g, truncation: int = 64):
@@ -324,8 +324,8 @@ def build_blocks(p: ParameterSet, basis: BasisDescriptor, g) -> BoundaryOperator
     L = basis.lengths[0]
     _lift_gate(p.c, L)
     lam = spectrum(basis).lambda_sq
-    eps = 1.0 - p.c * lam
-    return BoundaryOperator(lam, p.a / eps, -p.b * lam / eps,
+    leading, damping, stiffness = _generator(p.a, p.b, p.c, lam)
+    return BoundaryOperator(lam, damping / leading, -stiffness / leading,
                             _lift_coefficients(p.c, L, g0, g1, basis.truncation),
                             p.b / p.c)
 
@@ -508,10 +508,10 @@ def _evolve_signals(blocks: BoundaryOperator, theta0: Field, theta1: Field,
     of shape t.shape + (modes,) per signal, each entry bit for bit what a
     call with that signal and that time alone gives.
 
-    The eigenvalues of every block come from one ``modal._roots`` call, and
-    E(t) from one ``modal._factors`` call, shared by the signals.  A piece
-    [s_a, s_b] of a signal adds E(t - s_b) times its own integral, one
-    ``_convolution`` per rate of q on the piece.  Every step is elementwise
+    The eigenvalues of every block come from one ``modal.second_order_roots``
+    call, and E(t) from one ``modal._factors`` call, shared by the signals.
+    A piece [s_a, s_b] of a signal adds E(t - s_b) times its own integral,
+    one ``_convolution`` per rate of q on the piece.  Every step is elementwise
     over modes and times, so a time costs O(modes).
     """
     if theta0.basis != theta1.basis:
@@ -526,7 +526,7 @@ def _evolve_signals(blocks: BoundaryOperator, theta0: Field, theta1: Field,
     times = t.reshape(-1, 1)
     h, k = blocks.h, blocks.k
     alpha, beta = theta0.coefficients, theta1.coefficients
-    _, r_plus, r_minus, freq = _roots(1.0, h, -k)
+    r_plus, r_minus, freq = second_order_roots(1.0, h, -k)[2:]
     first = r_plus >= r_minus
     mu1 = np.where(first, r_plus, r_minus) + 1j * freq
     mu2 = np.where(first, r_minus, r_plus) - 1j * freq

@@ -154,6 +154,8 @@ def _cmd_boundary(args) -> str:
 def _cmd_limit1(args) -> str:
     lam_sq = args.lambda_sq
     modal._check_positive(lambda_sq=lam_sq)
+    if args.j_min < 1:
+        raise ValueError("j_min must be at least 1: c* (1 - 10^-j) is not positive for j < 1")
     c_star = 1.0 / lam_sq
     cs = [c_star * (1.0 - 10.0 ** (-j)) for j in range(args.j_min, args.j_max + 1)]
     cs += [c_star * (1.0 + 10.0 ** (-j)) for j in range(args.j_min, args.j_max + 1)]
@@ -250,7 +252,7 @@ def _modes(rng, count, ranges=((0.5, 3.0), (0.2, 2.0), (0.05, 2.0), (0.5, 9.0)),
     """count draws of (a, b, c, lam_sq) in ``ranges``; those with |1 - c lam_sq| >= gap."""
     for _ in range(count):
         a, b, c, lam_sq = (rng.uniform(lo, hi) for lo, hi in ranges)
-        if abs(1.0 - c * lam_sq) >= gap:
+        if abs(modal._generator(a, b, c, lam_sq)[0]) >= gap:
             yield a, b, c, lam_sq
 
 
@@ -269,9 +271,10 @@ def _characteristic_root_identity(rng, n_draws):
     worst = 0.0
     for a, b, c, lam_sq in _modes(rng, n_draws * 4):
         roots = modal.characteristic_roots(modal.ParameterSet(a, b, c), lam_sq)
-        for mu in (roots.mu_plus, roots.mu_minus):
-            res = abs((1.0 - c * lam_sq) * mu * mu + a * mu + b * lam_sq)
-            scale = max(1.0, abs(mu) ** 2 * abs(1.0 - c * lam_sq))
+        leading, damping, stiffness = modal._generator(a, b, c, lam_sq)
+        for mu in (complex(roots.mu_plus), complex(roots.mu_minus)):
+            res = abs(leading * mu * mu + damping * mu + stiffness)
+            scale = max(1.0, abs(mu) ** 2 * abs(leading))
             worst = max(worst, res / scale)
     return "characteristic_root_identity", worst, 1e-10
 
@@ -304,8 +307,8 @@ def _closed_form_vs_expm(rng, n_draws):
                                                  (0.5, 6.0)), gap=0.1):
         p = modal.ParameterSet(a, b, c)
         data = (rng.uniform(-1, 1), rng.uniform(-1, 1))
-        eps = 1.0 - c * lam_sq
-        gen = np.array([[0.0, 1.0], [-b * lam_sq / eps, -a / eps]])
+        leading, damping, stiffness = modal._generator(a, b, c, lam_sq)
+        gen = np.array([[0.0, 1.0], [-stiffness / leading, -damping / leading]])
         for t in (0.25, 0.7, 1.0):
             ref = float((_expm_2x2(gen * t) @ data)[0])
             value = float(modal.evolve_modes(p, lam_sq, *data, t)[0])
@@ -339,12 +342,12 @@ def _dirichlet_map_residual(rng, n_draws):
 def _block_eigenvalues(rng, n_draws):
     p = modal.ParameterSet(3.0, 1.0, 0.5)
     blocks = bnd.build_blocks(p, spectrum.BasisDescriptor(1, (math.pi,), 64), (1.0, 0.0))
+    roots = modal.characteristic_roots(p, blocks.lambda_sq)
     worst = 0.0
-    for blk in blocks:
-        roots = modal.characteristic_roots(p, blk.lambda_sq)
+    for blk, mus in zip(blocks, zip(roots.mu_plus.tolist(), roots.mu_minus.tolist())):
         mat = np.array([[0.0, 1.0], [blk.k, -blk.h]])
         eig = sorted(np.linalg.eigvals(mat), key=lambda z: (z.real, z.imag))
-        want = sorted([roots.mu_plus, roots.mu_minus], key=lambda z: (z.real, z.imag))
+        want = sorted(mus, key=lambda z: (z.real, z.imag))
         for e, wv in zip(eig, want):
             worst = max(worst, abs(e - wv) / max(1.0, abs(wv)))
     return "block_eigenvalues", worst, 1e-10

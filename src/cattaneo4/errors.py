@@ -3,8 +3,10 @@
 Every rejection that callers are expected to branch on gets its own type so
 the CLI can map it to a stable exit code:
 
-* usage / invalid-argument errors are plain ``ValueError`` (exit 1),
-* exceptional-parameter rejections raise ``ExceptionalParameterError`` (exit 2),
+* usage / invalid-argument errors are plain ``ValueError`` (exit 1), and so is
+  ``DegenerateModeError``, which ``modal.characteristic_roots`` alone raises,
+* exceptional parameters raise ``ExceptionalParameterError``, and a whole-line
+  mode at the singular frequency ``SingularParameterError`` (exit 2),
 * degenerate modes whose data violate the compatibility condition raise
   ``UnsolvableModeError`` carrying the offending mode index (exit 3).
 """
@@ -23,12 +25,9 @@ class ExceptionalParameterError(ValueError):
 
 
 class DegenerateModeError(ValueError):
-    """Raised when a second-order-only code path meets a first-order mode.
-
-    The mode with 1 - c*lambda^2 = 0 drops to first order; callers that can
-    handle it should go through ``modal.evolve_modes``, which evolves it first
-    order instead of raising.
-    """
+    """Raised by ``modal.characteristic_roots``, the one second-order-only path,
+    at a first-order mode (1 - c*lambda^2 = 0), which ``modal.evolve_modes``
+    evolves instead."""
 
     def __init__(self, message: str, mode_index: int | None = None):
         super().__init__(message)

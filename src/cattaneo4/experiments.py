@@ -48,11 +48,11 @@ import numpy as np
 
 from .boundary import BoundarySignal, _evolve_signals, build_blocks
 from .errors import ExceptionalParameterError, SingularParameterError
-from .modal import (ParameterSet, _check_positive, _mode_value, _physical_map, evolve_modes,
-                    is_degenerate, second_order_roots)
+from .modal import (ParameterSet, _check_positive, _generator, _mode_value, _physical_map,
+                    evolve_modes, is_degenerate, second_order_roots)
 from .solver import Field, _locate, zero_field
 from .spectrum import BasisDescriptor, spectrum
-from .util import fit_slope
+from .util import fit_slope, scaled_exp
 
 # Rows of the mass matrix G per block in propagation_burst: bounds its
 # (rows, modes) temporaries; every mass is the same for any block size.
@@ -164,24 +164,23 @@ def limit1_scan(a: float, b: float, lambda_sq: float, t: float,
         raise ValueError("c values must not be empty and must be positive and finite")
     alpha = -a / (b * lambda_sq)
     rate = -(b * lambda_sq) / a
-    eps = 1.0 - c * lambda_sq
+    eps, damping, stiffness = _generator(a, b, c, lambda_sq)
     exceptional = is_degenerate(c, lambda_sq)
-    delta_sq, delta, r_plus, r_minus = second_order_roots(eps, a, b * lambda_sq)
+    delta_sq, delta, r_plus, r_minus, freq = second_order_roots(eps, damping, stiffness)
     split = delta_sq > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         B = np.where(split, 4.0 * b * lambda_sq * eps * eps
                      / (delta * ((a + delta) * (a + delta))), math.nan)
     A = alpha - B
-    r_plus, r_minus = (np.where(split, r, math.nan) for r in (r_plus, r_minus))
     value, log_abs = np.empty(c.shape), np.empty(c.shape)
     saturated = np.zeros(c.shape, dtype=bool)
     second = ~exceptional
     value[second], log_abs[second], saturated[second] = _mode_value(
-        eps[second], a, b * lambda_sq, alpha, 1.0, t)
+        r_plus[second], r_minus[second], freq[second], alpha, 1.0, t)
+    r_plus, r_minus = (np.where(split, r, math.nan) for r in (r_plus, r_minus))
     if np.any(exceptional):
-        # the first-order decay alpha e^{rate t}, the same for every such c
-        p = ParameterSet(a, b, float(c[exceptional][0]))
-        value[exceptional] = evolve_modes(p, lambda_sq, alpha, 1.0, t)[0]
+        # the first-order decay alpha e^{rate t} of evolve_modes, the same for every such c
+        value[exceptional] = scaled_exp(alpha, rate * t)[0]
         log_abs[exceptional] = _log_abs_term(alpha, rate, t)
     return _scan_rows(np.arange(1, c.size + 1), c,
                       np.where(exceptional, alpha, A), np.where(exceptional, 0.0, B),
@@ -232,10 +231,12 @@ def limit2_scan(a: float, b: float, gamma: float, k_range, t: float) -> Limit2Re
         raise ExceptionalParameterError(
             f"c_{ks[i]} = {c!r} collides with exceptional member {member!r}; "
             "adjust gamma or the mode range", value=c, nearest=member)
-    eps = 1.0 - c_k * lam_sq
-    _, delta, r_plus, r_minus = second_order_roots(eps, a, b * lam_sq)
+    if len(ks) < 2:   # after the collision check, which one mode can fail
+        raise ValueError("k_range must hold at least two values for the slope fits")
+    eps, damping, stiffness = _generator(a, b, c_k, lam_sq)
+    _, delta, r_plus, r_minus, freq = second_order_roots(eps, damping, stiffness)
     amp = (1.0 / ks) * eps / delta
-    value, log_abs, saturated = _mode_value(eps, a, b * lam_sq, 0.0, 1.0 / ks, t)
+    value, log_abs, saturated = _mode_value(r_plus, r_minus, freq, 0.0, 1.0 / ks, t)
     rows = _scan_rows(ks, c_k, amp, -amp, r_plus, r_minus, value, log_abs,
                       np.where(saturated, "saturated", "ok"))
     log_k = [math.log(k) for k in ks.tolist()]
@@ -265,11 +266,10 @@ def limit3_scan(k_range, t: float) -> Limit3Result:
     sigma = 5.0 / lam_sq
     a, b, c = _physical_map(2.0, sigma, 4.0)
     alpha, beta = 1.0 / (lam_sq * lam_sq), -1.0 / (2.0 * lam_sq)
-    eps = 1.0 - c * lam_sq
-    _, _, rp, rm = second_order_roots(eps, a, b * lam_sq)
+    rp, rm, freq = second_order_roots(*_generator(a, b, c, lam_sq))[2:]
     A = (beta - alpha * rm) / (rp - rm)   # theta = A e^{rp t} + B e^{rm t}
     B = (alpha * rp - beta) / (rp - rm)
-    value, log_abs, saturated = _mode_value(eps, a, b * lam_sq, alpha, beta, t)
+    value, log_abs, saturated = _mode_value(rp, rm, freq, alpha, beta, t)
     # paper order: growing addendum first; identify by root value
     grow = rm > rp
     rows = _scan_rows(ks, sigma, np.where(grow, B, A), np.where(grow, A, B),
@@ -337,34 +337,41 @@ def whole_line_mode(a: float, b: float, c: float, lam: float, w1_hat: float,
     from data (0, w1), 'saturated' exactly where it flags |theta_hat| >
     e^700; the logs are those of the two addenda (or of the envelope).
     """
+    return _whole_line(a, b, c, np.array([lam], dtype=float), w1_hat, t)[0]
+
+
+def _whole_line(a: float, b: float, c: float, lam: np.ndarray, w1_hat: float,
+                t: float) -> list[WholeLineMode]:
+    """``whole_line_mode`` at every entry of the array ``lam``, from one root
+    solve and one ``_mode_value`` call."""
     _check_positive(a=a, b=b, c=c)
-    if not (0.0 <= lam < math.inf and math.isfinite(w1_hat)):
+    if not (np.all((0.0 <= lam) & (lam < math.inf)) and math.isfinite(w1_hat)):
         raise ValueError("lam must be finite and nonnegative, and w1_hat finite")
     if not 0.0 <= t < math.inf:
         raise ValueError("t must be finite and nonnegative")
-    lam_sq = lam * lam
-    if is_degenerate(c, lam_sq):
+    with np.errstate(over="ignore"):   # an overflow is named below
+        lam_sq = lam * lam
+        eps, damping, stiffness = _generator(a, b, c, lam_sq)
+    if not np.all(np.isfinite(eps) & np.isfinite(stiffness)):
+        raise ValueError(f"lam={float(lam.max())!r} is too large: c lam^2 or b lam^2 overflows")
+    if (singular := is_degenerate(c, lam_sq)).any():
         raise SingularParameterError(
-            f"lam={lam!r} sits at the singular frequency 1/sqrt(c)")
-    eps = 1.0 - c * lam_sq
-    delta_sq, delta, r_plus, r_minus = (
-        float(v) for v in second_order_roots(eps, a, b * lam_sq))
-    value, _, saturated = (v.item() for v in _mode_value(eps, a, b * lam_sq, 0.0, w1_hat, t))
-    flag = "saturated" if saturated else "ok"
-    if delta_sq <= 0.0:
-        # conjugate pair r_plus +/- i delta/(2 eps) or a double root (eps > 0 here)
-        if delta_sq < 0.0:  # bounded by the envelope 2 |coeff| e^{r_plus t}
-            coeff = abs(eps * w1_hat / delta)
-            logmag = math.log(2.0 * coeff) + r_plus * t if coeff else -math.inf
-        else:  # w1 t e^{r_plus t}
-            coeff = abs(w1_hat)
-            logmag = _log_abs_term(w1_hat * t, r_plus, t)
-        return WholeLineMode(lam, eps, delta_sq, coeff, r_plus, r_plus, value,
-                             logmag, logmag, True, flag)
-    coeff = eps * w1_hat / delta
-    return WholeLineMode(lam, eps, delta_sq, coeff, r_plus, r_minus, value,
-                         _log_abs_term(coeff, r_plus, t),
-                         _log_abs_term(-coeff, r_minus, t), False, flag)
+            f"lam={float(lam[np.argmax(singular)])!r} sits at the singular frequency 1/sqrt(c)")
+    roots = second_order_roots(eps, damping, stiffness)
+    value, _, saturated = _mode_value(*roots[2:], 0.0, w1_hat, t)
+    # x is the factor of e^{r t} in each log column: coeff for real roots, the envelope
+    # 2 |coeff| of a complex pair (eps > 0), w1 t of a double root; its log is math.log's,
+    # row by row, whose last bits np.log does not always give
+    pair, osc = roots.delta_sq < 0.0, roots.delta_sq <= 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = eps * w1_hat / roots.delta
+    coeff = np.where(pair, np.abs(ratio), np.where(osc, abs(w1_hat), ratio))
+    x = np.where(pair, 2.0 * coeff, np.where(osc, w1_hat * t, coeff))
+    columns = (lam, eps, roots.delta_sq, coeff, roots.r_plus, roots.r_minus, value, x, osc,
+               saturated)
+    return [WholeLineMode(lm, e, d, k, rp, rm, v, _log_abs_term(xi, rp, t),
+                          _log_abs_term(xi, rm, t), o, "saturated" if s else "ok")
+            for lm, e, d, k, rp, rm, v, xi, o, s in zip(*(col.tolist() for col in columns))]
 
 
 def singularity_scan(a: float, b: float, c: float, t: float, j_values,
@@ -374,25 +381,23 @@ def singularity_scan(a: float, b: float, c: float, t: float, j_values,
     From above (lam > 1/sqrt(c), eps < 0) the fast exponential grows without
     bound as j increases; from below it collapses to zero while its exponent
     magnitude diverges.  Log-magnitudes stay meaningful long after the values
-    saturate.
+    saturate.  All rows are one call of ``_whole_line``.
     """
     if side not in ("above", "below"):
         raise ValueError("side must be 'above' or 'below'")
     _check_positive(c=c)
-    lam_star = 1.0 / math.sqrt(c)
-    rows = []
-    for j in j_values:
-        j = int(j)
-        offset = 2.0 ** (-j)
-        lam = lam_star + offset if side == "above" else lam_star - offset
-        if lam <= 0.0:
-            raise ValueError(f"offset 2^-{j} pushes lam below zero")
-        m = whole_line_mode(a, b, c, lam, 1.0, t)
-        rows.append(SingularityRow(j, lam, m.r_plus, m.r_minus,
-                                   m.log_abs_first, m.log_abs_second, m.flag))
-    if not rows:
+    js = [int(j) for j in j_values]
+    if not js:
         raise ValueError("j_values must not be empty")
-    return rows
+    if min(js) < -1023:
+        raise ValueError(f"j = {min(js)} is below -1023: the offset 2^{-min(js)} overflows")
+    offset = np.array([2.0 ** (-j) for j in js])
+    lam = 1.0 / math.sqrt(c) + (offset if side == "above" else -offset)
+    if np.any(lam <= 0.0):
+        raise ValueError(f"offset 2^{-js[int(np.argmax(lam <= 0.0))]} pushes lam below zero")
+    return [SingularityRow(j, m.lam, m.r_plus, m.r_minus, m.log_abs_first,
+                           m.log_abs_second, m.flag)
+            for j, m in zip(js, _whole_line(a, b, c, lam, 1.0, t))]
 
 
 def _cos_integrals(k, lo: float, hi: float, center: float = 0.0):

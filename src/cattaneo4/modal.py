@@ -20,10 +20,12 @@ Root formulas are arranged to avoid cancellation: r_plus is computed as
 -2 b lam2 / (a + delta), which is exact in the limit delta -> a where the
 naive (-a + delta) form loses all digits.
 
-``evolve_modes`` evaluates one mode or an array of them, first-order modes
-included; ``characteristic_roots`` reports the regime of one second-order
-mode ('real_distinct', 'double' or 'complex_pair').  ``_finish`` scales,
-rescues and saturates every second-order state, ``boundary``'s included.
+``_generator`` forms a mode's quadratic (1 - c lam2, a, b lam2), the one place
+that does; ``second_order_roots`` solves it once, elementwise, into a
+``CharacteristicRoots`` record.  ``evolve_modes`` evaluates one mode or an
+array of them, first-order modes included; ``characteristic_roots`` gives
+the record of second-order modes and their regime, elementwise.  ``_finish``
+scales, rescues and saturates every second-order state, ``boundary``'s included.
 The gates are constants: a mode is first order when |1 - c lam2| <=
 DEGENERATE_TOL max(1, c lam2), its data are compatible when |beta - rate
 alpha| <= COMPAT_TOL max(1, |rate|) |alpha|, and ``solver.check_wellposed``
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,40 +87,21 @@ class ParameterSet:
                              f"maps outside the floats: {exc}") from None
 
 
-@dataclass(frozen=True)
-class CharacteristicRoots:
-    """Roots of one second-order mode's characteristic polynomial, tagged by regime."""
-
-    kind: str  # 'real_distinct' | 'double' | 'complex_pair'
-    mu_plus: complex
-    mu_minus: complex
-
-    @property
-    def r_plus(self) -> float:
-        return self.mu_plus.real
-
-    @property
-    def r_minus(self) -> float:
-        return self.mu_minus.real
-
-    @property
-    def decay(self) -> float:
-        return self.mu_plus.real
-
-    @property
-    def frequency(self) -> float:
-        return abs(self.mu_plus.imag)
-
-
 def is_degenerate(c: float, lambda_sq):
     """Whether |1 - c lam2| <= DEGENERATE_TOL max(1, c lam2), elementwise.
 
     A mode inside the gate is first order.  ``evolve_modes``,
-    ``characteristic_roots``, ``solver.check_wellposed`` and
-    ``experiments.limit1_scan`` all decide with this one test.
+    ``characteristic_roots``, ``solver.check_wellposed``,
+    ``boundary._lift_gate``, ``experiments.limit1_scan`` and
+    ``experiments._whole_line`` all decide with this one test.
     """
-    c_lam = c * np.asarray(lambda_sq, dtype=float)
-    return np.abs(1.0 - c_lam) <= DEGENERATE_TOL * np.maximum(1.0, c_lam)
+    lam = np.asarray(lambda_sq, dtype=float)
+    return np.abs(_generator(1.0, 1.0, c, lam)[0]) <= DEGENERATE_TOL * np.maximum(1.0, c * lam)
+
+
+def _generator(a, b, c, lambda_sq):
+    """(1 - c lam2, a, b lam2), elementwise: the one place a mode's quadratic is formed."""
+    return 1.0 - c * lambda_sq, a, b * lambda_sq
 
 
 def _compatible(rate, alpha, beta):
@@ -133,19 +117,37 @@ def _compatible(rate, alpha, beta):
                 <= COMPAT_TOL * np.maximum(1.0, np.abs(rate)) * np.abs(alpha))
 
 
-def second_order_roots(leading, damping, stiffness):
+class CharacteristicRoots(NamedTuple):
+    """Roots of leading r^2 + damping r + stiffness = 0, elementwise, from
+    ``second_order_roots``: real r_plus and r_minus with freq = 0, or the pair
+    mu_plus, mu_minus = r_plus +/- i freq with r_plus == r_minus and freq > 0;
+    ``kind`` is 'real_distinct', 'double' or 'complex_pair'."""
+
+    delta_sq: np.ndarray
+    delta: np.ndarray
+    r_plus: np.ndarray
+    r_minus: np.ndarray
+    freq: np.ndarray
+
+    kind = property(lambda self: np.where(self.delta_sq > 0.0, "real_distinct", np.where(
+        self.delta_sq < 0.0, "complex_pair", "double")))
+    mu_plus = property(lambda self: self.r_plus + 1j * self.freq)
+    mu_minus = property(lambda self: self.r_minus - 1j * self.freq)
+
+
+def second_order_roots(leading, damping, stiffness) -> CharacteristicRoots:
     """Roots of leading r^2 + damping r + stiffness = 0, elementwise.
 
-    Returns ``(delta_sq, delta, r_plus, r_minus)`` with the discriminant
-    delta_sq = damping^2 - 4 stiffness leading and delta = sqrt(|delta_sq|).
-    Real distinct roots (delta_sq > 0) use the cancellation-free forms
+    Returns the record (delta_sq, delta, r_plus, r_minus, freq), delta_sq =
+    damping^2 - 4 stiffness leading and delta = sqrt(|delta_sq|).  Real
+    distinct roots (delta_sq > 0) use the cancellation-free forms
 
         r_plus = -2 stiffness / (damping + delta),
         r_minus = -(damping + delta) / (2 leading);
 
-    (-damping + delta) would lose every digit when stiffness * leading is
-    tiny.  For a double root or a complex pair both entries hold the real
-    part -damping / (2 leading); the imaginary parts are +/-delta / (2|leading|).
+    (-damping + delta) would lose every digit when stiffness * leading is tiny.
+    For a double root or a complex pair both entries hold the real part
+    -damping / (2 leading), and freq = delta / (2|leading|) (0 for real roots).
     Rows with damping < 0 are negated first, which keeps the roots and keeps
     damping + delta free of cancellation.
     """
@@ -160,17 +162,8 @@ def second_order_roots(leading, damping, stiffness):
         r_plus = np.where(real, -2.0 * stiffness / (damping + delta),
                           -damping / (2.0 * leading))
         r_minus = -(damping + np.where(real, delta, 0.0)) / (2.0 * leading)
-    return delta_sq, delta, r_plus, r_minus
-
-
-def _roots(leading, damping, stiffness):
-    """``(delta_sq, r_plus, r_minus, freq)`` of leading r^2 + damping r +
-    stiffness = 0, elementwise: real roots with freq = 0, or the complex pair
-    r_plus +/- i freq with r_plus == r_minus and freq > 0."""
-    delta_sq, delta, r_plus, r_minus = second_order_roots(leading, damping, stiffness)
-    with np.errstate(divide="ignore", invalid="ignore"):
         freq = np.where(delta_sq < 0.0, delta / np.abs(2.0 * leading), 0.0)
-    return delta_sq, r_plus, r_minus, freq
+    return CharacteristicRoots(delta_sq, delta, r_plus, r_minus, freq)
 
 
 def _factors(r_plus, r_minus, freq, tau):
@@ -240,7 +233,7 @@ def propagator(h, k, tau):
     tau = np.asarray(tau, dtype=float)
     if np.isnan(tau).any() or (np.any(tau > 0.0) and np.any(tau < 0.0)):
         raise ValueError("tau must hold no nan and no entries of both signs")
-    phi0, phi1, log_scale = _factors(*_roots(1.0, h, -np.asarray(k, dtype=float))[1:], tau)
+    phi0, phi1, log_scale = _factors(*second_order_roots(1.0, h, -np.asarray(k, float))[2:], tau)
     return phi0, phi1, log_scale, log_scale > LOG_SATURATION
 
 
@@ -288,25 +281,24 @@ def _finish(phi0, phi1, log_scale, k, minus_h, alpha, beta, forcing=None):
 
 
 def _state(r_plus, r_minus, freq, alpha, beta, t):
-    """``_finish`` of W(t) = exp(A t) (alpha, beta) for roots from ``_roots``:
-    A = [[0, 1], [-r_plus r_minus - freq^2, r_plus + r_minus]]."""
+    """``_finish`` of W(t) = exp(A t) (alpha, beta) for ``second_order_roots``'s
+    (r_plus, r_minus, freq): A = [[0, 1], [-r_plus r_minus - freq^2, r_plus + r_minus]]."""
     phi0, phi1, log_scale = _factors(r_plus, r_minus, freq, t)
     return _finish(phi0, phi1, log_scale, -(r_plus * r_minus + freq * freq),
                    r_plus + r_minus, alpha, beta)
 
 
-def _mode_value(leading, damping, stiffness, alpha, beta, t):
-    """(theta, log|theta|, saturated) at t of the second-order modes
-    leading theta'' + damping theta' + stiffness theta = 0 from finite
-    (alpha, beta), elementwise, for leading != 0.
+def _mode_value(r_plus, r_minus, freq, alpha, beta, t):
+    """(theta, log|theta|, saturated) at t of the second-order modes (leading
+    != 0) with the roots (r_plus, r_minus, freq) of a ``second_order_roots``
+    record, from finite (alpha, beta), elementwise.
 
     theta is the value ``evolve_modes`` gives, +/-inf exactly where it
     saturates past e^700; log|theta| comes from the scaled form of
     ``_state``, so it stays finite there.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        theta, _, _, (value, log_scale, exponent) = _state(
-            *_roots(leading, damping, stiffness)[1:], alpha, beta, t)
+        theta, _, _, (value, log_scale, exponent) = _state(r_plus, r_minus, freq, alpha, beta, t)
         if exponent is not None:
             log_scale = log_scale + exponent * LN2
         return theta, np.log(np.abs(value)) + log_scale, np.isinf(theta)
@@ -320,24 +312,24 @@ def _digits_kept(v) -> bool:
                 and np.max(mag, initial=0.0) < np.inf)
 
 
-def characteristic_roots(p: ParameterSet, lambda_sq: float) -> CharacteristicRoots:
-    """Characteristic roots of the per-mode ODE at lambda_sq.
+def characteristic_roots(p: ParameterSet, lambda_sq) -> CharacteristicRoots:
+    """Characteristic roots of the per-mode ODE at lambda_sq, elementwise:
+    the ``second_order_roots`` record of its generator.
 
     Raises DegenerateModeError when |1 - c lam2| falls inside the degeneracy
-    gate; that mode is first order and ``evolve_modes`` evaluates it.
+    gate at some entry; that mode is first order and ``evolve_modes``
+    evaluates it.
     """
-    if not lambda_sq > 0.0:
+    lam = np.asarray(lambda_sq, dtype=float)
+    if not np.all(lam > 0.0):
         raise ValueError("lambda_sq must be positive")
-    leading = 1.0 - p.c * lambda_sq
-    if is_degenerate(p.c, lambda_sq):
+    leading, damping, stiffness = _generator(p.a, p.b, p.c, lam)
+    if (hit := is_degenerate(p.c, lam)).any():
+        i = int(np.argmax(hit))
         raise DegenerateModeError(
-            f"mode with lambda_sq={lambda_sq} is degenerate (1 - c lam2 = {leading:.3e}); "
-            "use evolve_modes for the first-order branch")
-    delta_sq, r_plus, r_minus, freq = (float(v) for v in _roots(leading, p.a, p.b * lambda_sq))
-    if delta_sq < 0.0:
-        return CharacteristicRoots("complex_pair", complex(r_plus, freq), complex(r_minus, -freq))
-    kind = "real_distinct" if delta_sq > 0.0 else "double"
-    return CharacteristicRoots(kind, complex(r_plus), complex(r_minus))
+            f"mode with lambda_sq={lam.flat[i]} is degenerate (1 - c lam2 = "
+            f"{leading.flat[i]:.3e}); use evolve_modes for the first-order branch")
+    return second_order_roots(leading, damping, stiffness)
 
 
 def evolve_modes(p: ParameterSet, lambda_sq, alpha, beta, t: float):
@@ -363,8 +355,7 @@ def evolve_modes(p: ParameterSet, lambda_sq, alpha, beta, t: float):
         raise ValueError("lambda_sq must be positive")
     if np.isnan(alpha).any() or np.isnan(beta).any():
         raise ValueError("modal data must not be nan")
-    leading = 1.0 - p.c * lam
-    stiffness = p.b * lam
+    leading, damping, stiffness = _generator(p.a, p.b, p.c, lam)
     degenerate = is_degenerate(p.c, lam)
     rate = -stiffness / p.a
     infinite = ~(np.isfinite(alpha) & np.isfinite(beta))
@@ -384,7 +375,9 @@ def evolve_modes(p: ParameterSet, lambda_sq, alpha, beta, t: float):
         return (alpha.copy(), np.where(degenerate, rate * alpha, beta),
                 infinite | np.zeros(lam.shape, dtype=bool))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        value, deriv, sat, _ = _state(*_roots(leading, p.a, stiffness)[1:], alpha, beta, t)
+        # the record is dropped before _state: delta_sq and delta are freed first
+        value, deriv, sat, _ = _state(*second_order_roots(leading, damping, stiffness)[2:],
+                                      alpha, beta, t)
     sat = sat | infinite
     if np.any(degenerate):
         v1, s1 = scaled_exp(alpha, rate * t)
@@ -411,5 +404,5 @@ def reference_telegraph_mode(tau: float, kappa: float, lambda_sq: float,
         raise ValueError("tau, kappa, lambda_sq must be positive")
     if not all(math.isfinite(v) for v in (*data, t)):
         raise ValueError("data and t must be finite")
-    value = _state(*_roots(tau, 1.0, kappa * lambda_sq)[1:], *data, t)[0]
+    value = _state(*second_order_roots(tau, 1.0, kappa * lambda_sq)[2:], *data, t)[0]
     return float(value)

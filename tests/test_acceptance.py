@@ -89,7 +89,7 @@ def test_criterion_02_closed_form_vs_ode_oracle():
             rate = abs(roots.r_plus)
         elif roots.kind == "complex_pair":
             counts["complex"] += 1
-            rate = abs(roots.decay)
+            rate = abs(roots.r_plus)
         else:
             assert roots.kind == "real_distinct"
             counts["real"] += 1

@@ -64,6 +64,28 @@ def test_production_modules_do_not_import_the_oracle():
     assert importlib.util.find_spec("cattaneo4.oracle") is None
 
 
+def test_only_the_generator_forms_the_mode_quadratic():
+    # 1 - c lam2 is formed in modal._generator alone: no other `1.0 - c * x`,
+    # `1.0 - p.c * x` or `1.0 - c_lam` anywhere in the package
+    def is_c(node):
+        return ((isinstance(node, ast.Name) and (node.id == "c" or node.id.startswith("c_")))
+                or (isinstance(node, ast.Attribute) and node.attr == "c"))
+
+    formed = []
+    for path in sorted(Path(cattaneo4.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {id(n): f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                  for n in ast.walk(f)}   # the innermost function wins: walk is outer first
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                    and isinstance(node.left, ast.Constant) and node.left.value == 1
+                    and (is_c(node.right) or (isinstance(node.right, ast.BinOp)
+                                              and isinstance(node.right.op, ast.Mult)
+                                              and is_c(node.right.left)))):
+                formed.append((path.name, inside.get(id(node))))
+    assert formed == [("modal.py", "_generator")]
+
+
 def test_import_does_not_load_scipy(tmp_path):
     code = ("import sys, cattaneo4; from cattaneo4.cli import main; "
             "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
@@ -188,8 +210,17 @@ def test_wholeline_rejects_bad_parameters(tmp_path, capsys, a, c):
     ("propagation --a 3 --b 1 --c 0.5 --N 8 --g0 1 --g1 0 --T 0.05 --n-max-exp 2000 "
      "--sub-lo 1 --sub-hi 2", "n_max_exp must be at most 1023"),
     ("heatcmp --t 0.5 --j-max 2000", "(chi, sigma, gamma_rho) = (2.0, 8.344026969402005e-309"),
+    ("limit2 --a 1 --b 1 --gamma 1 --k-min 4 --k-max 4 --t 0.5",
+     "k_range must hold at least two values"),
+    ("wholeline --a 1 --b 1 --c 0.25 --t 1 --j-min -2000 --j-max -1999",
+     "j = -2000 is below -1023: the offset 2^2000 overflows"),
+    ("limit1 --a 1 --b 1 --lambda-sq 1 --t 0.3 --j-min -400 --j-max -399",
+     "j_min must be at least 1"),
+    ("wholeline --a 1 --b 1 --c 0.25 --t 1 --j-min -3 --j-max 2 --side below",
+     "offset 2^3 pushes lam below zero"),
 ], ids=["wholeline", "heatcmp", "propagation", "limit1", "limit1-lambda-sq-0",
-        "spectrum-lengths", "propagation-n-max-exp", "heatcmp-sigma"])
+        "spectrum-lengths", "propagation-n-max-exp", "heatcmp-sigma", "limit2-one-value",
+        "wholeline-offset-overflow", "limit1-j-min-below-1", "wholeline-below-zero"])
 def test_empty_ranges_exit_1_with_a_named_error(tmp_path, args, message):
     # an empty scan range, or an argument that breaks the arithmetic (1/0, a
     # float overflow, a subnormal sigma, a bad length token), is an invalid

@@ -377,12 +377,56 @@ def test_whole_line_singular_frequency_gate():
         whole_line_mode(1.0, 1.0, 0.25, lam, 1.0, 1.0)
     with pytest.raises(ValueError):
         whole_line_mode(-1.0, 1.0, 0.04, 1.0, 1.0, 0.1)
-    # nan or infinite lam or w1 is invalid input, not a nan 'ok' row
+    # nan or infinite lam or w1 is invalid input, not a nan 'ok' row; so is a
+    # lam whose square leaves the float range
     for lam, w1 in ((math.nan, 1.0), (math.inf, 1.0), (-1.0, 1.0), (1.0, math.nan),
-                    (1.0, math.inf)):
+                    (1.0, math.inf), (1e200, 1.0)):
         with pytest.raises(ValueError) as exc:
             whole_line_mode(1.0, 1.0, 0.04, lam, w1, 0.1)
         assert not isinstance(exc.value, SingularParameterError)
+
+
+@pytest.mark.parametrize("side", ["above", "below"])
+def test_singularity_rows_are_whole_line_modes(side):
+    # the scan is one array pass of the path whole_line_mode takes for one
+    # frequency: every column equal bit for bit
+    rows = singularity_scan(1.0, 1.0, 0.25, 1.0, range(-3 if side == "above" else 0, 21),
+                            side=side)
+    for row in rows:
+        m = whole_line_mode(1.0, 1.0, 0.25, row.lam, 1.0, 1.0)
+        assert row.flag == m.flag
+        for got, want in ((row.r_plus, m.r_plus), (row.r_minus, m.r_minus),
+                          (row.log_abs_first, m.log_abs_first),
+                          (row.log_abs_second, m.log_abs_second)):
+            assert same_bits(got, want), (row.j, got, want)
+
+
+def test_each_scan_solves_its_quadratic_once(monkeypatch):
+    # modal._generator forms a scan's quadratic and second_order_roots solves
+    # it once for all rows; modal._mode_value takes those roots.  An exactly
+    # exceptional c (1.0 at lam2 = 1) is a first-order row with no solve.
+    from cattaneo4 import modal
+
+    calls = []
+    exact = modal.second_order_roots
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    for module in (modal, experiments):
+        monkeypatch.setattr(module, "second_order_roots", counted)
+    runs = {
+        "limit1_scan": lambda: limit1_scan(1.0, 1.0, 1.0, 0.3, [0.9, 0.999, 1.0, 1.001]),
+        "limit2_scan": lambda: limit2_scan(1.0, 1.0, 1.0, range(4, 12), 0.5),
+        "limit3_scan": lambda: limit3_scan(range(1, 8), 0.1),
+        "whole_line_mode": lambda: whole_line_mode(1.0, 1.0, 0.04, 2.0, 0.7, 0.4),
+        "singularity_scan": lambda: singularity_scan(1.0, 1.0, 0.25, 1.0, range(1, 21)),
+    }
+    for name, run in runs.items():
+        calls.clear()
+        run()
+        assert len(calls) == 1, (name, len(calls))
 
 
 def test_singularity_scan_sides():

@@ -83,6 +83,27 @@ def test_characteristic_roots_regimes():
         characteristic_roots(ParameterSet(1.0, 1.0, 0.25), 4.0)
 
 
+def test_characteristic_roots_array_call_is_the_per_mode_calls():
+    # one array call gives, entry by entry, the record of the call on that
+    # mode alone, bit for bit: real (0.1, 2, 9), double (1) and complex (0.5)
+    # modes of one parameter set; one degenerate entry raises for the call
+    p = ParameterSet(1.0, 1.0, 0.75)
+    lam2 = np.array([[0.1, 0.5, 1.0], [2.0, 9.0, 0.5]])
+    roots = characteristic_roots(p, lam2)
+    assert roots.kind.tolist() == [["real_distinct", "complex_pair", "double"],
+                                   ["real_distinct", "real_distinct", "complex_pair"]]
+    for idx in np.ndindex(lam2.shape):
+        one = characteristic_roots(p, float(lam2[idx]))
+        assert str(roots.kind[idx]) == str(one.kind)
+        for name in ("delta_sq", "delta", "r_plus", "r_minus", "freq", "mu_plus", "mu_minus"):
+            got, want = np.asarray(getattr(roots, name)[idx]), np.asarray(getattr(one, name))
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (idx, name)
+    with pytest.raises(DegenerateModeError, match="lambda_sq=4.0"):
+        characteristic_roots(ParameterSet(1.0, 1.0, 0.25), [1.0, 4.0, 9.0])
+    with pytest.raises(ValueError, match="positive"):
+        characteristic_roots(p, [1.0, 0.0])
+
+
 def test_limit3_family_roots_are_exact():
     # sigma-form family chi=2, gamma rho=4 at sigma_k = 5/k^2, mode k:
     # roots come out as exactly 2k^2 and -2k^2/5
@@ -249,7 +270,7 @@ def test_heat_reference_value():
 
 def test_telegraph_reference_roots_and_limit():
     # tau=1, kappa lam2=1: mu^2 + mu + 1 = 0 -> (-1 +- i sqrt3)/2
-    delta_sq, delta, r_plus, r_minus = second_order_roots(1.0, 1.0, 1.0)
+    delta_sq, delta, r_plus, r_minus, _ = second_order_roots(1.0, 1.0, 1.0)
     assert delta_sq < 0.0 and r_plus == r_minus == -0.5
     w = delta / 2.0
     assert w == pytest.approx(math.sqrt(3.0) / 2.0, rel=1e-14)
