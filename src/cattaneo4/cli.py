@@ -60,6 +60,13 @@ def _lengths(tokens: str) -> tuple:
     return tuple(_length(tok) for tok in tokens.split(","))
 
 
+def _coeffs(tokens: str) -> list:
+    try:
+        return [float(tok) for tok in tokens.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid coefficients {tokens!r}")
+
+
 def _cell(v) -> str:
     if isinstance(v, str):
         return v
@@ -113,6 +120,8 @@ def _cmd_exceptional(args) -> str:
 
 def _cmd_solve(args) -> str:
     p = modal.ParameterSet(args.a, args.b, args.c)
+    if not (math.isfinite(args.alpha) and math.isfinite(args.beta)):
+        raise ValueError("alpha and beta must be finite")
     basis = spectrum.BasisDescriptor(1, (args.L,), args.N)
     theta0 = solver.basis_field(basis, args.mode, args.alpha)
     theta1 = solver.basis_field(basis, args.mode, args.beta)
@@ -130,8 +139,7 @@ def _make_signal(args) -> bnd.BoundarySignal:
     if args.signal == "sin":
         return bnd.BoundarySignal.sinusoid(args.T, args.omega)
     if args.signal == "poly":
-        coeffs = [float(x) for x in args.coeffs.split(",")]
-        return bnd.BoundarySignal.polynomial(args.T, coeffs)
+        return bnd.BoundarySignal.polynomial(args.T, args.coeffs)
     if args.signal == "burst":
         return bnd.BoundarySignal.burst(args.T, args.n_rate)
     raise ValueError(f"unknown signal {args.signal!r}")
@@ -377,6 +385,8 @@ def _verify_row(i: int, seed: int, quick: bool):
 
 
 def _cmd_verify(args) -> str:
+    if args.seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {args.seed}")
     rows = [(name, err, tol, "ok" if err <= tol else "fail") for name, err, tol in
             (_verify_row(i, args.seed, args.quick) for i in range(len(_VERIFY_ROWS)))]
     _write_csv(args.out, ["check", "max_error", "tol", "status"], rows)
@@ -432,7 +442,7 @@ def build_parser() -> _Parser:
                     default="constant")
     sp.add_argument("--level", type=float, default=1.0)
     sp.add_argument("--omega", type=float, default=1.0)
-    sp.add_argument("--coeffs", default="0,1")
+    sp.add_argument("--coeffs", type=_coeffs, default="0,1")
     sp.add_argument("--n-rate", type=float, default=16.0)
     sp.add_argument("--T", type=float, required=True)
     sp.add_argument("--t", type=float, required=True)

@@ -32,10 +32,10 @@ algebraically equal to the generic variation-of-parameters coefficients but
 stable arbitrarily close to the degenerate point.
 
 The split columns are what the paper's tables report.  Values and
-log-magnitudes come from the modal kernel of ``evolve_modes``
-(``modal._mode_value``), one array call per scan.  A row is 'saturated'
-exactly where that kernel flags |theta| > e^700: its value is then +/-inf
-and its log-magnitude stays finite.
+log-magnitudes come from the mode evaluator of ``evolve_modes``
+(``modal._state``), one array call per scan; limit 1's exceptional rows are
+first-order entries of the same call.  A row is 'saturated' exactly where
+theta is +/-inf (|theta| > e^700); its log-magnitude stays finite.
 """
 
 from __future__ import annotations
@@ -48,11 +48,11 @@ import numpy as np
 
 from .boundary import BoundarySignal, _evolve_signals, build_blocks
 from .errors import ExceptionalParameterError, SingularParameterError
-from .modal import (ParameterSet, _check_positive, _generator, _mode_value, _physical_map,
-                    evolve_modes, is_degenerate, second_order_roots)
+from .modal import (ParameterSet, _check_positive, _first_order, _generator, _physical_map,
+                    _state, evolve_modes, second_order_roots)
 from .solver import Field, _locate, zero_field
 from .spectrum import BasisDescriptor, spectrum
-from .util import fit_slope, scaled_exp
+from .util import fit_slope
 
 # Rows of the mass matrix G per block in propagation_burst: bounds its
 # (rows, modes) temporaries; every mass is the same for any block size.
@@ -165,29 +165,21 @@ def limit1_scan(a: float, b: float, lambda_sq: float, t: float,
     alpha = -a / (b * lambda_sq)
     rate = -(b * lambda_sq) / a
     eps, damping, stiffness = _generator(a, b, c, lambda_sq)
-    exceptional = is_degenerate(c, lambda_sq)
+    exceptional = _first_order(eps)
     delta_sq, delta, r_plus, r_minus, freq = second_order_roots(eps, damping, stiffness)
     split = delta_sq > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         B = np.where(split, 4.0 * b * lambda_sq * eps * eps
                      / (delta * ((a + delta) * (a + delta))), math.nan)
     A = alpha - B
-    value, log_abs = np.empty(c.shape), np.empty(c.shape)
-    saturated = np.zeros(c.shape, dtype=bool)
-    second = ~exceptional
-    value[second], log_abs[second], saturated[second] = _mode_value(
-        r_plus[second], r_minus[second], freq[second], alpha, 1.0, t)
+    value, _, _, log_abs = _state(r_plus, r_minus, freq, alpha, 1.0, t, (exceptional, rate))
     r_plus, r_minus = (np.where(split, r, math.nan) for r in (r_plus, r_minus))
-    if np.any(exceptional):
-        # the first-order decay alpha e^{rate t} of evolve_modes, the same for every such c
-        value[exceptional] = scaled_exp(alpha, rate * t)[0]
-        log_abs[exceptional] = _log_abs_term(alpha, rate, t)
     return _scan_rows(np.arange(1, c.size + 1), c,
                       np.where(exceptional, alpha, A), np.where(exceptional, 0.0, B),
                       np.where(exceptional, rate, r_plus),
                       np.where(exceptional, 0.0, r_minus), value, log_abs,
                       np.where(exceptional, "exceptional",
-                               np.where(saturated, "saturated", "ok")))
+                               np.where(np.isinf(value), "saturated", "ok")))
 
 
 def limit1_reference(a: float, b: float, lambda_sq: float, t: float) -> dict:
@@ -236,9 +228,9 @@ def limit2_scan(a: float, b: float, gamma: float, k_range, t: float) -> Limit2Re
     eps, damping, stiffness = _generator(a, b, c_k, lam_sq)
     _, delta, r_plus, r_minus, freq = second_order_roots(eps, damping, stiffness)
     amp = (1.0 / ks) * eps / delta
-    value, log_abs, saturated = _mode_value(r_plus, r_minus, freq, 0.0, 1.0 / ks, t)
+    value, _, _, log_abs = _state(r_plus, r_minus, freq, 0.0, 1.0 / ks, t)
     rows = _scan_rows(ks, c_k, amp, -amp, r_plus, r_minus, value, log_abs,
-                      np.where(saturated, "saturated", "ok"))
+                      np.where(np.isinf(value), "saturated", "ok"))
     log_k = [math.log(k) for k in ks.tolist()]
     return Limit2Result(rows, fit_slope(log_k, [math.log(x) for x in r_minus.tolist()]),
                         fit_slope(log_k, [math.log(abs(x)) for x in amp.tolist()]))
@@ -249,8 +241,9 @@ def limit3_scan(k_range, t: float) -> Limit3Result:
     mapped to (a, b, c) by ``modal._physical_map`` as one array.
 
     Data theta_k(0) = 1/k^4, theta_k'(0) = -1/(2 k^2) satisfy the heat
-    compatibility 2 theta'(0) = -k^2 theta(0) exactly (checked in rational
-    arithmetic).  The closed form splits into a growing addendum with
+    compatibility 2 theta'(0) = -k^2 theta(0) exactly as rationals
+    (``heat_compat_exact``); the rounded doubles can miss it by an ulp, as
+    at k = 7, 9 and 11.  The closed form splits into a growing addendum with
     exponent 2 k^2 and coefficient -1/(24 k^4) and a decaying one with
     exponent -(2/5) k^2 and coefficient 25/(24 k^4).
     """
@@ -269,12 +262,12 @@ def limit3_scan(k_range, t: float) -> Limit3Result:
     rp, rm, freq = second_order_roots(*_generator(a, b, c, lam_sq))[2:]
     A = (beta - alpha * rm) / (rp - rm)   # theta = A e^{rp t} + B e^{rm t}
     B = (alpha * rp - beta) / (rp - rm)
-    value, log_abs, saturated = _mode_value(rp, rm, freq, alpha, beta, t)
+    value, _, _, log_abs = _state(rp, rm, freq, alpha, beta, t)
     # paper order: growing addendum first; identify by root value
     grow = rm > rp
     rows = _scan_rows(ks, sigma, np.where(grow, B, A), np.where(grow, A, B),
                       np.where(grow, rm, rp), np.where(grow, rp, rm), value, log_abs,
-                      np.where(saturated, "saturated", "ok"))
+                      np.where(np.isinf(value), "saturated", "ok"))
     exceeds = np.where(np.isfinite(value), np.abs(value) > ks, log_abs > np.log(ks))
     smallest = int(ks[np.argmax(exceeds)]) if np.any(exceeds) else None
     return Limit3Result(rows, smallest, compat_exact)
@@ -343,7 +336,7 @@ def whole_line_mode(a: float, b: float, c: float, lam: float, w1_hat: float,
 def _whole_line(a: float, b: float, c: float, lam: np.ndarray, w1_hat: float,
                 t: float) -> list[WholeLineMode]:
     """``whole_line_mode`` at every entry of the array ``lam``, from one root
-    solve and one ``_mode_value`` call."""
+    solve and one ``modal._state`` call."""
     _check_positive(a=a, b=b, c=c)
     if not (np.all((0.0 <= lam) & (lam < math.inf)) and math.isfinite(w1_hat)):
         raise ValueError("lam must be finite and nonnegative, and w1_hat finite")
@@ -354,11 +347,11 @@ def _whole_line(a: float, b: float, c: float, lam: np.ndarray, w1_hat: float,
         eps, damping, stiffness = _generator(a, b, c, lam_sq)
     if not np.all(np.isfinite(eps) & np.isfinite(stiffness)):
         raise ValueError(f"lam={float(lam.max())!r} is too large: c lam^2 or b lam^2 overflows")
-    if (singular := is_degenerate(c, lam_sq)).any():
+    if (singular := _first_order(eps)).any():
         raise SingularParameterError(
             f"lam={float(lam[np.argmax(singular)])!r} sits at the singular frequency 1/sqrt(c)")
     roots = second_order_roots(eps, damping, stiffness)
-    value, _, saturated = _mode_value(*roots[2:], 0.0, w1_hat, t)
+    value = _state(*roots[2:], 0.0, w1_hat, t)[0]
     # x is the factor of e^{r t} in each log column: coeff for real roots, the envelope
     # 2 |coeff| of a complex pair (eps > 0), w1 t of a double root; its log is math.log's,
     # row by row, whose last bits np.log does not always give
@@ -368,7 +361,7 @@ def _whole_line(a: float, b: float, c: float, lam: np.ndarray, w1_hat: float,
     coeff = np.where(pair, np.abs(ratio), np.where(osc, abs(w1_hat), ratio))
     x = np.where(pair, 2.0 * coeff, np.where(osc, w1_hat * t, coeff))
     columns = (lam, eps, roots.delta_sq, coeff, roots.r_plus, roots.r_minus, value, x, osc,
-               saturated)
+               np.isinf(value))
     return [WholeLineMode(lm, e, d, k, rp, rm, v, _log_abs_term(xi, rp, t),
                           _log_abs_term(xi, rm, t), o, "saturated" if s else "ok")
             for lm, e, d, k, rp, rm, v, xi, o, s in zip(*(col.tolist() for col in columns))]

@@ -24,8 +24,9 @@ naive (-a + delta) form loses all digits.
 that does; ``second_order_roots`` solves it once, elementwise, into a
 ``CharacteristicRoots`` record.  ``evolve_modes`` evaluates one mode or an
 array of them, first-order modes included; ``characteristic_roots`` gives
-the record of second-order modes and their regime, elementwise.  ``_finish``
-scales, rescues and saturates every second-order state, ``boundary``'s included.
+the record of second-order modes and their regime, elementwise.  ``_state``
+evaluates every mode, first or second order, for ``evolve_modes`` and the
+scans; ``_finish`` scales, rescues and saturates its states and ``boundary``'s.
 The gates are constants: a mode is first order when |1 - c lam2| <=
 DEGENERATE_TOL max(1, c lam2), its data are compatible when |beta - rate
 alpha| <= COMPAT_TOL max(1, |rate|) |alpha|, and ``solver.check_wellposed``
@@ -42,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateModeError, UnsolvableModeError
-from .util import LN2, LOG_SATURATION, scaled_exp
+from .util import LOG_SATURATION, scaled_exp
 
 # Relative width of the degeneracy gate on |1 - c lam2| (see is_degenerate).
 DEGENERATE_TOL = 1e-12
@@ -95,8 +96,14 @@ def is_degenerate(c: float, lambda_sq):
     ``boundary._lift_gate``, ``experiments.limit1_scan`` and
     ``experiments._whole_line`` all decide with this one test.
     """
-    lam = np.asarray(lambda_sq, dtype=float)
-    return np.abs(_generator(1.0, 1.0, c, lam)[0]) <= DEGENERATE_TOL * np.maximum(1.0, c * lam)
+    return _first_order(_generator(1.0, 1.0, c, np.asarray(lambda_sq, dtype=float))[0])
+
+
+def _first_order(leading):
+    """The ``is_degenerate`` gate on a formed leading = 1 - c lam2, with 1 -
+    leading for c lam2: they are equal wherever c lam2 lies in [1/2, 2]
+    (Sterbenz's lemma), and elsewhere neither gate fires short of c lam2 = inf."""
+    return np.abs(leading) <= DEGENERATE_TOL * np.maximum(1.0, 1.0 - leading)
 
 
 def _generator(a, b, c, lambda_sq):
@@ -155,10 +162,10 @@ def second_order_roots(leading, damping, stiffness) -> CharacteristicRoots:
         *(np.asarray(v, dtype=float) for v in (leading, damping, stiffness)))
     flip = np.where(damping < 0.0, -1.0, 1.0)
     leading, damping, stiffness = leading * flip, damping * flip, stiffness * flip
-    delta_sq = damping * damping - 4.0 * stiffness * leading
-    delta = np.sqrt(np.abs(delta_sq))
-    real = delta_sq > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        delta_sq = damping * damping - 4.0 * stiffness * leading
+        delta = np.sqrt(np.abs(delta_sq))
+        real = delta_sq > 0.0
         r_plus = np.where(real, -2.0 * stiffness / (damping + delta),
                           -damping / (2.0 * leading))
         r_minus = -(damping + np.where(real, delta, 0.0)) / (2.0 * leading)
@@ -243,19 +250,20 @@ def _product(phi0, phi1, k, minus_h, x, y):
 
 
 def _finish(phi0, phi1, log_scale, k, minus_h, alpha, beta, forcing=None):
-    """(theta, theta', saturated, scaled) of W = e^log_scale [(phi0 I + phi1 A)
-    (alpha, beta) + d (p1, p2)], A = [[0, 1], [k, minus_h]], from the scaled
-    factors of ``_factors``; without a forcing (d, p1, p2) no term is added.
+    """(theta, theta', saturated, log|theta|) of W = e^log_scale [(phi0 I +
+    phi1 A)(alpha, beta) + d (p1, p2)], A = [[0, 1], [k, minus_h]], from the
+    scaled factors of ``_factors``; without a forcing (d, p1, p2) no term is
+    added.
 
-    Values past e^700 saturate to +/-inf with the flag set; scaled = (value,
-    log_scale, exponent) is the finite scaled form theta = value 2^exponent
-    e^log_scale.  exponent is None unless an entry would lose digits; then
-    the power of two at the largest datum, |alpha|, |beta| or |d| max(|p1|,
-    |p2|), is factored out (split between d and (p1, p2)), so subnormal data
-    keep their digits (Higham, Accuracy and Stability, 2nd ed., 2.1).  The
-    factors stay bound until both ``scaled_exp`` calls have run: freed first,
-    they let the C allocator trim and refault heap pages (20-35% slower at
-    2e4 modes, measured with the ``evolve`` benchmark workload).
+    Values past e^700 saturate to +/-inf with the flag set; log|theta| stays
+    finite.  An entry that would lose digits (``_digits_lost``), and no
+    other, has the power of two at its largest datum, |alpha|, |beta| or |d|
+    max(|p1|, |p2|), factored out (split between d and (p1, p2)), so
+    subnormal data keep their digits (Higham, Accuracy and Stability, 2nd
+    ed., 2.1).  The factors stay bound until both ``scaled_exp`` calls have
+    run: freed first, they let the C allocator trim and refault heap pages
+    (20-35% slower at 2e4 modes, measured with the ``evolve`` benchmark
+    workload).
     """
     def combine(alpha, beta, forcing):
         value, deriv = _product(phi0, phi1, k, minus_h, alpha, beta)
@@ -266,50 +274,47 @@ def _finish(phi0, phi1, log_scale, k, minus_h, alpha, beta, forcing=None):
 
     value, deriv = combine(alpha, beta, forcing)
     exponent = None
-    if not (_digits_kept(value) and _digits_kept(deriv)):
+    if (lost := _digits_lost(value, deriv)) is not None:
         d, p1, p2 = forcing or (0.0, 0.0, 0.0)
-        exponent = np.frexp(np.maximum(np.maximum(np.abs(alpha), np.abs(beta)),
-                                       np.abs(d) * np.maximum(np.abs(p1), np.abs(p2))))[1]
+        exponent = np.where(lost, np.frexp(np.maximum(np.maximum(np.abs(alpha), np.abs(beta)),
+                                           np.abs(d) * np.maximum(np.abs(p1), np.abs(p2))))[1], 0)
         if forcing is not None:
-            e_d = np.frexp(d)[1]
+            e_d = np.where(lost, np.frexp(d)[1], 0)
             e_f = np.where(d != 0.0, exponent - e_d, 0)
             forcing = np.ldexp(d, -e_d), np.ldexp(p1, -e_f), np.ldexp(p2, -e_f)
         value, deriv = combine(np.ldexp(alpha, -exponent), np.ldexp(beta, -exponent), forcing)
-    theta, s1 = scaled_exp(value, log_scale, exponent)
-    dtheta, s2 = scaled_exp(deriv, log_scale, exponent)
-    return theta, dtheta, s1 | s2, (value, log_scale, exponent)
+    dtheta, s2 = scaled_exp(deriv, log_scale, exponent)[:2]   # its log not held over the next call
+    theta, s1, log_abs = scaled_exp(value, log_scale, exponent)
+    return theta, dtheta, s1 | s2, log_abs
 
 
-def _state(r_plus, r_minus, freq, alpha, beta, t):
-    """``_finish`` of W(t) = exp(A t) (alpha, beta) for ``second_order_roots``'s
-    (r_plus, r_minus, freq): A = [[0, 1], [-r_plus r_minus - freq^2, r_plus + r_minus]]."""
-    phi0, phi1, log_scale = _factors(r_plus, r_minus, freq, t)
-    return _finish(phi0, phi1, log_scale, -(r_plus * r_minus + freq * freq),
-                   r_plus + r_minus, alpha, beta)
+def _state(r_plus, r_minus, freq, alpha, beta, t, first_order=None):
+    """``_finish`` of W(t) = exp(A t)(alpha, beta), A = [[0, 1], [-r_plus
+    r_minus - freq^2, r_plus + r_minus]], for ``second_order_roots``'s roots.
 
-
-def _mode_value(r_plus, r_minus, freq, alpha, beta, t):
-    """(theta, log|theta|, saturated) at t of the second-order modes (leading
-    != 0) with the roots (r_plus, r_minus, freq) of a ``second_order_roots``
-    record, from finite (alpha, beta), elementwise.
-
-    theta is the value ``evolve_modes`` gives, +/-inf exactly where it
-    saturates past e^700; log|theta| comes from the scaled form of
-    ``_state``, so it stays finite there.
-    """
+    first_order = (mask, rate) marks first-order modes, theta = alpha e^{rate
+    t}: there A = 0, the factors are (1, 0), log_scale = rate t and beta =
+    rate alpha, whatever the roots hold."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        theta, _, _, (value, log_scale, exponent) = _state(r_plus, r_minus, freq, alpha, beta, t)
-        if exponent is not None:
-            log_scale = log_scale + exponent * LN2
-        return theta, np.log(np.abs(value)) + log_scale, np.isinf(theta)
+        phi0, phi1, log_scale = _factors(r_plus, r_minus, freq, t)
+        k, minus_h = -(r_plus * r_minus + freq * freq), r_plus + r_minus
+        if first_order is not None:
+            mask, rate = first_order
+            phi0, phi1, k, minus_h, log_scale, beta = (np.where(mask, v, w) for v, w in (
+                (1.0, phi0), (0.0, phi1), (0.0, k), (0.0, minus_h), (rate * t, log_scale),
+                (rate * alpha, beta)))
+        return _finish(phi0, phi1, log_scale, k, minus_h, alpha, beta)
 
 
-def _digits_kept(v) -> bool:
-    """True when every entry of v is finite and at least 2^-960 in magnitude:
-    a subnormal term then shifts it by under 2^-115 of itself."""
-    mag = np.abs(v)
-    return bool(np.min(mag, initial=np.inf) >= 2.0 ** -960
-                and np.max(mag, initial=0.0) < np.inf)
+def _digits_lost(value, deriv):
+    """None when every entry of value and deriv is finite and at least 2^-960
+    in magnitude (a subnormal term then shifts it by under 2^-115 of itself),
+    as reductions tell; else the mask of the entries where one is not."""
+    mags = np.abs(value), np.abs(deriv)
+    if all(np.min(m, initial=np.inf) >= 2.0 ** -960 and np.max(m, initial=0.0) < np.inf
+           for m in mags):
+        return None
+    return np.logical_or.reduce([~((m >= 2.0 ** -960) & (m < np.inf)) for m in mags])
 
 
 def characteristic_roots(p: ParameterSet, lambda_sq) -> CharacteristicRoots:
@@ -324,7 +329,7 @@ def characteristic_roots(p: ParameterSet, lambda_sq) -> CharacteristicRoots:
     if not np.all(lam > 0.0):
         raise ValueError("lambda_sq must be positive")
     leading, damping, stiffness = _generator(p.a, p.b, p.c, lam)
-    if (hit := is_degenerate(p.c, lam)).any():
+    if (hit := _first_order(leading)).any():
         i = int(np.argmax(hit))
         raise DegenerateModeError(
             f"mode with lambda_sq={lam.flat[i]} is degenerate (1 - c lam2 = "
@@ -356,7 +361,7 @@ def evolve_modes(p: ParameterSet, lambda_sq, alpha, beta, t: float):
     if np.isnan(alpha).any() or np.isnan(beta).any():
         raise ValueError("modal data must not be nan")
     leading, damping, stiffness = _generator(p.a, p.b, p.c, lam)
-    degenerate = is_degenerate(p.c, lam)
+    degenerate = _first_order(leading)
     rate = -stiffness / p.a
     infinite = ~(np.isfinite(alpha) & np.isfinite(beta))
     if np.any(degenerate):
@@ -374,18 +379,10 @@ def evolve_modes(p: ParameterSet, lambda_sq, alpha, beta, t: float):
     if t == 0.0:
         return (alpha.copy(), np.where(degenerate, rate * alpha, beta),
                 infinite | np.zeros(lam.shape, dtype=bool))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # the record is dropped before _state: delta_sq and delta are freed first
-        value, deriv, sat, _ = _state(*second_order_roots(leading, damping, stiffness)[2:],
-                                      alpha, beta, t)
-    sat = sat | infinite
-    if np.any(degenerate):
-        v1, s1 = scaled_exp(alpha, rate * t)
-        d1, s2 = scaled_exp(alpha * rate, rate * t)
-        value = np.where(degenerate, v1, value)
-        deriv = np.where(degenerate, d1, deriv)
-        sat = np.where(degenerate, s1 | s2, sat)
-    return value, deriv, sat
+    # the record is dropped before _state: delta_sq and delta are freed first
+    value, deriv, sat, _ = _state(*second_order_roots(leading, damping, stiffness)[2:], alpha,
+                                  beta, t, (degenerate, rate) if np.any(degenerate) else None)
+    return value, deriv, sat | infinite
 
 
 def reference_heat_mode(a: float, b: float, lambda_sq: float,

@@ -1,10 +1,9 @@
 """Small numeric helpers: the saturating exponential, deterministic reductions.
 
 ``scaled_exp`` reports exponentials that exceed e^700 in magnitude as +/-inf
-with a saturation flag; tables then fall back to the log-magnitude of the
-modal kernel (``modal._mode_value``), which stays finite far beyond the float
-range.  The rest are a least-squares slope, the composite Simpson weights and
-the DST-I.
+with a saturation flag, and their log-magnitude, which stays finite far beyond
+the float range; tables read both through ``modal._state``.  The rest are a
+least-squares slope, the composite Simpson weights and the DST-I.
 """
 
 from __future__ import annotations
@@ -20,10 +19,10 @@ LN2 = math.log(2.0)
 def scaled_exp(x, log_scale, exponent=None):
     """Elementwise x * 2^exponent * exp(log_scale) with overflow saturation.
 
-    Returns ``(value, saturated)`` arrays.  Where the log-magnitude of the
-    product exceeds ``LOG_SATURATION`` the value is +/-inf (sign of ``x``)
-    and the flag is set; otherwise the product is exact to rounding, also
-    when exp(log_scale) alone would overflow.  The optional integer
+    Returns ``(value, saturated, logmag)`` arrays, logmag the product's
+    log-magnitude.  Where it exceeds ``LOG_SATURATION`` the value is +/-inf
+    (sign of ``x``) and the flag is set; otherwise the product is exact to
+    rounding, also when exp(log_scale) alone would overflow.  The optional integer
     ``exponent`` is a power of two factored out of the data (``frexp``), so
     ``x`` keeps its digits where x * 2^exponent would be subnormal or
     overflow; where that product is a float it is used as is, exactly as
@@ -55,7 +54,7 @@ def scaled_exp(x, log_scale, exponent=None):
             in_logs = np.where(lost, ~kept, in_logs)
         saturated = logmag > LOG_SATURATION
         value = np.where(in_logs, np.copysign(np.exp(logmag), x), value)
-    return np.where(saturated, np.copysign(np.inf, x), value), saturated
+    return np.where(saturated, np.copysign(np.inf, x), value), saturated, logmag
 
 
 def fit_slope(xs, ys) -> float:

@@ -81,7 +81,7 @@ def integrate_modes(leading, damping, stiffness, alpha, beta, t_end: float,
     """DOP853 trajectories of the independent modes leading y'' + damping y'
     + stiffness y = 0, y(0) = alpha, y'(0) = beta, as one stacked system.
 
-    The arguments broadcast against each other, as in ``modal._mode_value``;
+    The arguments broadcast against each other, as in ``modal._state``;
     every entry must be finite, with damping and stiffness positive.  A row
     with leading exactly 0.0 is first order: its data must satisfy beta =
     rate alpha, rate = -stiffness/damping, and it integrates y' = v, v' =

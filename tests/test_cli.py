@@ -86,6 +86,21 @@ def test_only_the_generator_forms_the_mode_quadratic():
     assert formed == [("modal.py", "_generator")]
 
 
+def test_only_finish_calls_scaled_exp():
+    # every saturating exponential of the package, and so every mode value
+    # and log-magnitude, comes out of modal._finish
+    def calls_scaled_exp(node):
+        return isinstance(node, ast.Call) and "scaled_exp" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+    callers = set()
+    for path in sorted(Path(cattaneo4.__file__).parent.glob("*.py")):
+        for f in ast.walk(ast.parse(path.read_text())):
+            if isinstance(f, ast.FunctionDef) and any(map(calls_scaled_exp, ast.walk(f))):
+                callers.add((path.name, f.name))
+    assert callers == {("modal.py", "_finish")}
+
+
 def test_import_does_not_load_scipy(tmp_path):
     code = ("import sys, cattaneo4; from cattaneo4.cli import main; "
             "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
@@ -218,9 +233,15 @@ def test_wholeline_rejects_bad_parameters(tmp_path, capsys, a, c):
      "j_min must be at least 1"),
     ("wholeline --a 1 --b 1 --c 0.25 --t 1 --j-min -3 --j-max 2 --side below",
      "offset 2^3 pushes lam below zero"),
+    ("boundary --a 3 --b 1 --c 0.5 --N 8 --g0 1 --g1 0 --T 1 --t 1 --signal poly --coeffs x",
+     "argument --coeffs: invalid coefficients 'x'"),
+    ("verify --seed -1", "seed must be nonnegative"),
+    ("solve --a 3 --b 1 --c 0.5 --N 8 --mode 1 --alpha inf --t 0.7",
+     "alpha and beta must be finite"),
 ], ids=["wholeline", "heatcmp", "propagation", "limit1", "limit1-lambda-sq-0",
         "spectrum-lengths", "propagation-n-max-exp", "heatcmp-sigma", "limit2-one-value",
-        "wholeline-offset-overflow", "limit1-j-min-below-1", "wholeline-below-zero"])
+        "wholeline-offset-overflow", "limit1-j-min-below-1", "wholeline-below-zero",
+        "boundary-coeffs", "verify-seed", "solve-alpha-inf"])
 def test_empty_ranges_exit_1_with_a_named_error(tmp_path, args, message):
     # an empty scan range, or an argument that breaks the arithmetic (1/0, a
     # float overflow, a subnormal sigma, a bad length token), is an invalid

@@ -75,6 +75,21 @@ def test_limit1_exceptional_and_saturated_rows():
     assert math.isfinite(rows[2].log_abs_value)
 
 
+def test_limit1_rows_are_evolve_modes_values():
+    # every row is the evolve_modes value of its c, bit for bit, the exactly
+    # exceptional rows (c lam2 within 1e-12 of 1) and the saturated ones included
+    for a, b, lam_sq, t in ((1.0, 1.0, 1.0, 0.3), (2.0, 1.0, 2.0, 1.5),
+                            (0.7, 3.0, 9.0, 0.05), (3.0, 0.5, 0.3, 2.0)):
+        exact = 1.0 / lam_sq
+        cs = [exact * (1.0 + s * 10.0 ** (-j)) for s in (-1.0, 1.0) for j in range(1, 16)]
+        rows = limit1_scan(a, b, lam_sq, t, cs + [exact])
+        assert sum(row.flag == "exceptional" for row in rows) >= 4
+        for row in rows:
+            mode = (ParameterSet(a, b, row.parameter), lam_sq, -a / (b * lam_sq), 1.0, t)
+            assert same_bits(row.value_at_t, kernel_value(*mode)), row
+            assert row.flag in ("exceptional", kernel_flag(*mode)), row
+
+
 def test_limit1_exponent_sign_tracks_side():
     a, b, lam_sq = 2.0, 1.0, 2.0
     below = [(1.0 - 10.0 ** (-j)) / lam_sq for j in range(1, 7)]
@@ -403,8 +418,8 @@ def test_singularity_rows_are_whole_line_modes(side):
 
 def test_each_scan_solves_its_quadratic_once(monkeypatch):
     # modal._generator forms a scan's quadratic and second_order_roots solves
-    # it once for all rows; modal._mode_value takes those roots.  An exactly
-    # exceptional c (1.0 at lam2 = 1) is a first-order row with no solve.
+    # it once for all rows; modal._state takes those roots.  An exactly
+    # exceptional c (1.0 at lam2 = 1) is a first-order row of the same call.
     from cattaneo4 import modal
 
     calls = []

@@ -11,6 +11,7 @@ from cattaneo4 import (DegenerateModeError, ParameterSet,
                        UnsolvableModeError, characteristic_roots, evolve_modes,
                        propagator, reference_heat_mode,
                        reference_telegraph_mode, second_order_roots)
+from cattaneo4 import modal
 from cattaneo4.modal import _physical_map
 from oracle import integrate_modes
 
@@ -531,6 +532,53 @@ def test_propagator_phi1_where_gap_tau_underflows():
 
 def same_bits(x, y):
     return np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+def test_rows_do_not_depend_on_a_subnormal_neighbour():
+    # the digit rescue of modal._finish factors a power of two out of the
+    # entries that would lose digits alone, and out of no other: one mode with
+    # subnormal data put in front of 2000 generic ones leaves theta, theta',
+    # the flag and log|theta| of every other entry bit for bit, with or
+    # without a forcing d (p1, p2).  The data span 10^-150 to 10^150, d 10^+/-50
+    # and p1, p2 10^+/-200, so a power of two taken at the largest datum would
+    # push some p2 below the normal range
+    rng = np.random.default_rng(11)
+    n = 2000
+    a, b, c = rng.uniform(0.5, 3.0, n), rng.uniform(0.2, 2.0, n), rng.uniform(0.05, 2.0, n)
+    r_plus, r_minus, freq = second_order_roots(
+        *modal._generator(a, b, c, rng.uniform(0.5, 9.0, n)))[2:]
+    phi0, phi1, log_scale = modal._factors(r_plus, r_minus, freq, 0.7)
+    factors = (phi0, phi1, log_scale, -(r_plus * r_minus + freq * freq), r_plus + r_minus)
+    sizes = rng.uniform(-1.0, 1.0, (5, n)) * [[150], [150], [50], [200], [200]]
+    alpha, beta, d, p1, p2 = rng.choice([-1.0, 1.0], (5, n)) * 10.0 ** sizes
+
+    def prepend(first, x):
+        return np.concatenate(([first], x))
+
+    for forcing in (None, (d, p1, p2)):
+        alone = modal._finish(*factors, alpha, beta, forcing)
+        joined = modal._finish(*(prepend(x[0], x) for x in factors), prepend(1e-320, alpha),
+                               prepend(0.0, beta), forcing and (
+                                   prepend(1e-320, d), prepend(1.0, p1), prepend(1.0, p2)))
+        assert all(same_bits(x[1:], y) for x, y in zip(joined, alone))
+
+
+@given(st.floats(min_value=1e-6, max_value=1e12),
+       st.one_of(st.floats(min_value=-4e-12, max_value=4e-12),
+                 st.floats(min_value=-0.999, max_value=1e6)))
+@example(1.0, 0.9e-12)
+@example(1.0, -0.9e-12)
+@example(1.0, 1.1e-12)
+@example(1.0, -1.1e-12)
+@example(9.869604401089358, 1e-12)
+@settings(max_examples=300, deadline=None)
+def test_first_order_gate_is_the_degeneracy_test(lam2, gap):
+    # _first_order decides on the leading coefficient 1 - c lam2 already formed,
+    # with 1 - leading in place of c lam2: the verdicts of the defining test
+    # |1 - c lam2| <= DEGENERATE_TOL max(1, c lam2), on both sides of the gate
+    c = (1.0 + gap) / lam2
+    want = abs(1.0 - c * lam2) <= modal.DEGENERATE_TOL * max(1.0, c * lam2)
+    assert bool(modal._first_order(modal._generator(1.0, 1.0, c, lam2)[0])) == want
 
 
 def test_batch_matches_single_mode_calls():
