@@ -31,9 +31,10 @@ They are summed as a Taylor series where all nodes lie close together
 (resonance sigma = mu, a double root, a short piece) and by recurrences that
 divide by the widest gap elsewhere (``_divided_differences``), with the
 dominant exponent factored out.  A time costs O(modes); there is no
-quadrature and no node table.  The eigenvalues of A are computed once per
-operator and shared by every signal and time (``_evolve_signals``;
-``experiments.propagation_burst`` evolves all its burst rates that way).
+quadrature and no node table.  One call evolves to one time t; the
+eigenvalues of A and E(t) are computed once and shared by every signal of
+the call (``_evolve_signals``; ``experiments.propagation_burst`` evolves all
+its burst rates that way).  t = 0 returns the data.
 f'' itself stands under the integral, so a ramp of width w carries a
 rounding error of about eps/w per unit height in theta'; a ramp that ends
 where it starts in floating point is a step.
@@ -495,42 +496,47 @@ def evolve_with_boundary(blocks: BoundaryOperator, theta0: Field, theta1: Field,
     Each mode's dominant exponent is kept out of the sums and applied last
     by ``modal._finish``, the finish of ``modal.evolve_modes``: values beyond
     the e^700 range saturate to +/-inf with the flag set, and subnormal data
-    keep their digits.
+    keep their digits.  t = 0 returns the data, flagged where they are not
+    finite.  The blocks must hold the eigenvalues of the data's basis
+    (``build_blocks`` on that basis); else ValueError.
     """
-    theta, dtheta, sat = _evolve_signals(blocks, theta0, theta1, [signal], float(t))[0]
+    theta, dtheta, sat = _evolve_signals(blocks, theta0, theta1, [signal], t)[0]
     return (Field(theta0.basis, theta, sat.copy()), Field(theta0.basis, dtheta, sat.copy()))
 
 
 def _evolve_signals(blocks: BoundaryOperator, theta0: Field, theta1: Field,
-                    signals, t) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """``evolve_with_boundary`` for several signals on one operator, at every
-    time of the array ``t``: one (theta, theta', saturated) triple of arrays
-    of shape t.shape + (modes,) per signal, each entry bit for bit what a
-    call with that signal and that time alone gives.
+                    signals, t: float) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``evolve_with_boundary`` for several signals on one operator at the
+    time t: one (theta, theta', saturated) triple of mode arrays per signal,
+    each bit for bit what a call with that signal alone gives.
 
     The eigenvalues of every block come from one ``modal.second_order_roots``
     call, and E(t) from one ``modal._factors`` call, shared by the signals.
-    A piece [s_a, s_b] of a signal adds E(t - s_b) times its own integral,
-    one ``_convolution`` per rate of q on the piece.  Every step is elementwise
-    over modes and times, so a time costs O(modes).
+    A piece [s_a, s_b] of a signal that starts before t adds its own
+    integral, one ``_convolution`` per rate of q on the piece, carried to t
+    by E(t - s_b).  Every step is elementwise over the modes, so a call
+    costs O(modes) per signal.  t = 0 returns the data exactly, flagged
+    where they are not finite.
     """
     if theta0.basis != theta1.basis:
         raise ValueError("theta0 and theta1 must share one basis")
-    basis = theta0.basis
-    if len(blocks) != basis.truncation:
-        raise ValueError("need exactly one block per basis mode")
-    t = np.asarray(t, dtype=float)
+    if len(blocks) != theta0.basis.truncation or not np.array_equal(
+            blocks.lambda_sq, spectrum(theta0.basis).lambda_sq):
+        raise ValueError("need exactly one block per basis mode, with its eigenvalue")
+    t = float(t)
     for signal in signals:
-        if not np.all((0.0 <= t) & (t <= signal.T * (1 + 1e-12))):
+        if not 0.0 <= t <= signal.T * (1 + 1e-12):
             raise ValueError(f"t={t} outside the signal horizon [0, {signal.T}]")
-    times = t.reshape(-1, 1)
     h, k = blocks.h, blocks.k
     alpha, beta = theta0.coefficients, theta1.coefficients
+    if t == 0.0:   # the data, exactly
+        return [(alpha.copy(), beta.copy(), ~(np.isfinite(alpha) & np.isfinite(beta)))
+                for _ in signals]
     r_plus, r_minus, freq = second_order_roots(1.0, h, -k)[2:]
     first = r_plus >= r_minus
     mu1 = np.where(first, r_plus, r_minus) + 1j * freq
     mu2 = np.where(first, r_minus, r_plus) - 1j * freq
-    e0, e1, log_e = _factors(r_plus, r_minus, freq, times)
+    e0, e1, log_e = _factors(r_plus, r_minus, freq, t)
 
     results = []
     for signal in signals:
@@ -538,21 +544,17 @@ def _evolve_signals(blocks: BoundaryOperator, theta0: Field, theta1: Field,
         # e^log (u1, u2), before the factor d
         parts = []
         for lo, hi, origin, unit, groups in signal._forcing(blocks.beta):
-            s_a = max(lo, 0.0)
-            s_b = np.minimum(hi, times)
-            live = s_b > s_a
-            if not live.any():
+            s_a, s_b = max(lo, 0.0), min(hi, t)
+            if s_b <= s_a:
                 continue
-            ell = np.where(live, s_b - s_a, 1.0)   # dead entries are dropped below
+            ell = s_b - s_a
             kappa = ell / unit
-            if s_a == 0.0 and np.array_equal(ell, times):
+            if s_a == 0.0 and s_b == t:
                 phi1_ell, log_ell = e1, log_e   # the piece is all of [0, t]
             else:
                 _, phi1_ell, log_ell = _factors(r_plus, r_minus, freq, ell)
-            tau = times - s_b
-            ends_early = bool(np.any(tau > 0.0))
-            if ends_early:
-                f0, f1, log_tau = _factors(r_plus, r_minus, freq, tau)
+            if s_b < t:
+                f0, f1, log_tau = _factors(r_plus, r_minus, freq, t - s_b)
             for rate, coefs in groups:
                 # q on the piece in powers of v = (s - s_a)/ell: u = u_a + kappa v
                 shifted = _taylor_shift(coefs, (s_a - origin) / unit)
@@ -561,18 +563,15 @@ def _evolve_signals(blocks: BoundaryOperator, theta0: Field, theta1: Field,
                 w = rate * (s_b - origin)
                 phase = np.exp(1j * w.imag)
                 u1, u2, log = (phase * v1).real, (phase * v2).real, w.real + rho
-                if ends_early:
+                if s_b < t:
                     u1, u2 = _product(f0, f1, k, -h, u1, u2)
                     log = log + log_tau
-                if not live.all():
-                    u1, u2 = np.where(live, u1, 0.0), np.where(live, u2, 0.0)
-                    log = np.where(live, log, -np.inf)
                 parts.append((u1, u2, log))
-        results.append(_combine(blocks, alpha, beta, e0, e1, log_e, parts, times, t.shape))
+        results.append(_combine(blocks, alpha, beta, e0, e1, log_e, parts))
     return results
 
 
-def _combine(blocks: BoundaryOperator, alpha, beta, e0, e1, log_e, parts, times, shape):
+def _combine(blocks: BoundaryOperator, alpha, beta, e0, e1, log_e, parts):
     """(theta, theta', saturated) from the scaled homogeneous factors and the
     scaled signal parts: shift = the largest log-scale of each entry is kept
     out of the sums, and ``modal._finish`` applies it last."""
@@ -586,14 +585,7 @@ def _combine(blocks: BoundaryOperator, alpha, beta, e0, e1, log_e, parts, times,
         for u1, u2, log in parts:
             lift = np.exp(log - shift)
             p1, p2 = p1 + u1 * lift, p2 + u2 * lift
-    theta, dtheta, sat, _ = _finish(e0, e1, shift, blocks.k, -blocks.h, alpha, beta,
-                                    (blocks.d, p1, p2))
-    at_zero = times == 0.0   # the data, exactly
-    theta = np.where(at_zero, alpha, theta)
-    dtheta = np.where(at_zero, beta, dtheta)
-    sat = sat & ~at_zero
-    out_shape = (*shape, len(blocks.d))
-    return theta.reshape(out_shape), dtheta.reshape(out_shape), sat.reshape(out_shape)
+    return _finish(e0, e1, shift, blocks.k, -blocks.h, alpha, beta, (blocks.d, p1, p2))[:3]
 
 
 @dataclass(frozen=True)
@@ -614,8 +606,8 @@ def mild_solution_check(blocks: BoundaryOperator, theta0: Field, theta1: Field,
     The lifted variable y = theta - d f(t) must be C^2-consistent: a
     fourth-order five-point second difference with internal step FD_STEP
     matches the governing y'' = k theta - h theta' - beta d f(t) to C2_TOL,
-    relative to the larger of 1 and |y''|.  The five stencil times of every
-    grid time are evolved in one ``_evolve_signals`` call.  A nan residual
+    relative to the larger of 1 and |y''|.  Each of the five stencil times
+    of every grid time is one ``evolve_with_boundary`` call.  A nan residual
     (a mode that saturated) reaches the report, so that ``ok`` is False.
     """
     t_grid = np.asarray(t_grid, dtype=float)
@@ -628,7 +620,9 @@ def mild_solution_check(blocks: BoundaryOperator, theta0: Field, theta1: Field,
         raise ValueError(f"need t_grid[0] >= {2.0 * FD_STEP:g}, room for the stencil")
 
     times = t_grid[:, None] + FD_STEP * np.arange(-2.0, 3.0)   # the stencil of each time
-    th, dth, _ = _evolve_signals(blocks, theta0, theta1, [signal], times)[0]
+    states = [evolve_with_boundary(blocks, theta0, theta1, signal, s) for s in times.flat]
+    th, dth = (np.reshape([f[i].coefficients for f in states], (*times.shape, -1))
+               for i in (0, 1))
     f = signal.value(times)[..., None]
     y = th - blocks.d * f
     with np.errstate(invalid="ignore"):  # inf - inf of a saturated mode

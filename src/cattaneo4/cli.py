@@ -17,7 +17,8 @@
 Floats are printed with 17 significant digits, so equal runs are
 byte-identical.  Exit codes: 0 success, 1 usage or invalid argument,
 2 exceptional/singular parameter rejected, 3 unsolvable degenerate mode.
-The length option accepts the literal token 'pi'.
+The length option accepts the literal token 'pi'.  A negative value may
+carry an exponent or be infinite (--beta -1e-3, --alpha -inf).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import re
 import sys
 
 import numpy as np
@@ -42,6 +44,13 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes "-1e-3" and "-inf" for options: its pattern of negative
+        # numbers has no exponent and no infinity (subparsers share this class)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-inf(inity)?$", re.IGNORECASE)
+
     def error(self, message):
         raise _UsageError(message)
 

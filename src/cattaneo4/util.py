@@ -21,38 +21,30 @@ def scaled_exp(x, log_scale, exponent=None):
 
     Returns ``(value, saturated, logmag)`` arrays, logmag the product's
     log-magnitude.  Where it exceeds ``LOG_SATURATION`` the value is +/-inf
-    (sign of ``x``) and the flag is set; otherwise the product is exact to
-    rounding, also when exp(log_scale) alone would overflow.  The optional integer
-    ``exponent`` is a power of two factored out of the data (``frexp``), so
-    ``x`` keeps its digits where x * 2^exponent would be subnormal or
-    overflow; where that product is a float it is used as is, exactly as
-    without ``exponent``.  Where it is not, exp(log_scale) = m 2^q is split
-    by ``frexp`` and the powers of two are applied last, ldexp(x m,
-    exponent + q): the few roundings of x exp(log_scale), but x m cannot
-    overflow.  That holds while exp(log_scale) and x m are normal floats;
-    elsewhere the value is the exp of its log-magnitude, which costs about
-    |log-magnitude| ulps.  Underflow quietly gives 0.0, which is the honest
-    limit.  Never returns nan for finite input.
+    (sign of ``x``) and the flag is set.  Elsewhere, while exp(log_scale) is
+    a normal float (log_scale in [-708, 709]), the value is x exp(log_scale),
+    exact to rounding.  The optional integer ``exponent`` is a power of two
+    factored out of the data (``frexp``), so that ``x`` keeps its digits: then
+    exp(log_scale) = m 2^q is split by ``frexp`` and the powers of two are
+    applied last, ldexp(x m, q + exponent), which cannot overflow before the
+    end.  Outside that range of log_scale the value is the exp of its
+    log-magnitude, which costs about |log-magnitude| ulps, where a subnormal
+    or infinite exp(log_scale) would cost its digits.  Underflow quietly
+    gives 0.0, which is the honest limit.  Never returns nan for finite input.
     """
     x = np.asarray(x, dtype=float)
     log_scale = np.asarray(log_scale, dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        in_logs = log_scale > 709.0
+        logmag = np.log(np.abs(x))
         if exponent is None:
-            logmag = np.log(np.abs(x)) + log_scale
             value = x * np.exp(log_scale)
         else:
-            full = np.ldexp(x, exponent)
-            lost = np.ldexp(full, np.negative(exponent)) != x
-            logmag = np.where(lost, np.log(np.abs(x)) + np.multiply(exponent, LN2),
-                              np.log(np.abs(full))) + log_scale
-            scale = np.exp(log_scale)
-            mantissa, power = np.frexp(scale)
-            part = x * mantissa
-            value = np.where(lost, np.ldexp(part, exponent + power), full * scale)
-            kept = (scale >= 2.0 ** -1022) & (scale < np.inf) & (np.abs(part) >= 2.0 ** -1022)
-            in_logs = np.where(lost, ~kept, in_logs)
+            logmag = logmag + np.multiply(exponent, LN2)
+            mantissa, power = np.frexp(np.exp(log_scale))
+            value = np.ldexp(x * mantissa, power + exponent)
+        logmag = logmag + log_scale
         saturated = logmag > LOG_SATURATION
+        in_logs = (log_scale > 709.0) | (log_scale < -708.0)
         value = np.where(in_logs, np.copysign(np.exp(logmag), x), value)
     return np.where(saturated, np.copysign(np.inf, x), value), saturated, logmag
 

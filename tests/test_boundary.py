@@ -591,25 +591,45 @@ def test_propagation_burst_readme_rates_match_mpmath():
             assert abs(row.mass_in_subregion / mass - 1) <= 1e-12
 
 
-def test_time_arrays_match_single_times():
-    # one call over an array of times gives, bit for bit, what one call per
-    # time gives: before, inside and after the ramp, at t = 0, and on a
-    # mode (19) that saturates
+def test_time_zero_returns_the_data_with_their_flags():
+    # t = 0 gives the data back bit for bit, random or saturated, for one
+    # signal and for several; an infinite datum keeps its flag
     basis = interval_basis(32)
     blocks = build_blocks(ParameterSet(2.0, 1.0, (1.0 + 1e-4) / 19.0**2), basis, (1.0, -0.3))
     rng = np.random.default_rng(4)
-    theta0, theta1 = (Field(basis, rng.normal(size=32)) for _ in range(2))
     signals = [BoundarySignal.smoothed_step(1.0, 0.2, 0.3), BoundarySignal.sinusoid(1.0, 3.0)]
-    times = np.array([[0.0, 0.1, 0.2], [0.35, 0.5, 0.9]])
-    batch = _evolve_signals(blocks, theta0, theta1, signals, times)
-    for s, (theta, dtheta, saturated) in zip(signals, batch):
-        assert theta.shape == dtheta.shape == saturated.shape == (2, 3, 32)
-        assert saturated[1, 2, 18] and not saturated[0, 0].any()
-        for idx in np.ndindex(times.shape):
-            th, dth = evolve_with_boundary(blocks, theta0, theta1, s, times[idx])
-            np.testing.assert_array_equal(theta[idx], th.coefficients)
-            np.testing.assert_array_equal(dtheta[idx], dth.coefficients)
-            np.testing.assert_array_equal(saturated[idx], th.saturated)
+    alpha, beta = rng.normal(size=32), rng.normal(size=32)
+    alpha[0], beta[5] = math.inf, -math.inf
+    saturated = ~np.isfinite(alpha) | ~np.isfinite(beta)
+    theta0, theta1 = Field(basis, alpha, saturated), Field(basis, beta, saturated)
+    for s in signals:
+        th, dth = evolve_with_boundary(blocks, theta0, theta1, s, 0.0)
+        np.testing.assert_array_equal(th.coefficients, alpha)
+        np.testing.assert_array_equal(dth.coefficients, beta)
+        np.testing.assert_array_equal(th.saturated, saturated)
+        np.testing.assert_array_equal(dth.saturated, saturated)
+    for theta, dtheta, sat in _evolve_signals(blocks, theta0, theta1, signals, 0.0):
+        np.testing.assert_array_equal(theta, alpha)
+        np.testing.assert_array_equal(dtheta, beta)
+        np.testing.assert_array_equal(sat, saturated)
+    b4 = interval_basis(4)
+    data = Field(b4, [math.inf, 1.0, 2.0, 3.0], [True, False, False, False])
+    th, dth = evolve_with_boundary(build_blocks(ParameterSet(2.0, 1.0, 0.003), b4, (1.0, 0.0)),
+                                   data, zero_field(b4), BoundarySignal.constant(1.0), 0.0)
+    np.testing.assert_array_equal(th.coefficients, data.coefficients)
+    assert th.saturated.tolist() == dth.saturated.tolist() == [True, False, False, False]
+
+
+def test_blocks_must_be_built_on_the_data_basis():
+    # blocks of (0, pi) and fields of (0, 2 pi), both with 8 modes: the
+    # eigenvalues differ, so the evolution and the mild check refuse them
+    blocks = build_blocks(ParameterSet(2.0, 1.0, 0.003), interval_basis(8), (1.0, 0.0))
+    other = BasisDescriptor(1, (2.0 * PI,), 8)
+    z, sig = zero_field(other), BoundarySignal.sinusoid(1.0, 3.0)
+    with pytest.raises(ValueError, match="eigenvalue"):
+        evolve_with_boundary(blocks, z, z, sig, 0.5)
+    with pytest.raises(ValueError, match="eigenvalue"):
+        mild_solution_check(blocks, z, z, sig, np.linspace(0.2, 0.6, 5))
 
 
 def test_constant_signal_steady_state_is_the_lift():

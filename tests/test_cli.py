@@ -238,10 +238,12 @@ def test_wholeline_rejects_bad_parameters(tmp_path, capsys, a, c):
     ("verify --seed -1", "seed must be nonnegative"),
     ("solve --a 3 --b 1 --c 0.5 --N 8 --mode 1 --alpha inf --t 0.7",
      "alpha and beta must be finite"),
+    ("solve --a 3 --b 1 --c 0.5 --N 8 --mode 1 --alpha -inf --t 0.7",
+     "alpha and beta must be finite"),
 ], ids=["wholeline", "heatcmp", "propagation", "limit1", "limit1-lambda-sq-0",
         "spectrum-lengths", "propagation-n-max-exp", "heatcmp-sigma", "limit2-one-value",
         "wholeline-offset-overflow", "limit1-j-min-below-1", "wholeline-below-zero",
-        "boundary-coeffs", "verify-seed", "solve-alpha-inf"])
+        "boundary-coeffs", "verify-seed", "solve-alpha-inf", "solve-alpha-minus-inf"])
 def test_empty_ranges_exit_1_with_a_named_error(tmp_path, args, message):
     # an empty scan range, or an argument that breaks the arithmetic (1/0, a
     # float overflow, a subnormal sigma, a bad length token), is an invalid
@@ -251,6 +253,21 @@ def test_empty_ranges_exit_1_with_a_named_error(tmp_path, args, message):
     assert out.stderr.startswith("error:") and "Traceback" not in out.stderr, out.stderr
     assert message in out.stderr, out.stderr
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("solve --a 3 --b 1 --c 0.5 --L pi --N 8 --mode 1 --alpha 1 --t 0.7", "--beta"),
+    ("boundary --a 3 --b 1 --c 0.5 --N 8 --g1 0 --T 1 --t 1", "--g0"),
+], ids=["solve-beta", "boundary-g0"])
+def test_negative_values_with_an_exponent(tmp_path, command, flag):
+    # "-1e-3" is a value, not an option: it writes the bytes of "=-1e-3"
+    # and of "-0.001"
+    written = []
+    for i, value in enumerate(([flag, "-1e-3"], [f"{flag}=-1e-3"], [flag, "-0.001"])):
+        out = tmp_path / f"{i}.csv"
+        assert main([*command.split(), *value, "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1] == written[2]
 
 
 @pytest.mark.parametrize("gamma_rho", ["inf", "nan", "0"])

@@ -456,6 +456,17 @@ def test_kernel_saturation_edge(a, b, lam2, neg_eps, target, alpha, beta):
     check_against_reference(a, b, c, lam2, alpha, beta, target / grow)
 
 
+def test_decay_past_e_minus_708_keeps_its_digits():
+    # alpha = 1e300 decays by e^-740: log_scale = r_plus t is below -708, so
+    # exp(log_scale) alone is subnormal and would cost the product its digits
+    args = (3.0, 1.0, 0.5, 1.0, 1e300, 0.0, 2090.0)
+    check_against_reference(*args)
+    ref = mp_mode_state(*args)
+    got = mode(ParameterSet(*args[:3]), *args[3:])
+    for value, want in zip(got[:2], ref[:2]):
+        assert abs(mp.mpf(value) - want) <= 1e-13 * abs(want)
+
+
 @given(st.floats(min_value=-50.0, max_value=50.0), st.floats(min_value=-400.0, max_value=400.0),
        st.floats(min_value=0.0, max_value=3.0))
 @settings(max_examples=60, deadline=None)
