@@ -12,17 +12,15 @@ degenerates; those values form the exceptional set that most of this
 package is built around detecting, avoiding, or deliberately approaching.
 """
 
-from .boundary import (BoundaryOperator, BoundarySignal, MildSolutionReport,
-                       build_blocks, dirichlet_map_interval, evolve_with_boundary,
-                       mild_solution_check)
+from .boundary import (BoundaryOperator, BoundarySignal, build_blocks,
+                       dirichlet_map_interval, evolve_with_boundary)
 from .errors import (DegenerateModeError, ExceptionalParameterError,
                      SingularParameterError, UnsolvableModeError)
 from .experiments import (first_crossing, heat_comparison, limit1_reference,
                           limit1_scan, limit2_scan, limit3_scan,
                           propagation_burst, singularity_scan, whole_line_mode)
 from .modal import (CharacteristicRoots, ParameterSet, characteristic_roots,
-                    evolve_modes, propagator, reference_heat_mode,
-                    reference_telegraph_mode, second_order_roots)
+                    evolve_modes, reference_telegraph_mode, second_order_roots)
 from .solver import (Field, WellPosednessReport, basis_field, check_wellposed,
                      evolve_homogeneous, field_norm, project_samples,
                      reconstruct, zero_field)
@@ -33,7 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BasisDescriptor", "BoundaryOperator", "BoundarySignal", "CharacteristicRoots",
     "DegenerateModeError", "ExceptionalParameterError", "Field",
-    "MildSolutionReport", "ParameterSet",
+    "ParameterSet",
     "SingularParameterError", "Spectrum",
     "UnsolvableModeError", "WellPosednessReport",
     "basis_field", "build_blocks", "characteristic_roots",
@@ -41,9 +39,8 @@ __all__ = [
     "evolve_homogeneous", "evolve_modes", "evolve_with_boundary",
     "field_norm", "first_crossing", "heat_comparison",
     "limit1_reference", "limit1_scan", "limit2_scan", "limit3_scan",
-    "mild_solution_check", "project_samples",
-    "propagation_burst", "propagator", "reconstruct",
-    "reference_heat_mode", "reference_telegraph_mode",
+    "project_samples", "propagation_burst", "reconstruct",
+    "reference_telegraph_mode",
     "second_order_roots", "singularity_scan",
     "weyl_exponent_fit", "whole_line_mode", "zero_field",
 ]

@@ -7,9 +7,9 @@ lifted with the map D solving (1 + c d_xx)(Dg) = 0 with traces g; on (0, L)
 
 which exists precisely when sin(L/sqrt(c)) != 0, i.e. c outside the
 exceptional set; the gate applies ``modal.is_degenerate`` to the two members
-next to c in closed form, independent of the truncation.  Each mode has a 2x2
-block A = [[0, 1], [k, -h]] with h = a/(1 - c lam2), k = -b lam2/(1-c lam2),
-beta = b/c, forced through the state W = (theta_n, theta_n'):
+next to c in closed form, independent of the truncation.  The roots of each
+mode's generator (1 - c lam2, a, b lam2) are the eigenvalues of a 2x2 block
+A = [[0, 1], [k, -h]]; with beta = b/c, W = (theta_n, theta_n') is forced:
 
     W' = A W + D_n q(t),   D_n = (0, d_n),   q = f'' - beta f.
 
@@ -17,10 +17,10 @@ The variation-of-constants formula
 
     W(t) = E(t) W(0) + int_0^t E(t-s) D_n q(s) ds,   E(t) = exp(A t),
 
-is evaluated exactly.  E(t) is the closed 2x2 form of ``modal.propagator``
-(``modal._factors``), and ``modal._finish`` finishes W as it does in the
-homogeneous evolution: scaled, subnormal data rescued, saturated past e^700.
-q is again an exponential polynomial, so on each
+is evaluated exactly.  The roots, E(t) (``modal._factors``), A
+(``modal._companion``) and the finish of W (``modal._finish``: scaled,
+subnormal data rescued, saturated past e^700) are those of the homogeneous
+evolution, so a zero signal gives its bits.  q is again an exponential polynomial, so on each
 piece [s_a, s_b] of the signal, length l, every term r^j e^{sigma r}
 integrates to j! l^{j+1} F(A l) (0, 1), F(z) = exp[c, ..., c, z] with j + 1
 copies of the node c = sigma l: a phi-function of (A - sigma I) l
@@ -62,15 +62,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ExceptionalParameterError
-from .modal import (ParameterSet, _check_positive, _factors, _finish, _generator, _product,
-                    is_degenerate, second_order_roots)
+from .modal import (ParameterSet, _check_positive, _companion, _factors, _finish, _generator,
+                    _product, is_degenerate, second_order_roots)
 from .solver import Field
 from .spectrum import BasisDescriptor, _interval_neighbours, spectrum
 
-# mild_solution_check: internal step of the five-point second difference,
-# and the bound on its residual.
-FD_STEP = 1e-3
-C2_TOL = 1e-5
 # Nodes of a divided difference that all lie within CLUSTER_RADIUS (at least;
 # half the order for long polynomials) of each other are summed as one Taylor
 # series of TAYLOR_TERMS terms about their mean; farther nodes are split by
@@ -162,7 +158,8 @@ class BoundarySignal:
         """q = f'' - beta f piece by piece: (lo, hi, origin, unit, groups), q
         being Re sum coefs[p] u^p e^{rate (s - origin)} over the groups (rate,
         coefs) on [lo, hi); the first piece starts at -inf, the last ends at
-        +inf.  Terms of f'' and f with one rate share one group."""
+        +inf.  Terms of f'' and f with one rate share one group; a group
+        whose coefficients are all zero is dropped."""
         bounds = [-math.inf, *self._starts.tolist(), math.inf]
         out = []
         for i, ((origin, unit, f), (_, _, f2)) in enumerate(zip(self._tables[0], self._tables[2])):
@@ -173,7 +170,8 @@ class BoundarySignal:
                 merged[:have.size] = have
                 merged[:coefs.size] += coefs
                 groups[rate] = merged
-            out.append((bounds[i], bounds[i + 1], origin, unit, list(groups.items())))
+            out.append((bounds[i], bounds[i + 1], origin, unit,
+                        [(rate, coefs) for rate, coefs in groups.items() if coefs.any()]))
         return out
 
     value = partialmethod(_evaluate, 0)
@@ -219,9 +217,10 @@ class BoundarySignal:
 
 @dataclass(frozen=True, eq=False)
 class BoundaryOperator:
-    """Per-mode 2x2 generators A = [[0, 1], [k, -h]] and lift coefficients d as
-    arrays over the modes (``lambda_sq``, ``h``, ``k``, ``d``), with the scalar
-    beta = b/c they share.
+    """Per-mode generators (``leading``, ``damping``, ``stiffness``) of
+    ``modal._generator`` and lift coefficients ``d``, arrays over the modes
+    ``lambda_sq``, with the scalar beta = b/c they share.  The block A =
+    [[0, 1], [k, -h]] reads h = damping/leading, k = -stiffness/leading.
 
     ``len(op)`` is the mode count; ``op[i]`` and ``op[a:b]`` return the
     operator of the selected entries (scalar fields for an integer index), so
@@ -229,17 +228,21 @@ class BoundaryOperator:
     """
 
     lambda_sq: np.ndarray
-    h: np.ndarray
-    k: np.ndarray
+    leading: np.ndarray
+    damping: np.ndarray
+    stiffness: np.ndarray
     d: np.ndarray
     beta: float
+
+    h = property(lambda self: self.damping / self.leading)
+    k = property(lambda self: -self.stiffness / self.leading)
 
     def __len__(self) -> int:
         return len(self.lambda_sq)
 
     def __getitem__(self, i) -> "BoundaryOperator":
-        return BoundaryOperator(self.lambda_sq[i], self.h[i], self.k[i], self.d[i],
-                                self.beta)
+        return BoundaryOperator(self.lambda_sq[i], self.leading[i], self.damping[i],
+                                self.stiffness[i], self.d[i], self.beta)
 
 
 def _interval_pair(g) -> tuple[float, float]:
@@ -326,7 +329,7 @@ def build_blocks(p: ParameterSet, basis: BasisDescriptor, g) -> BoundaryOperator
     _lift_gate(p.c, L)
     lam = spectrum(basis).lambda_sq
     leading, damping, stiffness = _generator(p.a, p.b, p.c, lam)
-    return BoundaryOperator(lam, damping / leading, -stiffness / leading,
+    return BoundaryOperator(lam, leading, np.full(lam.shape, damping), stiffness,
                             _lift_coefficients(p.c, L, g0, g1, basis.truncation),
                             p.b / p.c)
 
@@ -421,7 +424,7 @@ def _convolution(mu1, mu2, sigma: complex, ell, coefs, phi1_ell, log_ell):
     in scaled form: returns (v1, v2, rho), the integral being e^{sigma ell +
     rho} (v1, v2).
 
-    mu1 + mu2 = -h are the eigenvalues of A (mode shape); ``phi1_ell`` and
+    mu1 and mu2 are the eigenvalues of A (mode shape); ``phi1_ell`` and
     ``log_ell`` are the ``modal._factors`` of exp(A ell).  Term j gives
     j! ell F(A ell) (0, 1) with F(z) = exp[c (j+1 times), z], c = sigma ell;
     in the Newton form over the nodes m_i = mu_i ell,
@@ -496,9 +499,10 @@ def evolve_with_boundary(blocks: BoundaryOperator, theta0: Field, theta1: Field,
     Each mode's dominant exponent is kept out of the sums and applied last
     by ``modal._finish``, the finish of ``modal.evolve_modes``: values beyond
     the e^700 range saturate to +/-inf with the flag set, and subnormal data
-    keep their digits.  t = 0 returns the data, flagged where they are not
-    finite.  The blocks must hold the eigenvalues of the data's basis
-    (``build_blocks`` on that basis); else ValueError.
+    keep their digits; infinite data are flagged.  t = 0 returns the data; a
+    zero signal gives ``solver.evolve_homogeneous`` bit for bit.  The blocks
+    must hold the eigenvalues of the data's basis (``build_blocks`` on that
+    basis); else ValueError.
     """
     theta, dtheta, sat = _evolve_signals(blocks, theta0, theta1, [signal], t)[0]
     return (Field(theta0.basis, theta, sat.copy()), Field(theta0.basis, dtheta, sat.copy()))
@@ -511,12 +515,12 @@ def _evolve_signals(blocks: BoundaryOperator, theta0: Field, theta1: Field,
     each bit for bit what a call with that signal alone gives.
 
     The eigenvalues of every block come from one ``modal.second_order_roots``
-    call, and E(t) from one ``modal._factors`` call, shared by the signals.
-    A piece [s_a, s_b] of a signal that starts before t adds its own
-    integral, one ``_convolution`` per rate of q on the piece, carried to t
-    by E(t - s_b).  Every step is elementwise over the modes, so a call
-    costs O(modes) per signal.  t = 0 returns the data exactly, flagged
-    where they are not finite.
+    call on the generators, and E(t) from one ``modal._factors`` call, shared
+    by the signals.  A piece [s_a, s_b] of a signal that starts before t adds
+    its own integral, one ``_convolution`` per nonzero rate group of q on the
+    piece, carried to t by E(t - s_b).  Every step is elementwise over the
+    modes, so a call costs O(modes) per signal.  t = 0 returns the data
+    exactly, flagged where they are not finite.
     """
     if theta0.basis != theta1.basis:
         raise ValueError("theta0 and theta1 must share one basis")
@@ -527,12 +531,13 @@ def _evolve_signals(blocks: BoundaryOperator, theta0: Field, theta1: Field,
     for signal in signals:
         if not 0.0 <= t <= signal.T * (1 + 1e-12):
             raise ValueError(f"t={t} outside the signal horizon [0, {signal.T}]")
-    h, k = blocks.h, blocks.k
     alpha, beta = theta0.coefficients, theta1.coefficients
+    infinite = ~(np.isfinite(alpha) & np.isfinite(beta))
     if t == 0.0:   # the data, exactly
-        return [(alpha.copy(), beta.copy(), ~(np.isfinite(alpha) & np.isfinite(beta)))
-                for _ in signals]
-    r_plus, r_minus, freq = second_order_roots(1.0, h, -k)[2:]
+        return [(alpha.copy(), beta.copy(), infinite.copy()) for _ in signals]
+    r_plus, r_minus, freq = second_order_roots(blocks.leading, blocks.damping,
+                                               blocks.stiffness)[2:]
+    k, minus_h = _companion(r_plus, r_minus, freq)
     first = r_plus >= r_minus
     mu1 = np.where(first, r_plus, r_minus) + 1j * freq
     mu2 = np.where(first, r_minus, r_plus) - 1j * freq
@@ -545,7 +550,7 @@ def _evolve_signals(blocks: BoundaryOperator, theta0: Field, theta1: Field,
         parts = []
         for lo, hi, origin, unit, groups in signal._forcing(blocks.beta):
             s_a, s_b = max(lo, 0.0), min(hi, t)
-            if s_b <= s_a:
+            if s_b <= s_a or not groups:
                 continue
             ell = s_b - s_a
             kappa = ell / unit
@@ -564,70 +569,29 @@ def _evolve_signals(blocks: BoundaryOperator, theta0: Field, theta1: Field,
                 phase = np.exp(1j * w.imag)
                 u1, u2, log = (phase * v1).real, (phase * v2).real, w.real + rho
                 if s_b < t:
-                    u1, u2 = _product(f0, f1, k, -h, u1, u2)
+                    u1, u2 = _product(f0, f1, k, minus_h, u1, u2)
                     log = log + log_tau
                 parts.append((u1, u2, log))
-        results.append(_combine(blocks, alpha, beta, e0, e1, log_e, parts))
+        theta, dtheta, sat = _combine(blocks.d, k, minus_h, alpha, beta, e0, e1, log_e, parts)
+        results.append((theta, dtheta, sat | infinite))
     return results
 
 
-def _combine(blocks: BoundaryOperator, alpha, beta, e0, e1, log_e, parts):
+def _combine(d, k, minus_h, alpha, beta, e0, e1, log_e, parts):
     """(theta, theta', saturated) from the scaled homogeneous factors and the
     scaled signal parts: shift = the largest log-scale of each entry is kept
-    out of the sums, and ``modal._finish`` applies it last."""
-    shift = log_e
-    for _, _, log in parts:
-        shift = np.maximum(shift, log)
-    with np.errstate(invalid="ignore", over="ignore"):
+    out of the sums, and ``modal._finish`` applies it last; without parts,
+    as in ``modal._state``."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if not parts:
+            return _finish(e0, e1, log_e, k, minus_h, alpha, beta)[:3]
+        shift = log_e
+        for _, _, log in parts:
+            shift = np.maximum(shift, log)
         weight = np.exp(log_e - shift)
         e0, e1 = e0 * weight, e1 * weight
         p1 = p2 = np.zeros(shift.shape)
         for u1, u2, log in parts:
             lift = np.exp(log - shift)
             p1, p2 = p1 + u1 * lift, p2 + u2 * lift
-    return _finish(e0, e1, shift, blocks.k, -blocks.h, alpha, beta, (blocks.d, p1, p2))[:3]
-
-
-@dataclass(frozen=True)
-class MildSolutionReport:
-    """Consistency diagnostics of a boundary-forced trajectory."""
-
-    max_c2_residual: float
-
-    @property
-    def ok(self) -> bool:
-        return self.max_c2_residual <= C2_TOL
-
-
-def mild_solution_check(blocks: BoundaryOperator, theta0: Field, theta1: Field,
-                        signal: BoundarySignal, t_grid) -> MildSolutionReport:
-    """Check the computed trajectory against the lifted formulation.
-
-    The lifted variable y = theta - d f(t) must be C^2-consistent: a
-    fourth-order five-point second difference with internal step FD_STEP
-    matches the governing y'' = k theta - h theta' - beta d f(t) to C2_TOL,
-    relative to the larger of 1 and |y''|.  Each of the five stencil times
-    of every grid time is one ``evolve_with_boundary`` call.  A nan residual
-    (a mode that saturated) reaches the report, so that ``ok`` is False.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size < 5:
-        raise ValueError("t_grid must hold at least 5 times")
-    dt = t_grid[1] - t_grid[0]
-    if dt <= 0.0 or np.max(np.abs(np.diff(t_grid) - dt)) > 1e-9 * dt:
-        raise ValueError("t_grid must be uniform and increasing")
-    if t_grid[0] < 2.0 * FD_STEP:
-        raise ValueError(f"need t_grid[0] >= {2.0 * FD_STEP:g}, room for the stencil")
-
-    times = t_grid[:, None] + FD_STEP * np.arange(-2.0, 3.0)   # the stencil of each time
-    states = [evolve_with_boundary(blocks, theta0, theta1, signal, s) for s in times.flat]
-    th, dth = (np.reshape([f[i].coefficients for f in states], (*times.shape, -1))
-               for i in (0, 1))
-    f = signal.value(times)[..., None]
-    y = th - blocks.d * f
-    with np.errstate(invalid="ignore"):  # inf - inf of a saturated mode
-        ypp = blocks.k * th[:, 2] - blocks.h * dth[:, 2] - blocks.beta * blocks.d * f[:, 2]
-        fd2 = (-y[:, 0] + 16.0 * y[:, 1] - 30.0 * y[:, 2] + 16.0 * y[:, 3] - y[:, 4]) / (
-            12.0 * FD_STEP * FD_STEP)
-        c2_res = np.abs(fd2 - ypp) / np.maximum(1.0, np.abs(ypp))
-    return MildSolutionReport(float(np.max(c2_res)))
+        return _finish(e0, e1, shift, k, minus_h, alpha, beta, (d, p1, p2))[:3]

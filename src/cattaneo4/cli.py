@@ -380,7 +380,7 @@ def _boundary_zero_signal(rng, n_draws):
     hth, hdth = solver.evolve_homogeneous(p, th0, th1, 0.8)
     worst = max(float(np.max(np.abs(bth.coefficients - hth.coefficients))),
                 float(np.max(np.abs(bdth.coefficients - hdth.coefficients))))
-    return "boundary_zero_signal_matches_homogeneous", worst, 1e-10
+    return "boundary_zero_signal_matches_homogeneous", worst, 0.0
 
 
 _VERIFY_ROWS = (_interval_spectrum_exact, _box_spectrum_sorted, _characteristic_root_identity,

@@ -26,7 +26,8 @@ that does; ``second_order_roots`` solves it once, elementwise, into a
 array of them, first-order modes included; ``characteristic_roots`` gives
 the record of second-order modes and their regime, elementwise.  ``_state``
 evaluates every mode, first or second order, for ``evolve_modes`` and the
-scans; ``_finish`` scales, rescues and saturates its states and ``boundary``'s.
+scans; ``_factors`` (exp(A t)), ``_companion`` (A) and ``_finish`` (scaled,
+rescued, saturated states) serve it and ``boundary`` alike.
 The gates are constants: a mode is first order when |1 - c lam2| <=
 DEGENERATE_TOL max(1, c lam2), its data are compatible when |beta - rate
 alpha| <= COMPAT_TOL max(1, |rate|) |alpha|, and ``solver.check_wellposed``
@@ -43,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateModeError, UnsolvableModeError
-from .util import LOG_SATURATION, scaled_exp
+from .util import scaled_exp
 
 # Relative width of the degeneracy gate on |1 - c lam2| (see is_degenerate).
 DEGENERATE_TOL = 1e-12
@@ -173,11 +174,13 @@ def second_order_roots(leading, damping, stiffness) -> CharacteristicRoots:
     return CharacteristicRoots(delta_sq, delta, r_plus, r_minus, freq)
 
 
-def _factors(r_plus, r_minus, freq, tau):
-    """Scaled 2x2 exponential from the eigenvalues of A (see ``propagator``).
+def _factors(r_plus, r_minus, freq, tau: float):
+    """exp(A tau) = e^log_scale (phi0 I + phi1 A) at one time tau, from the
+    eigenvalues of A (after Moler & Van Loan, SIAM Rev. 45, 2003).
 
-    The root whose exponent mu tau is larger is factored out as log_scale;
-    the other one, oth, sits gap = oth - dom away, so g = gap tau <= 0 and
+    The root whose exponent mu tau is larger (r_plus where r_plus tau >=
+    r_minus tau) is factored out as log_scale; the other one, oth, sits gap
+    = oth - dom away, so g = gap tau <= 0 and
 
         phi1 = expm1(g) / gap,   phi0 = e^g - oth phi1,
 
@@ -185,18 +188,12 @@ def _factors(r_plus, r_minus, freq, tau):
     phi0 + oth phi1 (equal to 1 - dom phi1, but a sum of two terms of one
     sign whenever oth < 0).  Where g = 0 (a double root, tau = 0, or gap tau
     below the float range) phi1 = tau; a complex pair dom +/- i freq gives
-    phi1 = sin(freq tau)/freq.
-
-    The roots carry the mode shape and ``tau`` broadcasts against them; its
-    entries must share one sign.  Then the order of the roots depends on
-    the mode alone: it is decided once per mode by r_plus s >= r_minus s at
-    the entry s of tau with the largest magnitude (s = tau for a scalar),
-    and the sines are taken on the complex modes only.
+    phi1 = sin(freq tau)/freq.  phi0 and phi1, of the size of 1 and tau,
+    stay finite however large log_scale is.
     """
-    tau = np.asarray(tau, dtype=float)
-    s = tau if tau.ndim == 0 else tau.flat[np.abs(tau).argmax()] if tau.size else 0.0
+    tau = float(tau)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        first = r_plus * s >= r_minus * s
+        first = r_plus * tau >= r_minus * tau
         dom = np.where(first, r_plus, r_minus)
         oth = np.where(first, r_minus, r_plus)
         gap = oth - dom
@@ -219,29 +216,9 @@ def _factors(r_plus, r_minus, freq, tau):
     return phi0, phi1, log_scale
 
 
-def propagator(h, k, tau):
-    """Closed 2x2 matrix exponential for A = [[0, 1], [k, -h]], elementwise.
-
-    Returns ``(phi0, phi1, log_scale, saturated)`` with
-
-        exp(A tau) = e^{log_scale} (phi0 I + phi1 A),
-
-    log_scale = Re(mu) tau for the eigenvalue mu (root of mu^2 + h mu - k)
-    that dominates at tau.  phi0 and phi1 are the scaled factors, of the size
-    of 1 and tau, so they stay finite however large log_scale is;
-    ``saturated`` marks e^{log_scale} past e^LOG_SATURATION.  Real, double,
-    near-double and complex eigenvalues share one formula (``_factors``).
-    Arguments broadcast; the entries of ``tau`` must share one sign (zeros
-    go with either), since the dominant eigenvalue is chosen once per
-    (h, k), and a ``tau`` with entries of both signs, or with nan, raises
-    ValueError.  After Moler & Van Loan, SIAM Rev. 45 (2003).
-    """
-    h = np.asarray(h, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    if np.isnan(tau).any() or (np.any(tau > 0.0) and np.any(tau < 0.0)):
-        raise ValueError("tau must hold no nan and no entries of both signs")
-    phi0, phi1, log_scale = _factors(*second_order_roots(1.0, h, -np.asarray(k, float))[2:], tau)
-    return phi0, phi1, log_scale, log_scale > LOG_SATURATION
+def _companion(r_plus, r_minus, freq):
+    """(k, -h) of A = [[0, 1], [k, -h]] from the roots: the one place A is formed."""
+    return -(r_plus * r_minus + freq * freq), r_plus + r_minus
 
 
 def _product(phi0, phi1, k, minus_h, x, y):
@@ -289,15 +266,15 @@ def _finish(phi0, phi1, log_scale, k, minus_h, alpha, beta, forcing=None):
 
 
 def _state(r_plus, r_minus, freq, alpha, beta, t, first_order=None):
-    """``_finish`` of W(t) = exp(A t)(alpha, beta), A = [[0, 1], [-r_plus
-    r_minus - freq^2, r_plus + r_minus]], for ``second_order_roots``'s roots.
+    """``_finish`` of W(t) = exp(A t)(alpha, beta), A from ``_companion``, for
+    ``second_order_roots``'s roots.
 
     first_order = (mask, rate) marks first-order modes, theta = alpha e^{rate
     t}: there A = 0, the factors are (1, 0), log_scale = rate t and beta =
     rate alpha, whatever the roots hold."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         phi0, phi1, log_scale = _factors(r_plus, r_minus, freq, t)
-        k, minus_h = -(r_plus * r_minus + freq * freq), r_plus + r_minus
+        k, minus_h = _companion(r_plus, r_minus, freq)
         if first_order is not None:
             mask, rate = first_order
             phi0, phi1, k, minus_h, log_scale, beta = (np.where(mask, v, w) for v, w in (
@@ -383,14 +360,6 @@ def evolve_modes(p: ParameterSet, lambda_sq, alpha, beta, t: float):
     value, deriv, sat, _ = _state(*second_order_roots(leading, damping, stiffness)[2:], alpha,
                                   beta, t, (degenerate, rate) if np.any(degenerate) else None)
     return value, deriv, sat | infinite
-
-
-def reference_heat_mode(a: float, b: float, lambda_sq: float,
-                        alpha: float, t: float) -> float:
-    """Mode of the limiting heat equation a theta' = b d_xx theta."""
-    if not (a > 0.0 and b > 0.0 and lambda_sq > 0.0):
-        raise ValueError("a, b, lambda_sq must be positive")
-    return alpha * math.exp(-(b * lambda_sq / a) * t)
 
 
 def reference_telegraph_mode(tau: float, kappa: float, lambda_sq: float,

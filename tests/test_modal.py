@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from cattaneo4 import (DegenerateModeError, ParameterSet,
                        UnsolvableModeError, characteristic_roots, evolve_modes,
-                       propagator, reference_heat_mode,
                        reference_telegraph_mode, second_order_roots)
 from cattaneo4 import modal
 from cattaneo4.modal import _physical_map
@@ -20,6 +19,12 @@ def mode(p, lam2, alpha, beta, t):
     """(theta, theta', saturated) of one mode as Python scalars."""
     v, d, s = evolve_modes(p, lam2, alpha, beta, t)
     return float(v), float(d), bool(s)
+
+
+def factors(h, k, tau):
+    """modal._factors of A = [[0, 1], [k, -h]] at the scalar time tau:
+    exp(A tau) = e^log_scale (phi0 I + phi1 A)."""
+    return modal._factors(*second_order_roots(1.0, h, np.negative(k))[2:], tau)
 
 
 def vandermonde_state(leading, damping, stiffness, alpha, beta, t):
@@ -117,14 +122,14 @@ def test_limit3_family_roots_are_exact():
 
 def test_sigma_form_and_normalized_form_agree():
     # k=1: raw -5/4 y'' + 2 y' + y = 0 is the unnormalized version of the
-    # mapped parameter set; its propagator (h, k) = (2, 1)/(-5/4) and the
+    # mapped parameter set; its exponential at (h, k) = (2, 1)/(-5/4) and the
     # mapped mode must produce the same trajectory
     p = ParameterSet.from_physical(chi=2.0, sigma=5.0, gamma_rho=4.0)
     roots = characteristic_roots(p, 1.0)
     assert roots.kind == "real_distinct" and roots.r_minus == 2.0
     assert second_order_roots(-1.25, 2.0, 1.0)[3] == 2.0
     for t in (0.0, 0.3, 1.1):
-        phi0, phi1, log_scale, _ = propagator(2.0 / -1.25, -1.0 / -1.25, t)
+        phi0, phi1, log_scale = factors(2.0 / -1.25, -1.0 / -1.25, t)
         raw = math.exp(log_scale) * (phi0 * 1.0 + phi1 * -0.5)
         assert raw == pytest.approx(mode(p, 1.0, 1.0, -0.5, t)[0], rel=1e-14)
 
@@ -264,11 +269,6 @@ def test_degenerate_mode_rejects_infinite_data():
     assert sat.tolist() == [True, False] and math.isfinite(value[1])
 
 
-def test_heat_reference_value():
-    got = reference_heat_mode(a=1.0, b=1.0, lambda_sq=1.0, alpha=1.0, t=1.0)
-    assert got == pytest.approx(math.exp(-1.0), rel=1e-15)
-
-
 def test_telegraph_reference_roots_and_limit():
     # tau=1, kappa lam2=1: mu^2 + mu + 1 = 0 -> (-1 +- i sqrt3)/2
     delta_sq, delta, r_plus, r_minus, _ = second_order_roots(1.0, 1.0, 1.0)
@@ -281,9 +281,10 @@ def test_telegraph_reference_roots_and_limit():
     assert got == pytest.approx(want, rel=1e-14)
     with pytest.raises(ValueError):
         reference_telegraph_mode(1.0, 1.0, 1.0, (math.nan, 0.0), 0.7)
-    # tau -> 0 recovers the heat decay on compatible data
+    # tau -> 0 recovers the heat decay alpha e^{-(b lam2/a) t} = e^{-t} on
+    # compatible data
     for t in (0.2, 1.0):
-        heat = reference_heat_mode(a=1.0, b=1.0, lambda_sq=1.0, alpha=1.0, t=t)
+        heat = math.exp(-t)
         tele = reference_telegraph_mode(tau=1e-8, kappa=1.0, lambda_sq=1.0,
                                         data=(1.0, -1.0), t=t)
         assert tele == pytest.approx(heat, rel=1e-6)
@@ -474,9 +475,8 @@ def test_decay_past_e_minus_708_keeps_its_digits():
 @example(-2.0, -1.0, 1.5)       # exact double root with negative h
 @example(-600.0, 100.0, 2.0)    # e^{600 t}: scaled factors stay finite
 def test_propagator_matches_matrix_exponential(h, k, tau):
-    phi0, phi1, log_scale, saturated = propagator(h, k, tau)
+    phi0, phi1, log_scale = factors(h, k, tau)
     assert np.isfinite([phi0, phi1, log_scale]).all()
-    assert bool(saturated) == (log_scale > LOG_SAT)
     with mp.workdps(50):
         a = mp.matrix([[0, 1], [mp.mpf(k), -mp.mpf(h)]])
         e = mp.expm(a * mp.mpf(tau))
@@ -489,56 +489,42 @@ def test_propagator_matches_matrix_exponential(h, k, tau):
     assert float(err / size) <= 64 * U * (1.0 + float(radius))
 
 
-def test_propagator_broadcasts_and_starts_at_identity():
-    h = np.array([[3.0], [-0.5], [0.2]])
-    k = np.array([[-2.0], [4.0], [-9.0]])
-    tau = np.linspace(0.0, 1.0, 5)
-    phi0, phi1, log_scale, saturated = propagator(h, k, tau)
-    assert phi0.shape == phi1.shape == log_scale.shape == saturated.shape == (3, 5)
-    assert (phi0[:, 0] == 1.0).all() and (phi1[:, 0] == 0.0).all()
-    assert (log_scale[:, 0] == 0.0).all() and not saturated.any()
-
-
 def test_propagator_table_matches_scalar_calls():
-    # one (modes x nodes) table against one scalar call per entry, bit for
-    # bit: complex rows among real ones, an exact double root (gap = 0), a
-    # near-double pair and a row that grows past e^700, for either sign of
-    # tau; the root order is decided once per row, so tau of both signs (or
-    # nan, which has no sign) is refused
+    # one array of modes at one scalar tau against one call per mode, bit for
+    # bit: complex modes among real ones, an exact double root (gap = 0), a
+    # near-double pair and a mode that grows past e^700, for either sign of
+    # tau; tau = 0 is the identity
     h = np.array([3.0, 0.5, -2.0, -2.0, 0.2, -600.0, 1e-3, -0.5])
     k = np.array([-2.0, -4.0, -1.0, -1.0 + 1e-12, -9.0, 100.0, 0.0, -9.0])
-    for tau in (np.linspace(0.0, 2.0, 9)[::-1], 0.0 - np.linspace(0.0, 2.0, 9)):
-        table = propagator(h[:, None], k[:, None], tau)
-        phi0, phi1, log_scale, saturated = table
-        zero = tau == 0.0
+    for tau in (2.0, 0.75, 0.0, -0.75, -2.0):
+        table = factors(h, k, tau)
         for i in range(h.size):
-            for j in np.flatnonzero(~zero):
-                one = propagator(h[i], k[i], tau[j])
-                assert all(same_bits(x[i, j], y) for x, y in zip(table, one)), (i, j)
-        # tau = 0 is the identity, phi1 = +0.0 on every row
-        assert (phi0[:, zero] == 1.0).all() and (log_scale[:, zero] == 0.0).all()
-        assert same_bits(phi1[:, zero], np.zeros((h.size, 1)))
+            one = factors(h[i], k[i], tau)
+            assert all(same_bits(x[i], y) for x, y in zip(table, one)), (i, tau)
+        phi0, phi1, log_scale = table
+        if tau == 0.0:   # phi1 = +0.0 on every mode
+            assert (phi0 == 1.0).all() and (log_scale == 0.0).all()
+            assert same_bits(phi1, np.zeros(h.size))
+        assert np.isfinite(table).all()
         # e^{600 tau} passes e^700 forward in time only
-        assert saturated[5].any() == (tau[0] > 0.0)
-        assert not np.delete(saturated, 5, axis=0).any()
-    for mixed in ([-0.5, 0.0, 0.5], [1.0, np.nan, 0.5]):
-        with pytest.raises(ValueError):
-            propagator(h[:, None], k[:, None], np.array(mixed))
+        assert (log_scale[5] > LOG_SAT) == (tau > 1.0)
+        assert (np.delete(log_scale, 5) < LOG_SAT).all()
 
 
 def test_propagator_phi1_where_gap_tau_underflows():
     # g = gap tau rounds to 0 with neither factor 0 (gap = -0.4 at a
     # subnormal tau, gap = -1e-160 at tau = 1e-170): phi1 = tau, as at a
-    # double root, in a table and in scalar calls alike
-    h, k = np.array([[0.4], [1e-160]]), np.array([[0.0], [0.0]])
-    tau = np.array([5e-324, 1e-170, 1.0])
-    phi0, phi1, _, _ = propagator(h, k, tau)
-    assert same_bits(phi1[0, 0], 5e-324) and same_bits(phi1[1, 1], 1e-170)
-    assert (phi0[:, :2] == 1.0).all()
-    for i in range(2):
-        for j in range(3):
-            one = propagator(h[i, 0], k[i, 0], tau[j])
-            assert same_bits(phi0[i, j], one[0]) and same_bits(phi1[i, j], one[1])
+    # double root, in an array of modes and in one-mode calls alike
+    h, k = np.array([0.4, 1e-160]), np.array([0.0, 0.0])
+    for tau in (5e-324, 1e-170, 1.0):
+        phi0, phi1, _ = factors(h, k, tau)
+        if tau < 1.0:
+            assert (phi0 == 1.0).all()
+        for i in range(2):
+            one = factors(h[i], k[i], tau)
+            assert same_bits(phi0[i], one[0]) and same_bits(phi1[i], one[1])
+    assert same_bits(factors(h, k, 5e-324)[1][0], 5e-324)
+    assert same_bits(factors(h, k, 1e-170)[1][1], 1e-170)
 
 
 def same_bits(x, y):
