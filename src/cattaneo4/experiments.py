@@ -49,7 +49,7 @@ import numpy as np
 from .boundary import BoundarySignal, _evolve_signals, build_blocks
 from .errors import ExceptionalParameterError, SingularParameterError
 from .modal import (ParameterSet, _check_positive, _first_order, _generator, _physical_map,
-                    _state, evolve_modes, second_order_roots)
+                    _state, second_order_roots)
 from .solver import Field, _locate, zero_field
 from .spectrum import BasisDescriptor, spectrum
 from .util import fit_slope
@@ -287,7 +287,9 @@ def heat_comparison(chi: float, gamma_rho: float, sigmas, theta0: Field, theta1:
     chi/gamma_rho.  A sigma at which some mode is first order
     (``check_wellposed``'s verdict on c = sigma/gamma_rho, one lookup for all
     sigma) is rejected; values below the smallest member of Z = gamma_rho E
-    only constrain un-enumerated modes and are evolved as-is.
+    only constrain un-enumerated modes and are evolved as-is.  Every sigma
+    and mode is one entry of a single (sigmas x modes) ``modal._state`` call,
+    the kernel of ``evolve_modes``, so its damping a = chi/sigma is an array.
     """
     _check_positive(chi=chi, gamma_rho=gamma_rho)
     if theta0.basis != theta1.basis:
@@ -305,12 +307,17 @@ def heat_comparison(chi: float, gamma_rho: float, sigmas, theta0: Field, theta1:
         raise ExceptionalParameterError(
             f"sigma={sigmas[i]!r} collides with exceptional member {member!r}",
             value=sigmas[i], nearest=member)
+    alpha, beta = theta0.coefficients, theta1.coefficients
+    if np.isnan(alpha).any() or np.isnan(beta).any():
+        raise ValueError("modal data must not be nan")
     spec = spectrum(theta0.basis)
-    heat = theta0.coefficients * np.exp(-(chi / gamma_rho) * spec.lambda_sq * t)
+    heat = alpha * np.exp(-(chi / gamma_rho) * spec.lambda_sq * t)
+    # no mode is first order once no sigma is exceptional: the same gate
+    a, b, c = np.array([(p.a, p.b, p.c) for p in params]).T[:, :, None]   # (sigmas, 1) each
+    values, _, saturated, _ = _state(
+        *second_order_roots(*_generator(a, b, c, spec.lambda_sq))[2:], alpha, beta, t)
     rows = []
-    for sigma, p in zip(sigmas, params):
-        value, _, sat = evolve_modes(p, spec.lambda_sq, theta0.coefficients,
-                                     theta1.coefficients, t)
+    for sigma, value, sat in zip(sigmas, values, saturated):
         if np.any(sat) or not np.all(np.isfinite(value)):
             rows.append(HeatComparisonRow(sigma, math.inf, "saturated"))
         else:

@@ -28,6 +28,12 @@ the record of second-order modes and their regime, elementwise.  ``_state``
 evaluates every mode, first or second order, for ``evolve_modes`` and the
 scans; ``_factors`` (exp(A t)), ``_companion`` (A) and ``_finish`` (scaled,
 rescued, saturated states) serve it and ``boundary`` alike.
+The chain works on buffers: each step allocates the arrays it returns, and
+a few work arrays, once per call, and writes every operation into them with
+``out=`` and ``where=``; work arrays die with the call that made them.  Each
+entry still sees the same floating-point operations in the same order as
+in the out-of-place form kept in ``tests/oracle.py``, so every value, flag
+and log-magnitude is the same to the bit.
 The gates are constants: a mode is first order when |1 - c lam2| <=
 DEGENERATE_TOL max(1, c lam2), its data are compatible when |beta - rate
 alpha| <= COMPAT_TOL max(1, |rate|) |alpha|, and ``solver.check_wellposed``
@@ -158,19 +164,35 @@ def second_order_roots(leading, damping, stiffness) -> CharacteristicRoots:
     -damping / (2 leading), and freq = delta / (2|leading|) (0 for real roots).
     Rows with damping < 0 are negated first, which keeps the roots and keeps
     damping + delta free of cancellation.
+
+    Each field is one buffer of the broadcast shape, written in place, and
+    one more for 2 leading dies here.  r_plus is -damping / (2 leading) until
+    the real-root form overwrites it where delta_sq > 0; freq holds -2
+    stiffness there until then.
     """
-    leading, damping, stiffness = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (leading, damping, stiffness)))
-    flip = np.where(damping < 0.0, -1.0, 1.0)
-    leading, damping, stiffness = leading * flip, damping * flip, stiffness * flip
+    leading, damping, stiffness = (np.asarray(v, dtype=float)
+                                   for v in (leading, damping, stiffness))
+    shape = np.broadcast_shapes(leading.shape, damping.shape, stiffness.shape)
+    if (damping < 0.0).any():
+        flip = np.where(damping < 0.0, -1.0, 1.0)
+        leading, damping, stiffness = leading * flip, damping * flip, stiffness * flip
+    r_plus, r_minus, freq = np.empty(shape), np.zeros(shape), np.empty(shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        delta_sq = damping * damping - 4.0 * stiffness * leading
-        delta = np.sqrt(np.abs(delta_sq))
+        delta_sq = np.multiply(4.0, stiffness, out=np.empty(shape))
+        np.multiply(delta_sq, leading, out=delta_sq)
+        np.subtract(damping * damping, delta_sq, out=delta_sq)
+        delta = np.abs(delta_sq, out=np.empty(shape))
+        np.sqrt(delta, out=delta)
         real = delta_sq > 0.0
-        r_plus = np.where(real, -2.0 * stiffness / (damping + delta),
-                          -damping / (2.0 * leading))
-        r_minus = -(damping + np.where(real, delta, 0.0)) / (2.0 * leading)
-        freq = np.where(delta_sq < 0.0, delta / np.abs(2.0 * leading), 0.0)
+        two_leading = np.multiply(2.0, leading, out=np.empty(shape))
+        np.divide(np.negative(damping), two_leading, out=r_plus)
+        np.copyto(r_minus, delta, where=real)
+        np.add(damping, r_minus, out=r_minus)            # damping + delta where real
+        np.multiply(-2.0, stiffness, out=freq, where=real)
+        np.divide(freq, r_minus, out=r_plus, where=real)
+        np.divide(np.negative(r_minus, out=r_minus), two_leading, out=r_minus)
+        freq.fill(0.0)
+        np.divide(delta, np.abs(two_leading, out=two_leading), out=freq, where=delta_sq < 0.0)
     return CharacteristicRoots(delta_sq, delta, r_plus, r_minus, freq)
 
 
@@ -190,25 +212,37 @@ def _factors(r_plus, r_minus, freq, tau: float):
     below the float range) phi1 = tau; a complex pair dom +/- i freq gives
     phi1 = sin(freq tau)/freq.  phi0 and phi1, of the size of 1 and tau,
     stay finite however large log_scale is.
+
+    Six buffers of the roots' shape, each reused once it is dead: r_plus
+    tau, then dom; r_minus tau, which takes r_plus tau where that is the
+    larger and so is log_scale = dom tau without a third product; oth, then
+    freq tau; gap, then oth phi1; g, then phi0; and phi1.  phi0, phi1 and
+    log_scale are returned, the other three die here.
     """
     tau = float(tau)
+    shape = np.broadcast_shapes(np.shape(r_plus), np.shape(r_minus), np.shape(freq))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        first = r_plus * tau >= r_minus * tau
-        dom = np.where(first, r_plus, r_minus)
-        oth = np.where(first, r_minus, r_plus)
-        gap = oth - dom
-        log_scale = dom * tau
-        g = np.asarray(gap * tau)
-        phi1 = np.expm1(g, out=np.empty(g.shape))
+        dom = np.multiply(r_plus, tau, out=np.empty(shape))
+        log_scale = np.multiply(r_minus, tau, out=np.empty(shape))
+        first = dom >= log_scale
+        np.copyto(log_scale, dom, where=first)       # dom tau
+        np.copyto(dom, r_minus)
+        np.copyto(dom, r_plus, where=first)
+        oth = np.empty(shape)
+        np.copyto(oth, r_plus)
+        np.copyto(oth, r_minus, where=first)
+        gap = np.subtract(oth, dom, out=np.empty(shape))
+        g = np.multiply(gap, tau, out=np.empty(shape))
+        phi1 = np.expm1(g, out=np.empty(shape))
         np.divide(phi1, gap, out=phi1)
         fixed = g == 0.0    # a double root, tau = 0, or gap tau below the float range
         if fixed.any():
             np.copyto(phi1, tau, where=fixed)
         phi0 = np.exp(g, out=g)
-        phi0 -= oth * phi1
+        phi0 -= np.multiply(oth, phi1, out=gap)
         cplx = freq > 0.0
         if cplx.any():
-            w = np.asarray(freq * tau)
+            w = np.multiply(freq, tau, out=oth)
             np.sin(w, out=phi1, where=cplx)
             np.divide(phi1, freq, out=phi1, where=cplx)
             np.multiply(dom, phi1, out=phi0, where=cplx)
@@ -218,12 +252,26 @@ def _factors(r_plus, r_minus, freq, tau: float):
 
 def _companion(r_plus, r_minus, freq):
     """(k, -h) of A = [[0, 1], [k, -h]] from the roots: the one place A is formed."""
-    return -(r_plus * r_minus + freq * freq), r_plus + r_minus
+    shape = np.broadcast_shapes(np.shape(r_plus), np.shape(r_minus), np.shape(freq))
+    k = np.multiply(r_plus, r_minus, out=np.empty(shape))
+    minus_h = np.multiply(freq, freq, out=np.empty(shape))
+    np.negative(np.add(k, minus_h, out=k), out=k)
+    return k, np.add(r_plus, r_minus, out=minus_h)
 
 
-def _product(phi0, phi1, k, minus_h, x, y):
-    """(phi0 I + phi1 A)(x, y) for A = [[0, 1], [k, minus_h]], elementwise."""
-    return phi0 * x + phi1 * y, phi0 * y + phi1 * (k * x + minus_h * y)
+def _product(phi0, phi1, k, minus_h, x, y, out=None):
+    """(phi0 I + phi1 A)(x, y) for A = [[0, 1], [k, minus_h]], elementwise, as
+    the two rows of one array: ``out`` (sharing no memory with x or y) or a
+    new one; one scratch row dies here."""
+    shape = np.broadcast_shapes(*map(np.shape, (phi0, phi1, k, minus_h, x, y)))
+    if out is None:
+        out = np.empty((2,) + shape)
+    value, deriv, work = out[0, ...], out[1, ...], np.empty(shape)
+    np.add(np.multiply(phi0, x, out=value), np.multiply(phi1, y, out=work), out=value)
+    np.add(np.multiply(k, x, out=deriv), np.multiply(minus_h, y, out=work), out=deriv)
+    np.multiply(phi1, deriv, out=deriv)
+    np.add(np.multiply(phi0, y, out=work), deriv, out=deriv)
+    return out
 
 
 def _finish(phi0, phi1, log_scale, k, minus_h, alpha, beta, forcing=None):
@@ -237,21 +285,30 @@ def _finish(phi0, phi1, log_scale, k, minus_h, alpha, beta, forcing=None):
     other, has the power of two at its largest datum, |alpha|, |beta| or |d|
     max(|p1|, |p2|), factored out (split between d and (p1, p2)), so
     subnormal data keep their digits (Higham, Accuracy and Stability, 2nd
-    ed., 2.1).  The factors stay bound until both ``scaled_exp`` calls have
-    run: freed first, they let the C allocator trim and refault heap pages
-    (20-35% slower at 2e4 modes, measured with the ``evolve`` benchmark
-    workload).
+    ed., 2.1).
+
+    W is one (2, ...) buffer, value over derivative, that ``_product`` fills
+    and one ``scaled_exp`` call turns into the states in place; theta and
+    theta' are its rows, log|theta| the first row of the log-magnitudes.
+    The factors stay bound until ``scaled_exp`` has run, as the callers hold
+    them: handed over and dropped before it, they left the page faults of an
+    ``evolve`` benchmark operation as they were (63 against 64) and were
+    slower in 6 of 6 paired runs (median op_ms 1.79 -> 1.87 ms).
     """
+    shape = np.broadcast_shapes(*map(np.shape, (phi0, phi1, log_scale, k, minus_h, alpha, beta,
+                                                *(forcing or ()))))
+    pair = np.empty((2,) + shape)
+
     def combine(alpha, beta, forcing):
-        value, deriv = _product(phi0, phi1, k, minus_h, alpha, beta)
+        _product(phi0, phi1, k, minus_h, alpha, beta, out=pair)
         if forcing is not None:
             d, p1, p2 = forcing
-            value, deriv = value + d * p1, deriv + d * p2
-        return value, deriv
+            np.add(pair[0, ...], d * p1, out=pair[0, ...])
+            np.add(pair[1, ...], d * p2, out=pair[1, ...])
 
-    value, deriv = combine(alpha, beta, forcing)
+    combine(alpha, beta, forcing)
     exponent = None
-    if (lost := _digits_lost(value, deriv)) is not None:
+    if (lost := _digits_lost(pair)) is not None:
         d, p1, p2 = forcing or (0.0, 0.0, 0.0)
         exponent = np.where(lost, np.frexp(np.maximum(np.maximum(np.abs(alpha), np.abs(beta)),
                                            np.abs(d) * np.maximum(np.abs(p1), np.abs(p2))))[1], 0)
@@ -259,10 +316,9 @@ def _finish(phi0, phi1, log_scale, k, minus_h, alpha, beta, forcing=None):
             e_d = np.where(lost, np.frexp(d)[1], 0)
             e_f = np.where(d != 0.0, exponent - e_d, 0)
             forcing = np.ldexp(d, -e_d), np.ldexp(p1, -e_f), np.ldexp(p2, -e_f)
-        value, deriv = combine(np.ldexp(alpha, -exponent), np.ldexp(beta, -exponent), forcing)
-    dtheta, s2 = scaled_exp(deriv, log_scale, exponent)[:2]   # its log not held over the next call
-    theta, s1, log_abs = scaled_exp(value, log_scale, exponent)
-    return theta, dtheta, s1 | s2, log_abs
+        combine(np.ldexp(alpha, -exponent), np.ldexp(beta, -exponent), forcing)
+    states, saturated, log_abs = scaled_exp(pair, log_scale, exponent)
+    return states[0, ...], states[1, ...], saturated[0, ...] | saturated[1, ...], log_abs[0, ...]
 
 
 def _state(r_plus, r_minus, freq, alpha, beta, t, first_order=None):
@@ -283,15 +339,15 @@ def _state(r_plus, r_minus, freq, alpha, beta, t, first_order=None):
         return _finish(phi0, phi1, log_scale, k, minus_h, alpha, beta)
 
 
-def _digits_lost(value, deriv):
-    """None when every entry of value and deriv is finite and at least 2^-960
-    in magnitude (a subnormal term then shifts it by under 2^-115 of itself),
-    as reductions tell; else the mask of the entries where one is not."""
-    mags = np.abs(value), np.abs(deriv)
-    if all(np.min(m, initial=np.inf) >= 2.0 ** -960 and np.max(m, initial=0.0) < np.inf
-           for m in mags):
+def _digits_lost(pair):
+    """None when every entry of the (value, derivative) rows of pair is finite
+    and at least 2^-960 in magnitude (a subnormal term then shifts it by under
+    2^-115 of itself), as reductions tell; else the mask of the entries where
+    one is not."""
+    mags = np.abs(pair)
+    if np.min(mags, initial=np.inf) >= 2.0 ** -960 and np.max(mags, initial=0.0) < np.inf:
         return None
-    return np.logical_or.reduce([~((m >= 2.0 ** -960) & (m < np.inf)) for m in mags])
+    return np.logical_or.reduce(~((mags >= 2.0 ** -960) & (mags < np.inf)))
 
 
 def characteristic_roots(p: ParameterSet, lambda_sq) -> CharacteristicRoots:
@@ -335,13 +391,15 @@ def evolve_modes(p: ParameterSet, lambda_sq, alpha, beta, t: float):
     beta = np.asarray(beta, dtype=float)
     if not np.all(lam > 0.0):
         raise ValueError("lambda_sq must be positive")
-    if np.isnan(alpha).any() or np.isnan(beta).any():
+    infinite = ~(np.isfinite(alpha) & np.isfinite(beta))
+    if infinite.any() and (np.isnan(alpha).any() or np.isnan(beta).any()):
         raise ValueError("modal data must not be nan")
     leading, damping, stiffness = _generator(p.a, p.b, p.c, lam)
     degenerate = _first_order(leading)
-    rate = -stiffness / p.a
-    infinite = ~(np.isfinite(alpha) & np.isfinite(beta))
+    first_order = None
     if np.any(degenerate):
+        rate = -stiffness / p.a
+        first_order = degenerate, rate
         if np.any(degenerate & infinite):
             raise ValueError("a first-order mode needs finite data")
         bad = degenerate & ~_compatible(rate, alpha, beta)
@@ -354,11 +412,13 @@ def evolve_modes(p: ParameterSet, lambda_sq, alpha, beta, t: float):
                 f"degenerate mode {i + 1} violates compatibility: beta/alpha = {actual}, "
                 f"required {required}", mode_index=i + 1)
     if t == 0.0:
-        return (alpha.copy(), np.where(degenerate, rate * alpha, beta),
-                infinite | np.zeros(lam.shape, dtype=bool))
-    # the record is dropped before _state: delta_sq and delta are freed first
-    value, deriv, sat, _ = _state(*second_order_roots(leading, damping, stiffness)[2:], alpha,
-                                  beta, t, (degenerate, rate) if np.any(degenerate) else None)
+        return (alpha.copy(), np.where(degenerate, alpha if first_order is None else rate * alpha,
+                                       beta), infinite | np.zeros(lam.shape, dtype=bool))
+    roots = second_order_roots(leading, damping, stiffness)[2:]
+    # only the roots go on: the generator and the record's delta_sq and delta
+    # are freed before _state makes its buffers
+    del leading, stiffness
+    value, deriv, sat, _ = _state(*roots, alpha, beta, t, first_order)
     return value, deriv, sat | infinite
 
 

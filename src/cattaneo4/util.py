@@ -2,8 +2,10 @@
 
 ``scaled_exp`` reports exponentials that exceed e^700 in magnitude as +/-inf
 with a saturation flag, and their log-magnitude, which stays finite far beyond
-the float range; tables read both through ``modal._state``.  The rest are a
-least-squares slope, the composite Simpson weights and the DST-I.
+the float range; tables read both through ``modal._state``.  It writes the
+value into the array it is given and makes two buffers of its own, the
+log-magnitudes and exp(log_scale).  The rest are a least-squares slope, the
+composite Simpson weights and the DST-I.
 """
 
 from __future__ import annotations
@@ -31,22 +33,31 @@ def scaled_exp(x, log_scale, exponent=None):
     log-magnitude, which costs about |log-magnitude| ulps, where a subnormal
     or infinite exp(log_scale) would cost its digits.  Underflow quietly
     gives 0.0, which is the honest limit.  Never returns nan for finite input.
+
+    ``x`` is a float array of the full shape (log_scale and exponent
+    broadcast to it) that the caller hands over: the value is written into
+    it and returned.  Two buffers are new: logmag, of x's shape, and
+    exp(log_scale), of log_scale's, made once for every row of x.  The
+    entries past the saturation or outside that range, few as a rule, are
+    patched from a copy of their x taken before the product.
     """
-    x = np.asarray(x, dtype=float)
     log_scale = np.asarray(log_scale, dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        logmag = np.log(np.abs(x))
-        if exponent is None:
-            value = x * np.exp(log_scale)
-        else:
-            logmag = logmag + np.multiply(exponent, LN2)
-            mantissa, power = np.frexp(np.exp(log_scale))
-            value = np.ldexp(x * mantissa, power + exponent)
-        logmag = logmag + log_scale
+        logmag = np.abs(x, out=np.empty(x.shape))
+        np.log(logmag, out=logmag)
+        if exponent is not None:
+            np.add(logmag, np.multiply(exponent, LN2), out=logmag)
+        np.add(logmag, log_scale, out=logmag)
         saturated = logmag > LOG_SATURATION
-        in_logs = (log_scale > 709.0) | (log_scale < -708.0)
-        value = np.where(in_logs, np.copysign(np.exp(logmag), x), value)
-    return np.where(saturated, np.copysign(np.inf, x), value), saturated, logmag
+        patch = np.flatnonzero(saturated | ((log_scale > 709.0) | (log_scale < -708.0)))
+        kept, sat, mag = x.flat[patch], saturated.flat[patch], logmag.flat[patch]
+        if exponent is None:
+            np.multiply(x, np.exp(log_scale), out=x)
+        else:
+            mantissa, power = np.frexp(np.exp(log_scale))
+            np.ldexp(np.multiply(x, mantissa, out=x), power + exponent, out=x)
+        x.flat[patch] = np.where(sat, np.copysign(np.inf, kept), np.copysign(np.exp(mag), kept))
+    return x, saturated, logmag
 
 
 def fit_slope(xs, ys) -> float:

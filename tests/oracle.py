@@ -11,7 +11,13 @@ Two oracles, deliberately disjoint from the spectral machinery:
 * ``fd_solve``: Crank-Nicolson finite differences for the full PDE on a
   uniform grid, boundary signal included.
 
-Both need scipy, a test dependency (``pip install 'cattaneo4[test]'``).
+Beside them, ``second_order_roots`` through ``scaled_exp`` at the end of
+this module are the out-of-place form of the package's modal chain (roots, the
+scaled factors of exp(A tau), the finish), kept verbatim as they stood before
+the package wrote that chain into work buffers; ``tests/test_modal.py``
+holds the package's chain to it byte for byte.
+
+The first two need scipy, a test dependency (``pip install 'cattaneo4[test]'``).
 This module lives with the tests, which import it as ``oracle``; the package
 and its command line neither ship nor import it.  ``simpson`` is the
 composite Simpson rule that some tests integrate samples with.
@@ -33,7 +39,8 @@ from scipy.integrate import solve_ivp
 from scipy.sparse.linalg import splu
 
 from cattaneo4.errors import ExceptionalParameterError
-from cattaneo4.util import simpson_weights
+from cattaneo4.modal import CharacteristicRoots
+from cattaneo4.util import LN2, LOG_SATURATION, simpson_weights
 
 # Internal tolerances are the requested ones divided by this factor; rtol is
 # kept above the 100 eps floor below which scipy overrides it with a warning.
@@ -255,3 +262,192 @@ def fd_solve(p, L: float, nx: int, dt: float, T: float,
     return GridSolution(nx=nx, dt=dt, x=np.linspace(0.0, L, nx + 1),
                         times=t_steps[snap_steps], theta=theta, theta_prime=theta_prime,
                         scheme="crank-nicolson tridiagonal, factorized once")
+
+
+# ---------------------------------------------------------------------------
+# The modal chain out of place: every step into a fresh array, as the package
+# computed it before its buffers (the values the buffered chain must keep).
+# ---------------------------------------------------------------------------
+
+def second_order_roots(leading, damping, stiffness) -> CharacteristicRoots:
+    """Roots of leading r^2 + damping r + stiffness = 0, elementwise.
+
+    Returns the record (delta_sq, delta, r_plus, r_minus, freq), delta_sq =
+    damping^2 - 4 stiffness leading and delta = sqrt(|delta_sq|).  Real
+    distinct roots (delta_sq > 0) use the cancellation-free forms
+
+        r_plus = -2 stiffness / (damping + delta),
+        r_minus = -(damping + delta) / (2 leading);
+
+    (-damping + delta) would lose every digit when stiffness * leading is tiny.
+    For a double root or a complex pair both entries hold the real part
+    -damping / (2 leading), and freq = delta / (2|leading|) (0 for real roots).
+    Rows with damping < 0 are negated first, which keeps the roots and keeps
+    damping + delta free of cancellation.
+    """
+    leading, damping, stiffness = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (leading, damping, stiffness)))
+    flip = np.where(damping < 0.0, -1.0, 1.0)
+    leading, damping, stiffness = leading * flip, damping * flip, stiffness * flip
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        delta_sq = damping * damping - 4.0 * stiffness * leading
+        delta = np.sqrt(np.abs(delta_sq))
+        real = delta_sq > 0.0
+        r_plus = np.where(real, -2.0 * stiffness / (damping + delta),
+                          -damping / (2.0 * leading))
+        r_minus = -(damping + np.where(real, delta, 0.0)) / (2.0 * leading)
+        freq = np.where(delta_sq < 0.0, delta / np.abs(2.0 * leading), 0.0)
+    return CharacteristicRoots(delta_sq, delta, r_plus, r_minus, freq)
+
+
+def _factors(r_plus, r_minus, freq, tau: float):
+    """exp(A tau) = e^log_scale (phi0 I + phi1 A) at one time tau, from the
+    eigenvalues of A (after Moler & Van Loan, SIAM Rev. 45, 2003).
+
+    The root whose exponent mu tau is larger (r_plus where r_plus tau >=
+    r_minus tau) is factored out as log_scale; the other one, oth, sits gap
+    = oth - dom away, so g = gap tau <= 0 and
+
+        phi1 = expm1(g) / gap,   phi0 = e^g - oth phi1,
+
+    the first divided difference of exp and the identity e^{oth tau} =
+    phi0 + oth phi1 (equal to 1 - dom phi1, but a sum of two terms of one
+    sign whenever oth < 0).  Where g = 0 (a double root, tau = 0, or gap tau
+    below the float range) phi1 = tau; a complex pair dom +/- i freq gives
+    phi1 = sin(freq tau)/freq.  phi0 and phi1, of the size of 1 and tau,
+    stay finite however large log_scale is.
+    """
+    tau = float(tau)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        first = r_plus * tau >= r_minus * tau
+        dom = np.where(first, r_plus, r_minus)
+        oth = np.where(first, r_minus, r_plus)
+        gap = oth - dom
+        log_scale = dom * tau
+        g = np.asarray(gap * tau)
+        phi1 = np.expm1(g, out=np.empty(g.shape))
+        np.divide(phi1, gap, out=phi1)
+        fixed = g == 0.0    # a double root, tau = 0, or gap tau below the float range
+        if fixed.any():
+            np.copyto(phi1, tau, where=fixed)
+        phi0 = np.exp(g, out=g)
+        phi0 -= oth * phi1
+        cplx = freq > 0.0
+        if cplx.any():
+            w = np.asarray(freq * tau)
+            np.sin(w, out=phi1, where=cplx)
+            np.divide(phi1, freq, out=phi1, where=cplx)
+            np.multiply(dom, phi1, out=phi0, where=cplx)
+            np.subtract(np.cos(w, out=w, where=cplx), phi0, out=phi0, where=cplx)
+    return phi0, phi1, log_scale
+
+
+def _companion(r_plus, r_minus, freq):
+    """(k, -h) of A = [[0, 1], [k, -h]] from the roots: the one place A is formed."""
+    return -(r_plus * r_minus + freq * freq), r_plus + r_minus
+
+
+def _product(phi0, phi1, k, minus_h, x, y):
+    """(phi0 I + phi1 A)(x, y) for A = [[0, 1], [k, minus_h]], elementwise."""
+    return phi0 * x + phi1 * y, phi0 * y + phi1 * (k * x + minus_h * y)
+
+
+def _finish(phi0, phi1, log_scale, k, minus_h, alpha, beta, forcing=None):
+    """(theta, theta', saturated, log|theta|) of W = e^log_scale [(phi0 I +
+    phi1 A)(alpha, beta) + d (p1, p2)], A = [[0, 1], [k, minus_h]], from the
+    scaled factors of ``_factors``; without a forcing (d, p1, p2) no term is
+    added.
+
+    Values past e^700 saturate to +/-inf with the flag set; log|theta| stays
+    finite.  An entry that would lose digits (``_digits_lost``), and no
+    other, has the power of two at its largest datum, |alpha|, |beta| or |d|
+    max(|p1|, |p2|), factored out (split between d and (p1, p2)), so
+    subnormal data keep their digits (Higham, Accuracy and Stability, 2nd
+    ed., 2.1).  The factors stay bound until both ``scaled_exp`` calls have
+    run: freed first, they let the C allocator trim and refault heap pages
+    (20-35% slower at 2e4 modes, measured with the ``evolve`` benchmark
+    workload).
+    """
+    def combine(alpha, beta, forcing):
+        value, deriv = _product(phi0, phi1, k, minus_h, alpha, beta)
+        if forcing is not None:
+            d, p1, p2 = forcing
+            value, deriv = value + d * p1, deriv + d * p2
+        return value, deriv
+
+    value, deriv = combine(alpha, beta, forcing)
+    exponent = None
+    if (lost := _digits_lost(value, deriv)) is not None:
+        d, p1, p2 = forcing or (0.0, 0.0, 0.0)
+        exponent = np.where(lost, np.frexp(np.maximum(np.maximum(np.abs(alpha), np.abs(beta)),
+                                           np.abs(d) * np.maximum(np.abs(p1), np.abs(p2))))[1], 0)
+        if forcing is not None:
+            e_d = np.where(lost, np.frexp(d)[1], 0)
+            e_f = np.where(d != 0.0, exponent - e_d, 0)
+            forcing = np.ldexp(d, -e_d), np.ldexp(p1, -e_f), np.ldexp(p2, -e_f)
+        value, deriv = combine(np.ldexp(alpha, -exponent), np.ldexp(beta, -exponent), forcing)
+    dtheta, s2 = scaled_exp(deriv, log_scale, exponent)[:2]   # its log not held over the next call
+    theta, s1, log_abs = scaled_exp(value, log_scale, exponent)
+    return theta, dtheta, s1 | s2, log_abs
+
+
+def _state(r_plus, r_minus, freq, alpha, beta, t, first_order=None):
+    """``_finish`` of W(t) = exp(A t)(alpha, beta), A from ``_companion``, for
+    ``second_order_roots``'s roots.
+
+    first_order = (mask, rate) marks first-order modes, theta = alpha e^{rate
+    t}: there A = 0, the factors are (1, 0), log_scale = rate t and beta =
+    rate alpha, whatever the roots hold."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        phi0, phi1, log_scale = _factors(r_plus, r_minus, freq, t)
+        k, minus_h = _companion(r_plus, r_minus, freq)
+        if first_order is not None:
+            mask, rate = first_order
+            phi0, phi1, k, minus_h, log_scale, beta = (np.where(mask, v, w) for v, w in (
+                (1.0, phi0), (0.0, phi1), (0.0, k), (0.0, minus_h), (rate * t, log_scale),
+                (rate * alpha, beta)))
+        return _finish(phi0, phi1, log_scale, k, minus_h, alpha, beta)
+
+
+def _digits_lost(value, deriv):
+    """None when every entry of value and deriv is finite and at least 2^-960
+    in magnitude (a subnormal term then shifts it by under 2^-115 of itself),
+    as reductions tell; else the mask of the entries where one is not."""
+    mags = np.abs(value), np.abs(deriv)
+    if all(np.min(m, initial=np.inf) >= 2.0 ** -960 and np.max(m, initial=0.0) < np.inf
+           for m in mags):
+        return None
+    return np.logical_or.reduce([~((m >= 2.0 ** -960) & (m < np.inf)) for m in mags])
+
+
+def scaled_exp(x, log_scale, exponent=None):
+    """Elementwise x * 2^exponent * exp(log_scale) with overflow saturation.
+
+    Returns ``(value, saturated, logmag)`` arrays, logmag the product's
+    log-magnitude.  Where it exceeds ``LOG_SATURATION`` the value is +/-inf
+    (sign of ``x``) and the flag is set.  Elsewhere, while exp(log_scale) is
+    a normal float (log_scale in [-708, 709]), the value is x exp(log_scale),
+    exact to rounding.  The optional integer ``exponent`` is a power of two
+    factored out of the data (``frexp``), so that ``x`` keeps its digits: then
+    exp(log_scale) = m 2^q is split by ``frexp`` and the powers of two are
+    applied last, ldexp(x m, q + exponent), which cannot overflow before the
+    end.  Outside that range of log_scale the value is the exp of its
+    log-magnitude, which costs about |log-magnitude| ulps, where a subnormal
+    or infinite exp(log_scale) would cost its digits.  Underflow quietly
+    gives 0.0, which is the honest limit.  Never returns nan for finite input.
+    """
+    x = np.asarray(x, dtype=float)
+    log_scale = np.asarray(log_scale, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        logmag = np.log(np.abs(x))
+        if exponent is None:
+            value = x * np.exp(log_scale)
+        else:
+            logmag = logmag + np.multiply(exponent, LN2)
+            mantissa, power = np.frexp(np.exp(log_scale))
+            value = np.ldexp(x * mantissa, power + exponent)
+        logmag = logmag + log_scale
+        saturated = logmag > LOG_SATURATION
+        in_logs = (log_scale > 709.0) | (log_scale < -708.0)
+        value = np.where(in_logs, np.copysign(np.exp(logmag), x), value)
+    return np.where(saturated, np.copysign(np.inf, x), value), saturated, logmag

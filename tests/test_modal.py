@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -12,6 +13,7 @@ from cattaneo4 import (DegenerateModeError, ParameterSet,
                        reference_telegraph_mode, second_order_roots)
 from cattaneo4 import modal
 from cattaneo4.modal import _physical_map
+import oracle
 from oracle import integrate_modes
 
 
@@ -608,3 +610,117 @@ def test_batch_matches_single_mode_calls():
     with pytest.raises(UnsolvableModeError) as err:
         evolve_modes(p, lam2[:8], alpha[:8], beta[:8], 0.9)
     assert err.value.mode_index == 4
+
+
+# each entry's (leading, damping, stiffness) is drawn from one of these
+# regimes; 'near first order' has |leading| = 1e-13 and a huge fast root,
+# 'fast decay' puts both roots far past e^-708 over a unit time, and 'decay
+# past e^-708' just past it, where huge data keep a normal value
+REGIMES = {
+    "real distinct": ((0.2, 2.0), (3.0, 6.0), (0.1, 1.0)),
+    "complex": ((0.2, 2.0), (0.1, 1.0), (2.0, 50.0)),
+    "growing": ((-2.0, -1e-3), (0.5, 3.0), (0.5, 50.0)),
+    "saturating": ((-1e-4, -1e-6), (0.5, 3.0), (1e2, 1e4)),
+    "near first order": ((-1e-13, 1e-13), (0.5, 3.0), (0.5, 5.0)),
+    "fast decay": ((1e-5, 1e-4), (0.5, 2.0), (1e5, 1e6)),
+    "decay past e^-708": ((1e-3, 1e-3), (1.44, 1.8), (1e3, 1e4)),
+}
+DOUBLE_ROOTS = ((1.0, 2.0, 1.0), (0.25, 1.0, 1.0), (-1.0, 2.0, -1.0))
+
+
+def chain_inputs(seed, shape, negative_damping):
+    """Seeded (leading, damping, stiffness, alpha, beta, d, p1, p2, mask) of
+    the given shape, every regime and exact double roots mixed; the data mix
+    ordinary values with zeros, huge ones and subnormals (the digit rescue)."""
+    rng = np.random.default_rng(seed)
+    n = math.prod(shape)
+    kinds = rng.integers(0, len(REGIMES) + 1, n)
+    gen = np.empty((3, n))
+    for i, kind in enumerate(kinds):
+        if kind == len(REGIMES):
+            gen[:, i] = DOUBLE_ROOTS[rng.integers(len(DOUBLE_ROOTS))]
+        else:
+            gen[:, i] = [rng.uniform(*span) for span in list(REGIMES.values())[kind]]
+    if negative_damping:   # the same quadratics negated: the roots stay
+        gen[:, rng.random(n) < 0.5] *= -1.0
+
+    def data(size):
+        scale = rng.choice([1.0, 0.0, 1e200, 1e-200, 1e-310, 5e-324], n, p=[.5, .1, .1, .1, .1, .1])
+        return rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 2.0, n) * scale * size
+
+    d = data(1.0)
+    p1, p2 = (rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-200, 200, n) for _ in "12")
+    arrays = (*gen, data(1.0), data(1.0), d, p1, p2, rng.random(n) < 0.2)
+    if shape == ():   # numpy scalars, as the scalar callers pass them
+        return tuple(x[0] for x in arrays)
+    return tuple(x.reshape(shape) for x in arrays)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([(), (1,), (24,), (3, 8)]), st.booleans(),
+       st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, 40.0]),
+                 st.floats(min_value=-10.0, max_value=10.0)))
+@settings(max_examples=80, deadline=None)
+@example(0, (24,), False, 0.0)
+@example(1, (3, 8), True, -2.5)
+@example(2, (), False, 3.0)
+@example(1, (24,), False, 1.0)  # log_scale in (-1100, -708) on data of 1e200
+def test_buffered_chain_is_the_out_of_place_chain_bit_for_bit(seed, shape, negative_damping, tau):
+    # the roots, the scaled factors of exp(A tau), A, and the finish with and
+    # without a forcing are byte for byte those of the out-of-place chain kept
+    # in tests/oracle.py: values, derivatives, flags and log-magnitudes, for
+    # every regime, tau < 0, = 0 and > 0, 0-d and 2-D arguments, and rows
+    # with damping < 0
+    leading, damping, stiffness, alpha, beta, d, p1, p2, mask = chain_inputs(
+        seed, shape, negative_damping)
+    with np.errstate(all="ignore"):
+        roots = modal.second_order_roots(leading, damping, stiffness)
+        want = oracle.second_order_roots(leading, damping, stiffness)
+        assert all(same_bits(x, y) for x, y in zip(roots, want))
+        factors = modal._factors(*roots[2:], tau)
+        assert all(same_bits(x, y) for x, y in zip(factors, oracle._factors(*want[2:], tau)))
+        companion = modal._companion(*roots[2:])
+        assert all(same_bits(x, y) for x, y in zip(companion, oracle._companion(*want[2:])))
+        for forcing in (None, (d, p1, p2)):
+            got = modal._finish(*factors, *companion, alpha, beta, forcing)
+            ref = oracle._finish(*factors, *companion, alpha, beta, forcing)
+            assert all(same_bits(x, y) for x, y in zip(got, ref)), forcing is None
+        rate = -stiffness / damping
+        for first_order in (None, (mask, rate)):
+            got = modal._state(*roots[2:], alpha, beta, tau, first_order)
+            ref = oracle._state(*want[2:], alpha, beta, tau, first_order)
+            assert all(same_bits(x, y) for x, y in zip(got, ref))
+
+
+def evolve_workload_modes(rho):
+    """(ParameterSet, lam2, alpha, beta, t) of the ``evolve`` benchmark's shape:
+    2e4 modes on (0, 128 pi), so lam_n = n/128, and c at relative offset rho
+    from the exceptional member of mode 1e4."""
+    n = np.arange(1, 20001)
+    lam2 = (n / 128.0) ** 2
+    rng = np.random.default_rng(27)
+    alpha, beta = rng.normal(size=(2, n.size)) / np.sqrt(n)
+    return ParameterSet(2.0, 1.0, (1.0 + rho) / lam2[9999]), lam2, alpha, beta, 2.0
+
+
+def test_evolve_modes_peak_memory_on_the_evolve_workload():
+    # one 2e4-mode call holds at most 16 arrays of N floats at a time
+    # (2500 KB; the out-of-place chain peaked at 2918 KB), with complex,
+    # growing and saturated modes all present; its states are those of the
+    # out-of-place chain byte for byte
+    for rho in (2e-5, -3e-7):
+        p, lam2, alpha, beta, t = evolve_workload_modes(rho)
+        evolve_modes(p, lam2, alpha, beta, t)
+        tracemalloc.start()
+        try:
+            value, deriv, sat = evolve_modes(p, lam2, alpha, beta, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2500 * 1024, peak / 1024
+        roots = second_order_roots(*modal._generator(p.a, p.b, p.c, lam2))
+        assert (roots.freq > 0.0).any() and (roots.r_minus > 0.0).any() and sat.any()
+        with np.errstate(all="ignore"):
+            want = oracle._state(*oracle.second_order_roots(
+                *modal._generator(p.a, p.b, p.c, lam2))[2:], alpha, beta, t)
+        assert all(same_bits(x, y) for x, y in zip((value, deriv, sat), want))
+

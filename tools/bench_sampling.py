@@ -20,13 +20,19 @@ of 5 calls and its own peak RSS.  The layers:
   t = 0.8, the exact convolution (no quadrature nodes), N = 1e3, 1e4, 1e5;
   the operator is built outside the timed call;
 * ``check_wellposed`` at c = 0.26 on (0, pi) with a cold spectrum cache
-  (cleared before each call), N = 1e3, 1e4, 1e5.
+  (cleared before each call), N = 1e3, 1e4, 1e5;
+* ``evolve_homogeneous`` in the shape of the ``evolve`` benchmark workload,
+  N = 1e3, 1e4, 1e5: on (0, (N/156.25) pi), so lam_n = 156.25 n/N, with a
+  = 2, b = 1, c = (1 + 2e-5)/lam_{N/2}^2 and t = 2, seeded data of size
+  n^-1/2; the modes below N/2 are complex, the ones above grow, and a band
+  just above it saturates.
 
 The time of the next size is predicted from the last one at the layer's
 growth order (quadratic for the sampling layers, the order of their
 compensated-sum path; linear for ``propagation_burst`` and
-``evolve_with_boundary``, whose boundary convolution is O(N) per time, and for
-``check_wellposed``, whose bound is a spectrum built from cold): past 60 s
+``evolve_with_boundary``, whose boundary convolution is O(N) per time, for
+``check_wellposed``, whose bound is a spectrum built from cold, and for
+``evolve_homogeneous``, elementwise over the modes): past 60 s
 the size is recorded as ``"skipped: > 60 s"`` and not run, and past 1 s it
 is timed by one call.
 
@@ -54,6 +60,7 @@ LAYERS = {
     "verify_cli": ((7,), 1),
     "evolve_with_boundary": ((1000, 10000, 100000), 1),
     "check_wellposed": ((1000, 10000, 100000), 1),
+    "evolve_homogeneous": ((1000, 10000, 100000), 1),
 }
 # the command of each CLI layer, completed by its size
 CLI = {"propagation_cli": ["propagation", "--a", "3", "--b", "1", "--c", "0.5", "--L", "pi",
@@ -89,6 +96,11 @@ else:
     rates = [2.0 ** j for j in range(13)]
     stiff = c4.build_blocks(c4.ParameterSet(2.0, 1.0, 0.003), basis, (1.0, 0.0))
     sine, zero = c4.BoundarySignal.sinusoid(1.0, 3.0), c4.zero_field(basis)
+    ratio = n / 156.25   # lam_k = k / ratio, and lam_{n/2} = 78.125 at every n
+    ev_basis = c4.BasisDescriptor(1, (ratio * math.pi,), n)
+    ev_p = c4.ParameterSet(2.0, 1.0, (1.0 + 2e-5) * (ratio / (n // 2)) ** 2)
+    ev_data = [c4.Field(ev_basis, rng.normal(size=n) / np.sqrt(np.arange(1, n + 1)))
+               for _ in range(2)]
     for _ in range(repeats):
         if layer == "check_wellposed":
             c4.spectrum.spectrum.cache_clear()  # a cold cache
@@ -101,6 +113,8 @@ else:
             c4.project_samples((x, values), basis)
         elif layer == "evolve_with_boundary":
             c4.evolve_with_boundary(stiff, zero, zero, sine, 0.8)
+        elif layer == "evolve_homogeneous":
+            c4.evolve_homogeneous(ev_p, *ev_data, 2.0)
         else:
             c4.propagation_burst(p, basis, (1.0, 0.0), 0.05, rates, (1.0, 2.0))
         times.append(time.perf_counter() - t0)
