@@ -31,10 +31,9 @@ They are summed as a Taylor series where all nodes lie close together
 (resonance sigma = mu, a double root, a short piece) and by recurrences that
 divide by the widest gap elsewhere (``_divided_differences``), with the
 dominant exponent factored out.  A time costs O(modes); there is no
-quadrature and no node table.  One call evolves to one time t; the
-eigenvalues of A and E(t) are computed once and shared by every signal of
-the call (``_evolve_signals``; ``experiments.propagation_burst`` evolves all
-its burst rates that way).  t = 0 returns the data.
+quadrature and no node table.  One call evolves one signal to one time t,
+with one root solve and one E(t) (``experiments.propagation_burst`` makes
+one call per burst rate).  t = 0 returns the data.
 f'' itself stands under the integral, so a ramp of width w carries a
 rounding error of about eps/w per unit height in theta'; a ramp that ends
 where it starts in floating point is a step.
@@ -494,47 +493,34 @@ def evolve_with_boundary(blocks: BoundaryOperator, theta0: Field, theta1: Field,
         W(t) = E(t) W(0) + int_0^t E(t - s) D_n q(s) ds,   q = f'' - beta f,
 
     with W = (theta_n, theta_n'), D_n = (0, d_n) and E(t) = exp(A t).  The
+    eigenvalues of every block come from one ``modal.second_order_roots``
+    call on the generators, and E(t) from one ``modal._factors`` call.  The
     integral is evaluated in closed form, piece by piece of the signal, from
     divided differences of exp (``_convolution``); there is no quadrature.
-    Each mode's dominant exponent is kept out of the sums and applied last
-    by ``modal._finish``, the finish of ``modal.evolve_modes``: values beyond
+    A piece [s_a, s_b] that starts before t adds one ``_convolution`` per
+    nonzero rate group of q on the piece, carried to t by E(t - s_b).  Every
+    step is elementwise over the modes, so a call costs O(modes).  Each
+    mode's dominant exponent is kept out of the sums and applied last by
+    ``modal._finish``, the finish of ``modal.evolve_modes``: values beyond
     the e^700 range saturate to +/-inf with the flag set, and subnormal data
-    keep their digits; infinite data are flagged.  t = 0 returns the data; a
-    zero signal gives ``solver.evolve_homogeneous`` bit for bit.  The blocks
-    must hold the eigenvalues of the data's basis (``build_blocks`` on that
-    basis); else ValueError.
+    keep their digits; infinite data are flagged.  t = 0 returns the data
+    exactly, flagged where they are not finite; a zero signal gives
+    ``solver.evolve_homogeneous`` bit for bit.  The blocks must hold the
+    eigenvalues of the data's basis (``build_blocks`` on that basis); else
+    ValueError.
     """
-    theta, dtheta, sat = _evolve_signals(blocks, theta0, theta1, [signal], t)[0]
-    return (Field(theta0.basis, theta, sat.copy()), Field(theta0.basis, dtheta, sat.copy()))
-
-
-def _evolve_signals(blocks: BoundaryOperator, theta0: Field, theta1: Field,
-                    signals, t: float) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """``evolve_with_boundary`` for several signals on one operator at the
-    time t: one (theta, theta', saturated) triple of mode arrays per signal,
-    each bit for bit what a call with that signal alone gives.
-
-    The eigenvalues of every block come from one ``modal.second_order_roots``
-    call on the generators, and E(t) from one ``modal._factors`` call, shared
-    by the signals.  A piece [s_a, s_b] of a signal that starts before t adds
-    its own integral, one ``_convolution`` per nonzero rate group of q on the
-    piece, carried to t by E(t - s_b).  Every step is elementwise over the
-    modes, so a call costs O(modes) per signal.  t = 0 returns the data
-    exactly, flagged where they are not finite.
-    """
-    if theta0.basis != theta1.basis:
+    basis = theta0.basis
+    if basis != theta1.basis:
         raise ValueError("theta0 and theta1 must share one basis")
-    if len(blocks) != theta0.basis.truncation or not np.array_equal(
-            blocks.lambda_sq, spectrum(theta0.basis).lambda_sq):
+    if not np.array_equal(blocks.lambda_sq, spectrum(basis).lambda_sq):
         raise ValueError("need exactly one block per basis mode, with its eigenvalue")
     t = float(t)
-    for signal in signals:
-        if not 0.0 <= t <= signal.T * (1 + 1e-12):
-            raise ValueError(f"t={t} outside the signal horizon [0, {signal.T}]")
+    if not 0.0 <= t <= signal.T * (1 + 1e-12):
+        raise ValueError(f"t={t} outside the signal horizon [0, {signal.T}]")
     alpha, beta = theta0.coefficients, theta1.coefficients
     infinite = ~(np.isfinite(alpha) & np.isfinite(beta))
     if t == 0.0:   # the data, exactly
-        return [(alpha.copy(), beta.copy(), infinite.copy()) for _ in signals]
+        return Field(basis, alpha.copy(), infinite), Field(basis, beta.copy(), infinite.copy())
     r_plus, r_minus, freq = second_order_roots(blocks.leading, blocks.damping,
                                                blocks.stiffness)[2:]
     k, minus_h = _companion(r_plus, r_minus, freq)
@@ -543,38 +529,36 @@ def _evolve_signals(blocks: BoundaryOperator, theta0: Field, theta1: Field,
     mu2 = np.where(first, r_minus, r_plus) - 1j * freq
     e0, e1, log_e = _factors(r_plus, r_minus, freq, t)
 
-    results = []
-    for signal in signals:
-        # the scaled response of each (piece, rate) at t: (u1, u2, log) is
-        # e^log (u1, u2), before the factor d
-        parts = []
-        for lo, hi, origin, unit, groups in signal._forcing(blocks.beta):
-            s_a, s_b = max(lo, 0.0), min(hi, t)
-            if s_b <= s_a or not groups:
-                continue
-            ell = s_b - s_a
-            kappa = ell / unit
-            if s_a == 0.0 and s_b == t:
-                phi1_ell, log_ell = e1, log_e   # the piece is all of [0, t]
-            else:
-                _, phi1_ell, log_ell = _factors(r_plus, r_minus, freq, ell)
+    # the scaled response of each (piece, rate) at t: (u1, u2, log) is
+    # e^log (u1, u2), before the factor d
+    parts = []
+    for lo, hi, origin, unit, groups in signal._forcing(blocks.beta):
+        s_a, s_b = max(lo, 0.0), min(hi, t)
+        if s_b <= s_a or not groups:
+            continue
+        ell = s_b - s_a
+        kappa = ell / unit
+        if s_a == 0.0 and s_b == t:
+            phi1_ell, log_ell = e1, log_e   # the piece is all of [0, t]
+        else:
+            _, phi1_ell, log_ell = _factors(r_plus, r_minus, freq, ell)
+        if s_b < t:
+            f0, f1, log_tau = _factors(r_plus, r_minus, freq, t - s_b)
+        for rate, coefs in groups:
+            # q on the piece in powers of v = (s - s_a)/ell: u = u_a + kappa v
+            shifted = _taylor_shift(coefs, (s_a - origin) / unit)
+            coefs_v = [cj * kappa ** j for j, cj in enumerate(shifted)]
+            v1, v2, rho = _convolution(mu1, mu2, rate, ell, coefs_v, phi1_ell, log_ell)
+            w = rate * (s_b - origin)
+            phase = np.exp(1j * w.imag)
+            u1, u2, log = (phase * v1).real, (phase * v2).real, w.real + rho
             if s_b < t:
-                f0, f1, log_tau = _factors(r_plus, r_minus, freq, t - s_b)
-            for rate, coefs in groups:
-                # q on the piece in powers of v = (s - s_a)/ell: u = u_a + kappa v
-                shifted = _taylor_shift(coefs, (s_a - origin) / unit)
-                coefs_v = [cj * kappa ** j for j, cj in enumerate(shifted)]
-                v1, v2, rho = _convolution(mu1, mu2, rate, ell, coefs_v, phi1_ell, log_ell)
-                w = rate * (s_b - origin)
-                phase = np.exp(1j * w.imag)
-                u1, u2, log = (phase * v1).real, (phase * v2).real, w.real + rho
-                if s_b < t:
-                    u1, u2 = _product(f0, f1, k, minus_h, u1, u2)
-                    log = log + log_tau
-                parts.append((u1, u2, log))
-        theta, dtheta, sat = _combine(blocks.d, k, minus_h, alpha, beta, e0, e1, log_e, parts)
-        results.append((theta, dtheta, sat | infinite))
-    return results
+                u1, u2 = _product(f0, f1, k, minus_h, u1, u2)
+                log = log + log_tau
+            parts.append((u1, u2, log))
+    theta, dtheta, sat = _combine(blocks.d, k, minus_h, alpha, beta, e0, e1, log_e, parts)
+    sat = sat | infinite
+    return Field(basis, theta, sat), Field(basis, dtheta, sat.copy())
 
 
 def _combine(d, k, minus_h, alpha, beta, e0, e1, log_e, parts):

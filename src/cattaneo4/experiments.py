@@ -46,11 +46,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boundary import BoundarySignal, _evolve_signals, build_blocks
+from .boundary import BoundarySignal, build_blocks, evolve_with_boundary
 from .errors import ExceptionalParameterError, SingularParameterError
 from .modal import (ParameterSet, _check_positive, _first_order, _generator, _physical_map,
                     _state, second_order_roots)
-from .solver import Field, _locate, zero_field
+from .solver import Field, _locate, field_norm, zero_field
 from .spectrum import BasisDescriptor, spectrum
 from .util import fit_slope
 
@@ -290,6 +290,8 @@ def heat_comparison(chi: float, gamma_rho: float, sigmas, theta0: Field, theta1:
     only constrain un-enumerated modes and are evolved as-is.  Every sigma
     and mode is one entry of a single (sigmas x modes) ``modal._state`` call,
     the kernel of ``evolve_modes``, so its damping a = chi/sigma is an array.
+    The distance is ``solver.field_norm`` of the difference, finite for
+    every finite difference however large.
     """
     _check_positive(chi=chi, gamma_rho=gamma_rho)
     if theta0.basis != theta1.basis:
@@ -321,8 +323,9 @@ def heat_comparison(chi: float, gamma_rho: float, sigmas, theta0: Field, theta1:
         if np.any(sat) or not np.all(np.isfinite(value)):
             rows.append(HeatComparisonRow(sigma, math.inf, "saturated"))
         else:
-            rows.append(HeatComparisonRow(
-                sigma, math.sqrt(math.fsum(((value - heat) ** 2).tolist())), "ok"))
+            gap = value - heat   # inf where the heat reference overflows at t < 0
+            distance = field_norm(Field(theta0.basis, gap, ~np.isfinite(gap)))
+            rows.append(HeatComparisonRow(sigma, distance, "ok"))
     return rows
 
 
@@ -462,13 +465,13 @@ def propagation_burst(p: ParameterSet, basis: BasisDescriptor, g, T: float,
     For each n the boundary signal is f_n(t) = (1/n) e^{-n (T-t)} (so
     f_n'(T) = 1 exactly); the squared mass of the rate field theta'(T) on
     the subregion is compared with that of the lift D g, the n -> infinity
-    limit.  All rates are evolved in one call that shares the eigenvalues
-    and E(T) (``boundary._evolve_signals``); each rate field is the exact
-    convolution, finite also where a rate equals an eigenvalue (rate 4 and
-    mode 2 at the README arguments).  Both masses are integrals of products
-    of sines, computed in closed form (``_subregion_masses``,
-    ``_lift_mass``); a saturated rate field has mass and ratio +inf.  The
-    subregion must be strictly interior.
+    limit.  Each rate is one ``boundary.evolve_with_boundary`` call; its
+    rate field is the exact convolution, finite also where a rate equals an
+    eigenvalue (rate 4 and mode 2 at the README arguments).  Both masses
+    are integrals of products of sines, computed in closed form
+    (``_subregion_masses`` over all rate fields at once, ``_lift_mass``); a
+    saturated rate field has mass and ratio +inf.  The subregion must be
+    strictly interior.
     """
     if basis.dimension != 1:
         raise ValueError("propagation experiment runs on an interval")
@@ -485,8 +488,8 @@ def propagation_burst(p: ParameterSet, basis: BasisDescriptor, g, T: float,
     signals = [BoundarySignal.burst(T, n) for n in ns]   # each checks its rate
     target = _lift_mass(p.c, L, *g, lo, hi)
     zero = zero_field(basis)
-    fields = _evolve_signals(blocks, zero, zero, signals, T)
-    masses = _subregion_masses(np.stack([rate for _, rate, _ in fields], axis=1), L, lo, hi)
+    rates = [evolve_with_boundary(blocks, zero, zero, s, T)[1].coefficients for s in signals]
+    masses = _subregion_masses(np.stack(rates, axis=1), L, lo, hi)
     return [PropagationRow(n, mass, target, mass / target) for n, mass in zip(ns, masses)]
 
 

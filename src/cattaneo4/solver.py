@@ -216,8 +216,9 @@ def evolve_homogeneous(p: ParameterSet, theta0: Field, theta1: Field, t: float,
     With c in the exceptional set the problem is ill posed for generic data
     and ExceptionalParameterError is raised; callers that know their data
     satisfy the per-mode compatibility condition pass
-    ``override_exceptional=True`` and the degenerate modes evolve first order
-    (incompatible data surface as UnsolvableModeError with the mode index).
+    ``override_exceptional=True``, which skips the gate (``check_wellposed``),
+    and the degenerate modes evolve first order (incompatible data surface as
+    UnsolvableModeError with the mode index).
     Every mode goes through one vectorized ``evolve_modes`` call.
     """
     if theta0.basis != theta1.basis:
@@ -225,12 +226,13 @@ def evolve_homogeneous(p: ParameterSet, theta0: Field, theta1: Field, t: float,
     if not math.isfinite(t):
         raise ValueError("t must be finite")
     basis = theta0.basis
-    report = check_wellposed(p.c, basis)
-    if report.verdict == "exceptional" and not override_exceptional:
-        raise ExceptionalParameterError(
-            f"c={p.c} lies in the exceptional set (nearest member {report.nearest}); "
-            "pass override_exceptional=True only with compatible data",
-            value=p.c, nearest=report.nearest)
+    if not override_exceptional:
+        report = check_wellposed(p.c, basis)
+        if report.verdict == "exceptional":
+            raise ExceptionalParameterError(
+                f"c={p.c} lies in the exceptional set (nearest member {report.nearest}); "
+                "pass override_exceptional=True only with compatible data",
+                value=p.c, nearest=report.nearest)
     vals, derivs, sat = evolve_modes(p, spectrum(basis).lambda_sq,
                                      theta0.coefficients, theta1.coefficients, t)
     return Field(basis, vals, sat.copy()), Field(basis, derivs, sat.copy())

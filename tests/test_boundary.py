@@ -12,7 +12,6 @@ from cattaneo4 import (BasisDescriptor, BoundaryOperator, BoundarySignal,
                        basis_field, build_blocks, characteristic_roots,
                        dirichlet_map_interval, evolve_homogeneous,
                        evolve_with_boundary, check_wellposed, project_samples, propagation_burst, zero_field)
-from cattaneo4.boundary import _evolve_signals
 from cattaneo4.cli import main
 
 PI = math.pi
@@ -632,18 +631,18 @@ def test_propagation_burst_readme_rates_match_mpmath():
     assert 16.0 + 4.0 * blocks.h[1] - blocks.k[1] == 0.0
     rows = propagation_burst(p, basis, g, T, ns, (1.0, 2.0))
     z = zero_field(basis)
-    fields = _evolve_signals(blocks, z, z, [BoundarySignal.burst(T, n) for n in ns], T)
+    fields = [evolve_with_boundary(blocks, z, z, BoundarySignal.burst(T, n), T)[1] for n in ns]
     with mp.workdps(40):
         k = [(i + 1) * mp.pi / mp.mpf(PI) for i in range(8)]
 
         def cos_integral(w):   # int_1^2 cos(w x) dx
             return mp.mpf(1) if w == 0 else (mp.sin(2 * w) - mp.sin(w)) / w
 
-        for n, row, (_, rate, saturated) in zip(ns, rows, fields):
-            assert math.isfinite(row.mass_in_subregion) and not saturated.any()
+        for n, row, rate in zip(ns, rows, fields):
+            assert math.isfinite(row.mass_in_subregion) and not rate.saturated.any()
             want = [mp_boundary_state(blk.h, blk.k, blk.d, blk.beta, (0, 0),
                                       BoundarySignal.burst(T, n), T)[1] for blk in blocks]
-            for got, w in zip(rate, want):
+            for got, w in zip(rate.coefficients, want):
                 assert abs(got - w) <= 1e-12 * abs(w)
             mass = mp.fsum(want[i] * want[j] * (cos_integral(k[i] - k[j])
                                                  - cos_integral(k[i] + k[j]))
@@ -652,8 +651,8 @@ def test_propagation_burst_readme_rates_match_mpmath():
 
 
 def test_time_zero_returns_the_data_with_their_flags():
-    # t = 0 gives the data back bit for bit, random or saturated, for one
-    # signal and for several; an infinite datum keeps its flag
+    # t = 0 gives the data back bit for bit, random or saturated, for every
+    # signal; an infinite datum keeps its flag
     basis = interval_basis(32)
     blocks = build_blocks(ParameterSet(2.0, 1.0, (1.0 + 1e-4) / 19.0**2), basis, (1.0, -0.3))
     rng = np.random.default_rng(4)
@@ -668,10 +667,6 @@ def test_time_zero_returns_the_data_with_their_flags():
         np.testing.assert_array_equal(dth.coefficients, beta)
         np.testing.assert_array_equal(th.saturated, saturated)
         np.testing.assert_array_equal(dth.saturated, saturated)
-    for theta, dtheta, sat in _evolve_signals(blocks, theta0, theta1, signals, 0.0):
-        np.testing.assert_array_equal(theta, alpha)
-        np.testing.assert_array_equal(dtheta, beta)
-        np.testing.assert_array_equal(sat, saturated)
     b4 = interval_basis(4)
     data = Field(b4, [math.inf, 1.0, 2.0, 3.0], [True, False, False, False])
     th, dth = evolve_with_boundary(build_blocks(ParameterSet(2.0, 1.0, 0.003), b4, (1.0, 0.0)),
@@ -771,46 +766,6 @@ def test_subnormal_data_match_homogeneous_evolution(scale, sign, case):
                                    rtol=2.0 ** -52, atol=2.0 ** -1073)
     for g, w in zip(got, want):
         assert same_bits(g.coefficients, w.coefficients)
-
-
-SIGNALS = st.one_of(
-    st.floats(min_value=0.5, max_value=4096.0).map(lambda n: BoundarySignal.burst(1.0, n)),
-    st.tuples(st.floats(min_value=0.6, max_value=2.0), st.floats(min_value=0.0, max_value=9.0))
-    .map(lambda tw: BoundarySignal.sinusoid(tw[0], tw[1])),
-    st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=1, max_size=4)
-    .map(lambda cs: BoundarySignal.polynomial(1.5, cs)))
-
-
-@given(st.sampled_from([0.05, 0.003, (1.0 + 1e-4) / 19.0**2]),
-       st.lists(SIGNALS, min_size=1, max_size=4),
-       st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=1.2)),
-       st.booleans())
-@example(0.003, [BoundarySignal.burst(1.0, 1.0), BoundarySignal.sinusoid(0.6, 3.0)], 0.8,
-         False)
-@settings(max_examples=30, deadline=None)
-def test_signal_batch_matches_single_signal_calls(c, signals, t, data):
-    # one call for S signals gives, bit for bit, what S calls give;
-    # c = 1.0001/19^2 saturates mode 19, and a signal whose horizon ends
-    # before t makes both forms raise
-    basis = interval_basis(40)
-    blocks = build_blocks(ParameterSet(2.0, 1.0, c), basis, (1.0, -0.3))
-    rng = np.random.default_rng(3)
-    theta0, theta1 = ((Field(basis, rng.normal(size=40)) if data else zero_field(basis))
-                      for _ in range(2))
-    if t > min(s.T for s in signals) * (1 + 1e-12):
-        with pytest.raises(ValueError):
-            _evolve_signals(blocks, theta0, theta1, signals, t)
-        with pytest.raises(ValueError):
-            for s in signals:
-                evolve_with_boundary(blocks, theta0, theta1, s, t)
-        return
-    batch = _evolve_signals(blocks, theta0, theta1, signals, t)
-    assert len(batch) == len(signals)
-    for s, (theta, dtheta, saturated) in zip(signals, batch):
-        single = evolve_with_boundary(blocks, theta0, theta1, s, t)
-        for got, want in zip((theta, dtheta), single):
-            np.testing.assert_array_equal(got, want.coefficients)
-            np.testing.assert_array_equal(saturated, want.saturated)
 
 
 def test_evolve_with_boundary_validation():

@@ -101,6 +101,20 @@ def test_only_finish_calls_scaled_exp():
     assert callers == {("modal.py", "_finish")}
 
 
+def test_experiments_use_only_public_boundary_names():
+    # the experiments drive the boundary evolution through its public API
+    tree = ast.parse((Path(cattaneo4.__file__).parent / "experiments.py").read_text())
+    imported = [a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "boundary"
+                for a in node.names]
+    assert "evolve_with_boundary" in imported
+    private = [n for n in imported if n.startswith("_")]
+    private += [node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and getattr(node.value, "id", None) == "boundary"]
+    assert private == []
+
+
 def test_import_does_not_load_scipy(tmp_path):
     code = ("import sys, cattaneo4; from cattaneo4.cli import main; "
             "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "

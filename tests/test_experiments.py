@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -325,6 +326,32 @@ def test_heat_comparison_matches_per_mode_reference():
             assert row.flag == "ok"
             assert row.distance == pytest.approx(math.sqrt(math.fsum(terms)), rel=1e-12)
     assert [r.flag for r in rows] == ["ok", "ok", "saturated", "ok"]
+
+
+def test_heat_comparison_distance_of_a_large_finite_state():
+    # at sigma = 3 2^(-14/3) and t = 2 mode states reach 1e245: their squares
+    # overflow, the distance does not, and no RuntimeWarning escapes
+    basis = BasisDescriptor(1, (PI,), 32)
+    rng = np.random.default_rng(0)
+    theta0 = Field(basis, rng.normal(size=32) / np.arange(1, 33))
+    theta1 = Field(basis, rng.normal(size=32))
+    sigma, t = 3.0 * 2.0 ** (-14.0 / 3.0), 2.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (row,) = heat_comparison(2.0, 4.0, [sigma], theta0, theta1, t)
+    lam2 = spectrum(basis).lambda_sq
+    value = evolve_modes(ParameterSet.from_physical(2.0, sigma, 4.0), lam2,
+                         theta0.coefficients, theta1.coefficients, t)[0]
+    heat = theta0.coefficients * np.exp(-0.5 * lam2 * t)
+    assert row.flag == "ok" and 1e245 < row.distance < math.inf
+    assert row.distance == pytest.approx(math.hypot(*(value - heat).tolist()), rel=1e-14)
+    # at t < 0 the heat reference of mode 64 overflows while the state stays
+    # finite: the distance is +inf, as the difference is
+    basis = BasisDescriptor(1, (PI,), 64)
+    theta0, theta1 = basis_field(basis, 64, 1.0), basis_field(basis, 64, -2048.0)
+    with np.errstate(over="ignore"):
+        (row,) = heat_comparison(2.0, 4.0, [0.3], theta0, theta1, -0.35)
+    assert row.flag == "ok" and row.distance == math.inf
 
 
 def test_heat_comparison_rejects_exceptional_sigma():

@@ -281,6 +281,23 @@ def test_evolve_override_with_compatible_data():
     assert err.value.mode_index == 2
 
 
+def test_evolve_override_skips_the_gate(monkeypatch):
+    # with override_exceptional=True the gate cannot raise, so it is not run;
+    # without it, the one check_wellposed call stays
+    calls = []
+    check = solver.check_wellposed
+    monkeypatch.setattr(solver, "check_wellposed", lambda *a: calls.append(a) or check(*a))
+    basis = interval_basis(4)
+    p = ParameterSet(2.0, 1.0, 0.25)
+    theta0 = basis_field(basis, 2, 1.0)
+    theta1 = basis_field(basis, 2, -(p.b * 4.0) / p.a)
+    evolve_homogeneous(p, theta0, theta1, 0.7, override_exceptional=True)
+    assert calls == []
+    with pytest.raises(ExceptionalParameterError):
+        evolve_homogeneous(p, theta0, theta1, 0.7)
+    assert len(calls) == 1
+
+
 def test_evolve_mixed_data_and_masks():
     basis = interval_basis(8)
     p = ParameterSet(1.0, 1.0, 0.2)  # modes n >= 3 sit above 1/c = 5
