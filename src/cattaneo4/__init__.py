@@ -18,13 +18,14 @@ from .errors import (DegenerateModeError, ExceptionalParameterError,
                      SingularParameterError, UnsolvableModeError)
 from .experiments import (first_crossing, heat_comparison, limit1_reference,
                           limit1_scan, limit2_scan, limit3_scan,
-                          propagation_burst, singularity_scan, whole_line_mode)
+                          propagation_burst, singularity_scan, weyl_exponent_fit,
+                          whole_line_mode)
 from .modal import (CharacteristicRoots, ParameterSet, characteristic_roots,
                     evolve_modes, reference_telegraph_mode, second_order_roots)
 from .solver import (Field, WellPosednessReport, basis_field, check_wellposed,
                      evolve_homogeneous, field_norm, project_samples,
                      reconstruct, zero_field)
-from .spectrum import BasisDescriptor, Spectrum, weyl_exponent_fit
+from .spectrum import BasisDescriptor, Spectrum
 
 __version__ = "0.1.0"
 

@@ -36,7 +36,11 @@ from . import experiments as exp
 from . import modal, solver, spectrum
 from .errors import (ExceptionalParameterError, SingularParameterError,
                      UnsolvableModeError)
-from .util import fmt_float
+
+
+def fmt_float(x: float) -> str:
+    """CSV float format: up to 17 significant digits, round-trip exact."""
+    return format(x, ".17g")
 
 
 class _UsageError(Exception):

@@ -35,7 +35,9 @@ The split columns are what the paper's tables report.  Values and
 log-magnitudes come from the mode evaluator of ``evolve_modes``
 (``modal._state``), one array call per scan; limit 1's exceptional rows are
 first-order entries of the same call.  A row is 'saturated' exactly where
-theta is +/-inf (|theta| > e^700); its log-magnitude stays finite.
+theta is +/-inf (|theta| > e^700), and a heat comparison row exactly where
+its distance is +inf; log-magnitudes stay finite.  ``fit_slope`` fits limit
+2's rates and the Weyl-law exponent of a spectrum (``weyl_exponent_fit``).
 """
 
 from __future__ import annotations
@@ -50,9 +52,8 @@ from .boundary import BoundarySignal, build_blocks, evolve_with_boundary
 from .errors import ExceptionalParameterError, SingularParameterError
 from .modal import (ParameterSet, _check_positive, _first_order, _generator, _physical_map,
                     _state, second_order_roots)
-from .solver import Field, _locate, field_norm, zero_field
+from .solver import Field, _locate, _top_exponent, field_norm, zero_field
 from .spectrum import BasisDescriptor, spectrum
-from .util import fit_slope
 
 # Rows of the mass matrix G per block in propagation_burst: bounds its
 # (rows, modes) temporaries; every mass is the same for any block size.
@@ -144,6 +145,20 @@ def _scan_rows(k, parameter, coeff_first, coeff_second, exp_first, exp_second,
         k, parameter, coeff_first, coeff_second, exp_first, exp_second, value,
         log_abs, flag))
     return [LimitScanRow(*row) for row in zip(*columns)]
+
+
+def fit_slope(xs, ys) -> float:
+    """Least-squares slope of ys against xs, accumulated with fsum."""
+    n = len(xs)
+    if n < 2 or n != len(ys):
+        raise ValueError("need at least two paired points for a slope fit")
+    xbar = math.fsum(xs) / n
+    ybar = math.fsum(ys) / n
+    sxx = math.fsum((x - xbar) ** 2 for x in xs)
+    if sxx == 0.0:
+        raise ValueError("degenerate abscissae in slope fit")
+    sxy = math.fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
+    return sxy / sxx
 
 
 def limit1_scan(a: float, b: float, lambda_sq: float, t: float,
@@ -291,7 +306,8 @@ def heat_comparison(chi: float, gamma_rho: float, sigmas, theta0: Field, theta1:
     and mode is one entry of a single (sigmas x modes) ``modal._state`` call,
     the kernel of ``evolve_modes``, so its damping a = chi/sigma is an array.
     The distance is ``solver.field_norm`` of the difference, finite for
-    every finite difference however large.
+    every finite difference however large; a mode without data has the
+    reference 0.  A row is 'saturated' exactly where its distance is +inf.
     """
     _check_positive(chi=chi, gamma_rho=gamma_rho)
     if theta0.basis != theta1.basis:
@@ -313,20 +329,19 @@ def heat_comparison(chi: float, gamma_rho: float, sigmas, theta0: Field, theta1:
     if np.isnan(alpha).any() or np.isnan(beta).any():
         raise ValueError("modal data must not be nan")
     spec = spectrum(theta0.basis)
-    heat = alpha * np.exp(-(chi / gamma_rho) * spec.lambda_sq * t)
+    with np.errstate(over="ignore", invalid="ignore"):   # inf at t < 0; inf data * 0 is nan
+        heat = np.multiply(alpha, np.exp(-(chi / gamma_rho) * spec.lambda_sq * t),
+                           out=np.zeros(alpha.shape), where=alpha != 0.0)
     # no mode is first order once no sigma is exceptional: the same gate
     a, b, c = np.array([(p.a, p.b, p.c) for p in params]).T[:, :, None]   # (sigmas, 1) each
     values, _, saturated, _ = _state(
         *second_order_roots(*_generator(a, b, c, spec.lambda_sq))[2:], alpha, beta, t)
-    rows = []
-    for sigma, value, sat in zip(sigmas, values, saturated):
-        if np.any(sat) or not np.all(np.isfinite(value)):
-            rows.append(HeatComparisonRow(sigma, math.inf, "saturated"))
-        else:
-            gap = value - heat   # inf where the heat reference overflows at t < 0
-            distance = field_norm(Field(theta0.basis, gap, ~np.isfinite(gap)))
-            rows.append(HeatComparisonRow(sigma, distance, "ok"))
-    return rows
+    with np.errstate(invalid="ignore"):   # inf - inf: a saturated state, an inf reference
+        gaps = values - heat
+    distances = [math.inf if sat.any() else field_norm(Field(theta0.basis, gap, ~np.isfinite(gap)))
+                 for gap, sat in zip(gaps, saturated)]
+    return [HeatComparisonRow(sigma, d, "saturated" if d == math.inf else "ok")
+            for sigma, d in zip(sigmas, distances)]
 
 
 def whole_line_mode(a: float, b: float, c: float, lam: float, w1_hat: float,
@@ -427,22 +442,27 @@ def _subregion_masses(coefficients: np.ndarray, L: float, lo: float, hi: float) 
     one vector S(j pi / L), j = 0..2N, gives it; it is formed
     ``_MASS_ROWS`` rows at a time, so memory is O(rows N).  Rows are reduced
     with numpy sums and the products summed with ``math.fsum``, so the result
-    does not depend on the BLAS build.  A column with a non-finite
-    coefficient (a saturated mode) has mass +inf.
+    does not depend on the BLAS build.  Each column is scaled exactly by the
+    power of two at its largest |coefficient| first, as in ``field_norm``,
+    so a mass is +inf only past the float range or for a saturated mode.
     """
     n_modes, n_cols = coefficients.shape
     s = _cos_integrals(np.arange(2 * n_modes + 1) * (math.pi / L), lo, hi)
     modes = np.arange(1, n_modes + 1)
+    exponents = [_top_exponent(column) for column in coefficients.T]
+    scaled = np.ldexp(coefficients, np.negative(exponents))
     terms = {r: [] for r in np.flatnonzero(np.all(np.isfinite(coefficients), axis=0)).tolist()}
     for first in range(0, n_modes, _MASS_ROWS):
         rows = modes[first:first + _MASS_ROWS]
         g = s[np.abs(np.subtract.outer(rows, modes))] - s[np.add.outer(rows, modes)]
         for r, t in terms.items():
-            c = coefficients[:, r]
+            c = scaled[:, r]
             t.append(c[rows - 1] * np.sum(g * c, axis=1))
     masses = [math.inf] * n_cols
-    for r, t in terms.items():
-        masses[r] = math.fsum(np.concatenate(t).tolist()) / L
+    with np.errstate(over="ignore"):
+        for r, t in terms.items():
+            masses[r] = float(np.ldexp(math.fsum(np.concatenate(t).tolist()) / L,
+                                       2 * exponents[r]))
     return masses
 
 
@@ -499,3 +519,18 @@ def first_crossing(rows, level: float = 0.5) -> float | None:
         if row.ratio >= level:
             return row.n
     return None
+
+
+def weyl_exponent_fit(lambda_sq) -> float:
+    """Least-squares slope of log(lambda_k) against log(k) over the ascending
+    eigenvalues ``lambda_sq`` (k = 1, 2, ...).
+
+    Diagnostic for the Weyl growth lambda_k ~ k^(1/d); the fitted exponent
+    should approach 1/d as the truncation grows.
+    """
+    lam = np.asarray(lambda_sq, dtype=float).tolist()
+    if len(lam) < 16:
+        raise ValueError("need at least 16 modes for a meaningful fit")
+    xs = [math.log(k) for k in range(1, len(lam) + 1)]
+    ys = [0.5 * math.log(v) for v in lam]
+    return fit_slope(xs, ys)

@@ -27,7 +27,9 @@ array of them, first-order modes included; ``characteristic_roots`` gives
 the record of second-order modes and their regime, elementwise.  ``_state``
 evaluates every mode, first or second order, for ``evolve_modes`` and the
 scans; ``_factors`` (exp(A t)), ``_companion`` (A) and ``_finish`` (scaled,
-rescued, saturated states) serve it and ``boundary`` alike.
+rescued, saturated states) serve it and ``boundary`` alike.  ``scaled_exp``,
+the saturating exponential, writes the states into ``_finish``'s buffer:
++/-inf with the flag set past e^700, log-magnitudes finite far beyond it.
 The chain works on buffers: each step allocates the arrays it returns, and
 a few work arrays, once per call, and writes every operation into them with
 ``out=`` and ``where=``; work arrays die with the call that made them.  Each
@@ -50,7 +52,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateModeError, UnsolvableModeError
-from .util import scaled_exp
 
 # Relative width of the degeneracy gate on |1 - c lam2| (see is_degenerate).
 DEGENERATE_TOL = 1e-12
@@ -58,6 +59,9 @@ DEGENERATE_TOL = 1e-12
 COMPAT_TOL = 1e-9
 # Absolute distance to an exceptional member that check_wellposed calls near.
 NEAR_TOL = 1e-9
+# Log-magnitude past which scaled_exp saturates a value to +/-inf.
+LOG_SATURATION = 700.0
+LN2 = math.log(2.0)
 
 
 def _check_positive(**values) -> None:
@@ -321,6 +325,48 @@ def _finish(phi0, phi1, log_scale, k, minus_h, alpha, beta, forcing=None):
     return states[0, ...], states[1, ...], saturated[0, ...] | saturated[1, ...], log_abs[0, ...]
 
 
+def scaled_exp(x, log_scale, exponent=None):
+    """Elementwise x * 2^exponent * exp(log_scale) with overflow saturation.
+
+    Returns ``(value, saturated, logmag)`` arrays, logmag the product's
+    log-magnitude.  Where it exceeds ``LOG_SATURATION`` the value is +/-inf
+    (sign of ``x``) and the flag is set.  Elsewhere, while exp(log_scale) is
+    a normal float (log_scale in [-708, 709]), the value is x exp(log_scale),
+    exact to rounding.  The optional integer ``exponent`` is a power of two
+    factored out of the data (``frexp``), so that ``x`` keeps its digits: then
+    exp(log_scale) = m 2^q is split by ``frexp`` and the powers of two are
+    applied last, ldexp(x m, q + exponent), which cannot overflow before the
+    end.  Outside that range of log_scale the value is the exp of its
+    log-magnitude, which costs about |log-magnitude| ulps, where a subnormal
+    or infinite exp(log_scale) would cost its digits.  Underflow quietly
+    gives 0.0, which is the honest limit.  Never returns nan for finite input.
+
+    ``x`` is a float array of the full shape (log_scale and exponent
+    broadcast to it) that the caller hands over: the value is written into
+    it and returned.  Two buffers are new: logmag, of x's shape, and
+    exp(log_scale), of log_scale's, made once for every row of x.  The
+    entries past the saturation or outside that range, few as a rule, are
+    patched from a copy of their x taken before the product.
+    """
+    log_scale = np.asarray(log_scale, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        logmag = np.abs(x, out=np.empty(x.shape))
+        np.log(logmag, out=logmag)
+        if exponent is not None:
+            np.add(logmag, np.multiply(exponent, LN2), out=logmag)
+        np.add(logmag, log_scale, out=logmag)
+        saturated = logmag > LOG_SATURATION
+        patch = np.flatnonzero(saturated | ((log_scale > 709.0) | (log_scale < -708.0)))
+        kept, sat, mag = x.flat[patch], saturated.flat[patch], logmag.flat[patch]
+        if exponent is None:
+            np.multiply(x, np.exp(log_scale), out=x)
+        else:
+            mantissa, power = np.frexp(np.exp(log_scale))
+            np.ldexp(np.multiply(x, mantissa, out=x), power + exponent, out=x)
+        x.flat[patch] = np.where(sat, np.copysign(np.inf, kept), np.copysign(np.exp(mag), kept))
+    return x, saturated, logmag
+
+
 def _state(r_plus, r_minus, freq, alpha, beta, t, first_order=None):
     """``_finish`` of W(t) = exp(A t)(alpha, beta), A from ``_companion``, for
     ``second_order_roots``'s roots.
@@ -355,8 +401,8 @@ def characteristic_roots(p: ParameterSet, lambda_sq) -> CharacteristicRoots:
     the ``second_order_roots`` record of its generator.
 
     Raises DegenerateModeError when |1 - c lam2| falls inside the degeneracy
-    gate at some entry; that mode is first order and ``evolve_modes``
-    evaluates it.
+    gate at some entry, with the 1-based index of the first such entry; that
+    mode is first order and ``evolve_modes`` evaluates it.
     """
     lam = np.asarray(lambda_sq, dtype=float)
     if not np.all(lam > 0.0):
@@ -366,23 +412,24 @@ def characteristic_roots(p: ParameterSet, lambda_sq) -> CharacteristicRoots:
         i = int(np.argmax(hit))
         raise DegenerateModeError(
             f"mode with lambda_sq={lam.flat[i]} is degenerate (1 - c lam2 = "
-            f"{leading.flat[i]:.3e}); use evolve_modes for the first-order branch")
+            f"{leading.flat[i]:.3e}); use evolve_modes for the first-order branch",
+            mode_index=i + 1)
     return second_order_roots(leading, damping, stiffness)
 
 
 def evolve_modes(p: ParameterSet, lambda_sq, alpha, beta, t: float):
     """Modes lambda_sq from theta(0) = alpha, theta'(0) = beta, at time t.
 
-    Returns ``(theta, theta', saturated)`` arrays; arguments broadcast, and
-    scalars give 0-d arrays.  Second-order modes go through the 2x2
-    exponential; values beyond the e^700 range give +/-inf with the flag
-    set.  A mode with saturated +/-inf data is always flagged, and only a
-    flagged entry may be nan (inf - inf).  Degenerate modes
-    (``is_degenerate``) evolve first order, alpha e^{rate t} with rate =
-    -b lam2 / a; the lowest-index one whose data fail the compatibility
+    Returns ``(theta, theta', saturated)`` arrays of the arguments'
+    broadcast shape, at every t; scalars give 0-d arrays.  Second-order
+    modes go through the 2x2 exponential; values beyond the e^700 range give
+    +/-inf with the flag set.  A mode with saturated +/-inf data is always
+    flagged, and only a flagged entry may be nan (inf - inf).  Degenerate
+    modes (``is_degenerate``) evolve first order, alpha e^{rate t} with
+    rate = -b lam2 / a; the lowest-index one whose data fail the compatibility
     test raises UnsolvableModeError with its 1-based index.  t = 0 returns
-    the data exactly.  A non-finite t, lambda_sq <= 0, nan data, or
-    infinite data on a degenerate mode raise ValueError.
+    the data exactly.  A non-finite t, lambda_sq <= 0, nan data, or infinite
+    data on a degenerate mode raise ValueError.
     """
     if not math.isfinite(t):
         raise ValueError("t must be finite")
@@ -412,8 +459,10 @@ def evolve_modes(p: ParameterSet, lambda_sq, alpha, beta, t: float):
                 f"degenerate mode {i + 1} violates compatibility: beta/alpha = {actual}, "
                 f"required {required}", mode_index=i + 1)
     if t == 0.0:
-        return (alpha.copy(), np.where(degenerate, alpha if first_order is None else rate * alpha,
-                                       beta), infinite | np.zeros(lam.shape, dtype=bool))
+        shape = np.broadcast_shapes(lam.shape, alpha.shape, beta.shape)
+        return (np.broadcast_to(alpha, shape).copy(),
+                np.where(degenerate, alpha if first_order is None else rate * alpha, beta),
+                np.broadcast_to(infinite, shape).copy())
     roots = second_order_roots(leading, damping, stiffness)[2:]
     # only the roots go on: the generator and the record's delta_sq and delta
     # are freed before _state makes its buffers

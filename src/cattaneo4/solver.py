@@ -6,11 +6,12 @@ closed-form modal solution; well-posedness of the whole problem is the
 statement that c avoids the exceptional set E = {1/lambda_n^2}.
 
 Projection of gridded samples and reconstruction on the grids x_j = j L/M
-go through a type-I discrete sine transform per axis (``util.dst1``), in
-O(npts log npts).  The other reductions over modes (the norm, and
-reconstruction at any other point set) accumulate in ascending mode order
-with compensated summation.  Either way results are reproducible bit for
-bit.
+go through a type-I discrete sine transform per axis (``dst1``), in
+O(npts log npts); projection weights the samples by the composite Simpson
+rule (``simpson_weights``) first.  The other reductions over modes (the
+norm, and reconstruction at any other point set) accumulate in ascending
+mode order with compensated summation.  Either way results are
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import numpy as np
 from .errors import ExceptionalParameterError
 from .modal import NEAR_TOL, ParameterSet, evolve_modes, is_degenerate
 from .spectrum import BasisDescriptor, exceptional_neighbours, spectrum
-from .util import dst1, simpson_weights
 
 EPS = float(np.finfo(float).eps)
 # Points per block of the compensated-sum path of reconstruct: bounds its
@@ -137,6 +137,42 @@ def _norm(lengths) -> float:
 
 def _axis_shape(axis: int, d: int) -> list[int]:
     return [-1 if a == axis else 1 for a in range(d)]
+
+
+def simpson_weights(n: int) -> np.ndarray:
+    """Composite Simpson weights 1, 4, 2, ..., 2, 4, 1 for n samples (times h/3)."""
+    if n < 3 or n % 2 == 0:
+        raise ValueError("composite Simpson needs an odd sample count >= 3")
+    w = np.ones(n)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w
+
+
+def dst1(x, axis: int = -1) -> np.ndarray:
+    """Type-I discrete sine transform along one axis, end samples included.
+
+    For x of length M + 1 along ``axis`` (grid points j = 0..M) returns y of
+    the same shape with
+
+        y_n = sum_{j=1}^{M-1} x_j sin(pi n j / M),   n = 0..M,
+
+    so the end samples x_0, x_M do not enter and y_0 = y_M = 0 exactly.  The
+    transform is symmetric and squares to (M/2) I on the interior.  Computed
+    as a real FFT of the odd extension of length 2M (Van Loan, Computational
+    Frameworks for the FFT, SIAM 1992, section 4.4) in O(M log M).
+    """
+    x = np.moveaxis(np.asarray(x, dtype=float), axis, -1)
+    m = x.shape[-1] - 1
+    if m < 1:
+        raise ValueError("dst1 needs at least two samples along the axis")
+    ext = np.zeros(x.shape[:-1] + (2 * m,))
+    ext[..., 1:m] = x[..., 1:m]
+    ext[..., m + 1:] = -x[..., m - 1:0:-1]
+    y = np.fft.rfft(ext, axis=-1).imag * -0.5
+    y[..., 0] = 0.0
+    y[..., m] = 0.0
+    return np.moveaxis(y, -1, axis)
 
 
 def project_samples(samples, basis: BasisDescriptor) -> Field:

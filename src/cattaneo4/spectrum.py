@@ -6,7 +6,8 @@ the sum of per-axis interval values.  ``spectrum(basis)`` holds them with the
 per-axis mode indices and the exceptional values E = {1/lambda_n^2} of the
 c-form equation, ascending; the sigma-form set is Z = gamma_rho * E.
 Parameters inside these sets break well-posedness for generic data; the one
-lookup that places c against E is ``exceptional_neighbours``.
+lookup that places c against E is ``exceptional_neighbours``.  The module
+needs numpy alone; the Weyl-law fit is ``experiments.weyl_exponent_fit``.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .util import fit_slope
 
 
 @dataclass(frozen=True)
@@ -125,18 +124,3 @@ def exceptional_neighbours(desc: BasisDescriptor, c) -> np.ndarray:
     descending = spec.lambda_sq[::-1]
     return np.stack([descending[np.maximum(i - 1, 0)],
                      descending[np.minimum(i, desc.truncation - 1)]], axis=-1)
-
-
-def weyl_exponent_fit(lambda_sq) -> float:
-    """Least-squares slope of log(lambda_k) against log(k) over the ascending
-    eigenvalues ``lambda_sq`` (k = 1, 2, ...).
-
-    Diagnostic for the Weyl growth lambda_k ~ k^(1/d); the fitted exponent
-    should approach 1/d as the truncation grows.
-    """
-    lam = np.asarray(lambda_sq, dtype=float).tolist()
-    if len(lam) < 16:
-        raise ValueError("need at least 16 modes for a meaningful fit")
-    xs = [math.log(k) for k in range(1, len(lam) + 1)]
-    ys = [0.5 * math.log(v) for v in lam]
-    return fit_slope(xs, ys)

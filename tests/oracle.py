@@ -39,8 +39,8 @@ from scipy.integrate import solve_ivp
 from scipy.sparse.linalg import splu
 
 from cattaneo4.errors import ExceptionalParameterError
-from cattaneo4.modal import CharacteristicRoots
-from cattaneo4.util import LN2, LOG_SATURATION, simpson_weights
+from cattaneo4.modal import LN2, LOG_SATURATION, CharacteristicRoots
+from cattaneo4.solver import simpson_weights
 
 # Internal tolerances are the requested ones divided by this factor; rtol is
 # kept above the 100 eps floor below which scipy overrides it with a warning.

@@ -580,6 +580,27 @@ def test_every_signal_matches_mpmath(signal, t):
     # every constructor, on modes that decay, oscillate, sit next to
     # 1 - c lam2 = 0 (18, 19) and grow (19 on); the step is checked before,
     # inside and after its ramp
+    assert_stiff_modes_match_mpmath(signal, t)
+
+
+@pytest.mark.parametrize("signal", [
+    BoundarySignal([(0.0, 0.5, 2.0, [(0.0, False, [1.0, 2.0, -0.5]),
+                                     (1j, False, [3.0, 0.25])])], 1.0, label="shifted"),
+    BoundarySignal([(0.0, 0.0, 1.0, [(-1.5, False, [0.5, -1.0])]),
+                    (0.3, -0.2, 0.5, [(2.0, False, [1.0, -0.5, 0.75, 0.2])])], 1.0,
+                   label="two_pieces"),
+], ids=lambda s: s.label)
+@pytest.mark.parametrize("t", [0.2, 0.7, 1.0])
+def test_shifted_piece_polynomials_match_mpmath(signal, t):
+    # pieces of two and more powers whose origin is not the start s_a of the
+    # piece (s_a = 0 against origin 0.5; s_a = 0.3 against -0.2), so that q
+    # is carried to powers of s - s_a by a Taylor shift
+    assert_stiff_modes_match_mpmath(signal, t)
+
+
+def assert_stiff_modes_match_mpmath(signal, t):
+    """The 24 ``STIFF`` modes from seeded data under ``signal`` at t against
+    ``mp_boundary_state``."""
     basis = interval_basis(24)
     blocks = build_blocks(STIFF, basis, (1.0, -0.4))
     rng = np.random.default_rng(17)

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +50,7 @@ def test_production_modules_do_not_import_the_oracle():
     # numpy alone
     src = Path(cattaneo4.__file__).parent
     modules = sorted(src.glob("*.py"))
-    assert {m.stem for m in modules} >= {"__init__", "cli", "modal", "util"}
+    assert {m.stem for m in modules} >= {"__init__", "cli", "modal"}
     for path in modules:
         text = path.read_text()
         assert "scipy" not in text, path.name
@@ -346,6 +347,22 @@ def test_solve_writes_values(tmp_path):
     assert rows[0][0] == "n"
     assert len(rows) == 5
 
+
+
+def test_out_of_range_results_are_written_without_warnings(tmp_path):
+    # the heat reference of mode 32 at t = -2 and the subregion mass at
+    # T = 200 are past the float range: both read inf, the heat row is
+    # 'saturated', and no RuntimeWarning escapes
+    heat, mass = tmp_path / "heat.csv", tmp_path / "mass.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["heatcmp", "--chi", "2", "--gamma-rho", "4", "--j-max", "0", "--t", "-2",
+                     "--N", "32", "--mode", "32", "--out", str(heat)]) == 0
+        assert main(["propagation", "--a", "3", "--b", "1", "--c", "0.5", "--L", "pi",
+                     "--N", "16", "--g0", "1", "--g1", "0", "--T", "200", "--n-max-exp", "0",
+                     "--sub-lo", "1", "--sub-hi", "2", "--out", str(mass)]) == 0
+    assert read_csv(heat) == [["sigma", "distance", "flag"], ["3", "inf", "saturated"]]
+    assert read_csv(mass)[1] == ["1", "inf", "0.56416419468006351", "inf"]
 
 def test_out_default_naming(tmp_path):
     rc = run_cli(["spectrum", "--N", "3"], cwd=tmp_path)

@@ -345,13 +345,20 @@ def test_heat_comparison_distance_of_a_large_finite_state():
     heat = theta0.coefficients * np.exp(-0.5 * lam2 * t)
     assert row.flag == "ok" and 1e245 < row.distance < math.inf
     assert row.distance == pytest.approx(math.hypot(*(value - heat).tolist()), rel=1e-14)
-    # at t < 0 the heat reference of mode 64 overflows while the state stays
-    # finite: the distance is +inf, as the difference is
+    # at t < 0 the heat reference of mode 64 is out of range while the state
+    # stays finite: the distance is +inf, as the difference is, and the row
+    # is 'saturated'; modes without data have the reference 0, not 0 * inf
     basis = BasisDescriptor(1, (PI,), 64)
     theta0, theta1 = basis_field(basis, 64, 1.0), basis_field(basis, 64, -2048.0)
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         (row,) = heat_comparison(2.0, 4.0, [0.3], theta0, theta1, -0.35)
-    assert row.flag == "ok" and row.distance == math.inf
+        # a saturated datum whose reference factor e^(-lam2 t / 2) underflows
+        infinite = np.where(np.arange(64) == 63, np.inf, 0.0)
+        (flagged,) = heat_comparison(2.0, 4.0, [0.3], Field(basis, infinite, np.isinf(infinite)),
+                                     Field(basis, np.zeros(64)), 1.0)
+    assert row.flag == "saturated" and row.distance == math.inf
+    assert flagged.flag == "saturated" and flagged.distance == math.inf
 
 
 def test_heat_comparison_rejects_exceptional_sigma():
@@ -560,6 +567,37 @@ def test_subregion_mass_matches_mpmath(monkeypatch):
     monkeypatch.setattr(experiments, "_MASS_ROWS", 5)
     assert propagation_burst(p, basis, g, T, [n], (1.0, 2.0)) == [row]
 
+
+
+def test_mass_of_a_large_finite_rate_field():
+    # at (3, 1, 0.5) the rate field of one burst (n = 1) grows with T: at
+    # T = 119 it peaks at 2.35e154, and the products of its coefficients
+    # overflow unless the power of two at the largest one is factored out;
+    # at T = 200 the mass itself is past the float range
+    p, basis = ParameterSet(3.0, 1.0, 0.5), BasisDescriptor(1, (PI,), 16)
+    masses = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for T in (118.0, 119.0, 200.0):
+            row, = propagation_burst(p, basis, (1.0, 0.0), T, [1.0], (1.0, 2.0))
+            masses[T] = row.mass_in_subregion
+    assert masses[118.0] == 2.454843725426241e+305   # the bits of the unscaled sum
+    assert masses[200.0] == math.inf
+    z = Field(basis, np.zeros(16))
+    _, rate = evolve_with_boundary(build_blocks(p, basis, (1.0, 0.0)), z, z,
+                                   BoundarySignal.burst(119.0, 1.0), 119.0)
+    assert 2e154 < np.abs(rate.coefficients).max() < math.inf
+    with mp.workdps(40):
+        # c^T G c with G_nm = [S(k_n - k_m) - S(k_n + k_m)] / L, S(k) = int_1^2 cos(k x)
+        c = [mp.mpf(float(v)) for v in rate.coefficients]
+        L, k = mp.mpf(PI), [(n + 1) * (mp.pi / mp.mpf(PI)) for n in range(16)]
+
+        def S(w):
+            return mp.mpf(1) if w == 0 else (mp.sin(2 * w) - mp.sin(w)) / w
+
+        want = mp.fsum(c[n] * c[m] * (S(k[n] - k[m]) - S(k[n] + k[m]))
+                       for n in range(16) for m in range(16)) / L
+        assert abs(masses[119.0] / want - 1) < 1e-15
 
 def test_saturated_rate_field_has_infinite_mass():
     # at T = 40 modes 19..32 saturate: one of them alone (T = 0.5 with c

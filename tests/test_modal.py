@@ -112,6 +112,37 @@ def test_characteristic_roots_array_call_is_the_per_mode_calls():
         characteristic_roots(p, [1.0, 0.0])
 
 
+
+def test_degenerate_mode_error_names_its_mode():
+    # the 1-based index of the first-order entry, as UnsolvableModeError gives
+    with pytest.raises(DegenerateModeError) as err:
+        characteristic_roots(ParameterSet(1.0, 1.0, 0.25), np.array([1.0, 4.0, 9.0]))
+    assert err.value.mode_index == 2
+    with pytest.raises(DegenerateModeError) as err:
+        characteristic_roots(ParameterSet(1.0, 1.0, 0.25), 4.0)
+    assert err.value.mode_index == 1
+
+
+def test_evolve_modes_outputs_take_the_broadcast_shape_at_every_time():
+    # scalar data over an array of modes, and a (3, 1) grid of modes over (4,)
+    # data: theta, theta' and the flags all take the broadcast shape, at
+    # t = 0 (which returns the data) as at t > 0
+    p = ParameterSet(3.0, 1.0, 0.5)
+    lam2 = np.array([1.0, 4.0, 9.0])
+    for t in (0.0, 0.5):
+        value, deriv, sat = evolve_modes(p, lam2, 1.0, 0.0, t)
+        assert value.shape == deriv.shape == sat.shape == (3,), t
+    value, deriv, sat = evolve_modes(p, lam2, 1.0, 0.0, 0.0)
+    assert value.tolist() == [1.0] * 3 and deriv.tolist() == [0.0] * 3 and not sat.any()
+    value[0] = 2.0   # a writable array of its own
+    assert value.tolist() == [2.0, 1.0, 1.0]
+    alpha, beta = np.array([1.0, -2.0, 0.5, np.inf]), np.array([0.0, 1.0, 2.0, 0.0])
+    for t in (0.5, 0.0):
+        value, deriv, sat = evolve_modes(p, lam2[:, None], alpha, beta, t)
+        assert value.shape == deriv.shape == sat.shape == (3, 4), t
+        assert sat[:, 3].all() and not sat[:, :3].any()
+    assert (value == alpha).all() and (deriv == beta).all()
+
 def test_limit3_family_roots_are_exact():
     # sigma-form family chi=2, gamma rho=4 at sigma_k = 5/k^2, mode k:
     # roots come out as exactly 2k^2 and -2k^2/5

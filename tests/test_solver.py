@@ -13,8 +13,8 @@ from cattaneo4 import (BasisDescriptor, ExceptionalParameterError, Field,
                        project_samples, reconstruct, zero_field)
 from cattaneo4 import solver
 from cattaneo4.modal import NEAR_TOL, is_degenerate
+from cattaneo4.solver import dst1, simpson_weights
 from cattaneo4.spectrum import spectrum
-from cattaneo4.util import dst1, simpson_weights
 from oracle import simpson
 
 PI = math.pi
