@@ -21,7 +21,7 @@ from .experiments import (first_crossing, heat_comparison, limit1_reference,
                           propagation_burst, singularity_scan, weyl_exponent_fit,
                           whole_line_mode)
 from .modal import (CharacteristicRoots, ParameterSet, characteristic_roots,
-                    evolve_modes, reference_telegraph_mode, second_order_roots)
+                    evolve_modes, second_order_roots)
 from .solver import (Field, WellPosednessReport, basis_field, check_wellposed,
                      evolve_homogeneous, field_norm, project_samples,
                      reconstruct, zero_field)
@@ -41,7 +41,6 @@ __all__ = [
     "field_norm", "first_crossing", "heat_comparison",
     "limit1_reference", "limit1_scan", "limit2_scan", "limit3_scan",
     "project_samples", "propagation_burst", "reconstruct",
-    "reference_telegraph_mode",
     "second_order_roots", "singularity_scan",
     "weyl_exponent_fit", "whole_line_mode", "zero_field",
 ]

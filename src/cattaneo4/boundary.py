@@ -52,6 +52,7 @@ implemented.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -64,7 +65,7 @@ from .errors import ExceptionalParameterError
 from .modal import (ParameterSet, _check_positive, _companion, _factors, _finish, _generator,
                     _product, is_degenerate, second_order_roots)
 from .solver import Field
-from .spectrum import BasisDescriptor, _interval_neighbours, spectrum
+from .spectrum import BasisDescriptor, _interval_lambda_sq, _interval_neighbours, spectrum
 
 # Nodes of a divided difference that all lie within CLUSTER_RADIUS (at least;
 # half the order for long polynomials) of each other are summed as one Taylor
@@ -282,13 +283,10 @@ def _lift_gate(c: float, L: float) -> float:
 def _lift_coefficients(c: float, L: float, g0: float, g1: float, N: int) -> np.ndarray:
     """Modal coefficients d_n of the lift, by integrating the map against phi_n twice
     by parts: d_n (1 - c lam2) = c (g1 phi_n'(L) - g0 phi_n'(0))."""
-    ratio = math.pi / L
-    scale = math.sqrt(2.0 / L)
     n = np.arange(1, N + 1, dtype=float)
-    lam_sq = (n * ratio) ** 2
     signs = np.where(np.arange(1, N + 1) % 2 == 0, 1.0, -1.0)
-    numer = c * scale * (n * ratio) * (g1 * signs - g0)
-    return numer / _generator(1.0, 1.0, c, lam_sq)[0]   # (a, b) play no part
+    numer = c * math.sqrt(2.0 / L) * (n * (math.pi / L)) * (g1 * signs - g0)
+    return numer / _generator(1.0, 1.0, c, _interval_lambda_sq(L, n))[0]   # (a, b) play no part
 
 
 def dirichlet_map_interval(c: float, L: float, g, truncation: int = 64):
@@ -563,19 +561,32 @@ def evolve_with_boundary(blocks: BoundaryOperator, theta0: Field, theta1: Field,
 
 def _combine(d, k, minus_h, alpha, beta, e0, e1, log_e, parts):
     """(theta, theta', saturated) from the scaled homogeneous factors and the
-    scaled signal parts: shift = the largest log-scale of each entry is kept
-    out of the sums, and ``modal._finish`` applies it last; without parts,
-    as in ``modal._state``."""
+    scaled signal parts: the largest log-scale of each entry, shift, is kept
+    out of the sums and applied last by ``modal._finish``; without parts, as in
+    ``modal._state``.  Where the weight e^(log_e - shift) of nonzero data or a
+    lift e^(log - shift) of a nonzero part falls below 2^-1022 (data of 1e300
+    decayed to 1e-85 beside a part of 1e-200), the shift is instead the largest
+    finite log-magnitude log_e + log max(|alpha|, |beta|) or log + log|d| + log
+    max(|u1|, |u2|), but at least shift - 700, so that no weight or lift
+    overflows; every other entry keeps its bits."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if not parts:
             return _finish(e0, e1, log_e, k, minus_h, alpha, beta)[:3]
-        shift = log_e
-        for _, _, log in parts:
-            shift = np.maximum(shift, log)
-        weight = np.exp(log_e - shift)
-        e0, e1 = e0 * weight, e1 * weight
+        logs = [log_e, *(log for _, _, log in parts)]
+        shift = functools.reduce(np.maximum, logs)
+        scales = [np.exp(log - shift) for log in logs]   # the weight, then the lifts
+        if min(map(np.min, scales)) < 2.0 ** -1022:
+            sizes = [np.log(np.maximum(np.abs(alpha), np.abs(beta))),
+                     *(np.log(np.abs(d)) + np.log(np.maximum(np.abs(u1), np.abs(u2)))
+                       for u1, u2, _ in parts)]
+            mags = [np.where(np.isfinite(size), log + size, -np.inf)
+                    for log, size in zip(logs, sizes)]
+            flushed = np.logical_or.reduce([(scale < 2.0 ** -1022) & (mag > -np.inf)
+                                            for scale, mag in zip(scales, mags)])
+            shift = np.where(flushed, np.maximum(np.max(mags, axis=0), shift - 700.0), shift)
+            scales = [np.exp(log - shift) for log in logs]
+        e0, e1 = e0 * scales[0], e1 * scales[0]
         p1 = p2 = np.zeros(shift.shape)
-        for u1, u2, log in parts:
-            lift = np.exp(log - shift)
+        for (u1, u2, _), lift in zip(parts, scales[1:]):
             p1, p2 = p1 + u1 * lift, p2 + u2 * lift
         return _finish(e0, e1, shift, k, minus_h, alpha, beta, (d, p1, p2))[:3]

@@ -11,8 +11,8 @@ Three limit scans probe the exceptional sets from different directions:
   decay polynomially while the second exponent lam_k (a+delta)/(2 gamma)
   diverges, so smooth data excite arbitrarily fast growth,
 * limit 3 uses the sigma-form family chi = 2, gamma_rho = 4, sigma_k = 5/k^2
-  with data (1/k^4, -1/(2k^2)), whose closed form is exactly
-  -(1/(24 k^4)) e^{2 k^2 t} + (25/(24 k^4)) e^{-(2/5) k^2 t}.
+  with data (1/k^4, -1/(2k^2)), heat-compatible for every k, whose closed
+  form is exactly -(1/(24 k^4)) e^{2 k^2 t} + (25/(24 k^4)) e^{-(2/5) k^2 t}.
 
 The whole-line mode shows the essential singularity of the symbol at
 lam = 1/sqrt(c): the fast exponent -(a+delta)/(2(1-c lam2)) blows up to +inf
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -53,7 +52,7 @@ from .errors import ExceptionalParameterError, SingularParameterError
 from .modal import (ParameterSet, _check_positive, _first_order, _generator, _physical_map,
                     _state, second_order_roots)
 from .solver import Field, _locate, _top_exponent, field_norm, zero_field
-from .spectrum import BasisDescriptor, spectrum
+from .spectrum import BasisDescriptor, _interval_lambda_sq, spectrum
 
 # Rows of the mass matrix G per block in propagation_burst: bounds its
 # (rows, modes) temporaries; every mass is the same for any block size.
@@ -86,7 +85,7 @@ class Limit2Result:
 class Limit3Result:
     rows: list
     smallest_k_exceeding: int | None
-    heat_compat_exact: bool
+    heat_compat_exact = True   # see limit3_scan: it holds for every integer k
 
 
 @dataclass(frozen=True)
@@ -256,21 +255,20 @@ def limit3_scan(k_range, t: float) -> Limit3Result:
     mapped to (a, b, c) by ``modal._physical_map`` as one array.
 
     Data theta_k(0) = 1/k^4, theta_k'(0) = -1/(2 k^2) satisfy the heat
-    compatibility 2 theta'(0) = -k^2 theta(0) exactly as rationals
-    (``heat_compat_exact``); the rounded doubles can miss it by an ulp, as
-    at k = 7, 9 and 11.  The closed form splits into a growing addendum with
-    exponent 2 k^2 and coefficient -1/(24 k^4) and a decaying one with
-    exponent -(2/5) k^2 and coefficient 25/(24 k^4).
+    compatibility 2 theta'(0) = -k^2 theta(0) exactly as rationals for
+    every integer k, 2 (-1/(2 k^2)) = -1/k^2 = -k^2 (1/k^4), so
+    ``heat_compat_exact`` is True by construction; the rounded doubles can
+    miss it by an ulp, as at k = 7, 9 and 11.  The closed form splits into
+    a growing addendum with exponent 2 k^2 and coefficient -1/(24 k^4) and a
+    decaying one with exponent -(2/5) k^2 and coefficient 25/(24 k^4).
     """
     ks = sorted(set(int(k) for k in k_range))
     if not ks or ks[0] < 1:
         raise ValueError("k_range must hold positive integers")
     if not 0.0 <= t < math.inf:
         raise ValueError("t must be finite and nonnegative")
-    compat_exact = all(
-        2 * Fraction(-1, 2 * k * k) == -(k * k) * Fraction(1, k ** 4) for k in ks)
     ks = np.array(ks)
-    lam_sq = ks.astype(float) ** 2
+    lam_sq = _interval_lambda_sq(math.pi, ks)
     sigma = 5.0 / lam_sq
     a, b, c = _physical_map(2.0, sigma, 4.0)
     alpha, beta = 1.0 / (lam_sq * lam_sq), -1.0 / (2.0 * lam_sq)
@@ -285,7 +283,7 @@ def limit3_scan(k_range, t: float) -> Limit3Result:
                       np.where(np.isinf(value), "saturated", "ok"))
     exceeds = np.where(np.isfinite(value), np.abs(value) > ks, log_abs > np.log(ks))
     smallest = int(ks[np.argmax(exceeds)]) if np.any(exceeds) else None
-    return Limit3Result(rows, smallest, compat_exact)
+    return Limit3Result(rows, smallest)
 
 
 def heat_comparison(chi: float, gamma_rho: float, sigmas, theta0: Field, theta1: Field,

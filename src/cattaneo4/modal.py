@@ -26,10 +26,12 @@ that does; ``second_order_roots`` solves it once, elementwise, into a
 array of them, first-order modes included; ``characteristic_roots`` gives
 the record of second-order modes and their regime, elementwise.  ``_state``
 evaluates every mode, first or second order, for ``evolve_modes`` and the
-scans; ``_factors`` (exp(A t)), ``_companion`` (A) and ``_finish`` (scaled,
-rescued, saturated states) serve it and ``boundary`` alike.  ``scaled_exp``,
-the saturating exponential, writes the states into ``_finish``'s buffer:
-+/-inf with the flag set past e^700, log-magnitudes finite far beyond it.
+scans, and a telegraph mode tau theta'' + theta' = kappa d_xx theta on its
+generator (tau, 1, kappa lam2); ``_factors`` (exp(A t)), ``_companion`` (A)
+and ``_finish`` (scaled, rescued, saturated states) serve it and
+``boundary`` alike.  ``scaled_exp``, the saturating exponential, writes the
+states into ``_finish``'s buffer: +/-inf with the flag set past e^700,
+log-magnitudes finite far beyond it.
 The chain works on buffers: each step allocates the arrays it returns, and
 a few work arrays, once per call, and writes every operation into them with
 ``out=`` and ``where=``; work arrays die with the call that made them.  Each
@@ -470,14 +472,3 @@ def evolve_modes(p: ParameterSet, lambda_sq, alpha, beta, t: float):
     value, deriv, sat, _ = _state(*roots, alpha, beta, t, first_order)
     return value, deriv, sat | infinite
 
-
-def reference_telegraph_mode(tau: float, kappa: float, lambda_sq: float,
-                             data: tuple[float, float], t: float) -> float:
-    """Mode of the classical Cattaneo law tau theta'' + theta' = kappa d_xx theta
-    from data = (theta(0), theta'(0))."""
-    if not (tau > 0.0 and kappa > 0.0 and lambda_sq > 0.0):
-        raise ValueError("tau, kappa, lambda_sq must be positive")
-    if not all(math.isfinite(v) for v in (*data, t)):
-        raise ValueError("data and t must be finite")
-    value = _state(*second_order_roots(tau, 1.0, kappa * lambda_sq)[2:], *data, t)[0]
-    return float(value)

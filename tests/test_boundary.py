@@ -613,6 +613,22 @@ def assert_stiff_modes_match_mpmath(signal, t):
         assert_state_close((th.coefficients[i], dth.coefficients[i]), want, radius)
 
 
+def test_small_signal_part_keeps_large_decayed_data():
+    # mode 1 decays from 1e300 to 2.6e-85 by t = 2500 (log-scale -886) under
+    # a signal part of about 1e-200 at log-scale 0: shifting by the larger
+    # log-scale alone flushed the decayed data and left the part, 3.6e-201
+    p, basis = ParameterSet(3.0, 1.0, 0.5), interval_basis(4)
+    blocks = build_blocks(p, basis, (1e-200, 0.0))
+    signal, t, data = BoundarySignal.sinusoid(3000.0, 3.0), 2500.0, (1e300, 0.0)
+    th, dth = evolve_with_boundary(blocks, Field(basis, [data[0], 0.0, 0.0, 0.0]),
+                                   zero_field(basis), signal, t)
+    assert not th.saturated[0]
+    blk = blocks[0]
+    r_th, r_dth = mp_boundary_state(blk.h, blk.k, blk.d, blk.beta, data, signal, t)
+    assert abs(th.coefficients[0] - r_th) <= 1e-12 * abs(r_th)
+    assert abs(dth.coefficients[0] - r_dth) <= 1e-12 * abs(r_dth)
+
+
 def test_stiff_case_matches_mpmath_on_forty_modes():
     # the stiff benchmark case; composite Simpson with step t/1000 was
     # 4.6e-6 off in theta at mode 19 and 3.4e-4 in theta' at mode 18

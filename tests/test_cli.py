@@ -135,12 +135,21 @@ def test_import_does_not_load_scipy(tmp_path):
 
     assert exported("cattaneo4.modal") == {
         "CharacteristicRoots", "ParameterSet", "characteristic_roots", "evolve_modes",
-        "reference_telegraph_mode", "second_order_roots"}
+        "second_order_roots"}
     assert not {"GridSolution", "fd_solve", "integrate_modes", "DiscreteExceptionalError",
                 "StiffnessError"} & set(cattaneo4.__all__)
     # nor names that no command or module of the package calls
     assert not {"propagator", "mild_solution_check", "MildSolutionReport",
-                "reference_heat_mode"} & set(dir(cattaneo4))
+                "reference_heat_mode", "reference_telegraph_mode"} & set(dir(cattaneo4))
+
+
+def test_import_does_not_load_fractions_or_decimal(tmp_path):
+    # limit3_scan's compatibility holds for every integer k and is not
+    # re-proved with rationals: the CLI loads neither module
+    code = "import sys, cattaneo4.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # Run in a child whose sys.modules holds None for scipy, so any import of it

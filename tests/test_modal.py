@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cattaneo4 import (DegenerateModeError, ParameterSet,
                        UnsolvableModeError, characteristic_roots, evolve_modes,
-                       reference_telegraph_mode, second_order_roots)
+                       second_order_roots)
 from cattaneo4 import modal
 from cattaneo4.modal import _physical_map
 import oracle
@@ -302,24 +302,29 @@ def test_degenerate_mode_rejects_infinite_data():
     assert sat.tolist() == [True, False] and math.isfinite(value[1])
 
 
+def telegraph_mode(tau, kappa, lambda_sq, data, t):
+    """theta(t) of a mode of the classical Cattaneo law tau theta'' + theta' =
+    kappa d_xx theta from data = (theta(0), theta'(0)): the modal kernel on
+    the generator (tau, 1, kappa lam2)."""
+    return float(modal._state(*second_order_roots(tau, 1.0, kappa * lambda_sq)[2:], *data, t)[0])
+
+
 def test_telegraph_reference_roots_and_limit():
     # tau=1, kappa lam2=1: mu^2 + mu + 1 = 0 -> (-1 +- i sqrt3)/2
     delta_sq, delta, r_plus, r_minus, _ = second_order_roots(1.0, 1.0, 1.0)
     assert delta_sq < 0.0 and r_plus == r_minus == -0.5
     w = delta / 2.0
     assert w == pytest.approx(math.sqrt(3.0) / 2.0, rel=1e-14)
-    got = reference_telegraph_mode(tau=1.0, kappa=1.0, lambda_sq=1.0,
-                                   data=(1.0, 0.0), t=0.7)
+    got = telegraph_mode(tau=1.0, kappa=1.0, lambda_sq=1.0, data=(1.0, 0.0), t=0.7)
     want = math.exp(-0.35) * (math.cos(0.7 * w) + 0.5 / w * math.sin(0.7 * w))
     assert got == pytest.approx(want, rel=1e-14)
-    with pytest.raises(ValueError):
-        reference_telegraph_mode(1.0, 1.0, 1.0, (math.nan, 0.0), 0.7)
+    # nan data give a nan state, never a finite number (evolve_modes rejects them first)
+    assert math.isnan(telegraph_mode(1.0, 1.0, 1.0, (math.nan, 0.0), 0.7))
     # tau -> 0 recovers the heat decay alpha e^{-(b lam2/a) t} = e^{-t} on
     # compatible data
     for t in (0.2, 1.0):
         heat = math.exp(-t)
-        tele = reference_telegraph_mode(tau=1e-8, kappa=1.0, lambda_sq=1.0,
-                                        data=(1.0, -1.0), t=t)
+        tele = telegraph_mode(tau=1e-8, kappa=1.0, lambda_sq=1.0, data=(1.0, -1.0), t=t)
         assert tele == pytest.approx(heat, rel=1e-6)
 
 
