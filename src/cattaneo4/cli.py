@@ -1,19 +1,5 @@
 """Command line interface: every subcommand writes one CSV table.
 
-    cattaneo4 spectrum --L pi --N 16
-    cattaneo4 exceptional --L pi --N 32 --kind sigma --gamma-rho 4
-    cattaneo4 solve --a 3 --b 1 --c 0.5 --L pi --N 8 --mode 1 --alpha 1 --t 0.7
-    cattaneo4 boundary --a 3 --b 1 --c 0.5 --L pi --N 32 --g0 1 --g1 0 \
-        --signal sin --omega 2 --T 1 --t 1
-    cattaneo4 limit1 --a 1 --b 1 --lambda-sq 1 --t 0.3 --j-min 1 --j-max 8
-    cattaneo4 limit2 --a 1 --b 1 --gamma 1 --k-min 4 --k-max 40 --t 0.5
-    cattaneo4 limit3 --k-min 1 --k-max 12 --t 0.1
-    cattaneo4 heatcmp --chi 2 --gamma-rho 4 --j-max 10 --t 0.5 --N 32
-    cattaneo4 propagation --a 3 --b 1 --c 0.5 --L pi --N 256 --g0 1 --g1 0 \
-        --T 0.05 --n-max-exp 12 --sub-lo 1 --sub-hi 2
-    cattaneo4 wholeline --a 1 --b 1 --c 0.25 --t 1 --j-min 1 --j-max 20
-    cattaneo4 verify --seed 7
-
 Floats are printed with 17 significant digits, so equal runs are
 byte-identical.  Exit codes: 0 success, 1 usage or invalid argument,
 2 exceptional/singular parameter rejected, 3 unsolvable degenerate mode.
@@ -111,8 +97,7 @@ def _split_rows(rows, param_name):
 
 
 def _cmd_spectrum(args) -> str:
-    lengths = args.lengths or (args.L,)
-    spec = spectrum.spectrum(spectrum.BasisDescriptor(len(lengths), lengths, args.N))
+    spec = spectrum.spectrum(spectrum.BasisDescriptor(len(args.L), args.L, args.N))
     _write_csv(args.out, ["index", "multi_index", "lambda_sq"],
                [(n, "x".join(str(i) for i in idx), lam) for n, (idx, lam) in enumerate(
                    zip(spec.multi_index.tolist(), spec.lambda_sq.tolist()), start=1)])
@@ -426,9 +411,9 @@ def build_parser() -> _Parser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectrum", help="Dirichlet eigenvalues")
-    _add_common(sp, "basis")
-    sp.add_argument("--lengths", type=_lengths, default=None,
-                    help="comma-separated box side lengths (overrides --L)")
+    sp.add_argument("--L", type=_lengths, default=(math.pi,),
+                    help="comma-separated box side lengths, one for an interval")
+    sp.add_argument("--N", type=int, required=True, help="truncation")
     sp.set_defaults(func=_cmd_spectrum, out_default="spectrum.csv")
 
     sp = sub.add_parser("exceptional", help="exceptional parameter sets")

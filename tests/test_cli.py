@@ -3,7 +3,6 @@ import csv
 import hashlib
 import importlib.util
 import math
-import os
 import re
 import subprocess
 import sys
@@ -20,12 +19,8 @@ from cattaneo4.cli import main
 RUN = [sys.executable, "-m", "cattaneo4"]
 
 
-def run_cli(args, cwd, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(RUN + list(args), cwd=cwd, env=env,
-                          capture_output=True, text=True)
+def run_cli(args, cwd):
+    return subprocess.run(RUN + list(args), cwd=cwd, capture_output=True, text=True)
 
 
 def read_csv(path):
@@ -247,7 +242,8 @@ def test_wholeline_rejects_bad_parameters(tmp_path, capsys, a, c):
      "--sub-lo 1 --sub-hi 2", "must not be empty"),
     ("limit1 --a 1 --b 1 --lambda-sq 1 --t 0.3 --j-min 5 --j-max 1", "must not be empty"),
     ("limit1 --a 1 --b 1 --lambda-sq 0 --t 0.3", "lambda_sq must be positive"),
-    ("spectrum --L pi --N 3 --lengths pi,x", "argument --lengths: invalid length 'x'"),
+    ("spectrum --L pi,x --N 3", "argument --L: invalid length 'x'"),
+    ("spectrum --L pi --N 3 --lengths pi,pi", "unrecognized arguments: --lengths pi,pi"),
     ("propagation --a 3 --b 1 --c 0.5 --N 8 --g0 1 --g1 0 --T 0.05 --n-max-exp 2000 "
      "--sub-lo 1 --sub-hi 2", "n_max_exp must be at most 1023"),
     ("heatcmp --t 0.5 --j-max 2000", "(chi, sigma, gamma_rho) = (2.0, 8.344026969402005e-309"),
@@ -267,13 +263,14 @@ def test_wholeline_rejects_bad_parameters(tmp_path, capsys, a, c):
     ("solve --a 3 --b 1 --c 0.5 --N 8 --mode 1 --alpha -inf --t 0.7",
      "alpha and beta must be finite"),
 ], ids=["wholeline", "heatcmp", "propagation", "limit1", "limit1-lambda-sq-0",
-        "spectrum-lengths", "propagation-n-max-exp", "heatcmp-sigma", "limit2-one-value",
-        "wholeline-offset-overflow", "limit1-j-min-below-1", "wholeline-below-zero",
-        "boundary-coeffs", "verify-seed", "solve-alpha-inf", "solve-alpha-minus-inf"])
+        "spectrum-lengths", "spectrum-no-lengths-option", "propagation-n-max-exp",
+        "heatcmp-sigma", "limit2-one-value", "wholeline-offset-overflow",
+        "limit1-j-min-below-1", "wholeline-below-zero", "boundary-coeffs", "verify-seed",
+        "solve-alpha-inf", "solve-alpha-minus-inf"])
 def test_empty_ranges_exit_1_with_a_named_error(tmp_path, args, message):
     # an empty scan range, or an argument that breaks the arithmetic (1/0, a
-    # float overflow, a subnormal sigma, a bad length token), is an invalid
-    # argument, not a traceback or an empty table
+    # float overflow, a subnormal sigma, a bad length token) or an unknown
+    # option is an invalid argument, not a traceback or an empty table
     out = run_cli(args.split(), cwd=tmp_path)
     assert out.returncode == 1
     assert out.stderr.startswith("error:") and "Traceback" not in out.stderr, out.stderr
@@ -404,26 +401,6 @@ def test_verify_lift_row_checks_the_identity_in_double(monkeypatch):
     assert err > tol
 
 
-@pytest.mark.parametrize("args", [
-    ["solve", "--a", "2", "--b", "1", "--c", "0.003", "--N", "24",
-     "--mode", "3", "--t", "0.6"],
-    ["boundary", "--a", "2", "--b", "1", "--c", "0.003", "--N", "16",
-     "--g0", "1", "--g1", "0", "--signal", "sin", "--omega", "3",
-     "--T", "2", "--t", "1.1"],
-    ["limit2", "--a", "1", "--b", "1", "--gamma", "1", "--t", "1"],
-])
-def test_byte_identical_across_threads_and_reruns(tmp_path, args):
-    blobs = []
-    for tag, threads in (("r1", "1"), ("r2", "1"), ("r3", "4")):
-        d = tmp_path / tag
-        d.mkdir()
-        rc = run_cli(args, cwd=d, env_extra={"CATTANEO4_THREADS": threads})
-        assert rc.returncode == 0, rc.stderr
-        name = args[0] + ".csv"
-        blobs.append((d / name).read_bytes())
-    assert blobs[0] == blobs[1] == blobs[2]
-
-
 def test_csv_is_utf8_lf(tmp_path):
     out = tmp_path / "w.csv"
     rc = main(["wholeline", "--a", "1", "--b", "1", "--c", "0.01",
@@ -438,8 +415,15 @@ def test_csv_is_utf8_lf(tmp_path):
     assert float(lam_cell) == 1.0 / math.sqrt(0.01) + 0.5
 
 
-def test_help_exits_zero():
+def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+    text = capsys.readouterr().out
+    # argparse lists each subcommand with its help line; the README alone
+    # holds the example commands
+    names = {cmd.split()[0] for cmd, _ in README_COMMANDS}
+    assert len(names) == 11
+    assert all(re.search(rf"^ +{name} +\S", text, re.M) for name in names), text
+    assert not re.search(r"^\s+cattaneo4 ", text, re.M), text
     assert main(["solve", "--help"]) == 0
 
 
@@ -473,7 +457,7 @@ README_COMMANDS = [
      "7f55deb98a572c97195a9d1041ffa4d8cde32ff6243614b6e384d495a24b1a06"),
     ("verify --seed 7",
      "608c465de8c7ff96e410bb188cd7478c8feb1f67a9abdb04a8abd3ea492f58d3"),
-    ("spectrum --lengths pi,pi --N 20",
+    ("spectrum --L pi,pi --N 20",
      "f713ab8042258b41f88b0e111e971548c0e5ce1949415e3d000544761d43a9b0"),
     ("wholeline --a 1 --b 1 --c 0.25 --t 1 --j-min 1 --j-max 20 --side below",
      "5743e6da069b2499ee06387cfc8d9df44ccc8a9401010bc0d89da4250e112ec7"),

@@ -49,6 +49,10 @@ while read -r args; do
 done < commands.txt
 # a negative value with an exponent is read as a value, not as an option
 run solve --a 3 --b 1 --c 0.5 --L pi --N 8 --mode 1 --alpha 1 --beta -1e-3 --t 0.7
+# the help text and a box spectrum: a header and 20 modes
+run --help
+run spectrum --L pi,pi --N 20
+[ "$(wc -l < spectrum.csv)" -eq 21 ]
 
 echo "== results past the float range are written without warnings"
 # the subregion mass at T = 200 and the heat reference at t = -2 read inf
